@@ -11,6 +11,7 @@ Exit codes: 0 all good, 1 failed checks or a domain error in an evaluator,
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 import sys
@@ -30,7 +31,7 @@ from .appell import (
     picard_integral,
 )
 from .derivs import MapJet2, deriv_quad
-from .jets import BACKEND, Jet, monomials
+from .jets import BACKEND, Jet, _mul_table, monomials
 from .lft import Eis, HeisenbergElem, decompose_heisenberg
 from .picard import (
     j_invariants,
@@ -41,16 +42,20 @@ from .picard import (
 )
 
 
+def _finite(z: complex) -> complex:
+    if not cmath.isfinite(z):
+        raise ValueError("not finite")
+    return z
+
+
 class ComplexParam(click.ParamType):
     name = "complex"
 
     def convert(self, value, param, ctx):
-        if isinstance(value, complex):
-            return value
         try:
-            return complex(str(value).replace(" ", ""))
+            return _finite(complex(str(value).replace(" ", "")))
         except ValueError:
-            self.fail(f"{value!r} is not a complex number", param, ctx)
+            self.fail(f"{value!r} is not a finite complex number", param, ctx)
 
 
 class ComplexPairParam(click.ParamType):
@@ -61,9 +66,9 @@ class ComplexPairParam(click.ParamType):
         if len(parts) != 2:
             self.fail(f"{value!r} is not a comma-separated pair", param, ctx)
         try:
-            return (complex(parts[0].strip()), complex(parts[1].strip()))
+            return tuple(_finite(complex(p.strip())) for p in parts)
         except ValueError:
-            self.fail(f"{value!r} is not a pair of complex numbers", param, ctx)
+            self.fail(f"{value!r} is not a pair of finite complex numbers", param, ctx)
 
 
 COMPLEX = ComplexParam()
@@ -76,17 +81,21 @@ def _cj(z) -> list:
 
 
 def _emit(obj) -> None:
-    click.echo(json.dumps(obj, indent=2, sort_keys=True))
+    click.echo(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _eval_errors(fn):
-    """Map domain errors of wrapped operations to exit code 1."""
+    """Map domain errors of wrapped operations to exit code 1.
+
+    ValueError also covers a non-finite result that `_emit` refuses to
+    print; RuntimeError is a series that did not settle.
+    """
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError, RuntimeError) as exc:
             click.echo(json.dumps({"error": str(exc)}), err=True)
             sys.exit(1)
 
@@ -338,40 +347,25 @@ def heis(alpha, q):
 @click.option("--order", default=3, show_default=True, type=click.IntRange(0, 3))
 @click.option("--reps", default=20000, show_default=True, type=click.IntRange(1))
 def bench(dim, order, reps):
-    """Time the jet multiplication kernel, compiled vs pure."""
-    from . import _jetpure
-    from .jets import _mul_table
-
-    kernels = {"pure": _jetpure}
-    try:
-        from . import _jetcore
-
-        kernels["cython"] = _jetcore
-    except ImportError:
-        pass
-
-    ti, tj, tk = _mul_table(dim, order)
+    """Time `Jet * Jet` on random jets of the given dim and order."""
     size = len(monomials(dim, order))
     rng = np.random.default_rng(0)
-    a = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    b = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    seconds = {}
-    for name, mod in sorted(kernels.items()):
-        out = np.zeros_like(a)
-        start = time.perf_counter()
-        for _ in range(reps):
-            mod.mul_into(out, a, b, ti, tj, tk)
-        seconds[name] = time.perf_counter() - start
+    a, b = (
+        Jet(dim, order, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        for _ in range(2)
+    )
+    start = time.perf_counter()
+    for _ in range(reps):
+        a * b
+    seconds = time.perf_counter() - start
     result = {
         "dim": dim,
         "order": order,
         "reps": reps,
-        "terms": int(len(ti)),
-        "seconds": seconds,
+        "terms": int(len(_mul_table(dim, order)[0])),
+        "seconds": {"pure": seconds},
         "active_backend": BACKEND,
     }
-    if "cython" in seconds:
-        result["speedup"] = seconds["pure"] / seconds["cython"]
     _emit(result)
 
 

@@ -13,7 +13,6 @@ arithmetic is an error, never a silent truncation.
 from __future__ import annotations
 
 import math
-import os
 import cmath
 from fractions import Fraction
 from functools import lru_cache
@@ -21,18 +20,9 @@ from itertools import product
 
 import numpy as np
 
-_backend_name = os.environ.get("GL3SCHWARZ_JET_BACKEND", "")
-if _backend_name == "pure":
-    from . import _jetpure as _kernel
-elif _backend_name == "cython":
-    from . import _jetcore as _kernel  # type: ignore[no-redef]
-else:
-    try:
-        from . import _jetcore as _kernel  # type: ignore[no-redef]
-    except ImportError:
-        from . import _jetpure as _kernel  # type: ignore[no-redef]
-
-BACKEND = _kernel.BACKEND
+# Name of the jet multiply kernel, reported by `gl3schwarz bench`.  There is
+# one, in numpy; the name stays for tools that record which kernel ran.
+BACKEND = "pure"
 
 MAX_DIM = 4
 MAX_ORDER = 3
@@ -61,22 +51,24 @@ def _index(dim: int, order: int) -> dict[tuple[int, ...], int]:
 
 @lru_cache(maxsize=None)
 def _mul_table(dim: int, order: int):
+    """Index pairs of the truncated product, grouped by target coefficient.
+
+    Returns (ti, tj, starts): coefficient k of a*b is the sum of
+    a[ti] * b[tj] over the k-th group, which begins at starts[k].  No group
+    is empty (the constant times the target is always in it), and within a
+    group i ascends, the order the terms have always been summed in.
+    """
     monos = monomials(dim, order)
     idx = _index(dim, order)
-    ti, tj, tk = [], [], []
-    for i, mi in enumerate(monos):
-        di = sum(mi)
-        for j, mj in enumerate(monos):
-            if di + sum(mj) > order:
-                continue
-            ti.append(i)
-            tj.append(j)
-            tk.append(idx[tuple(a + b for a, b in zip(mi, mj))])
-    return (
-        np.asarray(ti, dtype=np.int32),
-        np.asarray(tj, dtype=np.int32),
-        np.asarray(tk, dtype=np.int32),
-    )
+    ti, tj, starts = [], [], []
+    for mk in monos:
+        starts.append(len(ti))
+        for i, mi in enumerate(monos):
+            mj = tuple(a - b for a, b in zip(mk, mi))
+            if min(mj) >= 0:
+                ti.append(i)
+                tj.append(idx[mj])
+    return np.asarray(ti), np.asarray(tj), np.asarray(starts)
 
 
 def _multifactorial(alpha) -> int:
@@ -182,10 +174,9 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.dim, self.order, self._c * other)
         self._check(other)
-        ti, tj, tk = _mul_table(self.dim, self.order)
-        out = np.zeros_like(self._c)
-        _kernel.mul_into(out, self._c, other._c, ti, tj, tk)
-        return Jet(self.dim, self.order, out)
+        ti, tj, starts = _mul_table(self.dim, self.order)
+        terms = self._c[ti] * other._c[tj]
+        return Jet(self.dim, self.order, np.add.reduceat(terms, starts))
 
     def __rmul__(self, other):
         return self * other
@@ -371,25 +362,3 @@ def invert_map2(g1: Jet, g2: Jet) -> tuple[Jet, Jet]:
         h1 = B[0, 0] * r1 + B[0, 1] * r2
         h2 = B[1, 0] * r1 + B[1, 1] * r2
     return h1, h2
-
-
-def jet_from_json(obj) -> Jet:
-    """Jet from {dim, order, coeffs: {"i,j,...": [re, im]}} (CLI map format)."""
-    dim, order = int(obj["dim"]), int(obj["order"])
-    coeffs = {}
-    for key, val in obj.get("coeffs", {}).items():
-        alpha = tuple(int(p) for p in str(key).split(","))
-        coeffs[alpha] = complex(val[0], val[1])
-    return Jet(dim, order, coeffs)
-
-
-def jet_to_json(j: Jet) -> dict:
-    return {
-        "dim": j.dim,
-        "order": j.order,
-        "coeffs": {
-            ",".join(map(str, m)): [c.real, c.imag]
-            for m, c in j.coeffs().items()
-            if c != 0
-        },
-    }

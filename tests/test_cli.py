@@ -115,6 +115,18 @@ class TestF1:
         res = invoke(runner, ["f1"] + [t for kv in args.items() for t in kv])
         assert res.exit_code == 2
 
+    def test_unsettled_series_exits_one(self, runner):
+        # |x| = 0.9: inside the documented domain, but the series needs more
+        # terms than its cap allows
+        res = invoke(
+            runner,
+            ["f1", "--a", "1/3", "--b", "1/3", "--bp", "1/3", "--c", "1",
+             "--x", "0.54+0.72j", "--y", "0.45"],
+        )
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert "did not settle" in json.loads(res.stderr)["error"]
+
 
 MAP_JSON = {
     "dim": 2,
@@ -193,6 +205,18 @@ class TestPicard:
         assert res.exit_code == 1
         assert "error" in res.output
 
+    def test_j_non_finite_input_is_usage_error(self, runner):
+        res = invoke(runner, ["picard", "j", "--l", "nan,2"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "finite" in res.stderr
+
+    def test_j_non_finite_result_exits_one(self, runner):
+        res = invoke(runner, ["picard", "j", "--l", "1e100,2"])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert "error" in json.loads(res.stderr)
+
     def test_modular_solve_roots(self, runner):
         res = invoke(runner, ["picard", "modular-solve", "--u", "2,3", "--v2", "4"])
         assert res.exit_code == 0
@@ -235,6 +259,12 @@ class TestPointEvaluators:
         )
         assert out["gap"] < 1e-8
 
+    def test_k_non_finite_input_is_usage_error(self, runner):
+        res = invoke(runner, ["k", "--ki", "nan", "--kj", "0"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "finite" in res.stderr
+
     def test_heis_decomposition(self, runner):
         res = invoke(runner, ["heis", "--alpha", "2,1", "--q", "3"])
         assert res.exit_code == 0
@@ -256,7 +286,10 @@ class TestBench:
         res = invoke(runner, ["bench", "--reps", "50"])
         assert res.exit_code == 0
         out = json.loads(res.output)
-        assert out["active_backend"] in ("pure", "cython")
+        assert out["active_backend"] == "pure"
+        assert set(out) == {
+            "dim", "order", "reps", "terms", "seconds", "active_backend"
+        }
         assert out["seconds"]["pure"] > 0.0
         assert out["terms"] == 35
 
@@ -278,14 +311,13 @@ def _child_env(**overrides):
 
 class TestConsoleScript:
     def test_entry_point_and_backend_env(self):
-        # subprocess so the env var is seen at import time
         code = (
             "from gl3schwarz import jets; print(jets.BACKEND)"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True,
-            env=_child_env(GL3SCHWARZ_JET_BACKEND="pure"),
+            env=_child_env(),
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "pure"
