@@ -13,6 +13,7 @@ import cmath
 import numpy as np
 
 from .jets import Jet, JetError, compose2, monomials
+from .lft import _as_numpy
 
 _TINY = 1e-14
 
@@ -219,7 +220,7 @@ def second_arg_transform(u_quad: DerivQuad, g, z) -> DerivQuad:
     of g, A1 = (a1c2 - a2c1) y + (a1c3 - a3c1), A2 = (a2c1 - a1c2) x +
     (a2c3 - a3c2), similarly B from the b-row, each over (c.z)^2.
     """
-    m = np.asarray(g.to_numpy() if hasattr(g, "to_numpy") else g, dtype=np.complex128)
+    m = _as_numpy(g)
     (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = m
     x, y = z
     cz = c1 * x + c2 * y + c3

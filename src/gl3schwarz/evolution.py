@@ -18,6 +18,7 @@ import numpy as np
 
 from .derivs import MapJet2, deriv_quad
 from .jets import Jet, JetError, compose, monomials
+from .lft import _as_numpy
 
 IX, IY, IT1, IT2 = range(4)
 _DX = (1, 0, 0, 0)
@@ -207,7 +208,7 @@ def consistency_residual(f: EvoFields, u: Jet) -> float:
 
 def transformed_pair(g, u):
     """Linear fractional image of the pair u under the matrix g, as jets."""
-    m = np.asarray(g, dtype=np.complex128) if not hasattr(g, "to_numpy") else g.to_numpy()
+    m = _as_numpy(g)
     u1, u2 = u
     den = m[2, 0] * u1 + m[2, 1] * u2 + m[2, 2]
     if abs(den.value) < 1e-10:

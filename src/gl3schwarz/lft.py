@@ -3,6 +3,9 @@
 The exact layer (Eis, EisMatrix) carries the generator zoo, word
 verification, and the Heisenberg-lattice decomposition; the numeric layer
 (act, jacobian_factor) drives everything downstream that samples points.
+Exact parts are Python ints whenever they are integral, which covers every
+lattice element; a part is a Fraction only where the value really is
+rational (Heisenberg half-integers, inverses with a non-unit determinant).
 
 omega = e^{2 pi i/3} = (-1+sqrt(-3))/2 throughout; conj(a+b*omega) =
 (a-b) - b*omega; omegabar - omega = -sqrt(-3).
@@ -20,14 +23,22 @@ OMEGA_C = complex(-0.5, 3**0.5 / 2)
 SQRTM3_C = complex(0.0, 3**0.5)
 
 
+def _part(x):
+    """An exact coordinate: int when integral, otherwise a reduced Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class Eis:
-    """a + b*omega with exact rational a, b (integral for lattice elements)."""
+    """a + b*omega with exact a, b: int when integral, Fraction otherwise."""
 
     __slots__ = ("a", "b")
 
     def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = _part(a)
+        self.b = _part(b)
 
     def __add__(self, other):
         other = _lift(other)
@@ -61,7 +72,8 @@ class Eis:
         if n == 0:
             raise ZeroDivisionError("division by zero Eisenstein number")
         num = self * other.conj()
-        return Eis(num.a / n, num.b / n)
+        # Fraction first: int / int would be a float
+        return Eis(Fraction(num.a) / n, Fraction(num.b) / n)
 
     def __rtruediv__(self, other):
         return _lift(other) / self
@@ -79,7 +91,7 @@ class Eis:
     def conj(self) -> "Eis":
         return Eis(self.a - self.b, -self.b)
 
-    def norm(self) -> Fraction:
+    def norm(self) -> int | Fraction:
         return self.a * self.a - self.a * self.b + self.b * self.b
 
     def is_zero(self) -> bool:
@@ -103,19 +115,13 @@ def _lift(x) -> Eis:
     raise TypeError(f"cannot coerce {type(x).__name__} to Eis")
 
 
-#: Lattice elements have integer a, b; the class itself is exact over Q(omega).
-EisInt = Eis
-
-#: 3x3 complex ndarray with rows (a1 a2 a3; b1 b2 b3; c1 c2 c3).
-Gl3Matrix = np.ndarray
-
 OMEGA = Eis(0, 1)
 OMEGA_BAR = Eis(-1, -1)
 SQRTM3 = Eis(1, 2)  # omega - omegabar = sqrt(-3)
 
 
 class EisMatrix:
-    """3x3 matrix over Q(omega), exact."""
+    """3x3 matrix over Q(omega), exact; entries are Eis (int parts when integral)."""
 
     __slots__ = ("m",)
 
@@ -135,13 +141,21 @@ class EisMatrix:
     def __mul__(self, other):
         if not isinstance(other, EisMatrix):
             return NotImplemented
-        a, b = self.m, other.m
-        return EisMatrix(
-            [
-                [sum((a[i][k] * b[k][j] for k in range(3)), Eis()) for j in range(3)]
-                for i in range(3)
-            ]
-        )
+        cols = [[(x.a, x.b) for x in col] for col in zip(*other.m)]
+        rows = []
+        for entries in self.m:
+            row = [(x.a, x.b) for x in entries]
+            out = []
+            for col in cols:
+                re = im = 0
+                for (p, q), (r, s) in zip(row, col):
+                    # (p + q w)(r + s w) = pr - qs + (ps + qr - qs) w, as w^2 = -1 - w
+                    qs = q * s
+                    re += p * r - qs
+                    im += p * s + q * r - qs
+                out.append(Eis(re, im))
+            rows.append(out)
+        return EisMatrix(rows)
 
     def scale(self, c) -> "EisMatrix":
         c = _lift(c)
@@ -258,6 +272,17 @@ def word_product(word) -> EisMatrix:
         g = _GENERATORS[gen] if isinstance(gen, str) else gen
         out = out * g**exp
     return out
+
+
+#: The lattice generators as words in T1, T2, S, U1, U2; g4 is
+#: S^3 [T1,T2] S^3 (S^4 U2)^-1 [T1,T2] with the inverse written out.
+DECOMPOSITION_WORDS = {
+    "g1": (("U1", -4), ("T1", -1), ("T2", -2)),
+    "g2": (("U1", -4), ("T1", -2), ("T2", -1)),
+    "g3": (("U1", 4),),
+    "g4": (("S", 3), ("commutator", 1), ("S", 3), ("U2", -1), ("S", -4), ("commutator", 1)),
+    "g5": (("S", 3), ("U1", -4), ("T1", -1), ("T2", 1), ("S", 3)),
+}
 
 
 def verify_word(target: EisMatrix, word) -> bool:

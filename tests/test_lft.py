@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gl3schwarz.eta import D1
 from gl3schwarz.lft import (
+    DECOMPOSITION_WORDS,
     FIXED_POINTS,
     OMEGA,
     OMEGA_BAR,
@@ -57,6 +60,72 @@ class TestEis:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             Eis(1, 0) / Eis(0, 0)
+
+
+def _parts(m: EisMatrix):
+    return [p for row in m.m for x in row for p in (x.a, x.b)]
+
+
+class TestIntegerParts:
+    """Integral parts are plain ints; Fraction only where a value is rational."""
+
+    def test_integral_fraction_becomes_int(self):
+        x = Eis(Fraction(4, 2), Fraction(-6, 3))
+        assert type(x.a) is int and type(x.b) is int
+        assert (x.a, x.b) == (2, -2)
+
+    def test_int_and_fraction_parts_agree(self):
+        assert Eis(2, 0) == Eis(Fraction(2), 0)
+        assert hash(Eis(2, 0)) == hash(Eis(Fraction(2), 0))
+        assert len({Eis(2, 0), Eis(Fraction(2), 0)}) == 1
+
+    def test_division_is_exact(self):
+        q = Eis(1) / Eis(2)
+        assert type(q.a) is Fraction and q.a == Fraction(1, 2)
+        assert type(q.b) is int and q.b == 0
+        u = Eis(2, 1) / OMEGA  # division by a unit stays integral
+        assert all(type(p) is int for p in (u.a, u.b))
+        assert u * OMEGA == Eis(2, 1)
+
+    def test_non_unit_inverse(self):
+        inv = D1.inv()  # det 3(1 - omega) is not a unit
+        assert not inv.is_integral()
+        assert D1 * inv == I3
+        assert inv * D1 == I3
+        assert all(type(p) is int for p in _parts(D1 * inv))
+
+    def test_products_of_generators_stay_int(self):
+        for m in list(G.values()) + [word_product(w) for w in DECOMPOSITION_WORDS.values()]:
+            assert all(type(p) is int for p in _parts(m))
+
+
+_small = st.integers(-9, 9)
+_eis_matrix = st.lists(st.tuples(_small, _small), min_size=9, max_size=9).map(
+    lambda e: EisMatrix([[Eis(*e[3 * i + j]) for j in range(3)] for i in range(3)])
+)
+_word = st.lists(
+    st.tuples(st.sampled_from(UNITARY + ["commutator"]), st.integers(-3, 3)),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_eis_matrix, _eis_matrix)
+def test_product_matches_complex_product(a, b):
+    ab = a * b
+    assert ab.is_integral()
+    assert all(type(p) is int for p in _parts(ab))
+    assert np.allclose(ab.to_numpy(), a.to_numpy() @ b.to_numpy(), rtol=0, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_word)
+def test_word_times_inverse_is_identity(word):
+    g = word_product(word)
+    inv = g.inv()
+    assert g * inv == I3
+    assert all(type(p) is int for p in _parts(g) + _parts(inv) + _parts(g * inv))
 
 
 class TestEisMatrix:

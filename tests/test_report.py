@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
+from gl3schwarz import report
 from gl3schwarz.report import (
     CHECKS,
     SCHEMA,
@@ -57,6 +59,12 @@ class TestDeterminism:
     def test_byte_identical(self):
         a = render_report(run_suites(("derivs",), seed=42, samples=3))
         b = render_report(run_suites(("derivs",), seed=42, samples=3))
+        assert a.encode() == b.encode()
+
+    def test_byte_identical_with_cached_eta_table(self):
+        # the second run reads the eta identity table the first one computed
+        a = render_report(run_suites(("eta", "group"), seed=42))
+        b = render_report(run_suites(("eta", "group"), seed=42))
         assert a.encode() == b.encode()
 
     def test_seed_changes_residuals(self):
@@ -134,3 +142,59 @@ class TestOverrides:
         )
         by_id = {e["id"]: e for e in rep["checks"]}
         assert by_id["eta36"]["pass"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _run_samples(monkeypatch, samples):
+    """Report of one synthetic check whose residuals are `samples`."""
+
+    def run(rng, n):
+        worst = report._Worst()
+        for r in samples:
+            worst.add(r)
+        return worst.value, len(samples)
+
+    fake = report.CheckDef("fake-check", "fake", "synthetic samples", 1e-10, len(samples), run)
+    monkeypatch.setattr(report, "CHECKS", CHECKS + (fake,))
+    monkeypatch.setitem(report.SUITES, "fake", [fake.id])
+    return run_suites(("fake",), seed=42)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "samples",
+        [[0.0, float("nan"), 0.0], [0.0, float("inf"), 0.0], [1e-20, float("inf"), float("nan")]],
+    )
+    def test_non_finite_sample_fails(self, monkeypatch, samples):
+        rep = _run_samples(monkeypatch, samples)
+        (entry,) = rep["checks"]
+        assert entry["residual"] is None
+        assert entry["pass"] is False
+        assert rep["summary"] == {"total": 1, "passed": 0, "failed": 1}
+        text = render_report(rep)
+        assert json.loads(text, parse_constant=_reject_constant) == rep
+        assert "FAIL  fake-check" in render_report(rep, "text")
+
+    def test_finite_samples_keep_their_maximum(self, monkeypatch):
+        (entry,) = _run_samples(monkeypatch, [1e-12, 3e-11, 2e-11])["checks"]
+        assert entry["residual"] == 3e-11 and entry["pass"] is True
+
+    def test_accumulator_keeps_non_finite(self):
+        # max(0.0, nan) is 0.0; the accumulator must not drop the NaN
+        worst = report._Worst()
+        worst.add(0.0, float("nan"), 5.0)
+        assert math.isnan(worst.value)
+        worst = report._Worst()
+        worst.add(1.0, float("inf"), 2.0)
+        assert worst.value == float("inf")
+        worst.add(float("nan"))
+        assert math.isnan(worst.value)
+
+    def test_nan_in_report_is_rejected(self):
+        rep = run_suites(("group",), seed=42)
+        rep["checks"][0]["residual"] = float("nan")
+        with pytest.raises(ValueError):
+            render_report(rep)
