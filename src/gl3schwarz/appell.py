@@ -1,23 +1,39 @@
 """Appell F1 by double series and Euler integral, with the Picard and K integrals.
 
-Two independent evaluation routes are kept deliberately separate: the
-series route takes jet arguments and carries partials, the quadrature
-route integrates the Euler representation with Gauss-Jacobi rules whose
-endpoint exponents match the integrand exactly.
+Two independent evaluation routes are kept deliberately separate.
+
+The series route sums F1 one anti-diagonal at a time.  For jet arguments it
+needs no jet arithmetic inside the series: every partial of F1 is again an
+F1 with shifted parameters (DLMF 16.13),
+
+    d^i/dx^i d^j/dy^j F1(a; b, b'; c; x, y)
+        = (a)_{i+j} (b)_i (b')_j / (c)_{i+j} * F1(a+i+j; b+i, b'+j; c+i+j; x, y),
+
+so the Taylor jet at the base point comes from a batch of scalar sums, which
+is then composed with the argument jets.  The series converges for
+|x|, |y| < 1; points so close to the unit circle that it would need more than
+DIAGONAL_LIMIT anti-diagonals are refused with ValueError.
+
+The quadrature route integrates the Euler representation with Gauss-Jacobi
+rules whose endpoint exponents match the integrand exactly.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import scipy.special
 
-from .jets import Jet
+from .jets import Jet, compose, monomials
 
-SERIES_CAP = 10_000
+# Most anti-diagonals a series may be budgeted; a point that needs more is a
+# domain error.  The budget reaches it at max(|x|, |y|) of about 0.986-0.991,
+# depending on the parameters and the jet order.
+DIAGONAL_LIMIT = 6000
 
 
 def gamma(z) -> complex:
@@ -101,65 +117,101 @@ def _ppow(base, p):
     return np.exp(p * np.log(np.asarray(base, dtype=np.complex128)))
 
 
+def _diagonal_budget(r: float, growth: float, tol: float) -> int:
+    """Anti-diagonals the series gets to settle in, at radius r = max(|x|, |y|).
+
+    Diagonal d of the series is of order d**growth * r**d.  The budget is
+    twice the d where that bound falls to tol, plus a margin for its
+    constant; a budget above DIAGONAL_LIMIT is refused up front.
+    """
+    d = 0.0
+    if r > 0:
+        for _ in range(8):  # fixed point of d = (log tol - growth log d) / log r
+            d = max((math.log(tol) - growth * math.log(max(d, 1.0))) / math.log(r), 0.0)
+    budget = 2 * math.ceil(d) + 16
+    if budget > DIAGONAL_LIMIT:
+        raise ValueError(
+            f"series would need about {budget} anti-diagonals at max(|x|, |y|) = "
+            f"{r:.6g}, more than {DIAGONAL_LIMIT}: too close to the unit circle "
+            "for these parameters"
+        )
+    return budget
+
+
+def _shifted_sums(p: F1Params, shifts, x: complex, y: complex, tol: float) -> np.ndarray:
+    """F1(a+i+j; b+i, b'+j; c+i+j; x, y) for every shift (i, j), in one pass.
+
+    Row k of the running anti-diagonal holds the terms T(m, d-m) of shift k,
+    T(m, n) = (a)_{m+n} (b)_m (b')_n / ((c)_{m+n} m! n!) x^m y^n, advanced by
+        T(m, n) = T(m-1, n) (a+d-1)(b+m-1) / ((c+d-1) m) x,
+        T(0, d) = T(0, d-1) (a+d-1)(b'+d-1) / ((c+d-1) d) y.
+    Summation stops once three consecutive anti-diagonals each add at most
+    tol * (1 - r) relative to every shift's partial sum, r = max(|x|, |y|):
+    the geometric tail after such a diagonal is then about tol relative.
+    """
+    i, j = np.asarray(shifts, dtype=float).T
+    r = max(abs(x), abs(y))
+    growth = max(0.0, (p.a + p.b + p.bprime - p.c).real - 1.0 + float(np.max(i + j)))
+    budget = _diagonal_budget(r, growth, tol)
+    quiet_tol = tol * (1.0 - r)
+    k = np.arange(budget)
+    # per-diagonal and per-column factors, rows indexed by shift
+    step = (p.a + (i + j)[:, None] + k) / (p.c + (i + j)[:, None] + k)
+    col_x = (p.b + i[:, None] + k) / (k + 1) * x
+    col_y = (p.bprime + j[:, None] + k) / (k + 1) * y
+    row = np.ones((len(i), 1), dtype=np.complex128)
+    total = row[:, 0].copy()
+    quiet = 0
+    for d in range(1, budget + 1):
+        new = np.empty((len(i), d + 1), dtype=np.complex128)
+        new[:, 0] = row[:, 0] * step[:, d - 1] * col_y[:, d - 1]
+        new[:, 1:] = row * step[:, d - 1 : d] * col_x[:, :d]
+        row = new
+        block = row.sum(axis=1)
+        total += block
+        quiet = quiet + 1 if np.all(np.abs(block) <= quiet_tol * np.abs(total)) else 0
+        if quiet == 3:
+            return total
+    raise ValueError(f"series did not settle within {budget} anti-diagonals")
+
+
+def _rising(z: complex, n: int) -> complex:
+    out = 1.0 + 0.0j
+    for k in range(n):
+        out *= z + k
+    return out
+
+
 def f1_series(p: F1Params, x, y, tol: float = 1e-12):
     """Double series sum_{m,n} (a)_{m+n} (b)_m (b')_n / ((c)_{m+n} m! n!) x^m y^n.
 
-    x, y may be complex numbers or jets with |constant term| < 1; in the jet
-    case the result is a jet carrying all partials. Anti-diagonal terms are
-    accumulated with coefficient recurrences; summation stops once three
-    consecutive anti-diagonals each contribute below tol relative to the
-    partial sum, with a hard cap on the term count.
+    x, y may be complex numbers or jets (one of each is fine) with
+    |constant term| < 1; in the jet case the result is a jet carrying all
+    partials up to the jets' order.  Those come from the shifted-parameter
+    sums F1(a+i+j; b+i, b'+j; c+i+j) at the base point, all taken in one
+    pass, which form the Taylor jet of F1 there; it is composed with (x, y).
+    Raises ValueError outside |x|, |y| < 1 and where the series would need
+    more than DIAGONAL_LIMIT anti-diagonals.
     """
     p.require_series_ok()
-    jets_in = isinstance(x, Jet) or isinstance(y, Jet)
-    if jets_in:
-        proto = x if isinstance(x, Jet) else y
-        if not isinstance(x, Jet):
-            x = Jet.constant(proto.dim, proto.order, x)
-        if not isinstance(y, Jet):
-            y = Jet.constant(proto.dim, proto.order, y)
-    else:
-        x = Jet.constant(1, 0, x)
-        y = Jet.constant(1, 0, y)
-    if abs(x.value) >= 1 or abs(y.value) >= 1:
+    proto = x if isinstance(x, Jet) else y if isinstance(y, Jet) else None
+    if proto is not None:
+        x, y = (
+            v if isinstance(v, Jet) else Jet.constant(proto.dim, proto.order, v) for v in (x, y)
+        )
+    x0, y0 = (v.value if isinstance(v, Jet) else complex(v) for v in (x, y))
+    if not (abs(x0) < 1 and abs(y0) < 1):
         raise ValueError("series needs |x|, |y| < 1 at the base point")
-
-    a, b, bp, c = p.a, p.b, p.bprime, p.c
-    one = Jet.constant(x.dim, x.order, 1.0)
-    x_pows, y_pows = [one], [one]
-
-    def pw(pows, base, k):
-        while len(pows) <= k:
-            pows.append(pows[-1] * base)
-        return pows[k]
-
-    total = one.copy()  # (m, n) = (0, 0) term
-    coeff_row = [1.0 + 0.0j]  # C_{m, d-m} along the current anti-diagonal
-    terms = 1
-    quiet = 0
-    d = 0
-    while quiet < 3:
-        d += 1
-        new_row = []
-        # C_{0, d} from C_{0, d-1}; C_{m, d-m} from C_{m-1, d-m} for m >= 1
-        nn = d - 1
-        new_row.append(coeff_row[0] * (a + nn) * (bp + nn) / ((c + nn) * (nn + 1)))
-        for m in range(1, d + 1):
-            n = d - m
-            new_row.append(coeff_row[m - 1] * (a + d - 1) * (b + m - 1) / ((c + d - 1) * m))
-        block = Jet(x.dim, x.order)
-        for m, cmn in enumerate(new_row):
-            if cmn == 0:
-                continue
-            block = block + cmn * (pw(x_pows, x, m) * pw(y_pows, y, d - m))
-        total = total + block
-        terms += d + 1
-        scale = max(total.max_abs(), 1e-300)
-        quiet = quiet + 1 if block.max_abs() < tol * scale else 0
-        if terms > SERIES_CAP:
-            raise RuntimeError(f"series did not settle within {SERIES_CAP} terms")
-        coeff_row = new_row
-    return total if jets_in else total.value
+    if proto is None:
+        return complex(_shifted_sums(p, ((0, 0),), x0, y0, tol)[0])
+    shifts = monomials(2, proto.order)
+    sums = _shifted_sums(p, shifts, x0, y0, tol)
+    taylor = [
+        _rising(p.a, i + j) * _rising(p.b, i) * _rising(p.bprime, j)
+        / (_rising(p.c, i + j) * math.factorial(i) * math.factorial(j)) * s
+        for (i, j), s in zip(shifts, sums)
+    ]
+    return compose(Jet(2, proto.order, np.array(taylor)), [x, y])
 
 
 def f1_euler(p: F1Params, x, y, spec: QuadratureSpec | None = None) -> complex:

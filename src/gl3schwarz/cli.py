@@ -80,23 +80,27 @@ def _cj(z) -> list:
     return [z.real, z.imag]
 
 
+# Output goes through sys.stdout/sys.stderr directly, not click.echo: click
+# caches a text wrapper per stream in a WeakKeyDictionary whose value for a
+# StringIO is the stream itself, so every stream it ever wrote to (each
+# redirected in-process run) would stay alive for the life of the process.
 def _emit(obj) -> None:
-    click.echo(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False))
+    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _eval_errors(fn):
     """Map domain errors of wrapped operations to exit code 1.
 
     ValueError also covers a non-finite result that `_emit` refuses to
-    print; RuntimeError is a series that did not settle.
+    print, and an F1 series point too close to the unit circle.
     """
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ValueError, ZeroDivisionError, OverflowError, RuntimeError) as exc:
-            click.echo(json.dumps({"error": str(exc)}), err=True)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
             sys.exit(1)
 
     return wrapper
@@ -142,7 +146,7 @@ def verify(suites, seed, samples, tols, fmt):
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    click.echo(_report.render_report(rep, fmt), nl=False)
+    sys.stdout.write(_report.render_report(rep, fmt))
     if rep["summary"]["failed"]:
         sys.exit(1)
 

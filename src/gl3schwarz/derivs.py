@@ -14,6 +14,7 @@ import numpy as np
 
 from .jets import Jet, JetError, compose2, monomials
 from .lft import _as_numpy
+from .worst import worst_of
 
 _TINY = 1e-14
 
@@ -110,7 +111,7 @@ class DerivQuad:
         return np.array(self.values(), dtype=np.complex128)
 
     def max_abs(self) -> float:
-        return float(max(abs(v) for v in self.values()))
+        return worst_of(abs(v) for v in self.values())
 
     def __repr__(self):
         return f"DerivQuad{self.values()!r}"

@@ -19,6 +19,7 @@ import numpy as np
 from .derivs import MapJet2, deriv_quad
 from .jets import Jet, JetError, compose, monomials
 from .lft import _as_numpy
+from .worst import worst_of
 
 IX, IY, IT1, IT2 = range(4)
 _DX = (1, 0, 0, 0)
@@ -67,11 +68,13 @@ def membership_residual(u) -> float:
     ).values()
     q1 = evo_quotients(u, "t1")
     q2 = evo_quotients(u, "t2")
-    return max(
-        abs(q1[0] - brace_x),
-        abs(q1[1] - bracket_x),
-        abs(q2[0] - bracket_y),
-        abs(q2[1] - brace_y),
+    return worst_of(
+        (
+            abs(q1[0] - brace_x),
+            abs(q1[1] - bracket_x),
+            abs(q2[0] - bracket_y),
+            abs(q2[1] - brace_y),
+        )
     )
 
 
@@ -174,7 +177,7 @@ def galilean_covariance_check(f: EvoFields, a1, a2, b1, b2) -> float:
     """
     r = mt4_residuals(f)
     rs = mt4_residuals(galilean_shift(f, a1, a2, b1, b2))
-    return max(abs(rs[0] - r[0]), abs(rs[1] - r[1]))
+    return worst_of((abs(rs[0] - r[0]), abs(rs[1] - r[1])))
 
 
 def consistency_residual(f: EvoFields, u: Jet) -> float:

@@ -19,6 +19,7 @@ from fractions import Fraction
 from .appell import F1Params, f1_series
 from .derivs import MapJet2, deriv_quad
 from .jets import Jet, JetError, jet_powq
+from .worst import worst_of
 
 __all__ = [
     "BASE_MARGIN",
@@ -37,7 +38,6 @@ __all__ = [
     "ratio_map_quad",
     "w_system_residuals",
     "z_system_residuals",
-    "z_system_scale",
 ]
 
 # Sample points must keep this distance from the poles {0, 1, v_other}.
@@ -189,11 +189,6 @@ def z_system_residuals(z: Jet, fields) -> tuple[complex, complex, complex]:
     return _z_system(z, fields)[0]
 
 
-def z_system_scale(z: Jet, fields) -> float:
-    """Largest term magnitude, the reference for relative residuals."""
-    return _z_system(z, fields)[1]
-
-
 def _as_map(w) -> MapJet2:
     return w if isinstance(w, MapJet2) else MapJet2(*w)
 
@@ -227,7 +222,7 @@ def mt1_relative_residual(w, branch: int = 0) -> float:
     if branch % 3:
         z = cmath.exp(2j * cmath.pi * (branch % 3) / 3) * z
     residuals, scale = _z_system(z, quad)
-    return max(abs(r) for r in residuals) / scale
+    return worst_of(abs(r) for r in residuals) / scale
 
 
 def w_system_residuals(w: Jet, p: ParamTriple, v) -> tuple[complex, complex, complex]:
@@ -387,7 +382,7 @@ def mt2_field_recovery_gap(p: ParamTriple, v, third=(1.0, -0.5, 0.9)) -> float:
     s3 = pfaffian_jet(p, (v1, v2), third)
     quad = deriv_quad(MapJet2(s1 / s3, s2 / s3))
     target = field_quad(p, (v1, v2)).values()
-    return max(abs(a - b) for a, b in zip(quad.values(), target))
+    return worst_of(abs(a - b) for a, b in zip(quad.values(), target))
 
 
 def picard_modular_form_residuals(v, coeffs=(1.0, 1.0)) -> tuple:

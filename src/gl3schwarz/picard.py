@@ -17,6 +17,7 @@ import numpy as np
 from .derivs import DerivQuad, second_arg_transform
 from .jets import Jet, jet_powq
 from .pde_verify import ParamTriple, field_quad
+from .worst import worst_of
 
 __all__ = [
     "ModuliPair",
@@ -155,7 +156,7 @@ def f_sign_relations(x, y) -> float:
         errs.append(abs(f1_func(*s3_orbit(name, x, y)) - sign * f1_func(x, y)))
     for name, sign in [("T", -1), ("S2", -1), ("S2T", 1), ("TS2", 1), ("S2TS2", -1)]:
         errs.append(abs(f2_func(*s3_orbit(name, x, y)) - sign * f2_func(x, y)))
-    return max(errs)
+    return worst_of(errs)
 
 
 def p_transform_relations(a, b, g, x, y) -> float:
@@ -181,7 +182,7 @@ def p_transform_relations(a, b, g, x, y) -> float:
     for name, pref, perm in rows2:
         lhs = p2_func(a, b, g, *s3_orbit(name, x, y))
         errs.append(abs(lhs - pref * p2_func(*perm, x, y)))
-    return max(errs)
+    return worst_of(errs)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +226,14 @@ class TransformABG:
     gamma: complex
 
     def constraint_residual(self) -> complex:
-        return (self.alpha + self.beta + self.gamma) * self.gamma - 1
+        """(a+b+g)g - 1 relative to its largest product term (at least 1).
+
+        On shell the sum stays near 1 while a g, b g and g^2 can be large
+        and cancel; their size, not the sum, sets the roundoff.
+        """
+        a, b, g = self.alpha, self.beta, self.gamma
+        scale = max(abs(a * g), abs(b * g), abs(g * g), 1.0)
+        return ((a + b + g) * g - 1) / scale
 
 
 def transform_abg(u, v) -> TransformABG:
@@ -408,10 +416,11 @@ def param_table_check(row: int, p: ParamTriple, v, tol: float = 1e-10) -> dict:
     got2 = got1 if name2 == name1 else _transported_quad(p, name2, (v1, v2))
     errors["brace_2"] = abs(got2[1] - target_f[1])
     errors["bracket_2"] = abs(got2[3] - target_p[1])
+    max_error = worst_of(errors.values())
     return {
         "row": row,
         "elements": (name1, name2),
         "errors": errors,
-        "max_error": max(errors.values()),
-        "ok": max(errors.values()) < tol,
+        "max_error": max_error,
+        "ok": max_error < tol,
     }

@@ -88,6 +88,7 @@ from .picard import (
     s3_orbit,
     transform_abg,
 )
+from .worst import Worst
 
 SCHEMA = "gl3schwarz-report/1"
 TOL_ENV = "GL3SCHWARZ_TOL"
@@ -205,26 +206,6 @@ def _order5_point(rng, u):
 # check runners: (rng, samples) -> (max residual, samples actually used)
 
 
-class _Worst:
-    """Running maximum of a check's residuals.
-
-    Unlike max(), which drops a NaN that is not its first argument, any NaN
-    or inf sample leaves the value non-finite for good, so the check fails.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0.0
-
-    def add(self, *residuals):
-        for r in map(float, residuals):
-            if math.isnan(self.value):
-                return
-            if math.isnan(r) or r > self.value:
-                self.value = r
-
-
 def _check_group_algebra(rng, n):
     g = generators()
     results = [
@@ -243,7 +224,7 @@ def _check_group_algebra(rng, n):
 
 
 def _check_invariance(rng, n):
-    worst, done = _Worst(), 0
+    worst, done = Worst(), 0
     gens = generators()
     while done < n:
         u = random_map(rng)
@@ -261,7 +242,7 @@ def _check_invariance(rng, n):
 
 
 def _check_vanishing(rng, n):
-    worst = _Worst()
+    worst = Worst()
     gens = generators()
     for k in range(n):
         g = gens[_GEN_NAMES[k % len(_GEN_NAMES)]]
@@ -271,7 +252,7 @@ def _check_vanishing(rng, n):
 
 
 def _check_chain_rule(rng, n):
-    worst = _Worst()
+    worst = Worst()
     for _ in range(n):
         w, u = random_map(rng), random_map(rng)
         lhs = deriv_quad(compose_maps(u, w)).vector()
@@ -281,7 +262,7 @@ def _check_chain_rule(rng, n):
 
 
 def _check_cocycle(rng, n):
-    worst = _Worst()
+    worst = Worst()
     for _ in range(n):
         w, u = random_map(rng), random_map(rng)
         lhs = transport_matrix(w) @ transport_matrix(u)
@@ -290,7 +271,7 @@ def _check_cocycle(rng, n):
 
 
 def _check_cocycle_u(rng, n):
-    worst = _Worst()
+    worst = Worst()
     cs = (0.0, 1.0, 2.5)
     for k in range(n):
         c = cs[k % 3]
@@ -302,7 +283,7 @@ def _check_cocycle_u(rng, n):
 
 
 def _check_second_argument(rng, n):
-    worst = _Worst()
+    worst = Worst()
     gens = generators()
     for k in range(n):
         g = gens[_GEN_NAMES[k % len(_GEN_NAMES)]]
@@ -315,7 +296,7 @@ def _check_second_argument(rng, n):
 
 
 def _check_jacobian_deformation(rng, n):
-    worst = _Worst()
+    worst = Worst()
     for _ in range(n):
         zm = random_map(rng)
         f1h, f2h = random_map(rng).u1, random_map(rng).u2
@@ -327,7 +308,7 @@ def _check_jacobian_deformation(rng, n):
 
 
 def _check_exp_oracle(rng, n):
-    worst, done = _Worst(), 0
+    worst, done = Worst(), 0
     while done < n:
         pts = rng.uniform(-1, 1, size=(3, 2)) + 1j * rng.uniform(-1, 1, size=(3, 2))
         pairs = [tuple(row) for row in pts]
@@ -342,14 +323,14 @@ def _check_exp_oracle(rng, n):
 
 
 def _check_mt1(rng, n):
-    worst = _Worst()
+    worst = Worst()
     for _ in range(n):
         worst.add(mt1_relative_residual(random_map(rng, order=3)))
     return worst.value, n
 
 
 def _check_mt1_branch(rng, n):
-    worst = _Worst()
+    worst = Worst()
     for _ in range(n):
         m = random_map(rng, order=3)
         r0 = mt1_residuals(m)
@@ -362,7 +343,7 @@ def _check_mt1_branch(rng, n):
 
 def _mt2_branch_runner(which):
     def run(rng, n):
-        worst = _Worst()
+        worst = Worst()
         for _ in range(n):
             v = _mt2_point(rng, which)
             for p in (PICARD, PICARD_MODULAR):
@@ -375,7 +356,7 @@ def _mt2_branch_runner(which):
 
 
 def _check_mt2_picard(rng, n):
-    worst = _Worst()
+    worst = Worst()
     for _ in range(n):
         v = _mt2_point(rng, "lens")
         for p in (PICARD, PICARD_MODULAR):
@@ -384,7 +365,7 @@ def _check_mt2_picard(rng, n):
 
 
 def _check_mt2_picard_modular(rng, n):
-    worst = _Worst()
+    worst = Worst()
     coeff_sets = ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (2.0, -0.7 + 0.3j))
     for k in range(n):
         v = _mt2_point(rng, "lens")
@@ -394,7 +375,7 @@ def _check_mt2_picard_modular(rng, n):
 
 
 def _check_f1_euler(rng, n):
-    worst = _Worst()
+    worst = Worst()
     params = (("1/3", "1/3", "1/3", 1), ("1/4", "1/4", "1/4", 1), ("2/3", "1/3", "1/3", "4/3"))
     for k in range(n):
         p = F1Params(*params[k % len(params)])
@@ -404,7 +385,7 @@ def _check_f1_euler(rng, n):
 
 
 def _check_f1_pde(rng, n):
-    worst = _Worst()
+    worst = Worst()
     params = (("1/3", "1/3", "1/3", 1), ("1/4", "1/4", "1/4", 1), ("2/3", "1/3", "1/3", "4/3"))
     for k in range(n):
         p = F1Params(*params[k % len(params)])
@@ -428,7 +409,7 @@ def _gamma_modulus(rng):
 def _check_f1_picard_gamma(rng, n):
     # cubed comparison: off the reals the principal branch drifts by a cube
     # root of unity, and cubing both sides removes it
-    worst = _Worst()
+    worst = Worst()
     for _ in range(n):
         x, y = _gamma_modulus(rng), _gamma_modulus(rng)
         lhs = picard_integral(x, y) ** 3
@@ -438,7 +419,7 @@ def _check_f1_picard_gamma(rng, n):
 
 
 def _check_f1_k3(rng, n):
-    worst = _Worst()
+    worst = Worst()
     pref = gamma(1 / 3) * gamma(2 / 3)
     p = F1Params("1/3", "1/3", "1/3", 1)
     for _ in range(n):
@@ -452,7 +433,7 @@ def _check_f1_beta(rng, n):
 
 
 def _check_mt3(rng, n):
-    worst, per_instance = _Worst(), 10
+    worst, per_instance = Worst(), 10
     for _ in range(n):
         u, v = _moduli_instance(rng)
         done = 0
@@ -468,7 +449,7 @@ def _check_mt3(rng, n):
 
 
 def _check_mt3_constraint(rng, n):
-    worst = _Worst()
+    worst = Worst()
     for _ in range(n):
         u, v = _moduli_instance(rng)
         worst.add(abs(transform_abg(u, v).constraint_residual()))
@@ -476,7 +457,7 @@ def _check_mt3_constraint(rng, n):
 
 
 def _check_j_orbit(rng, n):
-    worst = _Worst()
+    worst = Worst()
     fam1 = ("T", "S1", "S1T", "TS1", "S1TS1")
     fam2 = ("T", "S2", "S2T", "TS2", "S2TS2")
     for _ in range(n):
@@ -492,7 +473,7 @@ def _check_j_orbit(rng, n):
 
 
 def _check_param_table(rng, n):
-    worst = _Worst()
+    worst = Worst()
     p = ParamTriple(0.3 + 0.1j, -0.8, 1.1)
     per_row = max(1, n // 5)
     for row in (1, 2, 3, 4, 5):
@@ -503,7 +484,7 @@ def _check_param_table(rng, n):
 
 
 def _check_sign_tables(rng, n):
-    worst = _Worst()
+    worst = Worst()
     for _ in range(n):
         x, y = _safe_pair(rng)
         worst.add(f_sign_relations(x, y))
@@ -525,7 +506,7 @@ def _check_eta_ledger(rng, n):
 
 
 def _check_eta36(rng, n):
-    worst = _Worst()
+    worst = Worst()
     gens = generators()
     cell = word_product((("commutator", 3),))
     for _ in range(n):
@@ -536,7 +517,7 @@ def _check_eta36(rng, n):
 
 
 def _check_mt4(rng, n):
-    worst = _Worst()
+    worst = Worst()
     half = max(1, n // 2)
     for _ in range(half):
         f = EvoFields.constant(_cpx(rng), _cpx(rng), _cpx(rng), _cpx(rng))
@@ -550,7 +531,7 @@ def _check_mt4(rng, n):
 
 
 def _check_mt4_galilean(rng, n):
-    worst = _Worst()
+    worst = Worst()
     for _ in range(n):
         f = EvoFields.random(rng, order=3)
         worst.add(galilean_covariance_check(f, *rng.uniform(-1.5, 1.5, 4)))
@@ -576,7 +557,7 @@ def _random_evo_pair(rng, order=3):
 
 
 def _check_mt4_invariance(rng, n):
-    worst, done = _Worst(), 0
+    worst, done = Worst(), 0
     while done < n:
         u = _random_evo_pair(rng)
         try:

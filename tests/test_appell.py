@@ -1,6 +1,8 @@
 """F1 series vs Euler integral, PDE residuals, Picard and K integrals."""
 
+import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -92,6 +94,62 @@ class TestF1Series:
             f1_series(p, 1.2, 0.0)
         with pytest.raises(ValueError):
             f1_series(F1Params(1, 1, 1, 0), 0.1, 0.1)
+
+
+# Near the unit circle: one point with |x| = 0.95 and one with |y| = 0.95.
+EDGE_POINTS = [(0.95 * cmath.exp(2.1j), 0.6j), (0.4 - 0.3j, 0.95 * cmath.exp(-2.4j))]
+PARTIALS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+_H = mpmath.mpf("1e-8")
+
+
+def _mp_f1(params, x, y):
+    """mpmath.appellf1 with the larger argument first.
+
+    F1(a; b, b'; c; x, y) = F1(a; b', b; c; y, x).  mpmath is fast when its
+    second argument is the smaller one and the first has a negative real
+    part, as at EDGE_POINTS.
+    """
+    a, b, bp, c = (mpmath.mpf(Fraction(v).numerator) / Fraction(v).denominator for v in params)
+    if abs(y) > abs(x):
+        x, y, b, bp = y, x, bp, b
+    return mpmath.appellf1(a, b, bp, c, x, y)
+
+
+def _mp_partials(params, x, y):
+    """Value, first and second partials from central differences of mpmath.appellf1.
+
+    mpmath.diff works at about three times the precision for a second
+    partial and takes seconds per point here; at 30 digits a step of 1e-8
+    leaves errors near 1e-14 relative.
+    """
+    v = {(i, j): _mp_f1(params, x + i * _H, y + j * _H) for i in (-1, 0, 1) for j in (-1, 0, 1)}
+    return {
+        (0, 0): v[0, 0],
+        (1, 0): (v[1, 0] - v[-1, 0]) / (2 * _H),
+        (0, 1): (v[0, 1] - v[0, -1]) / (2 * _H),
+        (2, 0): (v[1, 0] - 2 * v[0, 0] + v[-1, 0]) / _H**2,
+        (1, 1): (v[1, 1] - v[1, -1] - v[-1, 1] + v[-1, -1]) / (4 * _H**2),
+        (0, 2): (v[0, 1] - 2 * v[0, 0] + v[0, -1]) / _H**2,
+    }
+
+
+class TestF1NearUnitCircle:
+    @pytest.mark.parametrize("x, y", EDGE_POINTS, ids=["x-edge", "y-edge"])
+    @pytest.mark.parametrize("params", PARAM_SETS + [("1/3", "1/2", "1/4", "3/2")])
+    def test_value_and_partials_match_mpmath(self, params, x, y):
+        p = F1Params(*params)
+        ref = {k: complex(v) for k, v in _mp_partials(params, x, y).items()}
+        assert abs(f1_series(p, x, y) - ref[0, 0]) <= 1e-11 * abs(ref[0, 0])
+        F = f1_series(p, Jet.variable(2, 2, 0, base=x), Jet.variable(2, 2, 1, base=y))
+        for alpha in PARTIALS:
+            assert abs(F.partial(alpha) - ref[alpha]) <= 1e-11 * abs(ref[alpha]), alpha
+
+    def test_past_the_diagonal_budget_is_a_domain_error(self):
+        p = F1Params(*PARAM_SETS[0])
+        with pytest.raises(ValueError, match="unit circle"):
+            f1_series(p, 0.999, 0.1)
+        with pytest.raises(ValueError, match="unit circle"):
+            f1_series(p, Jet.variable(2, 2, 0, base=0.1), Jet.variable(2, 2, 1, base=-0.999j))
 
 
 class TestF1Euler:

@@ -1,13 +1,18 @@
 """Command line interface: exit codes, JSON payloads, error paths."""
 
+import contextlib
+import gc
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
+import mpmath
 import pytest
 from click.testing import CliRunner
 
@@ -115,17 +120,29 @@ class TestF1:
         res = invoke(runner, ["f1"] + [t for kv in args.items() for t in kv])
         assert res.exit_code == 2
 
-    def test_unsettled_series_exits_one(self, runner):
-        # |x| = 0.9: inside the documented domain, but the series needs more
-        # terms than its cap allows
+    def test_near_unit_circle_matches_mpmath(self, runner):
+        # |x| = 0.9: a fixed cap of 10,000 terms once made this point fail
         res = invoke(
             runner,
             ["f1", "--a", "1/3", "--b", "1/3", "--bp", "1/3", "--c", "1",
              "--x", "0.54+0.72j", "--y", "0.45"],
         )
+        assert res.exit_code == 0
+        got = complex(*json.loads(res.stdout)["series"])
+        with mpmath.workdps(16):
+            ref = complex(mpmath.appellf1(mpmath.mpf(1) / 3, mpmath.mpf(1) / 3,
+                                          mpmath.mpf(1) / 3, 1, 0.54 + 0.72j, 0.45))
+        assert abs(got - ref) <= 1e-11 * abs(ref)
+
+    def test_past_diagonal_budget_exits_one(self, runner):
+        res = invoke(
+            runner,
+            ["f1", "--a", "1/3", "--b", "1/3", "--bp", "1/3", "--c", "1",
+             "--x", "0.999", "--y", "0.1"],
+        )
         assert res.exit_code == 1
         assert res.stdout == ""
-        assert "did not settle" in json.loads(res.stderr)["error"]
+        assert "unit circle" in json.loads(res.stderr)["error"]
 
 
 MAP_JSON = {
@@ -279,6 +296,20 @@ class TestPointEvaluators:
     def test_heis_non_integer_is_usage_error(self, runner):
         res = invoke(runner, ["heis", "--alpha", "0.5,1", "--q", "3"])
         assert res.exit_code == 2
+
+
+class TestOutputStreams:
+    def test_redirected_stream_is_not_kept_alive(self):
+        # in-process callers capture output by redirecting sys.stdout; the
+        # CLI must not hold on to each stream it wrote to
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            main(["picard", "j", "--l", "2,3"], standalone_mode=False)
+        assert set(json.loads(buf.getvalue())) == {"l", "J1", "J2"}
+        ref = weakref.ref(buf)
+        del buf
+        gc.collect()
+        assert ref() is None
 
 
 class TestBench:

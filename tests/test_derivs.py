@@ -1,6 +1,7 @@
 """Four derivatives, transport matrices, cocycles, deformation identity."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -77,6 +78,10 @@ class TestDerivQuad:
             scale = max(1.0, np.abs(deriv_quad(u).vector()).max())
             assert np.abs(diff).max() < 1e-10 * scale
             done += 1
+
+    def test_max_abs_keeps_a_late_nan(self):
+        # max() would return 0.0 here: it drops a NaN that is not first
+        assert math.isnan(DerivQuad(0.0, float("nan"), 0.0, 0.0).max_abs())
 
 
 class TestExpSystemOracle:

@@ -1,8 +1,11 @@
 """Evolution system: determinant quotients, field equations, covariance."""
 
+import math
+
 import numpy as np
 import pytest
 
+from gl3schwarz import evolution
 from gl3schwarz.derivs import MapJet2, deriv_quad
 from gl3schwarz.evolution import (
     EvoFields,
@@ -110,6 +113,11 @@ class TestGalilean:
         rng = np.random.default_rng(11)
         f = EvoFields.random(rng, order=2)
         assert galilean_covariance_check(f, 0.0, 0.0, 0.0, 0.0) == 0.0
+
+    def test_check_keeps_a_late_nan(self, monkeypatch):
+        monkeypatch.setattr(evolution, "mt4_residuals", lambda f: (0.0, float("nan")))
+        f = EvoFields.random(np.random.default_rng(11), order=2)
+        assert math.isnan(galilean_covariance_check(f, 0.5, 0.25, -0.3, 0.7))
 
     def test_shift_semantics(self):
         rng = np.random.default_rng(3)

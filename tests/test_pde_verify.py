@@ -1,9 +1,10 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
 
-from gl3schwarz import lft
+from gl3schwarz import lft, pde_verify
 from gl3schwarz.derivs import MapJet2, identity_map, lft_map, random_map
 from gl3schwarz.jets import Jet, JetError
 from gl3schwarz.pde_verify import (
@@ -163,6 +164,12 @@ class TestMT1:
         u = Jet.variable(2, 3, 0, base=0.3)
         with pytest.raises(JetError):
             mt1_residuals(MapJet2(u, 2 * u))
+
+    def test_relative_residual_keeps_a_late_nan(self, monkeypatch):
+        monkeypatch.setattr(
+            pde_verify, "_z_system", lambda z, quad: ((0.0, float("nan"), 0.0), 1.0)
+        )
+        assert math.isnan(mt1_relative_residual(identity_map(3, (0.4 + 0.1j, -0.3))))
 
 
 class TestPfaffianBasis:

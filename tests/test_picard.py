@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gl3schwarz import lft
+from gl3schwarz import lft, picard, report
 from gl3schwarz.jets import Jet, jet_powq
 from gl3schwarz.pde_verify import ParamTriple
 from gl3schwarz.picard import (
@@ -104,6 +104,11 @@ class TestSignAndPrefactorTables:
         for x, y in safe_pairs(18, 100, margin=0.15):
             assert p_transform_relations(*p, x, y) < 1e-12
 
+    def test_sign_relations_keep_a_late_nan(self, monkeypatch):
+        # only the last five identities (those of f2) see the NaN
+        monkeypatch.setattr(picard, "f2_func", lambda x, y: float("nan"))
+        assert math.isnan(f_sign_relations(0.3 + 0.4j, -0.7 + 0.2j))
+
 
 class TestModularSolve:
     def test_identity_root(self):
@@ -149,6 +154,33 @@ class TestTransformABG:
         for v1 in modular_solve(u, 4):
             abg = transform_abg(u, (v1, 4))
             assert abs(abg.constraint_residual()) < 1e-12
+
+    def test_constraint_is_relative_to_the_largest_term(self):
+        # on shell (a+b+g)g is 1, but here a g, b g and g^2 are near 1e4
+        abg = TransformABG(
+            -8.876256042491205 - 38.29241777115593j,
+            -9.65025621840444 - 73.98931170884362j,
+            18.527943153140992 + 112.27305875773908j,
+        )
+        raw = (abg.alpha + abg.beta + abg.gamma) * abg.gamma - 1
+        scale = max(abs(abg.alpha * abg.gamma), abs(abg.beta * abg.gamma), abs(abg.gamma) ** 2)
+        assert scale > 1e4
+        assert abg.constraint_residual() == pytest.approx(raw / scale, rel=1e-12)
+        assert abs(abg.constraint_residual()) < 1e-15
+
+    def test_perturbed_gamma_fails_the_check(self, monkeypatch):
+        # negative control: the scale must not hide gamma off by 1e-9 relative
+        check = next(c for c in report.CHECKS if c.id == "MT3-constraint")
+        residual, _ = check.run(report._rng(6, check.id)[0], check.samples)
+        assert residual < check.tolerance
+
+        def perturbed(u, v):
+            abg = transform_abg(u, v)
+            return TransformABG(abg.alpha, abg.beta, abg.gamma * (1 + 1e-9))
+
+        monkeypatch.setattr(report, "transform_abg", perturbed)
+        residual, _ = check.run(report._rng(6, check.id)[0], check.samples)
+        assert residual > check.tolerance
 
     def test_constraint_fifty_instances(self):
         rng = np.random.default_rng(31)
