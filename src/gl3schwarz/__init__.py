@@ -6,15 +6,14 @@ ledger, and the invariant evolution system, with verification suites behind
 the `gl3schwarz` CLI.
 """
 
-from .jets import BACKEND, Jet, JetError, compose2, invert_map2, jet_arith, jet_powq
+from .jets import BACKEND, Jet, JetError, compose, invert_map2, jet_powq
 
 __all__ = [
     "BACKEND",
     "Jet",
     "JetError",
-    "compose2",
+    "compose",
     "invert_map2",
-    "jet_arith",
     "jet_powq",
 ]
 

@@ -240,9 +240,7 @@ def f1_pde_residual(p: F1Params, x, y) -> tuple[complex, complex]:
     (y, b') mirror; both stay finite at x = y.
     """
     a, b, bp, c = p.a, p.b, p.bprime, p.c
-    X = Jet.variable(2, 2, 0, base=x)
-    Y = Jet.variable(2, 2, 1, base=y)
-    F = f1_series(p, X, Y)
+    F = f1_series(p, *Jet.variables(2, 2, (x, y)))
     z = F.value
     zx, zy = F.partial((1, 0)), F.partial((0, 1))
     zxx, zxy, zyy = F.partial((2, 0)), F.partial((1, 1)), F.partial((0, 2))

@@ -180,8 +180,7 @@ def f1(a, b, bp, c, x, y, method):
 
 
 def _poly_jet(coeffs: dict, base, order: int = 3) -> Jet:
-    x = Jet.variable(2, order, 0, base=base[0])
-    y = Jet.variable(2, order, 1, base=base[1])
+    x, y = Jet.variables(2, order, base)
     out = Jet.constant(2, order, 0.0)
     for key in sorted(coeffs):
         e1, e2 = (int(p) for p in key.split(","))

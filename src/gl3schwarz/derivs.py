@@ -12,8 +12,8 @@ import cmath
 
 import numpy as np
 
-from .jets import Jet, JetError, compose2, monomials
-from .lft import _as_numpy
+from .jets import Jet, JetError, compose, monomials
+from .lft import _as_numpy, act_jets, denominator
 from .worst import worst_of
 
 _TINY = 1e-14
@@ -42,9 +42,6 @@ class MapJet2:
     @property
     def order(self) -> int:
         return self.u1.order
-
-    def image_base(self) -> tuple[complex, complex]:
-        return (self.u1.value, self.u2.value)
 
     def first_partials(self) -> tuple[complex, complex, complex, complex]:
         """(u1x, u1y, u2x, u2y) at the base point."""
@@ -77,16 +74,11 @@ def _unit(dim: int, var: int) -> tuple:
 
 
 def identity_map(order: int = 3, base=(0.0, 0.0)) -> MapJet2:
-    return MapJet2(
-        Jet.variable(2, order, 0, base=base[0]),
-        Jet.variable(2, order, 1, base=base[1]),
-    )
+    return MapJet2(*Jet.variables(2, order, base))
 
 
 def lft_map(g, z, order: int = 3) -> MapJet2:
     """Jets of the linear fractional action of g at the point z."""
-    from .lft import act_jets
-
     return MapJet2(*act_jets(g, z, order))
 
 
@@ -224,7 +216,7 @@ def second_arg_transform(u_quad: DerivQuad, g, z) -> DerivQuad:
     m = _as_numpy(g)
     (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = m
     x, y = z
-    cz = c1 * x + c2 * y + c3
+    cz = denominator(m, z)
     delta = complex(np.linalg.det(m))
     if abs(cz) < _TINY or abs(delta) < _TINY:
         raise ZeroDivisionError("vanishing denominator or determinant")
@@ -335,8 +327,7 @@ def _jet_exp(a: Jet) -> Jet:
 
 def exp_solution_map(pairs, base=(0.0, 0.0), order: int = 3) -> MapJet2:
     """(z1/z3, z2/z3) for z_i = exp(lambda_i x + mu_i y), as jets at base."""
-    x = Jet.variable(2, order, 0, base=base[0])
-    y = Jet.variable(2, order, 1, base=base[1])
+    x, y = Jet.variables(2, order, base)
     zs = [_jet_exp(lam * x + mu * y) for lam, mu in pairs]
     return MapJet2(zs[0] / zs[2], zs[1] / zs[2])
 
@@ -368,4 +359,4 @@ def random_map(rng, order: int = 3, radius: float = 0.3, min_jac: float = 0.1) -
 
 def compose_maps(u: MapJet2, w: MapJet2) -> MapJet2:
     """Jets of u(w(x, y)); u must be centered at w's image point."""
-    return MapJet2(compose2(u.u1, w.u1, w.u2), compose2(u.u2, w.u1, w.u2))
+    return MapJet2(compose(u.u1, [w.u1, w.u2]), compose(u.u2, [w.u1, w.u2]))

@@ -16,9 +16,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .derivs import _jet_exp
+from .derivs import MapJet2, _jet_exp
 from .jets import Jet
 from .lft import (
     DECOMPOSITION_WORDS,
@@ -28,6 +26,8 @@ from .lft import (
     Eis,
     EisMatrix,
     act,
+    denominator,
+    det_and_matrix,
     generators,
     word_product,
 )
@@ -544,7 +544,7 @@ def eta36(vmap, z) -> complex:
     """
     v1, v2 = vmap(z)
     a, b = v1.value, v2.value
-    jac = v1.partial((1, 0)) * v2.partial((0, 1)) - v1.partial((0, 1)) * v2.partial((1, 0))
+    jac = MapJet2(v1, v2).jacobian_value()
     if min(abs(a), abs(b), abs(1 - a), abs(1 - b), abs(a - b), abs(jac)) < _TINY:
         raise ValueError("eta36 hit a zero or pole of the defining product")
     return a**-3 * b**-3 * (1 - a) ** -2 * (1 - b) ** -2 * (a - b) ** -2 * jac**4
@@ -552,14 +552,8 @@ def eta36(vmap, z) -> complex:
 
 def eta36_factor(g, z) -> complex:
     """det^(-4) (c1 w1 + c2 w2 + c3)^12, the 36th power of the stated factor."""
-    if isinstance(g, EisMatrix):
-        delta = g.det().to_complex()
-        m = g.to_numpy()
-    else:
-        m = np.asarray(g, dtype=np.complex128)
-        delta = complex(np.linalg.det(m))
-    den = m[2, 0] * z[0] + m[2, 1] * z[1] + m[2, 2]
-    return delta**-4 * den**12
+    delta, m = det_and_matrix(g)
+    return delta**-4 * denominator(m, z) ** 12
 
 
 def eta36_transform_check(g, vmap, z) -> float:
@@ -581,8 +575,7 @@ def eta36_transform_check(g, vmap, z) -> float:
 
 def s_invariant_map(z, order: int = 1):
     """(w1 + 1/w1, w2^2/w1): unchanged by S acting as (1/w1, -w2/w1)."""
-    w1 = Jet.variable(2, order, 0, base=z[0])
-    w2 = Jet.variable(2, order, 1, base=z[1])
+    w1, w2 = Jet.variables(2, order, z)
     if abs(z[0]) < _TINY:
         raise ValueError("map has a pole at w1 = 0")
     return w1 + 1 / w1, w2 * w2 / w1
@@ -590,8 +583,7 @@ def s_invariant_map(z, order: int = 1):
 
 def translation_invariant_map(z, order: int = 1):
     """(exp(2 pi i w1 / (3 (wbar - w))), w2): period cell of [T1,T2]^3."""
-    w1 = Jet.variable(2, order, 0, base=z[0])
-    w2 = Jet.variable(2, order, 1, base=z[1])
+    w1, w2 = Jet.variables(2, order, z)
     c = 2j * cmath.pi / (3 * (OMEGA_BAR - OMEGA).to_complex())
     return _jet_exp(c * w1), w2
 

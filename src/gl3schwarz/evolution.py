@@ -14,11 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .derivs import MapJet2, deriv_quad
 from .jets import Jet, JetError, compose, monomials
-from .lft import _as_numpy
+from .lft import _as_numpy, act, denominator
 from .worst import worst_of
 
 IX, IY, IT1, IT2 = range(4)
@@ -43,22 +41,17 @@ def evo_quotients(u, which: str):
     these match (brace_x, bracket_x) resp. (bracket_y, brace_y) of the
     spatial quad.
     """
+    if which not in ("t1", "t2"):
+        raise ValueError(f"time variable must be 't1' or 't2', got {which!r}")
     u1, u2 = u
+    jac = MapJet2(u1, u2, active=(IX, IY)).jacobian_value()
+    if abs(jac) < 1e-14:
+        raise ZeroDivisionError("spatial Jacobian vanishes")
+    dt, den = (_DT1, -jac) if which == "t1" else (_DT2, jac)
+    ut = (u1.partial(dt), u2.partial(dt))
     ux = (u1.partial(_DX), u2.partial(_DX))
     uy = (u1.partial(_DY), u2.partial(_DY))
-    if which == "t1":
-        ut = (u1.partial(_DT1), u2.partial(_DT1))
-        den = _det(uy, ux)
-        if abs(den) < 1e-14:
-            raise ZeroDivisionError("spatial Jacobian vanishes")
-        return _det(ut, ux) / den, _det(ut, uy) / den
-    if which == "t2":
-        ut = (u1.partial(_DT2), u2.partial(_DT2))
-        den = _det(ux, uy)
-        if abs(den) < 1e-14:
-            raise ZeroDivisionError("spatial Jacobian vanishes")
-        return _det(ut, ux) / den, _det(ut, uy) / den
-    raise ValueError(f"time variable must be 't1' or 't2', got {which!r}")
+    return _det(ut, ux) / den, _det(ut, uy) / den
 
 
 def membership_residual(u) -> float:
@@ -145,11 +138,7 @@ def _shifted(field: Jet, a, b) -> Jet:
 
     Valid when the base has t1 = t2 = 0, so the shift fixes it.
     """
-    order = field.order
-    x = Jet.variable(4, order, IX)
-    y = Jet.variable(4, order, IY)
-    t1 = Jet.variable(4, order, IT1)
-    t2 = Jet.variable(4, order, IT2)
+    x, y, t1, t2 = Jet.variables(4, field.order, (0.0, 0.0, 0.0, 0.0))
     return compose(field, [x - a * t1, y - b * t2, t1, t2])
 
 
@@ -212,11 +201,6 @@ def consistency_residual(f: EvoFields, u: Jet) -> float:
 def transformed_pair(g, u):
     """Linear fractional image of the pair u under the matrix g, as jets."""
     m = _as_numpy(g)
-    u1, u2 = u
-    den = m[2, 0] * u1 + m[2, 1] * u2 + m[2, 2]
-    if abs(den.value) < 1e-10:
+    if abs(denominator(m, u).value) < 1e-10:
         raise ZeroDivisionError("vanishing denominator at the base point")
-    return (
-        (m[0, 0] * u1 + m[0, 1] * u2 + m[0, 2]) / den,
-        (m[1, 0] * u1 + m[1, 1] * u2 + m[1, 2]) / den,
-    )
+    return act(m, u)

@@ -250,19 +250,6 @@ class Jet:
         return f"Jet(dim={self.dim}, order={self.order}, {{{terms}}})"
 
 
-def jet_arith(a: Jet, b: Jet, op: str) -> Jet:
-    """Ring arithmetic dispatch used by the CLI and report plumbing."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise JetError(f"unknown op {op!r}")
-
-
 def jet_powq(a: Jet, q) -> Jet:
     """a**q for rational q, principal branch of the constant term.
 
@@ -322,10 +309,6 @@ def compose(h: Jet, gs: "list[Jet]") -> Jet:
     return out
 
 
-def compose2(h: Jet, g1: Jet, g2: Jet) -> Jet:
-    return compose(h, [g1, g2])
-
-
 def invert_map2(g1: Jet, g2: Jet) -> tuple[Jet, Jet]:
     """Jets of the inverse of the 2-variable map (g1, g2) around its image.
 
@@ -352,8 +335,7 @@ def invert_map2(g1: Jet, g2: Jet) -> tuple[Jet, Jet]:
         idx = _index(2, order)
         n._c[idx[e10]] -= A[row, 0]
         n._c[idx[e01]] -= A[row, 1]
-    w1 = Jet.variable(2, order, 0)
-    w2 = Jet.variable(2, order, 1)
+    w1, w2 = Jet.variables(2, order, (0.0, 0.0))
     h1 = B[0, 0] * w1 + B[0, 1] * w2
     h2 = B[1, 0] * w1 + B[1, 1] * w2
     for _ in range(max(order - 1, 0)):

@@ -2,7 +2,8 @@
 
 The exact layer (Eis, EisMatrix) carries the generator zoo, word
 verification, and the Heisenberg-lattice decomposition; the numeric layer
-(act, jacobian_factor) drives everything downstream that samples points.
+(act on numbers or jets, its denominator, jacobian_factor) drives
+everything downstream that samples points.
 Exact parts are Python ints whenever they are integral, which covers every
 lattice element; a part is a Fraction only where the value really is
 rational (Heisenberg half-integers, inverses with a non-unit determinant).
@@ -20,7 +21,6 @@ import numpy as np
 from .jets import Jet
 
 OMEGA_C = complex(-0.5, 3**0.5 / 2)
-SQRTM3_C = complex(0.0, 3**0.5)
 
 
 def _part(x):
@@ -296,12 +296,23 @@ def _as_numpy(g) -> np.ndarray:
     return np.asarray(g, dtype=np.complex128)
 
 
-def act(g, z) -> tuple[complex, complex]:
-    """((a.z)/(c.z), (b.z)/(c.z)) with rows of g as affine forms on (z1, z2, 1)."""
+def denominator(m, z):
+    """c.z = c1 z1 + c2 z2 + c3 for the bottom row of the numpy matrix m.
+
+    z1, z2 may be numbers or jets; callers apply their own rejection margin.
+    """
+    return m[2, 0] * z[0] + m[2, 1] * z[1] + m[2, 2]
+
+
+def act(g, z):
+    """((a.z)/(c.z), (b.z)/(c.z)) with rows of g as affine forms on (z1, z2, 1).
+
+    z1, z2 may be numbers or jets (then the result is the pair of jets).
+    """
     m = _as_numpy(g)
     z1, z2 = z
-    den = m[2, 0] * z1 + m[2, 1] * z2 + m[2, 2]
-    if den == 0:
+    den = denominator(m, z)
+    if (den.value if isinstance(den, Jet) else den) == 0:
         raise ZeroDivisionError("linear fractional action: vanishing denominator")
     return (
         (m[0, 0] * z1 + m[0, 1] * z2 + m[0, 2]) / den,
@@ -311,26 +322,21 @@ def act(g, z) -> tuple[complex, complex]:
 
 def act_jets(g, z, order: int = 3) -> tuple[Jet, Jet]:
     """Jets of the action of g at the point z."""
+    return act(g, Jet.variables(2, order, z))
+
+
+def det_and_matrix(g) -> tuple[complex, np.ndarray]:
+    """(det g, g as a numpy matrix); the det is exact for an EisMatrix."""
+    if isinstance(g, EisMatrix):
+        return g.det().to_complex(), g.to_numpy()
     m = _as_numpy(g)
-    z1 = Jet.variable(2, order, 0, base=z[0])
-    z2 = Jet.variable(2, order, 1, base=z[1])
-    den = m[2, 0] * z1 + m[2, 1] * z2 + m[2, 2]
-    return (
-        (m[0, 0] * z1 + m[0, 1] * z2 + m[0, 2]) / den,
-        (m[1, 0] * z1 + m[1, 1] * z2 + m[1, 2]) / den,
-    )
+    return complex(np.linalg.det(m)), m
 
 
 def jacobian_factor(g, z) -> complex:
     """det of the 2x2 Jacobian of the action at z: Delta * (c.z)^{-3}."""
-    if isinstance(g, EisMatrix):
-        delta = g.det().to_complex()
-        m = g.to_numpy()
-    else:
-        m = _as_numpy(g)
-        delta = complex(np.linalg.det(m))
-    z1, z2 = z
-    den = m[2, 0] * z1 + m[2, 1] * z2 + m[2, 2]
+    delta, m = det_and_matrix(g)
+    den = denominator(m, z)
     if den == 0:
         raise ZeroDivisionError("vanishing denominator")
     return delta / den**3

@@ -105,10 +105,13 @@ class FieldQuad:
         return tuple(_base(f) for f in (self.F1, self.F2, self.P1, self.P2))
 
 
+def _pole_gap(v1: complex, v2: complex) -> float:
+    """Distance of the point from the poles: min |v1|, |v2|, |v1-1|, |v2-1|, |v1-v2|."""
+    return min(abs(v1), abs(v2), abs(v1 - 1), abs(v2 - 1), abs(v1 - v2))
+
+
 def _check_poles(v1, v2, margin: float):
-    b1, b2 = _base(v1), _base(v2)
-    gap = min(abs(b1), abs(b2), abs(b1 - 1), abs(b2 - 1), abs(b1 - b2))
-    if gap < margin:
+    if _pole_gap(_base(v1), _base(v2)) < margin:
         raise ValueError(f"pole hit: point within {margin} of {{0, 1, v_other}}")
 
 
@@ -193,6 +196,19 @@ def _as_map(w) -> MapJet2:
     return w if isinstance(w, MapJet2) else MapJet2(*w)
 
 
+def _mt1_system(w, branch: int):
+    """(1/det Dw)^(1/3), times a cube root of unity, and the quad of w."""
+    m = _as_map(w)
+    if m.order < 3:
+        raise JetError("map jets must have order >= 3")
+    quad = deriv_quad(m)
+    delta = 1 / m.jacobian_jet()
+    z = jet_powq(delta, Fraction(1, 3))
+    if branch % 3:
+        z = cmath.exp(2j * cmath.pi * (branch % 3) / 3) * z
+    return z, quad
+
+
 def mt1_residuals(w, branch: int = 0) -> tuple[complex, complex, complex]:
     """Residuals of the linear system satisfied by (1/det Dw)^(1/3).
 
@@ -200,28 +216,12 @@ def mt1_residuals(w, branch: int = 0) -> tuple[complex, complex, complex]:
     fields are its derivative quadruple.  ``branch`` multiplies z by a
     cube root of unity; residuals are invariant under that choice.
     """
-    m = _as_map(w)
-    if m.order < 3:
-        raise JetError("map jets must have order >= 3")
-    quad = deriv_quad(m)
-    delta = 1 / m.jacobian_jet()
-    z = jet_powq(delta, Fraction(1, 3))
-    if branch % 3:
-        z = cmath.exp(2j * cmath.pi * (branch % 3) / 3) * z
-    return z_system_residuals(z, quad)
+    return z_system_residuals(*_mt1_system(w, branch))
 
 
 def mt1_relative_residual(w, branch: int = 0) -> float:
     """max residual / max term, over the three equations."""
-    m = _as_map(w)
-    if m.order < 3:
-        raise JetError("map jets must have order >= 3")
-    quad = deriv_quad(m)
-    delta = 1 / m.jacobian_jet()
-    z = jet_powq(delta, Fraction(1, 3))
-    if branch % 3:
-        z = cmath.exp(2j * cmath.pi * (branch % 3) / 3) * z
-    residuals, scale = _z_system(z, quad)
+    residuals, scale = _z_system(*_mt1_system(w, branch))
     return worst_of(abs(r) for r in residuals) / scale
 
 
@@ -234,33 +234,32 @@ def w_system_residuals(w: Jet, p: ParamTriple, v) -> tuple[complex, complex, com
     its v1 <-> v2 mirror, and
     w_v1v2 + (g/(v1-v2)) w_v1 - (g/(v1-v2)) w_v2 = 0.
     """
-    v1, v2 = _base(v[0]), _base(v[1])
-    a, b, g = p.alpha, p.beta, p.gamma
+    (A1, B1, C1), (A2, B2, C2), h = _w_coefficients(p, _base(v[0]), _base(v[1]))
     w0 = w.value
     w1, w2 = w.partial((1, 0)), w.partial((0, 1))
     w11, w12, w22 = w.partial((2, 0)), w.partial((1, 1)), w.partial((0, 2))
-    r1 = (
-        w11
-        + (a / v1 + b / (v1 - 1) - g / (v1 - v2)) * w1
-        + (g * v2 * (v2 - 1) / (v1 * (v1 - 1) * (v1 - v2))) * w2
-        + ((1 - a - b) * g / (v1 * (v1 - 1))) * w0
-    )
-    r2 = (
-        w22
-        + (a / v2 + b / (v2 - 1) - g / (v2 - v1)) * w2
-        + (g * v1 * (v1 - 1) / (v2 * (v2 - 1) * (v2 - v1))) * w1
-        + ((1 - a - b) * g / (v2 * (v2 - 1))) * w0
-    )
-    r3 = w12 + (g / (v1 - v2)) * w1 - (g / (v1 - v2)) * w2
+    r1 = w11 + A1 * w1 + B1 * w2 + C1 * w0
+    r2 = w22 + A2 * w2 + B2 * w1 + C2 * w0
+    r3 = w12 + h * w1 - h * w2
     return (r1, r2, r3)
 
 
-def _variable_jets(v, order: int = 2) -> tuple[Jet, Jet]:
-    v1, v2 = _base(v[0]), _base(v[1])
-    return (
-        Jet.variable(2, order, 0, base=v1),
-        Jet.variable(2, order, 1, base=v2),
+def _w_coefficients(p: ParamTriple, v1: complex, v2: complex):
+    """((A1, B1, C1), (A2, B2, C2), h) of the w-system at (v1, v2).
+
+    The equations read w_vivi + Ai w_vi + Bi w_vj + Ci w = 0 ({i, j} =
+    {1, 2}) and w_v1v2 + h w_v1 - h w_v2 = 0.
+    """
+    a, b, g = p.alpha, p.beta, p.gamma
+    row1, row2 = (
+        (
+            a / s + b / (s - 1) - g / (s - t),
+            g * t * (t - 1) / (s * (s - 1) * (s - t)),
+            (1 - a - b) * g / (s * (s - 1)),
+        )
+        for s, t in ((v1, v2), (v2, v1))
     )
+    return row1, row2, g / (v1 - v2)
 
 
 def _z_prefactor(p: ParamTriple, V1: Jet, V2: Jet) -> Jet:
@@ -286,6 +285,16 @@ def _series_domain(v1: complex, v2: complex, which: str):
             raise ValueError("second branch needs |1-v1|, |1-v2| < 1")
 
 
+def _series_point(v, branches):
+    """(v1, v2) and their order-2 variable jets, checked against the poles
+    and the series domain of each branch."""
+    v1, v2 = _base(v[0]), _base(v[1])
+    _check_poles(v1, v2, BASE_MARGIN)
+    for which in branches:
+        _series_domain(v1, v2, which)
+    return (v1, v2), Jet.variables(2, 2, (v1, v2))
+
+
 def _branch_solution(p: ParamTriple, V1: Jet, V2: Jet, which: str) -> Jet:
     params = p.f1_params(which)
     if which == "first":
@@ -301,12 +310,9 @@ def mt2_solution_residuals(p: ParamTriple, v, which: str = "first") -> dict:
     the closed-form fields.  Returns
     {"w_residuals": (r1, r2, r3), "z_residuals": (r1, r2, r3)}.
     """
-    v1, v2 = _base(v[0]), _base(v[1])
-    _check_poles(v1, v2, BASE_MARGIN)
-    _series_domain(v1, v2, which)
-    V1, V2 = _variable_jets((v1, v2))
+    v, (V1, V2) = _series_point(v, (which,))
     w = _branch_solution(p, V1, V2, which)
-    wr = w_system_residuals(w, p, (v1, v2))
+    wr = w_system_residuals(w, p, v)
     z = _z_prefactor(p, V1, V2) * w
     zr = z_system_residuals(z, field_quad(p, (V1, V2)))
     return {"w_residuals": wr, "z_residuals": zr}
@@ -320,19 +326,11 @@ def pfaffian_jet(p: ParamTriple, v, data) -> Jet:
     """
     v1, v2 = _base(v[0]), _base(v[1])
     _check_poles(v1, v2, 1e-12)
-    a, b, g = p.alpha, p.beta, p.gamma
+    (A1, B1, C1), (A2, B2, C2), h = _w_coefficients(p, v1, v2)
     w0, w1, w2 = (complex(t) for t in data)
-    w11 = -(
-        (a / v1 + b / (v1 - 1) - g / (v1 - v2)) * w1
-        + (g * v2 * (v2 - 1) / (v1 * (v1 - 1) * (v1 - v2))) * w2
-        + ((1 - a - b) * g / (v1 * (v1 - 1))) * w0
-    )
-    w22 = -(
-        (a / v2 + b / (v2 - 1) - g / (v2 - v1)) * w2
-        + (g * v1 * (v1 - 1) / (v2 * (v2 - 1) * (v2 - v1))) * w1
-        + ((1 - a - b) * g / (v2 * (v2 - 1))) * w0
-    )
-    w12 = -(g / (v1 - v2)) * w1 + (g / (v1 - v2)) * w2
+    w11 = -(A1 * w1 + B1 * w2 + C1 * w0)
+    w22 = -(A2 * w2 + B2 * w1 + C2 * w0)
+    w12 = -h * w1 + h * w2
     return Jet(
         2,
         2,
@@ -372,16 +370,12 @@ def mt2_field_recovery_gap(p: ParamTriple, v, third=(1.0, -0.5, 0.9)) -> float:
     (s1/s3, s2/s3) against the closed-form fields.  Needs a point where
     both branches converge.
     """
-    v1, v2 = _base(v[0]), _base(v[1])
-    _check_poles(v1, v2, BASE_MARGIN)
-    _series_domain(v1, v2, "first")
-    _series_domain(v1, v2, "second")
-    V1, V2 = _variable_jets((v1, v2))
+    v, (V1, V2) = _series_point(v, ("first", "second"))
     s1 = _branch_solution(p, V1, V2, "first")
     s2 = _branch_solution(p, V1, V2, "second")
-    s3 = pfaffian_jet(p, (v1, v2), third)
+    s3 = pfaffian_jet(p, v, third)
     quad = deriv_quad(MapJet2(s1 / s3, s2 / s3))
-    target = field_quad(p, (v1, v2)).values()
+    target = field_quad(p, v).values()
     return worst_of(abs(a - b) for a, b in zip(quad.values(), target))
 
 
@@ -393,12 +387,8 @@ def picard_modular_form_residuals(v, coeffs=(1.0, 1.0)) -> tuple:
            + c2 * F1(1/4; 1/4, 1/4; 3/4; 1-v1, 1-v2)]
     checked against the system with (alpha, beta, gamma) = (3/4, 1/2, -1/4).
     """
-    v1, v2 = _base(v[0]), _base(v[1])
-    _check_poles(v1, v2, BASE_MARGIN)
-    _series_domain(v1, v2, "first")
-    _series_domain(v1, v2, "second")
+    _, (V1, V2) = _series_point(v, ("first", "second"))
     c1, c2 = coeffs
-    V1, V2 = _variable_jets((v1, v2))
     head = (
         jet_powq(V1, Fraction(1, 4))
         * jet_powq(V2, Fraction(1, 4))

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivs import DerivQuad, second_arg_transform
+from .derivs import DerivQuad, MapJet2, second_arg_transform
 from .jets import Jet, jet_powq
-from .pde_verify import ParamTriple, field_quad
+from .lft import denominator
+from .pde_verify import ParamTriple, _pole_gap, field_quad
 from .worst import worst_of
 
 __all__ = [
@@ -46,7 +47,7 @@ _TINY = 1e-12
 
 
 def _degenerate(u1: complex, u2: complex) -> bool:
-    return min(abs(u1), abs(u2), abs(u1 - 1), abs(u2 - 1), abs(u1 - u2)) < _TINY
+    return _pole_gap(u1, u2) < _TINY
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,10 @@ def j_invariants(l1, l2) -> tuple[complex, complex]:
     l1, l2 = complex(l1), complex(l2)
     if _degenerate(l1, l2):
         raise ValueError("degenerate moduli")
-    j1 = l2**2 * (l2 - 1) ** 2 / (l1**2 * (l1 - 1) ** 2 * (l1 - l2) ** 2)
-    j2 = l1**2 * (l1 - 1) ** 2 / (l2**2 * (l2 - 1) ** 2 * (l2 - l1) ** 2)
+    # squared ratios: l**2 (l - 1)**2 alone overflows from moduli of about
+    # 1e77 on, where J itself is still finite
+    j1 = (l2 * (l2 - 1) / (l1 * (l1 - 1) * (l1 - l2))) ** 2
+    j2 = (l1 * (l1 - 1) / (l2 * (l2 - 1) * (l2 - l1))) ** 2
     return (j1, j2)
 
 
@@ -122,9 +125,7 @@ def s3_orbit(name: str, x, y) -> tuple[complex, complex]:
     if name not in _S3_FORMS:
         raise ValueError(f"unknown action {name!r}")
     x, y = complex(x), complex(y)
-    m = S3_MATRICES[name]
-    den = m[2, 0] * x + m[2, 1] * y + m[2, 2]
-    if abs(den) < _TINY:
+    if abs(denominator(S3_MATRICES[name], (x, y))) < _TINY:
         raise ZeroDivisionError("vanishing denominator")
     return _S3_FORMS[name](x, y)
 
@@ -236,6 +237,20 @@ class TransformABG:
         return ((a + b + g) * g - 1) / scale
 
 
+def _abg_unchecked(pu: ModuliPair, pv: ModuliPair) -> TransformABG:
+    """Coefficient formulas without the modular-equation gate."""
+    u1, u2 = pu.as_tuple()
+    v1, v2 = pv.as_tuple()
+    du = (u1 - 1) * (u2 - 1)
+    dv = (v1 - 1) * (v2 - 1)
+    return TransformABG(
+        (dv * (v1 + v2 - 2) - du * (u1 + u2 - 2)) / (2 * du * dv),
+        (-dv * (2 * v1 * v2 - v1 - v2) + du * (2 * u1 * u2 - u1 - u2))
+        / (2 * du * dv),
+        dv / du,
+    )
+
+
 def transform_abg(u, v) -> TransformABG:
     """(alpha, beta, gamma) of the transform taking moduli u to v.
 
@@ -245,16 +260,7 @@ def transform_abg(u, v) -> TransformABG:
     ku, kv = modular_form_value(pu), modular_form_value(pv)
     if abs(kv - ku) > 1e-10 * max(1.0, abs(ku), abs(kv)):
         raise ValueError("modular equation violated")
-    u1, u2 = pu.as_tuple()
-    v1, v2 = pv.as_tuple()
-    du = (u1 - 1) * (u2 - 1)
-    dv = (v1 - 1) * (v2 - 1)
-    alpha = (dv * (v1 + v2 - 2) - du * (u1 + u2 - 2)) / (2 * du * dv)
-    beta = (-dv * (2 * v1 * v2 - v1 - v2) + du * (2 * u1 * u2 - u1 - u2)) / (
-        2 * du * dv
-    )
-    gamma = dv / du
-    return TransformABG(alpha, beta, gamma)
+    return _abg_unchecked(pu, pv)
 
 
 def order5_map(abg: TransformABG, t1, t2) -> tuple:
@@ -276,34 +282,12 @@ def order5_map(abg: TransformABG, t1, t2) -> tuple:
     return (w1, w2)
 
 
-def _radicand_t(u: ModuliPair, t1):
-    return t1 * t1 * (1 - t1) * (1 - u.u1 * t1) * (1 - u.u2 * t1)
-
-
-def _abg_unchecked(pu: ModuliPair, pv: ModuliPair) -> TransformABG:
-    """Coefficient formulas without the modular-equation gate."""
-    u1, u2 = pu.as_tuple()
-    v1, v2 = pv.as_tuple()
-    du = (u1 - 1) * (u2 - 1)
-    dv = (v1 - 1) * (v2 - 1)
-    return TransformABG(
-        (dv * (v1 + v2 - 2) - du * (u1 + u2 - 2)) / (2 * du * dv),
-        (-dv * (2 * v1 * v2 - v1 - v2) + du * (2 * u1 * u2 - u1 - u2))
-        / (2 * du * dv),
-        dv / du,
-    )
-
-
 def _pullback_sides(u, v, t, check_modular: bool):
     pu, pv = _as_pair(u), _as_pair(v)
     abg = transform_abg(pu, pv) if check_modular else _abg_unchecked(pu, pv)
     t1, t2 = complex(t[0]), complex(t[1])
-    T1 = Jet.variable(2, 1, 0, base=t1)
-    T2 = Jet.variable(2, 1, 1, base=t2)
-    w1, w2 = order5_map(abg, T1, T2)
-    jac = w1.partial((1, 0)) * w2.partial((0, 1)) - w1.partial((0, 1)) * w2.partial(
-        (1, 0)
-    )
+    w1, w2 = order5_map(abg, *Jet.variables(2, 1, (t1, t2)))
+    jac = MapJet2(w1, w2).jacobian_value()
     ft = t1 * t1 * t2 * t2 * (1 - t1) * (1 - pu.u1 * t1) * (1 - pu.u2 * t1)
     w1v, w2v = w1.value, w2.value
     fw = w1v * w1v * w2v * w2v * (1 - w1v) * (1 - pv.u1 * w1v) * (1 - pv.u2 * w1v)
@@ -350,15 +334,12 @@ def corollary52_check(u, v, x, check_modular: bool = True) -> float:
     pu, pv = _as_pair(u), _as_pair(v)
     abg = transform_abg(pu, pv) if check_modular else _abg_unchecked(pu, pv)
     x1, x2 = complex(x[0]), complex(x[1])
-    X1 = Jet.variable(2, 1, 0, base=x1)
-    X2 = Jet.variable(2, 1, 1, base=x2)
+    X1, X2 = Jet.variables(2, 1, (x1, x2))
     t1, t2 = X1 * X1 * X1, X2 * X2 * X2
     w1, w2 = order5_map(abg, t1, t2)
     y1 = jet_powq(w1, "1/3")
     y2 = jet_powq(w2, "1/3")
-    jac = y1.partial((1, 0)) * y2.partial((0, 1)) - y1.partial((0, 1)) * y2.partial(
-        (1, 0)
-    )
+    jac = MapJet2(y1, y2).jacobian_value()
     x1c = x1**3
     gx = (1 - x1c) * (1 - pu.u1 * x1c) * (1 - pu.u2 * x1c)
     w1v = w1.value

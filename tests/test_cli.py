@@ -229,10 +229,19 @@ class TestPicard:
         assert "finite" in res.stderr
 
     def test_j_non_finite_result_exits_one(self, runner):
-        res = invoke(runner, ["picard", "j", "--l", "1e100,2"])
+        # J2 is about 2.5e399 here, outside the float range
+        res = invoke(runner, ["picard", "j", "--l", "1e200,2"])
         assert res.exit_code == 1
         assert res.stdout == ""
         assert "error" in json.loads(res.stderr)
+
+    def test_j_large_finite_moduli(self, runner):
+        # l1^2 (l1 - 1)^2 overflows at l1 = 1e100, but J2 = 2.5e199 does not
+        res = invoke(runner, ["picard", "j", "--l", "1e100,2"])
+        assert res.exit_code == 0, res.output
+        out = json.loads(res.stdout)
+        assert out["J2"][0] == pytest.approx(2.5e199, rel=1e-12)
+        assert out["J2"][1] == 0.0
 
     def test_modular_solve_roots(self, runner):
         res = invoke(runner, ["picard", "modular-solve", "--u", "2,3", "--v2", "4"])
@@ -356,8 +365,9 @@ class TestConsoleScript:
     def test_script_runs(self):
         # the installed script and `python -m gl3schwarz` share this entry point
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
-        assert scripts["gl3schwarz"] == "gl3schwarz.cli:main"
+        project = tomllib.loads(pyproject.read_text())["project"]
+        assert project["name"] == "gl3schwarz"
+        assert project["scripts"]["gl3schwarz"] == "gl3schwarz.cli:main"
 
         script = shutil.which("gl3schwarz")
         cmd = [script] if script else [sys.executable, "-m", "gl3schwarz"]

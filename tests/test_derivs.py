@@ -24,7 +24,7 @@ from gl3schwarz.derivs import (
     transported_pair,
     z0_bracket_coeffs,
 )
-from gl3schwarz.jets import Jet, JetError, compose2, invert_map2
+from gl3schwarz.jets import Jet, JetError, compose, invert_map2
 from gl3schwarz.lft import generators
 
 G = generators()
@@ -227,8 +227,8 @@ class TestJacobianDeformation:
         # push the pair to the z-chart explicitly and differentiate there
         f1w, f2w = transported_pair(f1h, f2h, zm)
         i1, i2 = invert_map2(zm.u1, zm.u2)
-        f1z = compose2(f1w, i1.truncate(2), i2.truncate(2))
-        f2z = compose2(f2w, i1.truncate(2), i2.truncate(2))
+        f1z = compose(f1w, [i1.truncate(2), i2.truncate(2)])
+        f2z = compose(f2w, [i1.truncate(2), i2.truncate(2)])
         return det_of_pair(f1z, f2z)
 
     def test_constant_fields_identity_map(self):

@@ -51,7 +51,7 @@ def sample_points(seed, n, region):
         elif region == "lens":
             v1 = 0.5 + 0.2 * v[0] + 0.12j * v[1]
             v2 = 0.5 + 0.2 * v[2] + 0.12j * v[3]
-            # keep both series branches fast enough for the term cap
+            # keep both series branches well inside their discs
             if max(abs(v1), abs(v2), abs(1 - v1), abs(1 - v2)) >= 0.72:
                 continue
         gap = min(abs(v1), abs(v2), abs(v1 - 1), abs(v2 - 1), abs(v1 - v2))

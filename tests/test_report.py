@@ -150,18 +150,38 @@ def _reject_constant(name):
 
 
 def _run_samples(monkeypatch, samples):
-    """Report of one synthetic check whose residuals are `samples`."""
+    """Report of one synthetic check whose runner yields `samples`."""
 
-    def run(rng, n):
-        worst = Worst()
-        for r in samples:
-            worst.add(r)
-        return worst.value, len(samples)
+    def runner(rng, n):
+        yield from samples
 
+    run = report._reduce(runner)
     fake = report.CheckDef("fake-check", "fake", "synthetic samples", 1e-10, len(samples), run)
     monkeypatch.setattr(report, "CHECKS", CHECKS + (fake,))
     monkeypatch.setitem(report.SUITES, "fake", [fake.id])
     return run_suites(("fake",), seed=42)
+
+
+# Sample counts of every check at seed 42 with the default budgets; each is
+# the number of residuals its runner yields, so a runner that skips or
+# repeats samples shows up here.
+SAMPLES_AT_SEED_42 = {
+    "F1-beta": 1, "F1-euler": 50, "F1-k3": 10, "F1-pde": 20, "F1-picard-gamma": 10,
+    "J-orbit": 50, "MT1": 20, "MT1-branch": 5, "MT2-first": 10, "MT2-picard": 5,
+    "MT2-picard-modular": 5, "MT2-second": 10, "MT3": 100, "MT3-constraint": 50,
+    "MT4": 10, "MT4-galilean": 10, "MT4-invariance": 10, "P4.1": 6, "P4.2": 11,
+    "P4.3": 9, "P4.4": 5, "P4.5": 3, "P4.6": 4, "chain-rule": 20, "cocycle": 20,
+    "cocycle-u": 20, "eta-ledger": 9, "eta36": 10, "exp-oracle": 10,
+    "group-algebra": 19, "invariance": 50, "jacobian-deformation": 20,
+    "param-table": 50, "second-argument": 20, "sign-tables": 100, "vanishing": 50,
+}
+
+
+class TestSampleCounts:
+    def test_counts_at_seed_42(self):
+        rep = run_suites(seed=42)
+        assert {e["id"]: e["samples"] for e in rep["checks"]} == SAMPLES_AT_SEED_42
+        assert rep["summary"]["failed"] == 0
 
 
 class TestSeedSweep:
@@ -189,6 +209,14 @@ class TestNonFinite:
         text = render_report(rep)
         assert json.loads(text, parse_constant=_reject_constant) == rep
         assert "FAIL  fake-check" in render_report(rep, "text")
+
+    def test_shared_reduction_counts_and_keeps_a_late_nan(self, monkeypatch):
+        rep = _run_samples(monkeypatch, [0.0, float("nan"), 0.0])
+        (entry,) = rep["checks"]
+        assert entry["samples"] == 3
+        assert entry["residual"] is None and entry["pass"] is False
+        residual, used = report._reduce(lambda rng, n: iter([0.0, float("nan"), 0.0]))(None, 0)
+        assert math.isnan(residual) and used == 3
 
     def test_finite_samples_keep_their_maximum(self, monkeypatch):
         (entry,) = _run_samples(monkeypatch, [1e-12, 3e-11, 2e-11])["checks"]
