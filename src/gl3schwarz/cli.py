@@ -152,7 +152,7 @@ def verify(suites, seed, samples, tols, fmt):
 
 
 @main.command()
-@click.option("--a", required=True, help="rational like 1/3, or a number")
+@click.option("--a", required=True, help="rational like 1/3, or a complex number like 0.3+0.1j")
 @click.option("--b", required=True)
 @click.option("--bp", required=True, help="second upper parameter")
 @click.option("--c", required=True)

@@ -85,13 +85,6 @@ def phase_ledger(word) -> Fraction:
     return total
 
 
-def ledger_json() -> dict:
-    """Generator phase table as strings, for the structured reports."""
-    out = {name: str(q) for name, q in GENERATOR_PHASES.items()}
-    out["S^2"] = "0"
-    return out
-
-
 def ledger_multipliers() -> dict[str, Fraction]:
     """Multipliers of the decomposition words behind each stated identity."""
     words = {
@@ -586,27 +579,3 @@ def translation_invariant_map(z, order: int = 1):
     w1, w2 = Jet.variables(2, order, z)
     c = 2j * cmath.pi / (3 * (OMEGA_BAR - OMEGA).to_complex())
     return _jet_exp(c * w1), w2
-
-
-# ---------------------------------------------------------------------------
-# quotient bookkeeping
-
-
-@dataclass(frozen=True)
-class PhiSet:
-    """phi quotients of the five variant values, with their 9th/27th powers."""
-
-    phi: tuple
-
-    @classmethod
-    def from_eta(cls, e1, e2, e3, e4, e5) -> "PhiSet":
-        for name, v in (("eta2", e2), ("eta3", e3), ("eta5", e5)):
-            if abs(v) < _TINY:
-                raise ZeroDivisionError(f"{name} vanishes; quotients undefined")
-        return cls((e1 / e2, e1 / e3, e4 / e2, e4 / e5))
-
-    def kappa(self, i: int) -> complex:
-        return self.phi[i] ** 9
-
-    def k(self, i: int) -> complex:
-        return self.phi[i] ** 27

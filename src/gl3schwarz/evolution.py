@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .derivs import MapJet2, deriv_quad
+from .derivs import MapJet2
 from .jets import Jet, JetError, compose, monomials
 from .lft import _as_numpy, act, denominator
 from .worst import worst_of
@@ -52,23 +52,6 @@ def evo_quotients(u, which: str):
     ux = (u1.partial(_DX), u2.partial(_DX))
     uy = (u1.partial(_DY), u2.partial(_DY))
     return _det(ut, ux) / den, _det(ut, uy) / den
-
-
-def membership_residual(u) -> float:
-    """Distance of the four quotients from the spatial quad entries."""
-    brace_x, brace_y, bracket_x, bracket_y = deriv_quad(
-        MapJet2(u[0], u[1], active=(IX, IY))
-    ).values()
-    q1 = evo_quotients(u, "t1")
-    q2 = evo_quotients(u, "t2")
-    return worst_of(
-        (
-            abs(q1[0] - brace_x),
-            abs(q1[1] - bracket_x),
-            abs(q2[0] - bracket_y),
-            abs(q2[1] - brace_y),
-        )
-    )
 
 
 @dataclass(frozen=True)

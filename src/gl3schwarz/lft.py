@@ -2,8 +2,9 @@
 
 The exact layer (Eis, EisMatrix) carries the generator zoo, word
 verification, and the Heisenberg-lattice decomposition; the numeric layer
-(act on numbers or jets, its denominator, jacobian_factor) drives
-everything downstream that samples points.
+(act on numbers or jets, and its denominator) drives everything downstream
+that samples points.  jacobian_factor is the closed form of the action's
+Jacobian, Delta (c.z)^-3, which the tests hold the jet Jacobian to.
 Exact parts are Python ints whenever they are integral, which covers every
 lattice element; a part is a Fraction only where the value really is
 rational (Heisenberg half-integers, inverses with a non-unit determinant).
@@ -255,14 +256,6 @@ _GENERATORS = _build_generators()
 
 def generators() -> dict[str, EisMatrix]:
     return dict(_GENERATORS)
-
-
-def generators_json() -> dict:
-    """Generator set with entries as exact (a, b) integer pairs for a + b*omega."""
-    return {
-        name: [[[int(x.a), int(x.b)] for x in row] for row in g.m]
-        for name, g in _GENERATORS.items()
-    }
 
 
 def word_product(word) -> EisMatrix:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .appell import F1Params, f1_series
-from .derivs import MapJet2, deriv_quad
+from .derivs import DerivQuad, MapJet2, deriv_quad
 from .jets import Jet, JetError, jet_powq
 from .worst import worst_of
 
@@ -25,7 +25,6 @@ __all__ = [
     "BASE_MARGIN",
     "PICARD",
     "PICARD_MODULAR",
-    "FieldQuad",
     "ParamTriple",
     "appell_fields",
     "field_quad",
@@ -35,6 +34,8 @@ __all__ = [
     "mt2_field_recovery_gap",
     "pfaffian_jet",
     "picard_modular_form_residuals",
+    "pole_quotient",
+    "pole_sum",
     "ratio_map_quad",
     "w_system_residuals",
     "z_system_residuals",
@@ -92,19 +93,6 @@ PICARD = ParamTriple(Fraction(2, 3), Fraction(2, 3), Fraction(-1, 3))
 PICARD_MODULAR = ParamTriple(Fraction(3, 4), Fraction(1, 2), Fraction(-1, 4))
 
 
-@dataclass(frozen=True)
-class FieldQuad:
-    """Coefficient fields (F1, F2, P1, P2); entries are scalars or jets."""
-
-    F1: object
-    F2: object
-    P1: object
-    P2: object
-
-    def values(self) -> tuple[complex, complex, complex, complex]:
-        return tuple(_base(f) for f in (self.F1, self.F2, self.P1, self.P2))
-
-
 def _pole_gap(v1: complex, v2: complex) -> float:
     """Distance of the point from the poles: min |v1|, |v2|, |v1-1|, |v2-1|, |v1-v2|."""
     return min(abs(v1), abs(v2), abs(v1 - 1), abs(v2 - 1), abs(v1 - v2))
@@ -115,19 +103,26 @@ def _check_poles(v1, v2, margin: float):
         raise ValueError(f"pole hit: point within {margin} of {{0, 1, v_other}}")
 
 
-def field_quad(p: ParamTriple, v) -> FieldQuad:
-    """Closed-form fields; v entries may be numbers or jets."""
+def pole_quotient(x, y):
+    """y(y-1)/(x(x-1)(x-y)): the brace shape; pole_quotient(y, x) is its mirror."""
+    return y * (y - 1) / (x * (x - 1) * (x - y))
+
+
+def pole_sum(a, b, g, x, y):
+    """a/x + b/(x-1) + g/(x-y): the bracket shape; swap x and y for its mirror."""
+    return a / x + b / (x - 1) + g / (x - y)
+
+
+def field_quad(p: ParamTriple, v) -> DerivQuad:
+    """Closed-form coefficient fields as a quad; v entries may be numbers or jets."""
     v1, v2 = v
     _check_poles(v1, v2, 1e-12)
     a, b, g = p.alpha, p.beta, p.gamma
-    f1 = -g * v2 * (v2 - 1) / (v1 * (v1 - 1) * (v1 - v2))
-    f2 = -g * v1 * (v1 - 1) / (v2 * (v2 - 1) * (v2 - v1))
-    p1 = a / v1 + b / (v1 - 1) + g / (v1 - v2)
-    p2 = a / v2 + b / (v2 - 1) + g / (v2 - v1)
-    return FieldQuad(f1, f2, p1, p2)
+    f1, f2 = -g * pole_quotient(v1, v2), -g * pole_quotient(v2, v1)
+    return DerivQuad(f1, f2, pole_sum(a, b, g, v1, v2), pole_sum(a, b, g, v2, v1))
 
 
-def appell_fields(a, b, bprime, c, v) -> FieldQuad:
+def appell_fields(a, b, bprime, c, v) -> DerivQuad:
     """Derivative quadruple of a ratio pair of Appell-system solutions.
 
     Written directly in the (a; b, b'; c) parameters; for b == b' it is
@@ -136,21 +131,15 @@ def appell_fields(a, b, bprime, c, v) -> FieldQuad:
     v1, v2 = v
     _check_poles(v1, v2, 1e-12)
     a, b, bp, c = (_coerce(t) for t in (a, b, bprime, c))
-    f1 = b * v2 * (v2 - 1) / (v1 * (v1 - 1) * (v1 - v2))
-    f2 = bp * v1 * (v1 - 1) / (v2 * (v2 - 1) * (v2 - v1))
-    p1 = (c - bp) / v1 + (a + b - c + 1) / (v1 - 1) + (bp - 2 * b) / (v1 - v2)
-    p2 = (c - b) / v2 + (a + bp - c + 1) / (v2 - 1) + (b - 2 * bp) / (v2 - v1)
-    return FieldQuad(f1, f2, p1, p2)
+    p1 = pole_sum(c - bp, a + b - c + 1, bp - 2 * b, v1, v2)
+    p2 = pole_sum(c - b, a + bp - c + 1, b - 2 * bp, v2, v1)
+    return DerivQuad(b * pole_quotient(v1, v2), bp * pole_quotient(v2, v1), p1, p2)
 
 
 def _field_data(fields):
     """Values and first partials of the four fields (jets of order >= 1)."""
-    if hasattr(fields, "brace_x"):
-        fields = FieldQuad(
-            fields.brace_x, fields.brace_y, fields.bracket_x, fields.bracket_y
-        )
     out = []
-    for f in (fields.F1, fields.F2, fields.P1, fields.P2):
+    for f in fields.components():
         if not isinstance(f, Jet):
             raise JetError("fields must be jets of order >= 1")
         out.append((f.value, f.partial((1, 0)), f.partial((0, 1))))
@@ -185,9 +174,9 @@ def _z_system(z: Jet, fields):
 def z_system_residuals(z: Jet, fields) -> tuple[complex, complex, complex]:
     """Three equation residuals for a candidate z (jet of order >= 2).
 
-    ``fields`` is a FieldQuad of jets or a DerivQuad; first partials of
-    the fields enter the zeroth-order coefficients.  Each equation is
-    homogeneous in z, so the branch constant of a cube root drops out.
+    ``fields`` is a DerivQuad of jets; their first partials enter the
+    zeroth-order coefficients.  Each equation is homogeneous in z, so the
+    branch constant of a cube root drops out.
     """
     return _z_system(z, fields)[0]
 
@@ -252,11 +241,7 @@ def _w_coefficients(p: ParamTriple, v1: complex, v2: complex):
     """
     a, b, g = p.alpha, p.beta, p.gamma
     row1, row2 = (
-        (
-            a / s + b / (s - 1) - g / (s - t),
-            g * t * (t - 1) / (s * (s - 1) * (s - t)),
-            (1 - a - b) * g / (s * (s - 1)),
-        )
+        (pole_sum(a, b, -g, s, t), g * pole_quotient(s, t), (1 - a - b) * g / (s * (s - 1)))
         for s, t in ((v1, v2), (v2, v1))
     )
     return row1, row2, g / (v1 - v2)
@@ -350,16 +335,14 @@ def pfaffian_jet(p: ParamTriple, v, data) -> Jet:
 _RATIO_DATA = ((1.0, 0.3, -0.2), (0.1, 1.0, 0.4), (1.0, -0.5, 0.9))
 
 
-def ratio_map_quad(p: ParamTriple, v, data=_RATIO_DATA) -> FieldQuad:
+def ratio_map_quad(p: ParamTriple, v, data=_RATIO_DATA) -> DerivQuad:
     """Derivative quadruple of (s1/s3, s2/s3) for three solution jets.
 
     The ratio map of any solution basis must reproduce the closed-form
-    fields; this recovers (F1, F2, P1, P2) without using them.
+    fields; this recovers the fields without their closed form.
     """
     s1, s2, s3 = (pfaffian_jet(p, v, d) for d in data)
-    quad = deriv_quad(MapJet2(s1 / s3, s2 / s3))
-    f1, f2, p1, p2 = quad.values()
-    return FieldQuad(f1, f2, p1, p2)
+    return DerivQuad(*deriv_quad(MapJet2(s1 / s3, s2 / s3)).values())
 
 
 def mt2_field_recovery_gap(p: ParamTriple, v, third=(1.0, -0.5, 0.9)) -> float:
@@ -389,14 +372,9 @@ def picard_modular_form_residuals(v, coeffs=(1.0, 1.0)) -> tuple:
     """
     _, (V1, V2) = _series_point(v, ("first", "second"))
     c1, c2 = coeffs
-    head = (
-        jet_powq(V1, Fraction(1, 4))
-        * jet_powq(V2, Fraction(1, 4))
-        * jet_powq(V1 - 1, Fraction(1, 6))
-        * jet_powq(V2 - 1, Fraction(1, 6))
-        * jet_powq(V1 - V2, Fraction(1, 6))
-    )
-    sA = f1_series(F1Params("1/4", "1/4", "1/4", 1), V1, V2)
-    sB = f1_series(F1Params("1/4", "1/4", "1/4", "3/4"), 1 - V1, 1 - V2)
+    p = PICARD_MODULAR
+    head = _z_prefactor(p, V1, V2)
+    sA = _branch_solution(p, V1, V2, "first")
+    sB = _branch_solution(p, V1, V2, "second")
     z = head * (c1 * sA + c2 * sB)
-    return z_system_residuals(z, field_quad(PICARD_MODULAR, (V1, V2)))
+    return z_system_residuals(z, field_quad(p, (V1, V2)))

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivs import DerivQuad, MapJet2, second_arg_transform
+from .derivs import MapJet2, second_arg_transform
 from .jets import Jet, jet_powq
 from .lft import denominator
-from .pde_verify import ParamTriple, _pole_gap, field_quad
+from .pde_verify import ParamTriple, _pole_gap, field_quad, pole_quotient, pole_sum
 from .worst import worst_of
 
 __all__ = [
@@ -80,10 +80,13 @@ def j_invariants(l1, l2) -> tuple[complex, complex]:
     l1, l2 = complex(l1), complex(l2)
     if _degenerate(l1, l2):
         raise ValueError("degenerate moduli")
-    # squared ratios: l**2 (l - 1)**2 alone overflows from moduli of about
-    # 1e77 on, where J itself is still finite
-    j1 = (l2 * (l2 - 1) / (l1 * (l1 - 1) * (l1 - l2))) ** 2
-    j2 = (l1 * (l1 - 1) / (l2 * (l2 - 1) * (l2 - l1))) ** 2
+    # the squared brace shape: squaring l (l - 1) first would overflow from
+    # moduli of about 1e77 on, where J itself is still finite
+    j1 = pole_quotient(l1, l2) ** 2
+    j2 = pole_quotient(l2, l1) ** 2
+    if not (cmath.isfinite(j1) and cmath.isfinite(j2)):
+        # complex division and squaring turn an overflowing part into NaN
+        raise OverflowError(f"J invariants overflow the float range at moduli ({l1}, {l2})")
     return (j1, j2)
 
 
@@ -134,20 +137,16 @@ def s3_orbit(name: str, x, y) -> tuple[complex, complex]:
 # the pole-functions and their transformation tables
 
 
-def f1_func(x, y):
-    return y * (y - 1) / (x * (x - 1) * (x - y))
+f1_func = pole_quotient
+p1_func = pole_sum
 
 
 def f2_func(x, y):
-    return x * (x - 1) / (y * (y - 1) * (y - x))
-
-
-def p1_func(a, b, g, x, y):
-    return a / x + b / (x - 1) + g / (x - y)
+    return pole_quotient(y, x)
 
 
 def p2_func(a, b, g, x, y):
-    return a / y + b / (y - 1) + g / (y - x)
+    return pole_sum(a, b, g, y, x)
 
 
 def f_sign_relations(x, y) -> float:
@@ -282,20 +281,24 @@ def order5_map(abg: TransformABG, t1, t2) -> tuple:
     return (w1, w2)
 
 
-def _pullback_sides(u, v, t, check_modular: bool):
+def _radicand(p: ModuliPair, s, t4=1):
+    """(t4 - s)(t4 - u1 s)(t4 - u2 s), the moduli part of the quintic radicands."""
+    return (t4 - s) * (t4 - p.u1 * s) * (t4 - p.u2 * s)
+
+
+def _transform(u, v, check_modular: bool):
+    """The moduli pairs and the transform coefficients, gated or not."""
     pu, pv = _as_pair(u), _as_pair(v)
-    abg = transform_abg(pu, pv) if check_modular else _abg_unchecked(pu, pv)
-    t1, t2 = complex(t[0]), complex(t[1])
-    w1, w2 = order5_map(abg, *Jet.variables(2, 1, (t1, t2)))
-    jac = MapJet2(w1, w2).jacobian_value()
-    ft = t1 * t1 * t2 * t2 * (1 - t1) * (1 - pu.u1 * t1) * (1 - pu.u2 * t1)
-    w1v, w2v = w1.value, w2.value
-    fw = w1v * w1v * w2v * w2v * (1 - w1v) * (1 - pv.u1 * w1v) * (1 - pv.u2 * w1v)
-    if min(abs(ft), abs(fw)) < _TINY:
+    return pu, pv, transform_abg(pu, pv) if check_modular else _abg_unchecked(pu, pv)
+
+
+def _cubed_gap(jac, f_src, k, f_img) -> float:
+    """Relative residual of jac^3 f_src = k^3 f_img; a vanishing radicand is refused."""
+    if min(abs(f_src), abs(f_img)) < _TINY:
         raise ValueError("radicand zero")
-    lhs = jac**3 * ft
-    rhs = (-5 * t1 / (t2 * t2)) ** 3 * fw
-    return lhs, rhs
+    lhs = jac**3 * f_src
+    rhs = k**3 * f_img
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
 
 def pullback_identity_check(u, v, t, check_modular: bool = True) -> float:
@@ -305,8 +308,14 @@ def pullback_identity_check(u, v, t, check_modular: bool = True) -> float:
     Jacobian of the order-five map, f_t, f_w the two quintic radicands.
     Cubing removes every cube-root branch choice.
     """
-    lhs, rhs = _pullback_sides(u, v, t, check_modular)
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+    pu, pv, abg = _transform(u, v, check_modular)
+    t1, t2 = complex(t[0]), complex(t[1])
+    w1, w2 = order5_map(abg, *Jet.variables(2, 1, (t1, t2)))
+    jac = MapJet2(w1, w2).jacobian_value()
+    w1v, w2v = w1.value, w2.value
+    ft = t1 * t1 * t2 * t2 * _radicand(pu, t1)
+    fw = w1v * w1v * w2v * w2v * _radicand(pv, w1v)
+    return _cubed_gap(jac, ft, -5 * t1 / (t2 * t2), fw)
 
 
 def surface_forms(u, t, t4=1.0) -> tuple[complex, complex]:
@@ -318,10 +327,8 @@ def surface_forms(u, t, t4=1.0) -> tuple[complex, complex]:
     """
     p = _as_pair(u)
     t1, t2 = complex(t[0]), complex(t[1])
-    t4 = complex(t4)
-    cubic = t1 * t1 * t2 * t2 * (1 - t1) * (1 - p.u1 * t1) * (1 - p.u2 * t1)
-    hom = t1 * t1 * t2 * t2 * (t4 - t1) * (t4 - p.u1 * t1) * (t4 - p.u2 * t1)
-    return (cubic, hom)
+    head = t1 * t1 * t2 * t2
+    return (head * _radicand(p, t1), head * _radicand(p, t1, complex(t4)))
 
 
 def corollary52_check(u, v, x, check_modular: bool = True) -> float:
@@ -331,24 +338,13 @@ def corollary52_check(u, v, x, check_modular: bool = True) -> float:
     Jac_y^3 g_x = (-5 x1^3/x2^6)^3 g_y for the sextic-free radicands
     g_x = (1-x1^3)(1-u1 x1^3)(1-u2 x1^3), g_y the same in (v, y1^3).
     """
-    pu, pv = _as_pair(u), _as_pair(v)
-    abg = transform_abg(pu, pv) if check_modular else _abg_unchecked(pu, pv)
+    pu, pv, abg = _transform(u, v, check_modular)
     x1, x2 = complex(x[0]), complex(x[1])
     X1, X2 = Jet.variables(2, 1, (x1, x2))
-    t1, t2 = X1 * X1 * X1, X2 * X2 * X2
-    w1, w2 = order5_map(abg, t1, t2)
-    y1 = jet_powq(w1, "1/3")
-    y2 = jet_powq(w2, "1/3")
-    jac = MapJet2(y1, y2).jacobian_value()
+    w1, w2 = order5_map(abg, X1 * X1 * X1, X2 * X2 * X2)
+    jac = MapJet2(jet_powq(w1, "1/3"), jet_powq(w2, "1/3")).jacobian_value()
     x1c = x1**3
-    gx = (1 - x1c) * (1 - pu.u1 * x1c) * (1 - pu.u2 * x1c)
-    w1v = w1.value
-    gy = (1 - w1v) * (1 - pv.u1 * w1v) * (1 - pv.u2 * w1v)
-    if min(abs(gx), abs(gy)) < _TINY:
-        raise ValueError("radicand zero")
-    lhs = jac**3 * gx
-    rhs = (-5 * x1c / x2**6) ** 3 * gy
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+    return _cubed_gap(jac, _radicand(pu, x1c), -5 * x1c / x2**6, _radicand(pv, w1.value))
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +362,7 @@ _TABLE_ROWS = {
 
 def _transported_quad(p: ParamTriple, name: str, v) -> tuple:
     """Quad of the composite (fields at g(v), carried back through g)."""
-    image = s3_orbit(name, *v)
-    fq = field_quad(p, image)
-    quad = DerivQuad(*fq.values())
+    quad = field_quad(p, s3_orbit(name, *v))
     return second_arg_transform(quad, S3_MATRICES[name], v).values()
 
 

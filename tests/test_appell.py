@@ -176,7 +176,13 @@ class TestF1Euler:
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            f1_euler(F1Params(2, 1, 1, 1), 0.1, 0.1)  # Re(c) <= Re(a)
+            f1_euler(F1Params(2, 1, 1, 1), 0.1, 0.1)  # c <= a
+
+    # the rule once returned values 8e-3 and 4e-5 away from the series here
+    @pytest.mark.parametrize("params", [("0.3+0.1j", "1/3", "1/3", 1), ("1/3", "1/3", "1/3", "1+0.1j")])
+    def test_non_real_a_or_c_is_a_domain_error(self, params):
+        with pytest.raises(ValueError, match="real a and c"):
+            f1_euler(F1Params(*params), 0.2, 0.1)
 
     def test_quadrature_spec_validation(self):
         with pytest.raises(ValueError):

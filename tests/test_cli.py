@@ -71,6 +71,20 @@ class TestVerify:
         rep = json.loads(res.output)
         assert rep["summary"]["failed"] == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_tolerance_flag_must_be_finite_and_non_negative(self, runner, value):
+        res = invoke(runner, ["verify", "group", "--tol", f"group-algebra={value}"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "finite and >= 0" in res.stderr
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_tolerance_env_must_be_finite_and_non_negative(self, runner, value):
+        res = invoke(runner, ["verify", "f1"], env={"GL3SCHWARZ_TOL": value})
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "GL3SCHWARZ_TOL" in res.stderr
+
     def test_env_tolerance_reaches_runner(self, runner):
         res = invoke(
             runner,
@@ -113,12 +127,30 @@ class TestF1:
         assert res.exit_code == 1
         assert "error" in res.output
 
-    @pytest.mark.parametrize("field,bad", [("--a", "x"), ("--x", "zz")])
+    @pytest.mark.parametrize(
+        "field,bad",
+        [("--a", "x"), ("--x", "zz"), ("--a", "1/0"), ("--b", "nan"), ("--c", "inf")],
+    )
     def test_bad_literal_is_usage_error(self, runner, field, bad):
         args = {"--a": "1/3", "--b": "1/3", "--bp": "1/3", "--c": "1",
                 "--x": "0", "--y": "0", field: bad}
         res = invoke(runner, ["f1"] + [t for kv in args.items() for t in kv])
         assert res.exit_code == 2
+
+    def test_complex_parameter_matches_mpmath(self, runner):
+        args = ["f1", "--a", "0.3+0.1j", "--b", "1/3", "--bp", "1/3", "--c", "1",
+                "--x", "0.2", "--y", "0.1"]
+        res = invoke(runner, args)
+        assert res.exit_code == 0, res.output
+        got = complex(*json.loads(res.stdout)["series"])
+        with mpmath.workdps(16):
+            ref = complex(mpmath.appellf1(0.3 + 0.1j, mpmath.mpf(1) / 3,
+                                          mpmath.mpf(1) / 3, 1, 0.2, 0.1))
+        assert abs(got - ref) <= 1e-11
+        # the Euler rule needs real endpoint exponents: a domain error
+        res = invoke(runner, args + ["--method", "both"])
+        assert res.exit_code == 1
+        assert "real a and c" in json.loads(res.stderr)["error"]
 
     def test_near_unit_circle_matches_mpmath(self, runner):
         # |x| = 0.9: a fixed cap of 10,000 terms once made this point fail
@@ -233,7 +265,7 @@ class TestPicard:
         res = invoke(runner, ["picard", "j", "--l", "1e200,2"])
         assert res.exit_code == 1
         assert res.stdout == ""
-        assert "error" in json.loads(res.stderr)
+        assert "overflow" in json.loads(res.stderr)["error"]
 
     def test_j_large_finite_moduli(self, runner):
         # l1^2 (l1 - 1)^2 overflows at l1 = 1e100, but J2 = 2.5e199 does not

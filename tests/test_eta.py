@@ -6,12 +6,10 @@ import pytest
 from gl3schwarz import lft
 from gl3schwarz.eta import (
     AutomorphyFactor,
-    PhiSet,
     eta36,
     eta36_factor,
     eta36_transform_check,
     eta_variant_identities,
-    ledger_json,
     ledger_multipliers,
     phase_ledger,
     s_invariant_map,
@@ -83,12 +81,6 @@ class TestPhaseLedger:
             Fraction(2, 27),
         }
         assert got == expected
-
-    def test_ledger_json(self):
-        table = ledger_json()
-        assert table["T1"] == "2/9"
-        assert table["U1"] == "13/54"
-        assert table["S^2"] == "0"
 
 
 class TestAutomorphyFactor:
@@ -263,28 +255,3 @@ class TestTransformChecks:
     def test_non_invariant_map_rejected(self):
         with pytest.raises(ValueError):
             eta36_transform_check(GENS["S"], translation_invariant_map, (2 + 1j, 0.5))
-
-
-class TestPhiSet:
-    def test_equal_etas_give_unity(self):
-        p = PhiSet.from_eta(1.5, 1.5, 2.0, 3.0, 4.0)
-        assert p.phi[0] == 1.0
-        assert p.kappa(0) == 1.0
-        assert p.k(0) == 1.0
-
-    def test_quotient_relation(self):
-        e = (1.3 + 0.2j, 0.7 - 0.1j, 2.1, 0.4 + 1j, -0.8)
-        p = PhiSet.from_eta(*e)
-        lhs = p.phi[1] / p.phi[2]
-        rhs = e[0] * e[1] / (e[2] * e[3])
-        assert lhs == pytest.approx(rhs)
-
-    def test_power_round_trip(self):
-        p = PhiSet.from_eta(1.1 + 0.3j, 0.9, 1.2, 1.4, 0.8)
-        for i in range(4):
-            assert p.kappa(i) == pytest.approx(p.phi[i] ** 9)
-            assert p.k(i) == pytest.approx(p.phi[i] ** 27)
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            PhiSet.from_eta(1.0, 0.0, 1.0, 1.0, 1.0)

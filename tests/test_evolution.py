@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gl3schwarz import evolution
+from gl3schwarz import evolution, report
 from gl3schwarz.derivs import MapJet2, deriv_quad
 from gl3schwarz.evolution import (
     EvoFields,
@@ -13,7 +13,6 @@ from gl3schwarz.evolution import (
     evo_quotients,
     galilean_covariance_check,
     galilean_shift,
-    membership_residual,
     mt4_residuals,
     transformed_pair,
 )
@@ -57,18 +56,6 @@ class TestEvoQuotients:
         for which in ("t1", "t2"):
             q = evo_quotients(u, which)
             assert abs(q[0]) == 0.0 and abs(q[1]) == 0.0
-
-    def test_lft_pair_is_a_member(self):
-        # time independent and spatial quad zero, so all four matches hold
-        x, y, t1, t2 = vars4(3, (0.2, 0.3, 0.0, 0.0))
-        den = 0.3 * x - 0.2 * y + 2.0
-        u = ((1.3 * x - 0.4 * y + 0.7) / den, (0.2 * x + 1.1 * y - 0.5) / den)
-        assert membership_residual(u) < 1e-12
-
-    def test_nonlinear_time_map_is_not_a_member(self):
-        x, y, t1, t2 = vars4(3, (0.2, 0.3, 0.0, 0.0))
-        u = (x + t1 * x * x, y)
-        assert membership_residual(u) == pytest.approx(0.04, abs=1e-15)
 
     def test_zero_spatial_jacobian_raises(self):
         x, y, t1, t2 = vars4(2, (0.1, 0.2, 0.0, 0.0))
@@ -176,6 +163,23 @@ class TestConsistency:
         with pytest.raises(JetError):
             consistency_residual(f, Jet.constant(4, 1, 0.5))
 
+    def test_mt4_galilean_fails_on_an_offset_r1(self, monkeypatch):
+        # negative control: the covariance difference cancels a constant
+        # offset in R1, the mixed-partial identity in the same check does not
+        check = next(c for c in report.CHECKS if c.id == "MT4-galilean")
+        residual, _ = check.run(report._rng(42, check.id)[0], check.samples)
+        assert residual < check.tolerance
+        exact = evolution.mt4_residuals
+
+        def offset(f):
+            r1, r2 = exact(f)
+            return r1 + 1e-6, r2
+
+        monkeypatch.setattr(evolution, "mt4_residuals", offset)
+        residual, samples = check.run(report._rng(42, check.id)[0], check.samples)
+        assert residual > check.tolerance
+        assert samples == 10
+
 
 class TestGl3Invariance:
     MATS = [
@@ -203,13 +207,6 @@ class TestGl3Invariance:
             assert max(abs(a - b) for a, b in zip(va, vb)) < 1e-10
             checked += 1
         assert checked >= 15
-
-    def test_membership_invariant(self):
-        # the t1 x^2 example fails membership by the same margin after an LFT
-        x, y, t1, t2 = vars4(3, (0.2, 0.3, 0.0, 0.0))
-        u = (x + t1 * x * x, y)
-        ut = transformed_pair(self.MATS[0], u)
-        assert membership_residual(ut) == pytest.approx(0.04, abs=1e-12)
 
     def test_denominator_guard(self):
         x, y, t1, t2 = vars4(2, (1.0, 0.0, 0.0, 0.0))

@@ -23,7 +23,6 @@ from gl3schwarz.lft import (
     act_jets,
     decompose_heisenberg,
     generators,
-    generators_json,
     heisenberg_inv,
     heisenberg_mul,
     jacobian_factor,
@@ -197,13 +196,6 @@ class TestGenerators:
         assert G["U1"] ** 4 == G["U2"] ** 4
         assert G["U1"] ** 2 == G["U2"] ** 2
         assert G["U1"] ** 2 * G["U2"] ** 3 * G["S"] ** 2 == EisMatrix.diag(-w, -1, -w)
-
-    def test_json_export(self):
-        data = generators_json()
-        assert set(data) == set(G)
-        assert data["g3"][1][1] == [0, 1]  # omega as (a, b)
-        rebuilt = EisMatrix([[Eis(a, b) for a, b in row] for row in data["g4"]])
-        assert rebuilt == G["g4"]
 
 
 class TestWords:

@@ -83,12 +83,12 @@ class TestParamTriple:
 class TestFieldQuad:
     def test_frozen_value(self):
         fq = field_quad(PICARD, (2, 3))
-        assert fq.F1 == pytest.approx(-1.0, abs=1e-14)
+        assert fq.brace_x == pytest.approx(-1.0, abs=1e-14)
 
     def test_gamma_zero_kills_f(self):
         fq = field_quad(ParamTriple(0.5, 0.25, 0), (1.7, -0.4))
-        assert fq.F1 == 0
-        assert fq.F2 == 0
+        assert fq.brace_x == 0
+        assert fq.brace_y == 0
 
     def test_mixed_partial_symmetry(self):
         p = ParamTriple(0.3, -0.8, 1.1)
@@ -97,8 +97,8 @@ class TestFieldQuad:
         V2 = Jet.variable(2, 2, 1, base=v2)
         fq = field_quad(p, (V1, V2))
         target = p.gamma / (v1 - v2) ** 2
-        assert abs(fq.P1.partial((0, 1)) - target) < 1e-12
-        assert abs(fq.P2.partial((1, 0)) - target) < 1e-12
+        assert abs(fq.bracket_x.partial((0, 1)) - target) < 1e-12
+        assert abs(fq.bracket_y.partial((1, 0)) - target) < 1e-12
 
     def test_pole_rejected(self):
         with pytest.raises(ValueError):
@@ -114,7 +114,7 @@ class TestFieldQuad:
 
     def test_appell_fields_general_b(self):
         am = appell_fields(0.5, 0.2, 0.7, 1.1, (1.6, -0.8))
-        assert am.F1 == pytest.approx(0.2 * (-0.8) * (-1.8) / (1.6 * 0.6 * 2.4))
+        assert am.brace_x == pytest.approx(0.2 * (-0.8) * (-1.8) / (1.6 * 0.6 * 2.4))
 
 
 class TestMT1:

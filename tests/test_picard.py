@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,6 +59,11 @@ class TestJInvariants:
     def test_degenerate(self, bad):
         with pytest.raises(ValueError):
             j_invariants(*bad)
+
+    def test_overflow_is_named(self):
+        # J2 is about 2.5e399; complex division alone would return NaN
+        with pytest.raises(OverflowError, match="overflow"):
+            j_invariants(1e200, 2)
 
     def test_orbit_invariance_fifty_moduli(self):
         for l1, l2 in safe_pairs(3, 50, margin=0.1):
@@ -314,6 +320,21 @@ class TestSurfaceForms:
 
 
 class TestCorollary52:
+    def test_mt3_fails_on_a_perturbed_cube_root(self, monkeypatch):
+        # negative control: MT3 checks the root form too, and only that form
+        # takes cube roots of jets
+        check = next(c for c in report.CHECKS if c.id == "MT3")
+        residual, _ = check.run(report._rng(42, check.id)[0], check.samples)
+        assert residual < check.tolerance
+
+        def perturbed(a, q):
+            return jet_powq(a, float(Fraction(q)) * (1 + 1e-6))
+
+        monkeypatch.setattr(picard, "jet_powq", perturbed)
+        residual, samples = check.run(report._rng(42, check.id)[0], check.samples)
+        assert residual > check.tolerance
+        assert samples == 100
+
     @pytest.mark.parametrize("x", [(0.8, 1.1), (0.6 + 0.3j, -1.2), (1.2, 0.9 + 0.4j)])
     def test_identity_case(self, x):
         assert corollary52_check((2, 3), (2, 3), x) < 1e-14

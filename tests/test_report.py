@@ -10,7 +10,6 @@ from gl3schwarz import report
 from gl3schwarz.report import (
     CHECKS,
     SCHEMA,
-    available_suites,
     render_report,
     run_suites,
     split_seed,
@@ -31,8 +30,8 @@ class TestSplitSeed:
 
 
 class TestSelection:
-    def test_available_suites_cover_all_checks(self):
-        listed = sorted(i for ids in available_suites().values() for i in ids)
+    def test_suites_cover_all_checks(self):
+        listed = sorted(i for ids in report.SUITES.values() for i in ids)
         assert listed == ALL_IDS
 
     def test_eta_suite_composition(self):
