@@ -11,6 +11,7 @@ import pytest
 from gl3schwarz.appell import (
     F1Params,
     QuadratureSpec,
+    _jacobi_rule,
     f1_euler,
     f1_pde_residual,
     f1_series,
@@ -53,6 +54,46 @@ class TestGamma:
             ref = complex(mpmath.gamma(z))
             assert abs(gamma(z) - ref) <= 1e-12 * abs(ref)
 
+    def test_real_axis_matches_mpmath(self):
+        # negative non-integers included: math.gamma takes them directly
+        for x in np.linspace(-4.95, 9.95, 150):
+            ref = float(mpmath.gamma(x))
+            assert abs(gamma(x) - ref) <= 1e-14 * abs(ref)
+
+    def test_off_axis_matches_mpmath(self):
+        # left of Re z = 1/2 the Lanczos sum goes through the reflection formula
+        for re in np.linspace(-5, 10, 31):
+            for im in (-5.0, -1.3, -0.01, 0.01, 0.7, 5.0):
+                z = complex(re, im)
+                ref = complex(mpmath.gamma(z))
+                assert abs(gamma(z) - ref) <= 1e-13 * abs(ref)
+
+
+class TestJacobiRule:
+    # (-1/4, -3/4) has alpha + beta = -1, where the generic first
+    # off-diagonal of the Jacobi matrix is 0/0; (1/2, -1/2) has alpha + beta
+    # = 0, the same for the first diagonal entry; (198 2/3, -2/3) is the
+    # rule behind f1_euler at a = 1/3, c = 200
+    @pytest.mark.parametrize(
+        "n, alpha, beta",
+        [
+            (160, -1 / 3, -1 / 3),
+            (160, -1 / 3, -2 / 3),
+            (160, -1 / 3, 0.0),
+            (160, -1 / 4, -3 / 4),
+            (40, -0.9, -0.1),
+            (8, 1 / 2, -1 / 2),
+            (160, 198 + 2 / 3, -2 / 3),
+        ],
+    )
+    def test_beta_moments_are_exact(self, n, alpha, beta):
+        # int_0^1 t^(beta+k) (1-t)^alpha dt = B(beta+k+1, alpha+1), k <= 2n-1
+        t, w = _jacobi_rule(n, alpha, beta)
+        assert np.all(np.diff(t) > 0) and 0 < t[0] and t[-1] < 1
+        for k in range(2 * n):
+            ref = float(mpmath.beta(mpmath.mpf(beta) + k + 1, mpmath.mpf(alpha) + 1))
+            assert abs(np.sum(w * t**k) - ref) <= 1e-11 * ref, k
+
 
 class TestF1Series:
     def test_at_origin(self):
@@ -60,10 +101,8 @@ class TestF1Series:
         assert abs(f1_series(p, 0.0, 0.0) - 1) < 1e-15
 
     def test_gauss_collapse(self):
-        from scipy.special import hyp2f1
-
         p = F1Params("1/3", "1/3", "1/3", 1)
-        assert abs(f1_series(p, 0.3, 0.0) - hyp2f1(1 / 3, 1 / 3, 1, 0.3)) < 1e-12
+        assert abs(f1_series(p, 0.3, 0.0) - float(mpmath.hyp2f1(1 / 3, 1 / 3, 1, 0.3))) < 1e-12
 
     def test_against_mpmath(self):
         rng = np.random.default_rng(3)
@@ -159,11 +198,17 @@ class TestF1Euler:
         assert abs(v - 2 * math.log(2)) < 1e-12
 
     def test_reduces_to_gauss_at_y0(self):
-        from scipy.special import hyp2f1
-
         p = F1Params("1/3", "1/2", "1/4", "3/2")
         v = f1_euler(p, 0.25, 0.0)
-        assert abs(v - hyp2f1(1 / 3, 1 / 2, 3 / 2, 0.25)) < 1e-10
+        assert abs(v - float(mpmath.hyp2f1(1 / 3, 1 / 2, 3 / 2, 0.25))) < 1e-10
+
+    # Gamma(c) alone overflows here; the prefactor once came out inf/inf = nan
+    @pytest.mark.parametrize("a, c", [("1/3", 200), ("170", 400)])
+    def test_large_c_matches_mpmath(self, a, c):
+        v = f1_euler(F1Params(a, "1/3", "1/3", c), 0.2, 0.1)
+        third = mpmath.mpf("1/3")
+        ref = complex(mpmath.appellf1(mpmath.mpf(a), third, third, c, 0.2, 0.1))
+        assert abs(v - ref) <= 1e-11 * abs(ref)
 
     def test_matches_series(self):
         rng = np.random.default_rng(4)

@@ -176,6 +176,21 @@ class TestF1:
         assert res.stdout == ""
         assert "unit circle" in json.loads(res.stderr)["error"]
 
+    # Gamma(c) overflows at c = 200: the Euler value was once nan (exit 1)
+    @pytest.mark.parametrize("a, c", [("1/3", "200"), ("170", "400")])
+    def test_euler_at_large_c_matches_mpmath(self, runner, a, c):
+        res = invoke(
+            runner,
+            ["f1", "--a", a, "--b", "1/3", "--bp", "1/3", "--c", c,
+             "--x", "0.2", "--y", "0.1", "--method", "euler"],
+        )
+        assert res.exit_code == 0, res.output
+        got = complex(*json.loads(res.stdout)["euler"])
+        with mpmath.workdps(30):
+            third = mpmath.mpf("1/3")
+            ref = complex(mpmath.appellf1(mpmath.mpf(a), third, third, int(c), 0.2, 0.1))
+        assert abs(got - ref) <= 1e-10 * abs(ref)
+
 
 MAP_JSON = {
     "dim": 2,
@@ -409,3 +424,29 @@ class TestConsoleScript:
         )
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["J1"] == [pytest.approx(1 / 9), 0.0]
+
+
+class TestNoScipy:
+    def test_verify_runs_with_scipy_blocked(self):
+        # a None entry in sys.modules makes any scipy import fail
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "from gl3schwarz.cli import main\n"
+            "main(['verify', 'f1', '--seed', '42'])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["summary"]["failed"] == 0
+
+    def test_cli_import_loads_no_scipy(self):
+        code = (
+            "import sys, gl3schwarz.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
