@@ -2,20 +2,25 @@
 
 Two independent evaluation routes are kept deliberately separate.
 
-The series route sums F1 one anti-diagonal at a time.  For jet arguments it
-needs no jet arithmetic inside the series: every partial of F1 is again an
-F1 with shifted parameters (DLMF 16.13),
+The series route sums F1 by anti-diagonals, a slab of them per numpy step:
+the terms of a slab are running products along the lines of fixed
+y-exponent, in one buffer of bounded size.  For jet arguments it needs no
+jet arithmetic inside the series: every partial of F1 is again an F1 with
+shifted parameters (DLMF 16.13),
 
     d^i/dx^i d^j/dy^j F1(a; b, b'; c; x, y)
         = (a)_{i+j} (b)_i (b')_j / (c)_{i+j} * F1(a+i+j; b+i, b'+j; c+i+j; x, y),
 
 so the Taylor jet at the base point comes from a batch of scalar sums, which
 is then composed with the argument jets.  The series converges for
-|x|, |y| < 1; points so close to the unit circle that it would need more than
-DIAGONAL_LIMIT anti-diagonals are refused with ValueError.
+|x|, |y| < 1.  Two cases are refused with ValueError: points so close to the
+unit circle that the series would need more than DIAGONAL_LIMIT
+anti-diagonals, and sums whose terms cancel so far that roundoff exceeds the
+tolerance.
 
 The quadrature route integrates the Euler representation with Gauss-Jacobi
-rules whose endpoint exponents match the integrand exactly.  A rule is built
+rules whose endpoint exponents match the integrand exactly; exponents above
+MAX_EXPONENT are refused with ValueError.  A rule is built
 with numpy alone: Golub-Welsch nodes (eigenvalues of the Jacobi matrix),
 each polished by one Newton step on P_n^(alpha, beta), and weights from
 P_n' at the polished nodes rather than from eigenvector squares, which
@@ -37,6 +42,12 @@ from .jets import Jet, compose, monomials
 # domain error.  The budget reaches it at max(|x|, |y|) of about 0.986-0.991,
 # depending on the parameters and the jet order.
 DIAGONAL_LIMIT = 6000
+
+# Nodes of every Gauss-Jacobi rule, and the largest endpoint exponent a rule
+# takes: from about 1e16 on its nodes crowd into t = 0 closer than double
+# precision resolves, and at 1e14 it is still exact.
+QUAD_NODES = 160
+MAX_EXPONENT = 1e14
 
 
 # Lanczos approximation, g = 7 with 9 terms: about 1e-14 relative off the
@@ -116,26 +127,13 @@ class F1Params:
             raise ValueError("Euler integral needs real a and c")
         if not (self.c.real > self.a.real > 0):
             raise ValueError("Euler integral needs c > a > 0")
+        if max(self.a.real, self.c.real - self.a.real) - 1 > MAX_EXPONENT:
+            raise ValueError(
+                f"Euler integral needs endpoint exponents a - 1 and c - a - 1 of at most {MAX_EXPONENT:g}"
+            )
 
     def __repr__(self):
         return f"F1Params(a={self.a}, b={self.b}, bprime={self.bprime}, c={self.c})"
-
-
-class QuadratureSpec:
-    """Gauss-Jacobi rule on (0, 1): exponents (alpha at t=1, beta at t=0)."""
-
-    __slots__ = ("nodes", "tol", "exponents")
-
-    def __init__(self, nodes: int = 160, tol: float = 1e-9, exponents=None):
-        if nodes < 8:
-            raise ValueError("node count must be >= 8")
-        if exponents is not None:
-            alpha, beta = exponents
-            if alpha <= -1 or beta <= -1:
-                raise ValueError("endpoint exponents must exceed -1")
-        self.nodes = int(nodes)
-        self.tol = float(tol)
-        self.exponents = exponents
 
 
 def _jacobi_p(n: int, alpha: float, beta: float, x: np.ndarray):
@@ -192,12 +190,9 @@ def _jacobi_rule(n: int, alpha: float, beta: float):
     return (1.0 + x) / 2.0, w * (mass / w.sum())
 
 
-def _quad(g, alpha: float, beta: float, spec: QuadratureSpec | None) -> complex:
+def _quad(g, alpha: float, beta: float) -> complex:
     """Integral over (0,1) of t^beta (1-t)^alpha g(t)."""
-    spec = spec or QuadratureSpec()
-    if spec.exponents is not None:
-        alpha, beta = spec.exponents
-    t, w = _jacobi_rule(spec.nodes, float(alpha), float(beta))
+    t, w = _jacobi_rule(QUAD_NODES, float(alpha), float(beta))
     return complex(np.sum(w * g(t)))
 
 
@@ -227,41 +222,132 @@ def _diagonal_budget(r: float, growth: float, tol: float) -> int:
     return budget
 
 
+# Complex entries in the slab buffer.  A slab of w anti-diagonals after
+# diagonal d holds (w + 1) * (d + w + 1) of them per shift, so slabs are
+# wide while rows are short and narrow as rows grow.  32 KB, with numpy's
+# buffer of the same size for the broadcast ratio product, stays in cache
+# and under the peak memory of the rest of a report.  Once rows outgrow it
+# a slab still takes MIN_SLAB diagonals: about the rows that summing one
+# diagonal at a time keeps alive, for a quarter of the per-diagonal
+# overhead.
+SLAB_SIZE = 1 << 11
+MIN_SLAB = 4
+
+
+def _slab_width(shifts: int, d: int, budget: int) -> int:
+    """Anti-diagonals in the slab after diagonal d, at most sqrt(SLAB_SIZE).
+
+    The most whose buffer fits SLAB_SIZE, and at least MIN_SLAB.  The budget's
+    bound reaches tol at about budget / 2 - 8 and sums settle near there, so
+    a slab that starts before budget / 2 - 4 ends there; none passes the
+    budget.
+    """
+    m = SLAB_SIZE // shifts
+    u = (math.isqrt(d * d + 4 * m) - d) // 2  # the largest u with u (u + d) <= m
+    w = max(u - 1, MIN_SLAB)
+    reach = budget // 2 - 4
+    if d < reach:
+        w = min(w, reach - d)
+    return min(w, budget - d)
+
+
 def _shifted_sums(p: F1Params, shifts, x: complex, y: complex, tol: float) -> np.ndarray:
     """F1(a+i+j; b+i, b'+j; c+i+j; x, y) for every shift (i, j), in one pass.
 
-    Row k of the running anti-diagonal holds the terms T(m, d-m) of shift k,
-    T(m, n) = (a)_{m+n} (b)_m (b')_n / ((c)_{m+n} m! n!) x^m y^n, advanced by
-        T(m, n) = T(m-1, n) (a+d-1)(b+m-1) / ((c+d-1) m) x,
-        T(0, d) = T(0, d-1) (a+d-1)(b'+d-1) / ((c+d-1) d) y.
+    The terms T(m, n) = (a)_{m+n} (b)_m (b')_n / ((c)_{m+n} m! n!) x^m y^n
+    are advanced along lines of fixed n from their start on the y-axis:
+        T(m, n) = T(m-1, n) (a+m+n-1)/(c+m+n-1) (b+m-1)/m x,
+        T(0, n) = T(0, n-1) (a+n-1)/(c+n-1) (b'+n-1)/n y.
+    Lines are independent, so a slab of w anti-diagonals after diagonal d
+    is a running product down the rows of one buffer of shape
+    (w + 1, shifts, lines): row 0 holds diagonal d, cell (k, s, l) the term
+    of line l on diagonal d + k (lines are ordered by their x-exponent on
+    diagonal d + w), and row k is row k - 1 times the ratios into diagonal
+    d + k.  A line that starts inside the slab holds zeros until its first
+    term is set.  Nothing is rescaled: each term is T(m-1, n) times its two
+    ratios, as when summing one diagonal at a time, and each diagonal gets
+    the same stopping test; the slab saves the per-diagonal overhead.
+
     Summation stops once three consecutive anti-diagonals each add at most
     tol * (1 - r) relative to every shift's partial sum, r = max(|x|, |y|):
     the geometric tail after such a diagonal is then about tol relative.
+    Terms that cancel to below tol relative are refused (see _conditioned).
     """
     i, j = np.asarray(shifts, dtype=float).T
+    n_shifts = len(i)
     r = max(abs(x), abs(y))
     growth = max(0.0, (p.a + p.b + p.bprime - p.c).real - 1.0 + float(np.max(i + j)))
     budget = _diagonal_budget(r, growth, tol)
     quiet_tol = tol * (1.0 - r)
-    k = np.arange(budget)
-    # per-diagonal and per-column factors, rows indexed by shift
-    step = (p.a + (i + j)[:, None] + k) / (p.c + (i + j)[:, None] + k)
-    col_x = (p.b + i[:, None] + k) / (k + 1) * x
-    col_y = (p.bprime + j[:, None] + k) / (k + 1) * y
-    row = np.ones((len(i), 1), dtype=np.complex128)
-    total = row[:, 0].copy()
-    quiet = 0
-    for d in range(1, budget + 1):
-        new = np.empty((len(i), d + 1), dtype=np.complex128)
-        new[:, 0] = row[:, 0] * step[:, d - 1] * col_y[:, d - 1]
-        new[:, 1:] = row * step[:, d - 1 : d] * col_x[:, :d]
-        row = new
-        block = row.sum(axis=1)
-        total += block
-        quiet = quiet + 1 if np.all(np.abs(block) <= quiet_tol * np.abs(total)) else 0
-        if quiet == 3:
-            return total
+    k = np.arange(budget)[:, None]
+    # per-step factors, rows indexed by step: along every line, along the
+    # y-axis, and the x-ratio, padded with zeros in front for the cells of
+    # lines that have not started yet
+    step = (p.a + (i + j) + k) / (p.c + (i + j) + k)
+    step_y = step * ((p.bprime + j + k) / (k + 1) * y)
+    pad = math.isqrt(SLAB_SIZE)
+    col_x = np.zeros((n_shifts, pad + budget), dtype=np.complex128)
+    col_x[:, pad:] = ((p.b + i + k) / (k + 1) * x).T
+    # windows[q, s] = col_x[s, q:]: on diagonal kk of a slab of width w the
+    # x-ratio into line l is windows[pad - w + kk - 1, s, l]
+    item = col_x.itemsize
+    windows = np.lib.stride_tricks.as_strided(
+        col_x, (pad, n_shifts, budget + 1), (item, col_x.strides[0], item), writeable=False
+    )
+    # one buffer for every slab: those wider than MIN_SLAB fit SLAB_SIZE,
+    # narrower ones hold MIN_SLAB + 1 rows of at most budget + 1 lines;
+    # pages no slab reaches are never touched
+    flat = np.empty(max(SLAB_SIZE, (MIN_SLAB + 1) * n_shifts * (budget + 1)), dtype=np.complex128)
+    row = np.ones((n_shifts, 1), dtype=np.complex128)
+    total = row[:, 0]
+    abs_total = np.ones(n_shifts)
+    quiet, d = 0, 0
+    while d < budget:
+        w = _slab_width(n_shifts, d, budget)
+        lines = d + w + 1
+        size = (w + 1) * n_shifts * lines
+        cells = flat[:size].reshape(w + 1, n_shifts, lines)
+        np.multiply(step[d : d + w, :, None], windows[pad - w : pad, :, :lines], out=cells[1:])
+        cells[0, :, :w] = 0.0
+        cells[0, :, w:] = row
+        for kk in range(1, w + 1):
+            np.multiply(cells[kk - 1], cells[kk], out=cells[kk])
+            cells[kk, :, w - kk] = cells[kk - 1, :, w - kk + 1] * step_y[d + kk - 1]
+        blocks = cells[1:].sum(axis=2)
+        row = cells[w].copy()
+        # the buffer is spent: take |Re T| + |Im T| in place
+        parts = cells[1:].view(np.float64)
+        abs_blocks = np.abs(parts, out=parts).sum(axis=2)
+        sums = np.concatenate((total[None], blocks))
+        np.add.accumulate(sums, axis=0, out=sums)
+        settled = np.all(np.abs(blocks) <= quiet_tol * np.abs(sums[1:]), axis=1)
+        for kk, ok in enumerate(settled.tolist(), 1):
+            quiet = quiet + 1 if ok else 0
+            if quiet == 3:
+                return _conditioned(sums[kk], abs_total + abs_blocks[:kk].sum(axis=0), tol)
+        total = sums[w]
+        abs_total += abs_blocks.sum(axis=0)
+        d += w
     raise ValueError(f"series did not settle within {budget} anti-diagonals")
+
+
+def _conditioned(total: np.ndarray, abs_total: np.ndarray, tol: float) -> np.ndarray:
+    """total, unless its terms cancel so far that roundoff exceeds tol relative.
+
+    abs_total is sum(|Re T| + |Im T|) over each shift's terms.  Real and
+    imaginary parts are summed separately, so roundoff in the sum is of
+    order eps * abs_total; a sum with eps * abs_total > tol * |total| (at
+    tol = 1e-12, terms about 4,500 times larger than the sum) has no
+    digits left to trust and is refused with ValueError.
+    """
+    lost = np.finfo(float).eps * abs_total > tol * np.abs(total)
+    if np.any(lost):
+        kappa = max(float(a / abs(t)) if t else math.inf for a, t in zip(abs_total[lost], total[lost]))
+        raise ValueError(
+            f"series terms cancel: their absolute sum is {kappa:.3g} times the sum, "
+            f"so roundoff exceeds the tolerance {tol:g}"
+        )
+    return total
 
 
 def _rising(z: complex, n: int) -> complex:
@@ -279,8 +365,9 @@ def f1_series(p: F1Params, x, y, tol: float = 1e-12):
     partials up to the jets' order.  Those come from the shifted-parameter
     sums F1(a+i+j; b+i, b'+j; c+i+j) at the base point, all taken in one
     pass, which form the Taylor jet of F1 there; it is composed with (x, y).
-    Raises ValueError outside |x|, |y| < 1 and where the series would need
-    more than DIAGONAL_LIMIT anti-diagonals.
+    Raises ValueError outside |x|, |y| < 1, where the series would need
+    more than DIAGONAL_LIMIT anti-diagonals, and where its terms cancel so
+    far that roundoff exceeds tol.
     """
     p.require_series_ok()
     proto = x if isinstance(x, Jet) else y if isinstance(y, Jet) else None
@@ -303,7 +390,7 @@ def f1_series(p: F1Params, x, y, tol: float = 1e-12):
     return compose(Jet(2, proto.order, np.array(taylor)), [x, y])
 
 
-def f1_euler(p: F1Params, x, y, spec: QuadratureSpec | None = None) -> complex:
+def f1_euler(p: F1Params, x, y) -> complex:
     """Euler integral Gamma(c)/(Gamma(a)Gamma(c-a)) int_0^1 t^{a-1}(1-t)^{c-a-1}(1-tx)^{-b}(1-ty)^{-b'} dt.
 
     The prefactor is taken through lgamma: c > a > 0 are real, and Gamma(c)
@@ -316,7 +403,7 @@ def f1_euler(p: F1Params, x, y, spec: QuadratureSpec | None = None) -> complex:
         return _ppow(1 - t * x, -b) * _ppow(1 - t * y, -bp)
 
     pref = math.exp(math.lgamma(c) - math.lgamma(a) - math.lgamma(c - a))
-    return pref * _quad(g, c - a - 1, a - 1, spec)
+    return pref * _quad(g, c - a - 1, a - 1)
 
 
 def f1_pde_residual(p: F1Params, x, y) -> tuple[complex, complex]:
@@ -341,7 +428,7 @@ def f1_pde_residual(p: F1Params, x, y) -> tuple[complex, complex]:
     return r1, r2
 
 
-def picard_integral(x, y, spec: QuadratureSpec | None = None) -> complex:
+def picard_integral(x, y) -> complex:
     """int_0^1 dt / cbrt(t (t-1) (t-x) (t-y)), principal branch per factor.
 
     On (0, 1) the factor (t-1)^{-1/3} contributes a constant phase
@@ -357,7 +444,7 @@ def picard_integral(x, y, spec: QuadratureSpec | None = None) -> complex:
     def g(t):
         return phase * _ppow(t - x, -1.0 / 3.0) * _ppow(t - y, -1.0 / 3.0)
 
-    return _quad(g, -1.0 / 3.0, -1.0 / 3.0, spec)
+    return _quad(g, -1.0 / 3.0, -1.0 / 3.0)
 
 
 def picard_f1_identity_rhs(x, y) -> complex:
@@ -369,7 +456,7 @@ def picard_f1_identity_rhs(x, y) -> complex:
     return pref * xr * yr * f1_series(params, 1 / x, 1 / y)
 
 
-def k_integral(ki, kj, spec: QuadratureSpec | None = None) -> complex:
+def k_integral(ki, kj) -> complex:
     """int_0^1 dx / cbrt(x^2 (1-x) (1-ki x) (1-kj x)); exponents (-1/3, -2/3)."""
     for v in (ki, kj):
         v = complex(v)
@@ -379,10 +466,10 @@ def k_integral(ki, kj, spec: QuadratureSpec | None = None) -> complex:
     def g(t):
         return _ppow(1 - ki * t, -1.0 / 3.0) * _ppow(1 - kj * t, -1.0 / 3.0)
 
-    return _quad(g, -1.0 / 3.0, -2.0 / 3.0, spec)
+    return _quad(g, -1.0 / 3.0, -2.0 / 3.0)
 
 
-def k_integral_substituted(ki, kj, spec: QuadratureSpec | None = None) -> complex:
+def k_integral_substituted(ki, kj) -> complex:
     """Same integral after x = t^3: 3 int_0^1 dt / cbrt((1-t^3)(1-ki t^3)(1-kj t^3))."""
     for v in (ki, kj):
         v = complex(v)
@@ -398,4 +485,4 @@ def k_integral_substituted(ki, kj, spec: QuadratureSpec | None = None) -> comple
             * _ppow(1 - kj * t3, -1.0 / 3.0)
         )
 
-    return _quad(g, -1.0 / 3.0, 0.0, spec)
+    return _quad(g, -1.0 / 3.0, 0.0)

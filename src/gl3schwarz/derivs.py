@@ -341,15 +341,12 @@ def random_map(rng, order: int = 3, radius: float = 0.3, min_jac: float = 0.1) -
     monos = monomials(2, order)
     for _ in range(100):
         jets = []
-        for var in (0, 1):
-            coeffs = {
-                alpha: radius
-                * np.sqrt(rng.uniform())
-                * np.exp(1j * rng.uniform(0, 2 * np.pi))
-                for alpha in monos
-            }
-            lin = (1, 0) if var == 0 else (0, 1)
-            coeffs[lin] += 1.0
+        for lin in ((1, 0), (0, 1)):
+            # per monomial a modulus draw, then a phase draw: the order of
+            # one scalar uniform() and one uniform(0, 2 pi) per coefficient
+            u = rng.uniform(size=(len(monos), 2))
+            coeffs = radius * np.sqrt(u[:, 0]) * np.exp(1j * (2 * np.pi * u[:, 1]))
+            coeffs[monos.index(lin)] += 1.0
             jets.append(Jet(2, order, coeffs))
         m = MapJet2(*jets)
         if abs(m.jacobian_value()) >= min_jac:

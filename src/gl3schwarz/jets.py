@@ -50,6 +50,19 @@ def _index(dim: int, order: int) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
+def _deriv_table(dim: int, order: int, var: int):
+    """Gather index and factor of d/dx_var from order to order - 1.
+
+    Coefficient m of the derivative is (m[var] + 1) times coefficient
+    m + e_var of the jet.
+    """
+    src = _index(dim, order)
+    lower = monomials(dim, order - 1)
+    up = [tuple(e + (k == var) for k, e in enumerate(m)) for m in lower]
+    return np.array([src[u] for u in up]), np.array([m[var] + 1.0 for m in lower])
+
+
+@lru_cache(maxsize=None)
 def _mul_table(dim: int, order: int):
     """Index pairs of the truncated product, grouped by target coefficient.
 
@@ -78,6 +91,19 @@ def _multifactorial(alpha) -> int:
     return out
 
 
+def _wrap(dim: int, order: int, c: np.ndarray) -> "Jet":
+    """A Jet owning c, a fresh complex128 coefficient array of the right length.
+
+    Arithmetic results go through here; only the public constructor checks
+    and copies.
+    """
+    j = object.__new__(Jet)
+    j.dim = dim
+    j.order = order
+    j._c = c
+    return j
+
+
 class Jet:
     """Truncated Taylor expansion; immutable by convention."""
 
@@ -104,9 +130,9 @@ class Jet:
 
     @classmethod
     def constant(cls, dim: int, order: int, value) -> "Jet":
-        j = cls(dim, order)
-        j._c[0] = value
-        return j
+        c = np.zeros(len(monomials(dim, order)), dtype=np.complex128)
+        c[0] = value
+        return _wrap(dim, order, c)
 
     @classmethod
     def variable(cls, dim: int, order: int, var: int, base=0.0) -> "Jet":
@@ -139,7 +165,7 @@ class Jet:
         return {m: complex(c) for m, c in zip(monomials(self.dim, self.order), self._c)}
 
     def copy(self) -> "Jet":
-        return Jet(self.dim, self.order, self._c)
+        return _wrap(self.dim, self.order, self._c.copy())
 
     def _check(self, other: "Jet"):
         if self.dim != other.dim or self.order != other.order:
@@ -148,46 +174,48 @@ class Jet:
                 f"({other.dim},{other.order})"
             )
 
-    def _lift(self, other) -> "Jet":
+    def _lift(self, other) -> np.ndarray:
+        """Coefficients of other: a jet of the same (dim, order), or a constant."""
         if isinstance(other, Jet):
             self._check(other)
-            return other
-        return Jet.constant(self.dim, self.order, other)
+            return other._c
+        c = np.zeros(len(self._c), dtype=np.complex128)
+        c[0] = other
+        return c
 
     def __add__(self, other):
-        other = self._lift(other)
-        return Jet(self.dim, self.order, self._c + other._c)
+        return _wrap(self.dim, self.order, self._c + self._lift(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._lift(other)
-        return Jet(self.dim, self.order, self._c - other._c)
+        return _wrap(self.dim, self.order, self._c - self._lift(other))
 
     def __rsub__(self, other):
-        return self._lift(other) - self
+        return _wrap(self.dim, self.order, self._lift(other) - self._c)
 
     def __neg__(self):
-        return Jet(self.dim, self.order, -self._c)
+        return _wrap(self.dim, self.order, -self._c)
 
     def __mul__(self, other):
+        dim, order = self.dim, self.order
         if not isinstance(other, Jet):
-            return Jet(self.dim, self.order, self._c * other)
-        self._check(other)
-        ti, tj, starts = _mul_table(self.dim, self.order)
-        terms = self._c[ti] * other._c[tj]
-        return Jet(self.dim, self.order, np.add.reduceat(terms, starts))
+            return _wrap(dim, order, self._c * other)
+        if other.dim != dim or other.order != order:
+            self._check(other)
+        ti, tj, starts = _mul_table(dim, order)
+        return _wrap(dim, order, np.add.reduceat(self._c[ti] * other._c[tj], starts))
 
     def __rmul__(self, other):
         return self * other
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.dim, self.order, self._c / other)
+            return _wrap(self.dim, self.order, self._c / other)
         return self * other._inverse()
 
     def __rtruediv__(self, other):
-        return self._lift(other) * self._inverse()
+        return _wrap(self.dim, self.order, self._lift(other)) * self._inverse()
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -199,19 +227,24 @@ class Jet:
             out = out * self
         return out
 
+    def _nilpotent(self, c0) -> "Jet":
+        """self / c0 with the constant term removed."""
+        c = self._c / c0
+        c[0] = 0.0
+        return _wrap(self.dim, self.order, c)
+
     def _inverse(self) -> "Jet":
         c0 = self.value
         if c0 == 0:
             raise JetError("division by jet with zero constant term")
         # 1/(c0(1+n)) via the Neumann series in the nilpotent part n
-        nil = Jet(self.dim, self.order, self._c / c0)
-        nil._c[0] = 0.0
+        nil = self._nilpotent(c0)
         out = Jet.constant(self.dim, self.order, 1.0)
         term = Jet.constant(self.dim, self.order, 1.0)
         for k in range(1, self.order + 1):
             term = term * nil
             out = out + (-1) ** k * term
-        return Jet(self.dim, self.order, out._c / c0)
+        return _wrap(self.dim, self.order, out._c / c0)
 
     def deriv(self, var: int) -> "Jet":
         """Partial derivative; the result order drops by one."""
@@ -219,22 +252,14 @@ class Jet:
             raise JetError("cannot differentiate an order-0 jet")
         if not (0 <= var < self.dim):
             raise JetError(f"variable index {var} out of range")
-        out = Jet(self.dim, self.order - 1)
-        src = _index(self.dim, self.order)
-        for m, i in _index(self.dim, self.order - 1).items():
-            up = tuple(e + 1 if k == var else e for k, e in enumerate(m))
-            out._c[i] = self._c[src[up]] * (m[var] + 1)
-        return out
+        src, factor = _deriv_table(self.dim, self.order, var)
+        return _wrap(self.dim, self.order - 1, self._c[src] * factor)
 
     def truncate(self, order: int) -> "Jet":
+        """The jet at a lower order: monomials sort by degree, so a prefix."""
         if order > self.order:
             raise JetError("cannot raise truncation order")
-        out = Jet(self.dim, order)
-        tgt = _index(self.dim, order)
-        src = _index(self.dim, self.order)
-        for m, i in tgt.items():
-            out._c[i] = self._c[src[m]]
-        return out
+        return _wrap(self.dim, order, self._c[: len(monomials(self.dim, order))].copy())
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self._c)))
@@ -260,8 +285,7 @@ def jet_powq(a: Jet, q) -> Jet:
         raise JetError("jet_powq requires nonzero constant term")
     qf = q if isinstance(q, (float, complex)) else float(Fraction(q))
     head = cmath.exp(qf * cmath.log(c0))
-    nil = Jet(a.dim, a.order, a._c / c0)
-    nil._c[0] = 0.0
+    nil = a._nilpotent(c0)
     out = Jet.constant(a.dim, a.order, 1.0)
     term = Jet.constant(a.dim, a.order, 1.0)
     binom = 1.0
@@ -298,7 +322,7 @@ def compose(h: Jet, gs: "list[Jet]") -> Jet:
             p.append(p[-1] * d)
         pows.append(p)
     out = Jet(dim, order)
-    for alpha, c in h.coeffs().items():
+    for alpha, c in zip(monomials(h.dim, h.order), h._c):
         if c == 0 or sum(alpha) > order:
             continue
         term = Jet.constant(dim, order, c)

@@ -8,10 +8,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from gl3schwarz import appell
 from gl3schwarz.appell import (
     F1Params,
-    QuadratureSpec,
+    _diagonal_budget,
     _jacobi_rule,
+    _shifted_sums,
     f1_euler,
     f1_pde_residual,
     f1_series,
@@ -21,7 +23,8 @@ from gl3schwarz.appell import (
     picard_f1_identity_rhs,
     picard_integral,
 )
-from gl3schwarz.jets import Jet
+from gl3schwarz.jets import Jet, monomials
+from gl3schwarz.report import run_suites
 
 mpmath.mp.dps = 30
 
@@ -191,6 +194,177 @@ class TestF1NearUnitCircle:
             f1_series(p, Jet.variable(2, 2, 0, base=0.1), Jet.variable(2, 2, 1, base=-0.999j))
 
 
+def _loop_shifted_sums(p, shifts, x, y, tol):
+    """The shifted sums one anti-diagonal per Python step, and the diagonal they stopped on.
+
+    The series engine before slabs, kept as the reference for _shifted_sums.
+    """
+    i, j = np.asarray(shifts, dtype=float).T
+    r = max(abs(x), abs(y))
+    growth = max(0.0, (p.a + p.b + p.bprime - p.c).real - 1.0 + float(np.max(i + j)))
+    budget = _diagonal_budget(r, growth, tol)
+    quiet_tol = tol * (1.0 - r)
+    k = np.arange(budget)
+    step = (p.a + (i + j)[:, None] + k) / (p.c + (i + j)[:, None] + k)
+    col_x = (p.b + i[:, None] + k) / (k + 1) * x
+    col_y = (p.bprime + j[:, None] + k) / (k + 1) * y
+    row = np.ones((len(i), 1), dtype=np.complex128)
+    total = row[:, 0].copy()
+    quiet = 0
+    for d in range(1, budget + 1):
+        new = np.empty((len(i), d + 1), dtype=np.complex128)
+        new[:, 0] = row[:, 0] * step[:, d - 1] * col_y[:, d - 1]
+        new[:, 1:] = row * step[:, d - 1 : d] * col_x[:, :d]
+        row = new
+        block = row.sum(axis=1)
+        total += block
+        quiet = quiet + 1 if np.all(np.abs(block) <= quiet_tol * np.abs(total)) else 0
+        if quiet == 3:
+            return total, d
+    raise ValueError(f"series did not settle within {budget} anti-diagonals")
+
+
+def _assert_matches_loop(p, shifts, x, y, tol=1e-12):
+    """Slab sums within 1e-13 relative of the loop's, or the loop's ValueError.
+
+    Returns the diagonal the loop stopped on (None where it raised).
+    """
+    try:
+        want, stop = _loop_shifted_sums(p, shifts, x, y, tol)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _shifted_sums(p, shifts, x, y, tol)
+        assert str(got.value) == str(exc)
+        return None
+    got = _shifted_sums(p, shifts, x, y, tol)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    return stop
+
+
+LOOP_PARAMS = {
+    "thirds": ("1/3", "1/3", "1/3", 1),
+    "picard": ("2/3", "1/3", "1/3", "4/3"),
+    "complex-a": ("0.3+0.2j", "1/3", "1/4", "3/2"),
+    "terminating": (-3, "1/3", "1/2", "3/2"),  # (a)_d = 0 from d = 4 on
+}
+# (x, y) / r, with r = max(|x|, |y|)
+LOOP_SHAPES = {
+    "x-major": (cmath.exp(0.3j), 0.4),
+    "y-major": (0.3 - 0.2j, cmath.exp(-1.2j)),
+    "x-zero": (0.0, cmath.exp(1.0j)),
+    "y-zero": (cmath.exp(-0.7j), 0.0),
+}
+
+
+class TestShiftedSumsMatchTheLoop:
+    @pytest.mark.parametrize("shape", LOOP_SHAPES)
+    @pytest.mark.parametrize("r", [0.1, 0.5, 0.85])
+    @pytest.mark.parametrize("order", [0, 2, 3])
+    @pytest.mark.parametrize("params", LOOP_PARAMS)
+    def test_inside(self, params, order, r, shape):
+        u, v = LOOP_SHAPES[shape]
+        _assert_matches_loop(F1Params(*LOOP_PARAMS[params]), monomials(2, order), r * u, r * v)
+
+    # near the unit circle, where rows are long and slabs narrow; at order 3
+    # and past these points the sums of higher shifts lose their digits to
+    # cancellation (TestSeriesConditioning)
+    @pytest.mark.parametrize(
+        "order, r, shape",
+        [(0, 0.95, "y-major"), (0, 0.985, "x-major"), (0, 0.985, "x-zero"),
+         (2, 0.95, "x-major"), (2, 0.985, "x-major"), (2, 0.985, "y-zero"),
+         (3, 0.95, "x-major")],
+    )
+    @pytest.mark.parametrize("params", ["thirds", "complex-a"])
+    def test_near_the_unit_circle(self, params, order, r, shape):
+        u, v = LOOP_SHAPES[shape]
+        _assert_matches_loop(F1Params(*LOOP_PARAMS[params]), monomials(2, order), r * u, r * v)
+
+    def test_past_the_budget_raises_the_same_error(self):
+        _assert_matches_loop(F1Params(*LOOP_PARAMS["thirds"]), monomials(2, 2), 0.995, 0.1)
+
+    # slabs of a fixed width: the stopping test runs on across slab edges
+    @pytest.mark.parametrize("width", [2, 3, 5])
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_stopping_at_a_slab_edge(self, monkeypatch, order, width):
+        ends = []
+
+        def fixed(shifts, d, budget):
+            w = min(width, budget - d)
+            ends.append(d + w)
+            return w
+
+        monkeypatch.setattr(appell, "_slab_width", fixed)
+        p, shifts = F1Params(*LOOP_PARAMS["thirds"]), monomials(2, order)
+        offsets = set()
+        for t in np.linspace(0.2, 0.8, 25):
+            x, y = t * cmath.exp(0.3j), 0.4 * t
+            ends.clear()
+            stop = _assert_matches_loop(p, shifts, x, y)
+            offsets |= {stop - e for e in ends if abs(stop - e) <= 1}
+        # the diagonal before a slab's last, its last, the next slab's first
+        assert offsets == {-1, 0, 1}
+
+    @pytest.mark.parametrize("n_shifts", [1, 6, 10])
+    @pytest.mark.parametrize("budget", [40, 100, 6000])
+    def test_slab_widths(self, n_shifts, budget):
+        # the widest slab whose buffer fits SLAB_SIZE, at least MIN_SLAB,
+        # ending at the settling estimate budget // 2 - 4 and at the budget
+        reach = budget // 2 - 4
+        fits = lambda w, d: (w + 1) * n_shifts * (d + w + 1) <= appell.SLAB_SIZE  # noqa: E731
+        for d in range(budget):
+            w = appell._slab_width(n_shifts, d, budget)
+            assert 1 <= w <= min(budget - d, math.isqrt(appell.SLAB_SIZE))
+            if d < reach:
+                assert d + w <= reach
+            capped = d + w in (reach, budget)
+            assert capped or w == appell.MIN_SLAB or (fits(w, d) and not fits(w + 1, d))
+            assert capped or w >= appell.MIN_SLAB
+
+
+class TestSeriesConditioning:
+    # the series once returned -8.0e57 here, where mpmath gives +8.0e51
+    def test_cancelled_digits_are_refused(self):
+        p = F1Params(90, 90, 90, "1/2")
+        with pytest.raises(ValueError, match="terms cancel"):
+            f1_series(p, 0.3, -0.15)
+        # a high shift of a jet near the unit circle: F1(a+3; ...) cancels
+        # where the value itself does not
+        x, y = 0.985 * (0.3 - 0.2j), 0.985 * cmath.exp(-1.2j)
+        assert abs(f1_series(F1Params(*LOOP_PARAMS["thirds"]), x, y)) > 0
+        with pytest.raises(ValueError, match="terms cancel"):
+            _shifted_sums(F1Params(*LOOP_PARAMS["thirds"]), monomials(2, 3), x, y, 1e-12)
+
+    @staticmethod
+    def _record_conditioning(monkeypatch):
+        worst = []
+        conditioned = appell._conditioned
+
+        def record(total, abs_total, tol):
+            worst.append(float(np.max(abs_total / np.abs(total))))
+            return conditioned(total, abs_total, tol)
+
+        monkeypatch.setattr(appell, "_conditioned", record)
+        return worst
+
+    # the refusal sits at a ratio of tol / eps, about 4,500 at tol = 1e-12;
+    # over seeds 1-50 the report's worst is 88 (seed 36)
+    def test_report_points_keep_a_wide_margin(self, monkeypatch):
+        worst = self._record_conditioning(monkeypatch)
+        for seed in range(1, 11):
+            run_suites(("pde", "f1", "picard"), seed=seed)
+        assert 0 < len(worst) and max(worst) < 450
+
+    def test_evaluator_points_are_well_conditioned(self, monkeypatch):
+        worst = self._record_conditioning(monkeypatch)
+        rng = np.random.default_rng(11)
+        for r in (0.1, 0.25, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85):
+            for params in PARAM_SETS:
+                x = r * cmath.exp(1j * rng.uniform(-np.pi, np.pi))
+                y = 0.8 * r * cmath.exp(1j * rng.uniform(-np.pi, np.pi))
+                f1_series(F1Params(*params), x, y)
+        assert max(worst) < 10
+
+
 class TestF1Euler:
     def test_frozen_log_value(self):
         # (1,1,0,2) at x=1/2: integrand (1-t/2)^{-1}, value -2 ln(1/2)
@@ -229,11 +403,16 @@ class TestF1Euler:
         with pytest.raises(ValueError, match="real a and c"):
             f1_euler(F1Params(*params), 0.2, 0.1)
 
-    def test_quadrature_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(nodes=4)
-        with pytest.raises(ValueError):
-            QuadratureSpec(exponents=(-1.5, 0))
+    # from an endpoint exponent of about 1e16 on, the rule's nodes crowd into
+    # t = 0: numpy warned on stderr and the value came out nan
+    def test_endpoint_exponent_bound(self):
+        v = f1_euler(F1Params("1/3", "1/3", "1/3", 10**14), 0.2, 0.1)
+        third = mpmath.mpf("1/3")
+        ref = float(mpmath.appellf1(third, third, third, mpmath.mpf(10) ** 14, 0.2, 0.1))
+        assert abs(v - ref) <= 1e-14
+        for params in (("1/3", "1/3", "1/3", "1e15"), ("1e15", "1/3", "1/3", "2e15")):
+            with pytest.raises(ValueError, match="endpoint exponents"):
+                f1_euler(F1Params(*params), 0.2, 0.1)
 
 
 class TestPdeResiduals:

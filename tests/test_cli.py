@@ -176,6 +176,38 @@ class TestF1:
         assert res.stdout == ""
         assert "unit circle" in json.loads(res.stderr)["error"]
 
+    # the series once printed -8.0e57 (mpmath: +8.0e51) and exited 0; the
+    # Euler rule at c = 1e15 printed numpy RuntimeWarnings, then a nan error
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--a", "90", "--b", "90", "--bp", "90", "--c", "1/2", "--x", "0.3", "--y", "-0.15"],
+             "terms cancel"),
+            (["--a", "1/3", "--b", "1/3", "--bp", "1/3", "--c", "1e15", "--x", "0.2", "--y", "0.1",
+              "--method", "euler"], "endpoint exponents"),
+        ],
+        ids=["cancellation", "huge-exponent"],
+    )
+    def test_refusal_is_one_json_error_and_no_warning(self, args, message):
+        out = subprocess.run(
+            [sys.executable, "-m", "gl3schwarz", "f1", *args],
+            capture_output=True, text=True, env=_child_env(),
+        )
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert "Warning" not in out.stderr
+        assert message in json.loads(out.stderr)["error"]
+
+    def test_euler_at_the_exponent_bound(self, runner):
+        res = invoke(
+            runner,
+            ["f1", "--a", "1/3", "--b", "1/3", "--bp", "1/3", "--c", "1e14",
+             "--x", "0.2", "--y", "0.1", "--method", "euler"],
+        )
+        assert res.exit_code == 0, res.output
+        assert res.stderr == ""
+        assert complex(*json.loads(res.stdout)["euler"]) == pytest.approx(1.0, abs=1e-14)
+
     # Gamma(c) overflows at c = 200: the Euler value was once nan (exit 1)
     @pytest.mark.parametrize("a, c", [("1/3", "200"), ("170", "400")])
     def test_euler_at_large_c_matches_mpmath(self, runner, a, c):

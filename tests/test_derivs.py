@@ -24,7 +24,7 @@ from gl3schwarz.derivs import (
     transported_pair,
     z0_bracket_coeffs,
 )
-from gl3schwarz.jets import Jet, JetError, compose, invert_map2
+from gl3schwarz.jets import Jet, JetError, compose, invert_map2, monomials
 from gl3schwarz.lft import generators
 
 G = generators()
@@ -276,3 +276,34 @@ class TestZ0Bracket:
         s1, s2 = z0_bracket_coeffs(swap(f2), swap(f1))
         assert s2.allclose(swap(b1), 1e-12)
         assert s1.allclose(swap(b2), 1e-12)
+
+
+def _scalar_draw_map(rng, order=3, radius=0.3, min_jac=0.1):
+    """random_map as it drew before: one scalar uniform() per modulus and phase."""
+    monos = monomials(2, order)
+    for _ in range(100):
+        jets = []
+        for var in (0, 1):
+            coeffs = {
+                alpha: radius
+                * np.sqrt(rng.uniform())
+                * np.exp(1j * rng.uniform(0, 2 * np.pi))
+                for alpha in monos
+            }
+            lin = (1, 0) if var == 0 else (0, 1)
+            coeffs[lin] += 1.0
+            jets.append(Jet(2, order, coeffs))
+        m = MapJet2(*jets)
+        if abs(m.jacobian_value()) >= min_jac:
+            return m
+    raise RuntimeError("failed to sample a well-conditioned map")
+
+
+@pytest.mark.parametrize("order, radius, min_jac", [(3, 0.3, 0.1), (2, 0.3, 0.1), (3, 0.9, 0.5)])
+def test_random_map_draws_as_scalar_calls_did(order, radius, min_jac):
+    # the last case redraws: the draws after a rejected map line up too
+    for seed in range(1, 21):
+        old = _scalar_draw_map(np.random.default_rng(seed), order, radius, min_jac)
+        new = random_map(np.random.default_rng(seed), order, radius, min_jac)
+        assert new.u1._c.tobytes() == old.u1._c.tobytes()
+        assert new.u2._c.tobytes() == old.u2._c.tobytes()

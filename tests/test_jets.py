@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gl3schwarz.jets import (
     Jet,
     JetError,
+    _index,
     compose,
     invert_map2,
     jet_powq,
@@ -216,3 +217,67 @@ def test_product_rule():
 def test_monomial_count():
     assert len(monomials(4, 3)) == 35
     assert len(monomials(1, 3)) == 4
+
+
+DIM_ORDERS = [(dim, order) for dim in range(1, 5) for order in range(4)]
+
+
+def _dict_deriv(j, var):
+    """deriv by monomial lookup, the definition before the gather table."""
+    out = Jet(j.dim, j.order - 1)
+    src = _index(j.dim, j.order)
+    for m, i in _index(j.dim, j.order - 1).items():
+        up = tuple(e + 1 if k == var else e for k, e in enumerate(m))
+        out._c[i] = j._c[src[up]] * (m[var] + 1)
+    return out
+
+
+def _dict_truncate(j, order):
+    """truncate by monomial lookup, the definition before the prefix slice."""
+    out = Jet(j.dim, order)
+    src = _index(j.dim, j.order)
+    for m, i in _index(j.dim, order).items():
+        out._c[i] = j._c[src[m]]
+    return out
+
+
+class TestCoefficientLayout:
+    @pytest.mark.parametrize("dim, order", DIM_ORDERS)
+    def test_lower_orders_are_prefixes(self, dim, order):
+        # truncate relies on it: monomials sort by (degree, lex)
+        monos = monomials(dim, order)
+        assert list(monos) == sorted(monos, key=lambda m: (sum(m), m))
+        for lower in range(order + 1):
+            assert monos[: len(monomials(dim, lower))] == monomials(dim, lower)
+
+    @pytest.mark.parametrize("dim, order", DIM_ORDERS)
+    def test_deriv_and_truncate_match_the_dict_definitions(self, dim, order):
+        import random
+
+        j = rand_jet(random.Random(dim * 10 + order), dim, order)
+        for var in range(dim if order else 0):
+            assert j.deriv(var)._c.tobytes() == _dict_deriv(j, var)._c.tobytes()
+        for lower in range(order + 1):
+            assert j.truncate(lower)._c.tobytes() == _dict_truncate(j, lower)._c.tobytes()
+
+    def test_constructor_copies(self):
+        arr = np.arange(6, dtype=np.complex128)
+        j = Jet(2, 2, arr)
+        arr[:] = -1
+        assert j.value == 0 and j.coeff((2, 0)) == 5
+
+    def test_results_never_alias_an_operand(self):
+        import random
+
+        rng = random.Random(3)
+        a = rand_jet(rng, 2, 3)
+        b = rand_jet(rng, 2, 3, const_floor=0.4)
+        results = [
+            a + b, a - b, -a, a * b, a / b, a + 1, 1 + a, a - 1, 1 - a, 2 * a, a * 2,
+            a / 2, 2 / b, a**0, a**1, b**-1, a.copy(), a.deriv(0), a.truncate(3),
+            a.truncate(1), jet_powq(b, Fraction(1, 3)),
+            compose(a, [Jet.variable(2, 3, 0), Jet.variable(2, 3, 1)]),
+        ]
+        for r in results:
+            assert not np.shares_memory(r._c, a._c) and not np.shares_memory(r._c, b._c)
+        assert len({id(r._c) for r in results}) == len(results)
