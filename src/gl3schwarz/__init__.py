@@ -6,10 +6,9 @@ ledger, and the invariant evolution system, with verification suites behind
 the `gl3schwarz` CLI.
 """
 
-from .jets import BACKEND, Jet, JetError, compose, invert_map2, jet_powq
+from .jets import Jet, JetError, compose, invert_map2, jet_powq
 
 __all__ = [
-    "BACKEND",
     "Jet",
     "JetError",
     "compose",

@@ -73,10 +73,6 @@ def _unit(dim: int, var: int) -> tuple:
     return tuple(e)
 
 
-def identity_map(order: int = 3, base=(0.0, 0.0)) -> MapJet2:
-    return MapJet2(*Jet.variables(2, order, base))
-
-
 def lft_map(g, z, order: int = 3) -> MapJet2:
     """Jets of the linear fractional action of g at the point z."""
     return MapJet2(*act_jets(g, z, order))
@@ -272,24 +268,6 @@ def transported_pair(fhat1: Jet, fhat2: Jet, z: MapJet2) -> tuple[Jet, Jet]:
     return (
         h1 * z.u1.deriv(0) + h2 * z.u1.deriv(1),
         h1 * z.u2.deriv(0) + h2 * z.u2.deriv(1),
-    )
-
-
-def z0_bracket_coeffs(f1: Jet, f2: Jet) -> tuple[Jet, Jet]:
-    """First-order part of the deformed bracket of f1 d1 x d2 and f2 d1 x d2.
-
-    Returns the coefficients of d/dt1 and d/dt2:
-    (f1+f2) df1/dt2 + f1 (df2/dt2 - df1/dt1) and
-    (f1+f2) df2/dt1 + f2 (df1/dt1 - df2/dt2).
-    The double-integral central term is excluded.
-    """
-    k = f1.order - 1
-    a, b = f1.truncate(k), f2.truncate(k)
-    f1_1, f1_2 = f1.deriv(0), f1.deriv(1)
-    f2_1, f2_2 = f2.deriv(0), f2.deriv(1)
-    return (
-        (a + b) * f1_2 + a * (f2_2 - f1_1),
-        (a + b) * f2_1 + b * (f1_1 - f2_2),
     )
 
 

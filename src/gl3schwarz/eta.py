@@ -64,27 +64,6 @@ GENERATOR_PHASES = {
 }
 
 
-def phase_ledger(word) -> Fraction:
-    """Exact phase of the eta multiplier along a word of S-free generators.
-
-    word: (name, exponent) pairs; even powers of S are scalar matrices and
-    contribute nothing, odd powers carry a non-constant form factor and are
-    rejected (use word_factor for those).
-    """
-    total = Fraction(0)
-    for name, exp in word:
-        if name in GENERATOR_PHASES:
-            total += exp * GENERATOR_PHASES[name]
-        elif name == "S":
-            if exp % 2:
-                raise ValueError(
-                    "odd powers of S carry a form factor; use word_factor"
-                )
-        else:
-            raise ValueError(f"no ledger entry for generator {name!r}")
-    return total
-
-
 def ledger_multipliers() -> dict[str, Fraction]:
     """Multipliers of the decomposition words behind each stated identity."""
     words = {
@@ -98,7 +77,7 @@ def ledger_multipliers() -> dict[str, Fraction]:
         "eta(U1)": (("U1", 1),),
         "eta(U2)": (("U2", 1),),
     }
-    return {k: phase_ledger(w) for k, w in words.items()}
+    return {k: word_factor(w).phase for k, w in words.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -335,12 +335,6 @@ def jacobian_factor(g, z) -> complex:
     return delta / den**3
 
 
-def rho(z) -> float:
-    """z1 + conj(z1) - z2*conj(z2); positive on the domain S_2."""
-    z1, z2 = complex(z[0]), complex(z[1])
-    return (z1 + z1.conjugate() - z2 * z2.conjugate()).real
-
-
 class HeisenbergElem:
     """[alpha, beta] with beta = (p + q*sqrt(-3))/2 exactly, p = norm(alpha)."""
 
@@ -379,25 +373,6 @@ class HeisenbergElem:
         return f"HeisenbergElem(alpha={self.alpha!r}, beta=({self.p}+{self.q}*sqrt(-3))/2)"
 
 
-def heisenberg_mul(n1: HeisenbergElem, n2: HeisenbergElem) -> HeisenbergElem:
-    """[a1, b1][a2, b2] = [a1+a2, b1+b2+a1*conj(a2)]."""
-    alpha = n1.alpha + n2.alpha
-    cross = n1.alpha * n2.alpha.conj()
-    # a + b*omega = (2a - b)/2 + (b/2) sqrt(-3)
-    p = n1.p + n2.p + int(2 * cross.a - cross.b)
-    q = n1.q + n2.q + int(cross.b)
-    return HeisenbergElem(alpha, p, q)
-
-
-def heisenberg_inv(n: HeisenbergElem) -> HeisenbergElem:
-    """[alpha, beta]^{-1} = [-alpha, conj(beta)]."""
-    return HeisenbergElem(-n.alpha, n.p, -n.q)
-
-
-T1_HEIS = HeisenbergElem.from_alpha_q(Eis(1, 0), -1)  # beta = -omega
-T2_HEIS = HeisenbergElem.from_alpha_q(OMEGA, -1)  # beta = -omega
-
-
 def decompose_heisenberg(elem: HeisenbergElem) -> tuple[int, int, int]:
     """(m, n, l) with T1^m T2^n [T1,T2]^{-l-m-n-mn} equal to elem, exactly."""
     if elem.alpha.a.denominator != 1 or elem.alpha.b.denominator != 1:
@@ -413,10 +388,3 @@ def decompose_heisenberg(elem: HeisenbergElem) -> tuple[int, int, int]:
         raise AssertionError("decomposition failed to reproduce the element")
     return m, n, l
 
-
-FIXED_POINTS = {
-    # fixed point of S*T1 (solves z1 + z2 - omega = 1/z1 with z2 = regular value)
-    "omega_pair": (OMEGA_C, OMEGA_C.conjugate()),
-    "plus": (OMEGA_C * 1j, -OMEGA_C * 1j / (OMEGA_C * 1j + 1)),
-    "minus": (-OMEGA_C * 1j, OMEGA_C * 1j / (1 - OMEGA_C * 1j)),
-}

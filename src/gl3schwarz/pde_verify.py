@@ -26,7 +26,6 @@ __all__ = [
     "PICARD",
     "PICARD_MODULAR",
     "ParamTriple",
-    "appell_fields",
     "field_quad",
     "mt1_residuals",
     "mt1_relative_residual",
@@ -36,7 +35,6 @@ __all__ = [
     "picard_modular_form_residuals",
     "pole_quotient",
     "pole_sum",
-    "ratio_map_quad",
     "w_system_residuals",
     "z_system_residuals",
 ]
@@ -120,20 +118,6 @@ def field_quad(p: ParamTriple, v) -> DerivQuad:
     a, b, g = p.alpha, p.beta, p.gamma
     f1, f2 = -g * pole_quotient(v1, v2), -g * pole_quotient(v2, v1)
     return DerivQuad(f1, f2, pole_sum(a, b, g, v1, v2), pole_sum(a, b, g, v2, v1))
-
-
-def appell_fields(a, b, bprime, c, v) -> DerivQuad:
-    """Derivative quadruple of a ratio pair of Appell-system solutions.
-
-    Written directly in the (a; b, b'; c) parameters; for b == b' it is
-    field_quad at (alpha, beta, gamma) = (c-b', a+b-c+1, -b').
-    """
-    v1, v2 = v
-    _check_poles(v1, v2, 1e-12)
-    a, b, bp, c = (_coerce(t) for t in (a, b, bprime, c))
-    p1 = pole_sum(c - bp, a + b - c + 1, bp - 2 * b, v1, v2)
-    p2 = pole_sum(c - b, a + bp - c + 1, b - 2 * bp, v2, v1)
-    return DerivQuad(b * pole_quotient(v1, v2), bp * pole_quotient(v2, v1), p1, p2)
 
 
 def _field_data(fields):
@@ -287,20 +271,20 @@ def _branch_solution(p: ParamTriple, V1: Jet, V2: Jet, which: str) -> Jet:
     return f1_series(params, 1 - V1, 1 - V2)
 
 
-def mt2_solution_residuals(p: ParamTriple, v, which: str = "first") -> dict:
+def mt2_solution_residuals(p: ParamTriple, v, which: str = "first") -> tuple:
     """Residuals of the closed-form solution on both levels.
 
     Builds w from the Appell series branch, checks the three w-equations,
     then rebuilds z = prefactor * w and checks the three z-equations with
-    the closed-form fields.  Returns
-    {"w_residuals": (r1, r2, r3), "z_residuals": (r1, r2, r3)}.
+    the closed-form fields.  Returns (w_residuals, z_residuals), three
+    residuals each.
     """
     v, (V1, V2) = _series_point(v, (which,))
     w = _branch_solution(p, V1, V2, which)
     wr = w_system_residuals(w, p, v)
     z = _z_prefactor(p, V1, V2) * w
     zr = z_system_residuals(z, field_quad(p, (V1, V2)))
-    return {"w_residuals": wr, "z_residuals": zr}
+    return wr, zr
 
 
 def pfaffian_jet(p: ParamTriple, v, data) -> Jet:
@@ -328,21 +312,6 @@ def pfaffian_jet(p: ParamTriple, v, data) -> Jet:
             (0, 2): w22 / 2,
         },
     )
-
-
-# Generic gradient triples; any basis of the three-dimensional local
-# solution space works, as long as the denominator entry has w != 0.
-_RATIO_DATA = ((1.0, 0.3, -0.2), (0.1, 1.0, 0.4), (1.0, -0.5, 0.9))
-
-
-def ratio_map_quad(p: ParamTriple, v, data=_RATIO_DATA) -> DerivQuad:
-    """Derivative quadruple of (s1/s3, s2/s3) for three solution jets.
-
-    The ratio map of any solution basis must reproduce the closed-form
-    fields; this recovers the fields without their closed form.
-    """
-    s1, s2, s3 = (pfaffian_jet(p, v, d) for d in data)
-    return DerivQuad(*deriv_quad(MapJet2(s1 / s3, s2 / s3)).values())
 
 
 def mt2_field_recovery_gap(p: ParamTriple, v, third=(1.0, -0.5, 0.9)) -> float:

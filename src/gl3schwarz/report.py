@@ -332,8 +332,8 @@ def _mt2_branch_runner(which):
             v = _mt2_point(rng, which)
             parts = []
             for p in (PICARD, PICARD_MODULAR):
-                rep = mt2_solution_residuals(p, v, which)
-                parts += [abs(r) for r in (*rep["w_residuals"], *rep["z_residuals"])]
+                wr, zr = mt2_solution_residuals(p, v, which)
+                parts += [abs(r) for r in (*wr, *zr)]
             yield worst_of(parts)
 
     return run
@@ -442,7 +442,7 @@ def _check_param_table(rng, n):
     per_row = max(1, n // 5)
     for row in (1, 2, 3, 4, 5):
         for _ in range(per_row):
-            yield param_table_check(row, p, _safe_pair(rng))["max_error"]
+            yield param_table_check(row, p, _safe_pair(rng))
 
 
 def _check_sign_tables(rng, n):

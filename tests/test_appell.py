@@ -334,6 +334,17 @@ class TestSeriesConditioning:
         with pytest.raises(ValueError, match="terms cancel"):
             _shifted_sums(F1Params(*LOOP_PARAMS["thirds"]), monomials(2, 3), x, y, 1e-12)
 
+    # numpy once warned five times here, then named the wrong cause
+    @pytest.mark.parametrize("a, c", [("-1e308", 1), ("1/3", "5e-324")])
+    def test_overflowing_terms_are_named(self, a, c):
+        with pytest.raises(ValueError, match="terms overflow"):
+            f1_series(F1Params(a, "1/3", "1/3", c), 0.2, 0.1)
+
+    def test_an_infinite_sum_is_never_returned(self):
+        inf = np.array([complex(math.inf, 0.0)])
+        with pytest.raises(ValueError, match="terms overflow"):
+            appell._conditioned(inf, np.array([math.inf]), 1e-12)
+
     @staticmethod
     def _record_conditioning(monkeypatch):
         worst = []
@@ -413,6 +424,23 @@ class TestF1Euler:
         for params in (("1/3", "1/3", "1/3", "1e15"), ("1e15", "1/3", "1/3", "2e15")):
             with pytest.raises(ValueError, match="endpoint exponents"):
                 f1_euler(F1Params(*params), 0.2, 0.1)
+
+    # as a or c - a nears 0 the rule loses digits: at a = 1e-12 it gave
+    # 1.00412 for 1.0000000000001, and from 1e-13 on numpy warned and gave nan
+    @pytest.mark.parametrize(
+        "a, c, a_below, c_below",
+        [(1e-6, 1, 9e-7, 1), (1, 1 + 2.0**-19, 1, 1 + 2.0**-21)],
+        ids=["a", "c-a"],
+    )
+    def test_endpoint_exponent_floor(self, a, c, a_below, c_below):
+        third = mpmath.mpf(1) / 3
+        for x, y in ((0.6, 0.6), (-0.6, -0.6), (0.42 + 0.42j, -0.6j)):
+            v = f1_euler(F1Params(a, "1/3", "1/3", c), x, y)
+            ref = complex(mpmath.appellf1(a, third, third, c, x, y))
+            assert abs(v - ref) <= 1e-10 * abs(ref)
+        for a_, c_ in ((a_below, c_below), (5e-324, 1)):
+            with pytest.raises(ValueError, match="a and c - a of at least"):
+                f1_euler(F1Params(a_, "1/3", "1/3", c_), 0.2, 0.1)
 
 
 class TestPdeResiduals:

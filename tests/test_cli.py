@@ -15,6 +15,7 @@ from pathlib import Path
 import mpmath
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 try:
     import tomllib
@@ -177,7 +178,10 @@ class TestF1:
         assert "unit circle" in json.loads(res.stderr)["error"]
 
     # the series once printed -8.0e57 (mpmath: +8.0e51) and exited 0; the
-    # Euler rule at c = 1e15 printed numpy RuntimeWarnings, then a nan error
+    # Euler rule at c = 1e15 printed numpy RuntimeWarnings, then a nan error.
+    # Below the exponent floor the rule printed 1.00412 for 1.0000000000001
+    # (a = 1e-12) or failed with "math domain error" (a = 5e-324); overflowing
+    # series terms printed five RuntimeWarnings and "did not settle"
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -185,8 +189,19 @@ class TestF1:
              "terms cancel"),
             (["--a", "1/3", "--b", "1/3", "--bp", "1/3", "--c", "1e15", "--x", "0.2", "--y", "0.1",
               "--method", "euler"], "endpoint exponents"),
+            (["--a", "1e-12", "--b", "1/3", "--bp", "1/3", "--c", "1", "--x", "0.2", "--y", "0.1",
+              "--method", "euler"], "a and c - a of at least"),
+            (["--a", "5e-324", "--b", "1/3", "--bp", "1/3", "--c", "1", "--x", "0.2", "--y", "0.1",
+              "--method", "euler"], "a and c - a of at least"),
+            (["--a", "1", "--b", "1/3", "--bp", "1/3", "--c", str(1 + 2.0**-21), "--x", "0.2",
+              "--y", "0.1", "--method", "euler"], "a and c - a of at least"),
+            (["--a", "-1e308", "--b", "1/3", "--bp", "1/3", "--c", "1", "--x", "0.2", "--y", "0.1"],
+             "terms overflow"),
+            (["--a", "1/3", "--b", "1/3", "--bp", "1/3", "--c", "5e-324", "--x", "0.2", "--y", "0.1"],
+             "terms overflow"),
         ],
-        ids=["cancellation", "huge-exponent"],
+        ids=["cancellation", "huge-exponent", "tiny-a", "denormal-a", "tiny-c-minus-a",
+             "overflow-a", "overflow-c"],
     )
     def test_refusal_is_one_json_error_and_no_warning(self, args, message):
         out = subprocess.run(
@@ -222,6 +237,78 @@ class TestF1:
             third = mpmath.mpf("1/3")
             ref = complex(mpmath.appellf1(mpmath.mpf(a), third, third, int(c), 0.2, 0.1))
         assert abs(got - ref) <= 1e-10 * abs(ref)
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def assert_documented_outcome(res):
+    """Exit 0 with strict JSON, 1 with one JSON error line, or 2 with usage text."""
+    if res.exit_code == 0:
+        assert res.stderr == ""
+        _strict_json(res.stdout)
+    elif res.exit_code == 1:
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1, res.stderr
+        assert set(_strict_json(lines[0])) == {"error"}
+    else:
+        assert res.exit_code == 2, res.output
+        assert res.stdout == ""
+        assert "Usage:" in res.stderr
+
+
+_ANY = st.floats()  # nan and both infinities included
+_CPAIR = st.tuples(_ANY, _ANY).map(lambda p: f"{p[0]!r},{p[1]!r}")
+_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+class TestEvaluatorOutcomes:
+    """Any float input, nan and inf included, ends one of the documented ways.
+
+    In process: a leaked numpy warning is an error under the test settings,
+    and an uncaught exception is not turned into an exit code.
+    """
+
+    @_PROPERTY
+    @given(a=_ANY, c=_ANY, x=_ANY, y=_ANY, method=st.sampled_from(["series", "euler", "both"]))
+    @example(a=1e-12, c=1.0, x=0.2, y=0.1, method="euler")
+    @example(a=5e-324, c=1.0, x=0.2, y=0.1, method="euler")
+    @example(a=-1e308, c=1.0, x=0.2, y=0.1, method="series")
+    @example(a=1 / 3, c=5e-324, x=0.2, y=0.1, method="series")
+    def test_f1(self, a, c, x, y, method):
+        assert_documented_outcome(
+            invoke(CliRunner(), ["f1", "--a", repr(a), "--b", "1/3", "--bp", "1/3", "--c", repr(c),
+                                 "--x", repr(x), "--y", repr(y), "--method", method])
+        )
+
+    @_PROPERTY
+    @given(l=_CPAIR)
+    def test_picard_j(self, l):
+        assert_documented_outcome(invoke(CliRunner(), ["picard", "j", "--l", l]))
+
+    @_PROPERTY
+    @given(x=_ANY, y=_ANY)
+    def test_picard_integral(self, x, y):
+        assert_documented_outcome(
+            invoke(CliRunner(), ["picard", "integral", "--x", repr(x), "--y", repr(y)])
+        )
+
+    @_PROPERTY
+    @given(u=_CPAIR, v2=_ANY)
+    def test_picard_modular_solve(self, u, v2):
+        assert_documented_outcome(
+            invoke(CliRunner(), ["picard", "modular-solve", "--u", u, "--v2", repr(v2)])
+        )
+
+    @_PROPERTY
+    @given(ki=_ANY, kj=_ANY)
+    def test_k(self, ki, kj):
+        assert_documented_outcome(invoke(CliRunner(), ["k", "--ki", repr(ki), "--kj", repr(kj)]))
 
 
 MAP_JSON = {

@@ -15,14 +15,12 @@ from gl3schwarz.derivs import (
     deriv_quad,
     exp_solution_map,
     exp_system_oracle,
-    identity_map,
     jacobian_deformation,
     lft_map,
     random_map,
     second_arg_transform,
     transport_matrix,
     transported_pair,
-    z0_bracket_coeffs,
 )
 from gl3schwarz.jets import Jet, JetError, compose, invert_map2, monomials
 from gl3schwarz.lft import generators
@@ -36,7 +34,7 @@ def det_of_pair(f1, f2):
 
 class TestDerivQuad:
     def test_identity_map_vanishes(self):
-        assert deriv_quad(identity_map()).max_abs() < 1e-15
+        assert deriv_quad(MapJet2(*Jet.variables(2, 3, (0.0, 0.0)))).max_abs() < 1e-15
 
     def test_lft_vanishes(self):
         z = (1 + 0.2j, 0.3 - 0.1j)
@@ -125,7 +123,7 @@ class TestExpSystemOracle:
 
 class TestTransportMatrix:
     def test_identity(self):
-        assert np.allclose(transport_matrix(identity_map()), np.eye(4))
+        assert np.allclose(transport_matrix(MapJet2(*Jet.variables(2, 3, (0.0, 0.0)))), np.eye(4))
 
     def test_composition(self):
         rng = np.random.default_rng(9)
@@ -182,7 +180,7 @@ class TestExtendedTransport:
             assert np.abs(lhs - rhs).max() < 1e-9
 
     def test_block_shape(self):
-        m = ExtendedTransport(identity_map(), 1.0).matrix()
+        m = ExtendedTransport(MapJet2(*Jet.variables(2, 3, (0.0, 0.0))), 1.0).matrix()
         assert np.allclose(m, np.eye(5))
 
 
@@ -234,7 +232,7 @@ class TestJacobianDeformation:
     def test_constant_fields_identity_map(self):
         one = Jet.constant(2, 3, 1.0)
         zero = Jet.constant(2, 3, 0.0)
-        assert abs(jacobian_deformation(one, zero, identity_map())) < 1e-15
+        assert abs(jacobian_deformation(one, zero, MapJet2(*Jet.variables(2, 3, (0.0, 0.0))))) < 1e-15
 
     def test_lft_map(self):
         rng = np.random.default_rng(18)
@@ -251,31 +249,6 @@ class TestJacobianDeformation:
             lhs = jacobian_deformation(f1h, f2h, zm)
             assert abs(lhs - self.oracle_direct(f1h, f2h, zm)) < 1e-9
             assert abs(lhs - self.oracle_inverse_jets(f1h, f2h, zm)) < 1e-9
-
-
-class TestZ0Bracket:
-    def test_constants(self):
-        c = Jet.constant(2, 3, 2.0)
-        b1, b2 = z0_bracket_coeffs(c, c)
-        assert b1.max_abs() < 1e-15 and b2.max_abs() < 1e-15
-
-    def test_hand_expansion(self):
-        # f1 = t2, f2 = 0 -> (t2, 0)
-        t2 = Jet.variable(2, 3, 1)
-        b1, b2 = z0_bracket_coeffs(t2, Jet.constant(2, 3, 0.0))
-        assert b1.allclose(t2.truncate(2), 1e-15)
-        assert b2.max_abs() < 1e-15
-
-    def test_swap_antisymmetry(self):
-        def swap(j):
-            return Jet(j.dim, j.order, {(a2, a1): v for (a1, a2), v in j.coeffs().items()})
-
-        rng = np.random.default_rng(20)
-        f1, f2 = random_map(rng).u1, random_map(rng).u2
-        b1, b2 = z0_bracket_coeffs(f1, f2)
-        s1, s2 = z0_bracket_coeffs(swap(f2), swap(f1))
-        assert s2.allclose(swap(b1), 1e-12)
-        assert s1.allclose(swap(b2), 1e-12)
 
 
 def _scalar_draw_map(rng, order=3, radius=0.3, min_jac=0.1):

@@ -11,7 +11,6 @@ from gl3schwarz.eta import (
     eta36_transform_check,
     eta_variant_identities,
     ledger_multipliers,
-    phase_ledger,
     s_invariant_map,
     translation_invariant_map,
     word_factor,
@@ -35,37 +34,33 @@ def domain_points(seed, n):
 
 class TestPhaseLedger:
     def test_generator_phases(self):
-        assert phase_ledger([("T1", 1)]) == Fraction(2, 9)
-        assert phase_ledger([("T2", 1)]) == Fraction(2, 9)
-        assert phase_ledger([("U1", 1)]) == Fraction(13, 54)
-        assert phase_ledger([("U2", 1)]) == Fraction(2, 27)
-        assert phase_ledger([("commutator", 1)]) == 0
+        assert word_factor([("T1", 1)]).phase == Fraction(2, 9)
+        assert word_factor([("T2", 1)]).phase == Fraction(2, 9)
+        assert word_factor([("U1", 1)]).phase == Fraction(13, 54)
+        assert word_factor([("U2", 1)]).phase == Fraction(2, 27)
+        assert word_factor([("commutator", 1)]).phase == 0
 
     def test_commutator_word_vanishes(self):
         word = [("T1", 1), ("T2", 1), ("T1", -1), ("T2", -1)]
-        assert phase_ledger(word) == 0
+        assert word_factor(word).phase == 0
 
     def test_stated_composites(self):
-        assert phase_ledger([("U1", 2), ("T2", -1)]) == Fraction(7, 27)
-        assert phase_ledger([("U1", 2), ("T2", -3)]) == Fraction(-5, 27)
-        assert phase_ledger([("U1", 2), ("T1", -1), ("T2", -1)]) == Fraction(1, 27)
-        assert phase_ledger(
+        assert word_factor([("U1", 2), ("T2", -1)]).phase == Fraction(7, 27)
+        assert word_factor([("U1", 2), ("T2", -3)]).phase == Fraction(-5, 27)
+        assert word_factor([("U1", 2), ("T1", -1), ("T2", -1)]).phase == Fraction(1, 27)
+        assert word_factor(
             [("U1", 2), ("T1", -3), ("T2", -3), ("commutator", -3)]
-        ) == Fraction(-23, 27)
-        assert phase_ledger([("U1", 4)]) == Fraction(26, 27)
-        assert phase_ledger([("U1", 2), ("U2", 3), ("S", 2)]) == Fraction(19, 27)
+        ).phase == Fraction(-23, 27)
+        assert word_factor([("U1", 4)]).phase == Fraction(26, 27)
+        assert word_factor([("U1", 2), ("U2", 3), ("S", 2)]).phase == Fraction(19, 27)
 
     def test_even_s_powers_are_silent(self):
-        assert phase_ledger([("S", 2)]) == 0
-        assert phase_ledger([("S", -4), ("T1", 1)]) == Fraction(2, 9)
-
-    def test_odd_s_rejected(self):
-        with pytest.raises(ValueError):
-            phase_ledger([("S", 3)])
+        assert word_factor([("S", 2)]).phase == 0
+        assert word_factor([("S", -4), ("T1", 1)]).phase == Fraction(2, 9)
 
     def test_unknown_generator(self):
         with pytest.raises(ValueError):
-            phase_ledger([("g1", 1)])
+            word_factor([("g1", 1)])
 
     def test_multiplier_table(self):
         got = set(ledger_multipliers().values())

@@ -10,12 +10,9 @@ from hypothesis import given, settings, strategies as st
 from gl3schwarz.eta import D1
 from gl3schwarz.lft import (
     DECOMPOSITION_WORDS,
-    FIXED_POINTS,
     OMEGA,
     OMEGA_BAR,
     OMEGA_C,
-    T1_HEIS,
-    T2_HEIS,
     Eis,
     EisMatrix,
     HeisenbergElem,
@@ -23,10 +20,7 @@ from gl3schwarz.lft import (
     act_jets,
     decompose_heisenberg,
     generators,
-    heisenberg_inv,
-    heisenberg_mul,
     jacobian_factor,
-    rho,
     verify_word,
     word_product,
 )
@@ -295,52 +289,22 @@ class TestJacobianFactor:
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
-class TestRho:
-    def test_values(self):
-        assert abs(rho((1, 0)) - 2) < 1e-14
-        assert abs(rho(FIXED_POINTS["minus"]) - 2 * (3**0.5 - 1)) < 1e-12
-        assert abs(rho(FIXED_POINTS["omega_pair"]) + 2) < 1e-12
-        assert abs(rho(FIXED_POINTS["plus"]) + 2 + 2 * 3**0.5) < 1e-12
-
-    def test_fixed_point_equation(self):
-        # z1 + z2 - omega = 1/z1 at the interior fixed point: T1(z) = S(z)
-        for key in ("minus", "omega_pair"):
-            z = FIXED_POINTS[key]
-            assert np.allclose(act(G["T1"], z), act(G["S"], z), atol=1e-12)
-
-
 class TestHeisenberg:
-    def test_group_law_matches_matrices(self):
-        pairs = [
-            (T1_HEIS, T2_HEIS),
-            (T2_HEIS, T1_HEIS),
-            (HeisenbergElem.from_alpha_q(Eis(2, -1), 3), T1_HEIS),
-        ]
-        for n1, n2 in pairs:
-            prod = heisenberg_mul(n1, n2)
-            assert prod.to_matrix() == n1.to_matrix() * n2.to_matrix()
-
-    def test_inverse(self):
-        x = HeisenbergElem.from_alpha_q(Eis(2, -1), 3)
-        e = heisenberg_mul(x, heisenberg_inv(x))
-        assert e.alpha.is_zero() and e.p == 0 and e.q == 0
-
-    def test_center_is_additive(self):
-        a = HeisenbergElem(Eis(0, 0), 0, 2)
-        b = HeisenbergElem(Eis(0, 0), 0, -5)
-        c = heisenberg_mul(a, b)
-        assert c.alpha.is_zero() and (c.p, c.q) == (0, -3)
-
     def test_condition_enforced(self):
         with pytest.raises(ValueError):
             HeisenbergElem(Eis(1, 0), 0, 0)  # beta + conj(beta) != norm(alpha)
 
     def test_t1_decomposition(self):
-        assert T1_HEIS.beta() == -OMEGA
-        assert decompose_heisenberg(T1_HEIS) == (1, 0, -1)
+        t1 = HeisenbergElem.from_alpha_q(Eis(1, 0), -1)
+        assert t1.beta() == -OMEGA
+        assert t1.to_matrix() == G["T1"]
+        assert decompose_heisenberg(t1) == (1, 0, -1)
 
     def test_t2_decomposition(self):
-        assert decompose_heisenberg(T2_HEIS) == (0, 1, -1)
+        t2 = HeisenbergElem.from_alpha_q(OMEGA, -1)
+        assert t2.beta() == -OMEGA
+        assert t2.to_matrix() == G["T2"]
+        assert decompose_heisenberg(t2) == (0, 1, -1)
 
     def test_central_element(self):
         center = HeisenbergElem(Eis(0, 0), 0, -2)  # beta = omegabar - omega
