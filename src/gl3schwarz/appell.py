@@ -2,9 +2,10 @@
 
 Two independent evaluation routes are kept deliberately separate.
 
-The series route sums F1 by anti-diagonals, a slab of them per numpy step:
-the terms of a slab are running products along the lines of fixed
-y-exponent, in one buffer of bounded size.  For jet arguments it needs no
+The series route sums F1 by anti-diagonals.  Its terms factor as
+T(m, n) = A[m+n] B[m] C[n], with A[d] = (a)_d/(c)_d and B, C the rows
+(b)_m/m! x^m and (b')_n/n! y^n, so every anti-diagonal sum is one entry of
+the convolution of B with C, times A.  For jet arguments it needs no
 jet arithmetic inside the series: every partial of F1 is again an F1 with
 shifted parameters (DLMF 16.13),
 
@@ -215,12 +216,14 @@ def _diagonal_budget(r: float, growth: float, tol: float) -> int:
 
     Diagonal d of the series is of order d**growth * r**d.  The budget is
     twice the d where that bound falls to tol, plus a margin for its
-    constant; a budget above DIAGONAL_LIMIT is refused up front.
+    constant; a budget above DIAGONAL_LIMIT is refused up front, and so is a
+    growth exponent so large that the estimate itself overflows.
     """
     d = 0.0
     if r > 0:
         for _ in range(8):  # fixed point of d = (log tol - growth log d) / log r
             d = max((math.log(tol) - growth * math.log(max(d, 1.0))) / math.log(r), 0.0)
+    _require_finite(d)
     budget = 2 * math.ceil(d) + 16
     if budget > DIAGONAL_LIMIT:
         raise ValueError(
@@ -231,127 +234,76 @@ def _diagonal_budget(r: float, growth: float, tol: float) -> int:
     return budget
 
 
-# Complex entries in the slab buffer.  A slab of w anti-diagonals after
-# diagonal d holds (w + 1) * (d + w + 1) of them per shift, so slabs are
-# wide while rows are short and narrow as rows grow.  32 KB, with numpy's
-# buffer of the same size for the broadcast ratio product, stays in cache
-# and under the peak memory of the rest of a report.  Once rows outgrow it
-# a slab still takes MIN_SLAB diagonals: about the rows that summing one
-# diagonal at a time keeps alive, for a quarter of the per-diagonal
-# overhead.
-SLAB_SIZE = 1 << 11
-MIN_SLAB = 4
+def _running_products(num: np.ndarray, den, z) -> np.ndarray:
+    """Rows 1, q_0, q_0 q_1, ... of the ratios q_k = num[:, k] / den[k] * z."""
+    out = np.ones((num.shape[0], num.shape[1] + 1), dtype=np.complex128)
+    np.cumprod(num / den * z, axis=1, out=out[:, 1:])
+    return out
 
 
-def _slab_width(shifts: int, d: int, budget: int) -> int:
-    """Anti-diagonals in the slab after diagonal d, at most sqrt(SLAB_SIZE).
-
-    The most whose buffer fits SLAB_SIZE, and at least MIN_SLAB.  The budget's
-    bound reaches tol at about budget / 2 - 8 and sums settle near there, so
-    a slab that starts before budget / 2 - 4 ends there; none passes the
-    budget.
-    """
-    m = SLAB_SIZE // shifts
-    u = (math.isqrt(d * d + 4 * m) - d) // 2  # the largest u with u (u + d) <= m
-    w = max(u - 1, MIN_SLAB)
-    reach = budget // 2 - 4
-    if d < reach:
-        w = min(w, reach - d)
-    return min(w, budget - d)
+def _settled(terms: np.ndarray, sums: np.ndarray, quiet_tol: float):
+    """First diagonal ending three in a row that add at most quiet_tol relative, or None."""
+    quiet = np.all(np.abs(terms) <= quiet_tol * np.abs(sums), axis=0)
+    quiet[0] = False  # diagonal 0 starts the sum; it does not add to it
+    run = np.flatnonzero(quiet[:-2] & quiet[1:-1] & quiet[2:])
+    return int(run[0]) + 2 if run.size else None
 
 
-# overflowing or NaN terms are refused at the exits, not warned about per slab
+# overflowing or NaN terms are refused at the exits, not warned about per row
 @np.errstate(all="ignore")
 def _shifted_sums(p: F1Params, shifts, x: complex, y: complex, tol: float) -> np.ndarray:
     """F1(a+i+j; b+i, b'+j; c+i+j; x, y) for every shift (i, j), in one pass.
 
-    The terms T(m, n) = (a)_{m+n} (b)_m (b')_n / ((c)_{m+n} m! n!) x^m y^n
-    are advanced along lines of fixed n from their start on the y-axis:
-        T(m, n) = T(m-1, n) (a+m+n-1)/(c+m+n-1) (b+m-1)/m x,
-        T(0, n) = T(0, n-1) (a+n-1)/(c+n-1) (b'+n-1)/n y.
-    Lines are independent, so a slab of w anti-diagonals after diagonal d
-    is a running product down the rows of one buffer of shape
-    (w + 1, shifts, lines): row 0 holds diagonal d, cell (k, s, l) the term
-    of line l on diagonal d + k (lines are ordered by their x-exponent on
-    diagonal d + w), and row k is row k - 1 times the ratios into diagonal
-    d + k.  A line that starts inside the slab holds zeros until its first
-    term is set.  Nothing is rescaled: each term is T(m-1, n) times its two
-    ratios, as when summing one diagonal at a time, and each diagonal gets
-    the same stopping test; the slab saves the per-diagonal overhead.
+    Each term factors as T(m, n) = A[m+n] B[m] C[n], with r = max(|x|, |y|),
+        A[d] = (a+i+j)_d / (c+i+j)_d r^d,
+        B[m] = (b+i)_m / m! (x/r)^m,    C[n] = (b'+j)_n / n! (y/r)^n,
+    three running products per shift.  B and C grow at most polynomially,
+    the decay is all in A, and the sum of anti-diagonal d is
+    A[d] * conv(B, C)[d]: one convolution per shift gives every diagonal.
 
     Summation stops once three consecutive anti-diagonals each add at most
-    tol * (1 - r) relative to every shift's partial sum, r = max(|x|, |y|):
-    the geometric tail after such a diagonal is then about tol relative.
-    Terms that cancel to below tol relative are refused (see _conditioned).
+    tol * (1 - r) relative to every shift's partial sum: the geometric tail
+    after such a diagonal is then about tol relative.  Sums settle near half
+    the budget, so the convolution first runs to budget // 2 and widens by a
+    quarter of the budget while they have not.  Terms that cancel to below
+    tol relative are refused (see _conditioned); sqrt(2) |A[d]| conv(|B|, |C|)[d]
+    bounds each diagonal's sum of |Re T| + |Im T|.
     """
-    i, j = np.asarray(shifts, dtype=float).T
-    n_shifts = len(i)
+    i, j = np.asarray(shifts, dtype=float).T[:, :, None]
     r = max(abs(x), abs(y))
     growth = max(0.0, (p.a + p.b + p.bprime - p.c).real - 1.0 + float(np.max(i + j)))
     budget = _diagonal_budget(r, growth, tol)
     quiet_tol = tol * (1.0 - r)
-    k = np.arange(budget)[:, None]
-    # per-step factors, rows indexed by step: along every line, along the
-    # y-axis, and the x-ratio, padded with zeros in front for the cells of
-    # lines that have not started yet
-    step = (p.a + (i + j) + k) / (p.c + (i + j) + k)
-    step_y = step * ((p.bprime + j + k) / (k + 1) * y)
-    pad = math.isqrt(SLAB_SIZE)
-    col_x = np.zeros((n_shifts, pad + budget), dtype=np.complex128)
-    col_x[:, pad:] = ((p.b + i + k) / (k + 1) * x).T
-    # windows[q, s] = col_x[s, q:]: on diagonal kk of a slab of width w the
-    # x-ratio into line l is windows[pad - w + kk - 1, s, l]
-    item = col_x.itemsize
-    windows = np.lib.stride_tricks.as_strided(
-        col_x, (pad, n_shifts, budget + 1), (item, col_x.strides[0], item), writeable=False
-    )
-    # one buffer for every slab: those wider than MIN_SLAB fit SLAB_SIZE,
-    # narrower ones hold MIN_SLAB + 1 rows of at most budget + 1 lines;
-    # pages no slab reaches are never touched
-    flat = np.empty(max(SLAB_SIZE, (MIN_SLAB + 1) * n_shifts * (budget + 1)), dtype=np.complex128)
-    row = np.ones((n_shifts, 1), dtype=np.complex128)
-    total = row[:, 0]
-    abs_total = np.ones(n_shifts)
-    quiet, d = 0, 0
-    while d < budget:
-        w = _slab_width(n_shifts, d, budget)
-        lines = d + w + 1
-        size = (w + 1) * n_shifts * lines
-        cells = flat[:size].reshape(w + 1, n_shifts, lines)
-        np.multiply(step[d : d + w, :, None], windows[pad - w : pad, :, :lines], out=cells[1:])
-        cells[0, :, :w] = 0.0
-        cells[0, :, w:] = row
-        for kk in range(1, w + 1):
-            np.multiply(cells[kk - 1], cells[kk], out=cells[kk])
-            cells[kk, :, w - kk] = cells[kk - 1, :, w - kk + 1] * step_y[d + kk - 1]
-        blocks = cells[1:].sum(axis=2)
-        row = cells[w].copy()
-        # the buffer is spent: take |Re T| + |Im T| in place
-        parts = cells[1:].view(np.float64)
-        abs_blocks = np.abs(parts, out=parts).sum(axis=2)
-        sums = np.concatenate((total[None], blocks))
-        np.add.accumulate(sums, axis=0, out=sums)
-        settled = np.all(np.abs(blocks) <= quiet_tol * np.abs(sums[1:]), axis=1)
-        for kk, ok in enumerate(settled.tolist(), 1):
-            quiet = quiet + 1 if ok else 0
-            if quiet == 3:
-                return _conditioned(sums[kk], abs_total + abs_blocks[:kk].sum(axis=0), tol)
-        total = sums[w]
-        abs_total += abs_blocks.sum(axis=0)
-        d += w
-    _require_finite(total, abs_total)
+    k = np.arange(budget)
+    diag = _running_products(p.a + (i + j) + k, p.c + (i + j) + k, r)
+    row_x = _running_products(p.b + i + k, k + 1, x / (r or 1.0))
+    row_y = _running_products(p.bprime + j + k, k + 1, y / (r or 1.0))
+    # diagonals up to budget // 2, 3 budget // 4, ..., budget
+    for length in range(budget // 2, budget + budget // 4, budget // 4):
+        n = min(length, budget) + 1
+        terms = diag[:, :n] * np.array([np.convolve(u[:n], v[:n])[:n] for u, v in zip(row_x, row_y)])
+        sums = np.cumsum(terms, axis=1)
+        stop = _settled(terms, sums, quiet_tol)
+        if stop is not None:
+            n = stop + 1
+            abs_conv = np.array(
+                [np.convolve(np.abs(u[:n]), np.abs(v[:n]))[:n] for u, v in zip(row_x, row_y)]
+            )
+            abs_total = math.sqrt(2.0) * np.sum(np.abs(diag[:, :n]) * abs_conv, axis=1)
+            return _conditioned(sums[:, stop], abs_total, tol)
+    _require_finite(sums[:, -1])
     raise ValueError(f"series did not settle within {budget} anti-diagonals")
 
 
-def _require_finite(total: np.ndarray, abs_total: np.ndarray):
-    if not (np.isfinite(total).all() and np.isfinite(abs_total).all()):
+def _require_finite(*values):
+    if not all(np.isfinite(v).all() for v in values):
         raise ValueError("series terms overflow the float range for these parameters")
 
 
 def _conditioned(total: np.ndarray, abs_total: np.ndarray, tol: float) -> np.ndarray:
     """total, unless its terms cancel so far that roundoff exceeds tol relative.
 
-    abs_total is sum(|Re T| + |Im T|) over each shift's terms.  Real and
+    abs_total bounds sum(|Re T| + |Im T|) over each shift's terms.  Real and
     imaginary parts are summed separately, so roundoff in the sum is of
     order eps * abs_total; a sum with eps * abs_total > tol * |total| (at
     tol = 1e-12, terms about 4,500 times larger than the sum) has no
@@ -409,6 +361,14 @@ def f1_series(p: F1Params, x, y, tol: float = 1e-12):
     return compose(Jet(2, proto.order, np.array(taylor)), [x, y])
 
 
+def _require_off_cut(*moduli):
+    """Refuse a real modulus v >= 1: (1 - v t)^(-p) then branches inside (0, 1)."""
+    for v in moduli:
+        v = complex(v)
+        if v.imag == 0 and v.real >= 1:
+            raise ValueError("modulus on the cut [1, inf)")
+
+
 def f1_euler(p: F1Params, x, y) -> complex:
     """Euler integral Gamma(c)/(Gamma(a)Gamma(c-a)) int_0^1 t^{a-1}(1-t)^{c-a-1}(1-tx)^{-b}(1-ty)^{-b'} dt.
 
@@ -416,6 +376,7 @@ def f1_euler(p: F1Params, x, y) -> complex:
     alone overflows from c of about 171.6.
     """
     p.require_euler_ok()
+    _require_off_cut(x, y)
     a, b, bp, c = p.a.real, p.b, p.bprime, p.c.real
 
     def g(t):
@@ -477,10 +438,7 @@ def picard_f1_identity_rhs(x, y) -> complex:
 
 def k_integral(ki, kj) -> complex:
     """int_0^1 dx / cbrt(x^2 (1-x) (1-ki x) (1-kj x)); exponents (-1/3, -2/3)."""
-    for v in (ki, kj):
-        v = complex(v)
-        if v.imag == 0 and v.real >= 1:
-            raise ValueError("modulus on the cut [1, inf)")
+    _require_off_cut(ki, kj)
 
     def g(t):
         return _ppow(1 - ki * t, -1.0 / 3.0) * _ppow(1 - kj * t, -1.0 / 3.0)
@@ -490,10 +448,7 @@ def k_integral(ki, kj) -> complex:
 
 def k_integral_substituted(ki, kj) -> complex:
     """Same integral after x = t^3: 3 int_0^1 dt / cbrt((1-t^3)(1-ki t^3)(1-kj t^3))."""
-    for v in (ki, kj):
-        v = complex(v)
-        if v.imag == 0 and v.real >= 1:
-            raise ValueError("modulus on the cut [1, inf)")
+    _require_off_cut(ki, kj)
 
     def g(t):
         t3 = t**3

@@ -197,7 +197,9 @@ class TestF1NearUnitCircle:
 def _loop_shifted_sums(p, shifts, x, y, tol):
     """The shifted sums one anti-diagonal per Python step, and the diagonal they stopped on.
 
-    The series engine before slabs, kept as the reference for _shifted_sums.
+    Each term is its left neighbour times two ratios, summed row by row: the
+    engine before the factored convolution, kept as the reference for
+    _shifted_sums.
     """
     i, j = np.asarray(shifts, dtype=float).T
     r = max(abs(x), abs(y))
@@ -225,7 +227,7 @@ def _loop_shifted_sums(p, shifts, x, y, tol):
 
 
 def _assert_matches_loop(p, shifts, x, y, tol=1e-12):
-    """Slab sums within 1e-13 relative of the loop's, or the loop's ValueError.
+    """Convolved sums within 1e-13 relative of the loop's, or the loop's ValueError.
 
     Returns the diagonal the loop stopped on (None where it raised).
     """
@@ -265,7 +267,7 @@ class TestShiftedSumsMatchTheLoop:
         u, v = LOOP_SHAPES[shape]
         _assert_matches_loop(F1Params(*LOOP_PARAMS[params]), monomials(2, order), r * u, r * v)
 
-    # near the unit circle, where rows are long and slabs narrow; at order 3
+    # near the unit circle, where the sums run to thousands of diagonals; at order 3
     # and past these points the sums of higher shifts lose their digits to
     # cancellation (TestSeriesConditioning)
     @pytest.mark.parametrize(
@@ -282,43 +284,23 @@ class TestShiftedSumsMatchTheLoop:
     def test_past_the_budget_raises_the_same_error(self):
         _assert_matches_loop(F1Params(*LOOP_PARAMS["thirds"]), monomials(2, 2), 0.995, 0.1)
 
-    # slabs of a fixed width: the stopping test runs on across slab edges
-    @pytest.mark.parametrize("width", [2, 3, 5])
-    @pytest.mark.parametrize("order", [0, 2])
-    def test_stopping_at_a_slab_edge(self, monkeypatch, order, width):
-        ends = []
+    # the convolution runs to budget // 2 first and widens while the sums have
+    # not settled: the loop comparisons stop on both sides of that step
+    def test_stops_on_both_sides_of_the_widening(self, monkeypatch):
+        budgets = []
 
-        def fixed(shifts, d, budget):
-            w = min(width, budget - d)
-            ends.append(d + w)
-            return w
+        def recorded(*args):
+            budgets.append(_diagonal_budget(*args))
+            return budgets[-1]
 
-        monkeypatch.setattr(appell, "_slab_width", fixed)
-        p, shifts = F1Params(*LOOP_PARAMS["thirds"]), monomials(2, order)
-        offsets = set()
-        for t in np.linspace(0.2, 0.8, 25):
-            x, y = t * cmath.exp(0.3j), 0.4 * t
-            ends.clear()
-            stop = _assert_matches_loop(p, shifts, x, y)
-            offsets |= {stop - e for e in ends if abs(stop - e) <= 1}
-        # the diagonal before a slab's last, its last, the next slab's first
-        assert offsets == {-1, 0, 1}
-
-    @pytest.mark.parametrize("n_shifts", [1, 6, 10])
-    @pytest.mark.parametrize("budget", [40, 100, 6000])
-    def test_slab_widths(self, n_shifts, budget):
-        # the widest slab whose buffer fits SLAB_SIZE, at least MIN_SLAB,
-        # ending at the settling estimate budget // 2 - 4 and at the budget
-        reach = budget // 2 - 4
-        fits = lambda w, d: (w + 1) * n_shifts * (d + w + 1) <= appell.SLAB_SIZE  # noqa: E731
-        for d in range(budget):
-            w = appell._slab_width(n_shifts, d, budget)
-            assert 1 <= w <= min(budget - d, math.isqrt(appell.SLAB_SIZE))
-            if d < reach:
-                assert d + w <= reach
-            capped = d + w in (reach, budget)
-            assert capped or w == appell.MIN_SLAB or (fits(w, d) and not fits(w + 1, d))
-            assert capped or w >= appell.MIN_SLAB
+        monkeypatch.setattr(appell, "_diagonal_budget", recorded)
+        sides = []
+        # order 2 at r = 0.985 on the y-zero shape stops on 2,426 of 4,700
+        for r, shape in ((0.5, "x-major"), (0.985, "y-zero")):
+            u, v = LOOP_SHAPES[shape]
+            stop = _assert_matches_loop(F1Params(*LOOP_PARAMS["thirds"]), monomials(2, 2), r * u, r * v)
+            sides.append(stop > budgets[-1] // 2)
+        assert sides == [False, True]
 
 
 class TestSeriesConditioning:
@@ -335,7 +317,8 @@ class TestSeriesConditioning:
             _shifted_sums(F1Params(*LOOP_PARAMS["thirds"]), monomials(2, 3), x, y, 1e-12)
 
     # numpy once warned five times here, then named the wrong cause
-    @pytest.mark.parametrize("a, c", [("-1e308", 1), ("1/3", "5e-324")])
+    # at a = 1e308 the budget estimate itself reached inf
+    @pytest.mark.parametrize("a, c", [("-1e308", 1), ("1e308", 1), ("1/3", "5e-324")])
     def test_overflowing_terms_are_named(self, a, c):
         with pytest.raises(ValueError, match="terms overflow"):
             f1_series(F1Params(a, "1/3", "1/3", c), 0.2, 0.1)
@@ -407,6 +390,13 @@ class TestF1Euler:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             f1_euler(F1Params(2, 1, 1, 1), 0.1, 0.1)  # c <= a
+
+    # a real x or y >= 1 puts the branch point 1/x inside (0, 1): the rule
+    # once returned 1.0762 - 0.3929i at x = 2, where F1 is 1.0852 - 0.3945i
+    @pytest.mark.parametrize("x, y", [(2.0, 0.1), (0.1, 1.0), (1.5, 3.0)])
+    def test_cut_rejected(self, x, y):
+        with pytest.raises(ValueError, match="modulus on the cut"):
+            f1_euler(F1Params("1/3", "1/3", "1/3", 1), x, y)
 
     # the rule once returned values 8e-3 and 4e-5 away from the series here
     @pytest.mark.parametrize("params", [("0.3+0.1j", "1/3", "1/3", 1), ("1/3", "1/3", "1/3", "1+0.1j")])

@@ -181,7 +181,9 @@ class TestF1:
     # Euler rule at c = 1e15 printed numpy RuntimeWarnings, then a nan error.
     # Below the exponent floor the rule printed 1.00412 for 1.0000000000001
     # (a = 1e-12) or failed with "math domain error" (a = 5e-324); overflowing
-    # series terms printed five RuntimeWarnings and "did not settle"
+    # series terms printed five RuntimeWarnings and "did not settle", and at
+    # a = 1e308 "cannot convert float infinity to integer".  On the cut the
+    # Euler rule printed 1.0762 - 0.3929i, where F1 is 1.0852 - 0.3945i
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -199,9 +201,13 @@ class TestF1:
              "terms overflow"),
             (["--a", "1/3", "--b", "1/3", "--bp", "1/3", "--c", "5e-324", "--x", "0.2", "--y", "0.1"],
              "terms overflow"),
+            (["--a", "1e308", "--b", "1/3", "--bp", "1/3", "--c", "1", "--x", "0.2", "--y", "0.1"],
+             "terms overflow"),
+            (["--a", "1/3", "--b", "1/3", "--bp", "1/3", "--c", "1", "--x", "2", "--y", "0.1",
+              "--method", "euler"], "modulus on the cut"),
         ],
         ids=["cancellation", "huge-exponent", "tiny-a", "denormal-a", "tiny-c-minus-a",
-             "overflow-a", "overflow-c"],
+             "overflow-a", "overflow-c", "overflow-budget", "euler-on-the-cut"],
     )
     def test_refusal_is_one_json_error_and_no_warning(self, args, message):
         out = subprocess.run(
@@ -280,6 +286,8 @@ class TestEvaluatorOutcomes:
     @example(a=5e-324, c=1.0, x=0.2, y=0.1, method="euler")
     @example(a=-1e308, c=1.0, x=0.2, y=0.1, method="series")
     @example(a=1 / 3, c=5e-324, x=0.2, y=0.1, method="series")
+    @example(a=1e308, c=1.0, x=0.2, y=0.1, method="series")
+    @example(a=1 / 3, c=1.0, x=2.0, y=0.1, method="euler")
     def test_f1(self, a, c, x, y, method):
         assert_documented_outcome(
             invoke(CliRunner(), ["f1", "--a", repr(a), "--b", "1/3", "--bp", "1/3", "--c", repr(c),
