@@ -9,10 +9,20 @@ to a 5x5 cocycle with one free constant.
 from __future__ import annotations
 
 import cmath
+from functools import lru_cache
 
 import numpy as np
 
-from .jets import Jet, JetError, compose, monomials
+from .jets import (
+    Jet,
+    JetError,
+    _compose_each,
+    _deriv_table,
+    _product,
+    _series,
+    _wrap,
+    monomials,
+)
 from .lft import _as_numpy, act_jets, denominator
 from .worst import worst_of
 
@@ -109,38 +119,58 @@ def _det2(p, q, r, s):
     return p * s - q * r
 
 
+@lru_cache(maxsize=None)
+def _partials_table(dim: int, order: int, ix: int, iy: int):
+    """Gather of the partials x, y, xx, 2xy, -2xy, -yy of a map, at order - 2.
+
+    Returns (src, f1, f2), each of shape (6, n): coefficient j of partial p
+    of a component u is u[src[p, j]] * f1[p, j] * f2[p, j], the factors of
+    the two derivative steps applied in turn (f2 is 1 for first partials).
+    """
+    n = len(monomials(dim, order - 2))
+    sx, fx = _deriv_table(dim, order, ix)
+    sy, fy = _deriv_table(dim, order, iy)
+    tx, gx = _deriv_table(dim, order - 1, ix)
+    ty, gy = _deriv_table(dim, order - 1, iy)
+    ones = np.ones(n)
+    src = np.array([sx[:n], sy[:n], sx[tx], sx[ty], sx[ty], sy[ty]])
+    f1 = np.array([fx[:n], fy[:n], fx[tx], fx[ty], fx[ty], fy[ty]])
+    f2 = np.array([ones, ones, gx, 2 * gy, -2 * gy, -gy])
+    return src, f1, f2
+
+
+# The determinants of deriv_quad as pairs (a, b) of rows of _partials_table
+# (0 = x, 1 = y, 2 = xx, 3 = 2xy, 4 = -2xy, 5 = -yy), each read as
+# |a; b| = a1 b2 - a2 b1 over the map's components (u1, u2).  Summed in the
+# groups that start at _NUMERATORS, they give the four numerators over J
+# and then J itself.
+_DETS = np.array([[0, 1, 1, 0, 0, 1, 0], [2, 5, 2, 3, 5, 4, 1]])
+_NUMERATORS = np.array([0, 1, 2, 4, 6])
+
+
 def deriv_quad(m: MapJet2) -> DerivQuad:
     """Four derivatives of the map; jets of order (input order - 2).
 
     brace_x = |u_x; u_xx| / J, brace_y = |u_y; u_yy| / (-J),
     bracket_x = (|u_y; u_xx| + 2|u_x; u_xy|) / J and the y-mirror,
-    with J = u1_x u2_y - u2_x u1_y; rows are (u1, u2) pairs.
+    with J = u1_x u2_y - u2_x u1_y; rows are (u1, u2) pairs.  The seven
+    determinants are one stacked product of coefficient arrays, and the
+    four numerators share one inverse of J: x / (-J) is -x * J^-1 exactly,
+    so the y-side numerators are taken with -u_yy and -2 u_xy.
     """
     if m.order < 2:
         raise JetError("deriv_quad needs jets of order >= 2")
-    k = m.order - 2
-    u1x = m.u1.deriv(m.ix)
-    u1y = m.u1.deriv(m.iy)
-    u2x = m.u2.deriv(m.ix)
-    u2y = m.u2.deriv(m.iy)
-    u1xx = u1x.deriv(m.ix)
-    u1xy = u1x.deriv(m.iy)
-    u1yy = u1y.deriv(m.iy)
-    u2xx = u2x.deriv(m.ix)
-    u2xy = u2x.deriv(m.iy)
-    u2yy = u2y.deriv(m.iy)
-    u1x, u1y, u2x, u2y = (j.truncate(k) for j in (u1x, u1y, u2x, u2y))
-
-    jac = _det2(u1x, u2x, u1y, u2y)
+    dim, k = m.dim, m.order - 2
+    src, f1, f2 = _partials_table(dim, m.order, m.ix, m.iy)
+    partials = np.array((m.u1._c, m.u2._c))[:, src] * f1 * f2
+    a, b = _DETS
+    prods = _product(dim, k, partials[:, a], partials[::-1, b])
+    sums = np.add.reduceat(prods[0] - prods[1], _NUMERATORS, 0)
+    jac = _wrap(dim, k, sums[4])
     if abs(jac.value) < _TINY:
         raise JetError("zero Jacobian at base point")
-    neg = -jac
-    return DerivQuad(
-        _det2(u1x, u2x, u1xx, u2xx) / jac,
-        _det2(u1y, u2y, u1yy, u2yy) / neg,
-        (_det2(u1y, u2y, u1xx, u2xx) + 2 * _det2(u1x, u2x, u1xy, u2xy)) / jac,
-        (_det2(u1x, u2x, u1yy, u2yy) + 2 * _det2(u1y, u2y, u1xy, u2xy)) / neg,
-    )
+    quot = _product(dim, k, sums[:4], jac._inverse()._c)
+    return DerivQuad(*(_wrap(dim, k, q.copy()) for q in quot))
 
 
 def _transport_from_partials(w1x, w1y, w2x, w2y) -> np.ndarray:
@@ -294,13 +324,10 @@ def exp_system_oracle(pairs):
 
 def _jet_exp(a: Jet) -> Jet:
     """exp of a jet: exp(const) times the truncated series in the nilpotent part."""
-    n = a - a.value
-    out = Jet.constant(a.dim, a.order, 1.0)
-    term = Jet.constant(a.dim, a.order, 1.0)
-    for k in range(1, a.order + 1):
-        term = term * n / k
-        out = out + term
-    return cmath.exp(a.value) * out
+    nil = a._c.copy()
+    nil[0] = 0.0
+    inv_factorials = (1.0, 1 / 2, 1 / 6)[: a.order]
+    return _wrap(a.dim, a.order, _series(a.dim, a.order, nil, inv_factorials) * cmath.exp(a.value))
 
 
 def exp_solution_map(pairs, base=(0.0, 0.0), order: int = 3) -> MapJet2:
@@ -334,4 +361,4 @@ def random_map(rng, order: int = 3, radius: float = 0.3, min_jac: float = 0.1) -
 
 def compose_maps(u: MapJet2, w: MapJet2) -> MapJet2:
     """Jets of u(w(x, y)); u must be centered at w's image point."""
-    return MapJet2(compose(u.u1, [w.u1, w.u2]), compose(u.u2, [w.u1, w.u2]))
+    return MapJet2(*_compose_each((u.u1, u.u2), [w.u1, w.u2]))

@@ -8,6 +8,12 @@ their base point; callers that need one (map objects) track it themselves.
 
 Dimensions 1-4 and orders 0-3 are supported.  Mixing (dim, order) in
 arithmetic is an error, never a silent truncation.
+
+Every product is one kernel, `_product`: a gather-multiply-`reduceat` over
+coefficient arrays, for one jet or a whole stack of them.  Inverses and
+rational powers are one power-series pass over raw arrays (`_series`), and
+`compose` builds the monomials of its deltas with one stacked product per
+degree; none of them builds a Jet per term.
 """
 
 from __future__ import annotations
@@ -82,6 +88,60 @@ def _mul_table(dim: int, order: int):
                 ti.append(i)
                 tj.append(idx[mj])
     return np.asarray(ti), np.asarray(tj), np.asarray(starts)
+
+
+def _product(dim: int, order: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated product of coefficient arrays, the one multiply kernel.
+
+    a and b hold coefficients along their last axis and broadcast over the
+    others, so one call multiplies a whole stack of jets.
+    """
+    ti, tj, starts = _mul_table(dim, order)
+    # take(.., -1), not a[..., ti]: the Ellipsis index costs about five
+    # times more on arrays of 3 to 35 coefficients
+    return np.add.reduceat(a.take(ti, -1) * b.take(tj, -1), starts, -1)
+
+
+def _series(dim: int, order: int, nil: np.ndarray, coeffs) -> np.ndarray:
+    """1 + sum_k coeffs[k-1] nil**k over k = 1..order, as a coefficient array.
+
+    nil has a zero constant term, so its powers past the order vanish at
+    truncation: the power series of a function at 1 + nil is exact here.
+    """
+    out = np.zeros_like(nil)
+    out[0] = 1.0
+    term = nil
+    for k, c in enumerate(coeffs):
+        if k:
+            term = _product(dim, order, term, nil)
+        out += term * c
+    return out
+
+
+@lru_cache(maxsize=None)
+def _power_table(dim: int, order: int):
+    """How compose builds every monomial of its deltas from lower ones.
+
+    Returns (units, levels).  units[v] is the index of the monomial x_v.
+    Each level (lo, hi, parents, factors) covers one degree d >= 2, whose
+    monomials are the contiguous block lo:hi; monomial lo + k is monomial
+    parents[k] (degree d - 1) times monomial factors[k] (degree 1).
+    """
+    if order == 0:
+        return (), ()
+    monos = monomials(dim, order)
+    idx = _index(dim, order)
+    units = [idx[tuple(int(k == v) for k in range(dim))] for v in range(dim)]
+    levels = []
+    for d in range(2, order + 1):
+        block = [k for k, m in enumerate(monos) if sum(m) == d]
+        parents, factors = [], []
+        for k in block:
+            v = next(i for i, e in enumerate(monos[k]) if e)
+            parents.append(idx[tuple(e - (i == v) for i, e in enumerate(monos[k]))])
+            factors.append(units[v])
+        levels.append((block[0], block[-1] + 1, np.array(parents), np.array(factors)))
+    return units, tuple(levels)
 
 
 def _multifactorial(alpha) -> int:
@@ -203,8 +263,7 @@ class Jet:
             return _wrap(dim, order, self._c * other)
         if other.dim != dim or other.order != order:
             self._check(other)
-        ti, tj, starts = _mul_table(dim, order)
-        return _wrap(dim, order, np.add.reduceat(self._c[ti] * other._c[tj], starts))
+        return _wrap(dim, order, _product(dim, order, self._c, other._c))
 
     def __rmul__(self, other):
         return self * other
@@ -215,7 +274,7 @@ class Jet:
         return self * other._inverse()
 
     def __rtruediv__(self, other):
-        return _wrap(self.dim, self.order, self._lift(other)) * self._inverse()
+        return self._inverse() * other
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -227,24 +286,23 @@ class Jet:
             out = out * self
         return out
 
-    def _nilpotent(self, c0) -> "Jet":
-        """self / c0 with the constant term removed."""
+    def _nilpotent(self, c0) -> np.ndarray:
+        """Coefficients of self / c0 with the constant term removed."""
         c = self._c / c0
         c[0] = 0.0
-        return _wrap(self.dim, self.order, c)
+        return c
 
     def _inverse(self) -> "Jet":
+        """1/self = (1/c0) sum_k (-n)^k, the Neumann series in n = self/c0 - 1.
+
+        One pass over coefficient arrays: order - 1 products, no jet per term.
+        """
         c0 = self.value
         if c0 == 0:
             raise JetError("division by jet with zero constant term")
-        # 1/(c0(1+n)) via the Neumann series in the nilpotent part n
-        nil = self._nilpotent(c0)
-        out = Jet.constant(self.dim, self.order, 1.0)
-        term = Jet.constant(self.dim, self.order, 1.0)
-        for k in range(1, self.order + 1):
-            term = term * nil
-            out = out + (-1) ** k * term
-        return _wrap(self.dim, self.order, out._c / c0)
+        dim, order = self.dim, self.order
+        signs = (-1.0, 1.0, -1.0)[:order]
+        return _wrap(dim, order, _series(dim, order, self._nilpotent(c0), signs) / c0)
 
     def deriv(self, var: int) -> "Jet":
         """Partial derivative; the result order drops by one."""
@@ -278,59 +336,56 @@ class Jet:
 def jet_powq(a: Jet, q) -> Jet:
     """a**q for rational q, principal branch of the constant term.
 
-    Generalized binomial series in the nilpotent part; exact at truncation.
+    Generalized binomial series in the nilpotent part, summed in one pass
+    over coefficient arrays; exact at truncation.
     """
     c0 = a.value
     if c0 == 0:
         raise JetError("jet_powq requires nonzero constant term")
     qf = q if isinstance(q, (float, complex)) else float(Fraction(q))
     head = cmath.exp(qf * cmath.log(c0))
-    nil = a._nilpotent(c0)
-    out = Jet.constant(a.dim, a.order, 1.0)
-    term = Jet.constant(a.dim, a.order, 1.0)
-    binom = 1.0
+    binoms, binom = [], 1.0
     for k in range(1, a.order + 1):
         binom *= (qf - (k - 1)) / k
-        term = term * nil
-        out = out + binom * term
-    return head * out
+        binoms.append(binom)
+    return _wrap(a.dim, a.order, _series(a.dim, a.order, a._nilpotent(c0), binoms) * head)
+
+
+def _compose_each(hs, gs: "list[Jet]") -> "list[Jet]":
+    """compose(h, gs) for every h in hs, sharing the monomials of the deltas.
+
+    Row k of the monomial matrix is the coefficient array of delta^alpha_k,
+    alpha_k the k-th monomial of (len(gs), order): one batched product per
+    degree builds them, and each composite is h's coefficient prefix times
+    the matrix.
+    """
+    for h in hs:
+        if h.dim != len(gs):
+            raise JetError(f"h has dim {h.dim} but {len(gs)} arguments given")
+    dim, order = gs[0].dim, gs[0].order
+    for g in gs[1:]:
+        gs[0]._check(g)
+    if any(h.order < order for h in hs):
+        raise JetError("h order too low for requested composition")
+    units, levels = _power_table(len(gs), order)
+    rows = np.zeros((len(monomials(len(gs), order)), len(gs[0]._c)), dtype=np.complex128)
+    rows[0, 0] = 1.0
+    for u, g in zip(units, gs):
+        rows[u, 1:] = g._c[1:]
+    for lo, hi, parents, factors in levels:
+        rows[lo:hi] = _product(dim, order, rows[parents], rows[factors])
+    return [_wrap(dim, order, h._c[: len(rows)] @ rows) for h in hs]
 
 
 def compose(h: Jet, gs: "list[Jet]") -> Jet:
     """Substitute the jets gs into h, recentering h at their constant terms.
 
     h must have order >= the gs' (shared) order, so no h-coefficient that
-    could contribute is missing.
+    could contribute is missing; its coefficients past that order multiply
+    monomials that vanish at truncation.  The monomials of the deltas
+    g - g(0) come from one batched product per degree (see _compose_each).
     """
-    if h.dim != len(gs):
-        raise JetError(f"h has dim {h.dim} but {len(gs)} arguments given")
-    dim, order = gs[0].dim, gs[0].order
-    for g in gs[1:]:
-        gs[0]._check(g)
-    if h.order < order:
-        raise JetError("h order too low for requested composition")
-    deltas = []
-    for g in gs:
-        d = g.copy()
-        d._c[0] = 0.0
-        deltas.append(d)
-    # cache delta powers up to the truncation order
-    pows = []
-    for d in deltas:
-        p = [Jet.constant(dim, order, 1.0)]
-        for _ in range(order):
-            p.append(p[-1] * d)
-        pows.append(p)
-    out = Jet(dim, order)
-    for alpha, c in zip(monomials(h.dim, h.order), h._c):
-        if c == 0 or sum(alpha) > order:
-            continue
-        term = Jet.constant(dim, order, c)
-        for i, e in enumerate(alpha):
-            if e:
-                term = term * pows[i][e]
-        out = out + term
-    return out
+    return _compose_each((h,), gs)[0]
 
 
 def invert_map2(g1: Jet, g2: Jet) -> tuple[Jet, Jet]:
@@ -363,8 +418,9 @@ def invert_map2(g1: Jet, g2: Jet) -> tuple[Jet, Jet]:
     h1 = B[0, 0] * w1 + B[0, 1] * w2
     h2 = B[1, 0] * w1 + B[1, 1] * w2
     for _ in range(max(order - 1, 0)):
-        r1 = w1 - compose(n1, [h1, h2])
-        r2 = w2 - compose(n2, [h1, h2])
+        c1, c2 = _compose_each((n1, n2), [h1, h2])
+        r1 = w1 - c1
+        r2 = w2 - c2
         h1 = B[0, 0] * r1 + B[0, 1] * r2
         h2 = B[1, 0] * r1 + B[1, 1] * r2
     return h1, h2

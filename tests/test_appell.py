@@ -398,6 +398,22 @@ class TestF1Euler:
         with pytest.raises(ValueError, match="modulus on the cut"):
             f1_euler(F1Params("1/3", "1/3", "1/3", 1), x, y)
 
+    # 1/x near the interval (0, 1): the rule was 2.2e-3 off mpmath at
+    # x = 2 + 0.01i and 1.4e-9 at 2 + 0.1i; just beyond the interval's ends
+    # (1/x = -0.01, or 1.01 - 0.01i) it stays within 1e-14
+    @pytest.mark.parametrize("x, y", [(2 + 0.01j, 0.1), (0.1, 2 - 0.1j), (1.25 + 0.02j, 0.3)])
+    def test_near_the_cut_rejected(self, x, y):
+        with pytest.raises(ValueError, match="modulus too near the cut"):
+            f1_euler(F1Params("1/3", "1/3", "1/3", 1), x, y)
+
+    @pytest.mark.parametrize("x", [-100.0, 0.99 + 0.01j])
+    def test_beyond_the_ellipse_accepted(self, x):
+        with mpmath.workdps(30):
+            third = mpmath.mpf("1/3")
+            ref = complex(mpmath.appellf1(third, third, third, 1, mpmath.mpc(x), 0.1))
+        got = f1_euler(F1Params("1/3", "1/3", "1/3", 1), x, 0.1)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
     # the rule once returned values 8e-3 and 4e-5 away from the series here
     @pytest.mark.parametrize("params", [("0.3+0.1j", "1/3", "1/3", 1), ("1/3", "1/3", "1/3", "1+0.1j")])
     def test_non_real_a_or_c_is_a_domain_error(self, params):
@@ -498,3 +514,8 @@ class TestKIntegral:
     def test_cut_rejected(self):
         with pytest.raises(ValueError):
             k_integral(1.5, 0.0)
+
+    def test_near_the_cut_rejected(self):
+        for integral in (k_integral, k_integral_substituted):
+            with pytest.raises(ValueError, match="modulus too near the cut"):
+                integral(0.2, 2 + 0.01j)

@@ -183,7 +183,8 @@ class TestF1:
     # (a = 1e-12) or failed with "math domain error" (a = 5e-324); overflowing
     # series terms printed five RuntimeWarnings and "did not settle", and at
     # a = 1e308 "cannot convert float infinity to integer".  On the cut the
-    # Euler rule printed 1.0762 - 0.3929i, where F1 is 1.0852 - 0.3945i
+    # Euler rule printed 1.0762 - 0.3929i, where F1 is 1.0852 - 0.3945i, and
+    # at x = 2 + 0.01i, off the cut by 0.0025 in 1/x, 0.22% off mpmath
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -205,9 +206,12 @@ class TestF1:
              "terms overflow"),
             (["--a", "1/3", "--b", "1/3", "--bp", "1/3", "--c", "1", "--x", "2", "--y", "0.1",
               "--method", "euler"], "modulus on the cut"),
+            (["--a", "1/3", "--b", "1/3", "--bp", "1/3", "--c", "1", "--x", "2+0.01j", "--y", "0.1",
+              "--method", "euler"], "modulus too near the cut"),
         ],
         ids=["cancellation", "huge-exponent", "tiny-a", "denormal-a", "tiny-c-minus-a",
-             "overflow-a", "overflow-c", "overflow-budget", "euler-on-the-cut"],
+             "overflow-a", "overflow-c", "overflow-budget", "euler-on-the-cut",
+             "euler-near-the-cut"],
     )
     def test_refusal_is_one_json_error_and_no_warning(self, args, message):
         out = subprocess.run(
@@ -243,6 +247,20 @@ class TestF1:
             third = mpmath.mpf("1/3")
             ref = complex(mpmath.appellf1(mpmath.mpf(a), third, third, int(c), 0.2, 0.1))
         assert abs(got - ref) <= 1e-10 * abs(ref)
+
+    # 1/x lies 0.073 from [0, 1] here, outside the refused ellipse
+    def test_euler_off_the_cut_matches_mpmath(self, runner):
+        res = invoke(
+            runner,
+            ["f1", "--a", "1/3", "--b", "1/3", "--bp", "1/3", "--c", "1",
+             "--x", "2+0.3j", "--y", "0.1", "--method", "euler"],
+        )
+        assert res.exit_code == 0, res.output
+        got = complex(*json.loads(res.stdout)["euler"])
+        with mpmath.workdps(30):
+            third = mpmath.mpf("1/3")
+            ref = complex(mpmath.appellf1(third, third, third, 1, mpmath.mpc(2, 0.3), 0.1))
+        assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 def _strict_json(text):

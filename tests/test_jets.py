@@ -1,18 +1,26 @@
+import cmath
+import sys
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from gl3schwarz import derivs, jets
+from gl3schwarz.derivs import DerivQuad, MapJet2, deriv_quad
 from gl3schwarz.jets import (
     Jet,
     JetError,
     _index,
+    _series,
+    _wrap,
     compose,
     invert_map2,
     jet_powq,
     monomials,
 )
+from gl3schwarz.report import run_suites
 
 
 def rand_jet(rng, dim, order, const_floor=0.0):
@@ -272,12 +280,217 @@ class TestCoefficientLayout:
         rng = random.Random(3)
         a = rand_jet(rng, 2, 3)
         b = rand_jet(rng, 2, 3, const_floor=0.4)
+        g1, g2 = rand_jet(rng, 2, 2), rand_jet(rng, 2, 2)
         results = [
             a + b, a - b, -a, a * b, a / b, a + 1, 1 + a, a - 1, 1 - a, 2 * a, a * 2,
-            a / 2, 2 / b, a**0, a**1, b**-1, a.copy(), a.deriv(0), a.truncate(3),
-            a.truncate(1), jet_powq(b, Fraction(1, 3)),
-            compose(a, [Jet.variable(2, 3, 0), Jet.variable(2, 3, 1)]),
+            a / 2, 2 / b, 1 / b, a**0, a**1, b**-1, b**-2, a.copy(), a.deriv(0),
+            a.truncate(3), a.truncate(1), b._inverse(), jet_powq(b, Fraction(1, 3)),
+            jet_powq(b, -2.5), compose(a, [Jet.variable(2, 3, 0), Jet.variable(2, 3, 1)]),
+            compose(a, [g1, g2]),
+            *invert_map2(Jet.variable(2, 3, 0) + 0.1 * a, Jet.variable(2, 3, 1)),
         ]
         for r in results:
             assert not np.shares_memory(r._c, a._c) and not np.shares_memory(r._c, b._c)
         assert len({id(r._c) for r in results}) == len(results)
+
+    def test_quad_components_are_separate_arrays(self):
+        import random
+
+        rng = random.Random(4)
+        m = MapJet2(Jet.variable(2, 3, 0) + 0.2 * rand_jet(rng, 2, 3), Jet.variable(2, 3, 1))
+        parts = [c._c for c in deriv_quad(m).components()]
+        for i, p in enumerate(parts):
+            assert not np.shares_memory(p, m.u1._c) and not np.shares_memory(p, m.u2._c)
+            assert not any(np.shares_memory(p, q) for q in parts[i + 1:])
+
+
+# The per-term algorithms that the whole-array kernels replaced: one Jet per
+# term, one Jet.__mul__ per product.  They stay here as references only.
+
+
+def _ref_inverse(a):
+    c0 = a.value
+    nil = Jet(a.dim, a.order, a._nilpotent(c0))
+    out = Jet.constant(a.dim, a.order, 1.0)
+    term = Jet.constant(a.dim, a.order, 1.0)
+    for k in range(1, a.order + 1):
+        term = term * nil
+        out = out + (-1) ** k * term
+    return Jet(a.dim, a.order, out._c / c0)
+
+
+def _ref_powq(a, q):
+    c0 = a.value
+    qf = float(Fraction(q))
+    head = cmath.exp(qf * cmath.log(c0))
+    nil = Jet(a.dim, a.order, a._nilpotent(c0))
+    out = Jet.constant(a.dim, a.order, 1.0)
+    term = Jet.constant(a.dim, a.order, 1.0)
+    binom = 1.0
+    for k in range(1, a.order + 1):
+        binom *= (qf - (k - 1)) / k
+        term = term * nil
+        out = out + binom * term
+    return head * out
+
+
+def _ref_compose(h, gs):
+    dim, order = gs[0].dim, gs[0].order
+    deltas = []
+    for g in gs:
+        d = g.copy()
+        d._c[0] = 0.0
+        deltas.append(d)
+    pows = []
+    for d in deltas:
+        p = [Jet.constant(dim, order, 1.0)]
+        for _ in range(order):
+            p.append(p[-1] * d)
+        pows.append(p)
+    out = Jet(dim, order)
+    for alpha, c in zip(monomials(h.dim, h.order), h._c):
+        if c == 0 or sum(alpha) > order:
+            continue
+        term = Jet.constant(dim, order, c)
+        for i, e in enumerate(alpha):
+            if e:
+                term = term * pows[i][e]
+        out = out + term
+    return out
+
+
+def _ref_deriv_quad(m):
+    def det2(p, q, r, s):
+        return p * s - q * r
+
+    k = m.order - 2
+    u1x, u1y = m.u1.deriv(m.ix), m.u1.deriv(m.iy)
+    u2x, u2y = m.u2.deriv(m.ix), m.u2.deriv(m.iy)
+    u1xx, u1xy, u1yy = u1x.deriv(m.ix), u1x.deriv(m.iy), u1y.deriv(m.iy)
+    u2xx, u2xy, u2yy = u2x.deriv(m.ix), u2x.deriv(m.iy), u2y.deriv(m.iy)
+    u1x, u1y, u2x, u2y = (j.truncate(k) for j in (u1x, u1y, u2x, u2y))
+    jac = det2(u1x, u2x, u1y, u2y)
+    neg = -jac
+    return DerivQuad(
+        det2(u1x, u2x, u1xx, u2xx) / jac,
+        det2(u1y, u2y, u1yy, u2yy) / neg,
+        (det2(u1y, u2y, u1xx, u2xx) + 2 * det2(u1x, u2x, u1xy, u2xy)) / jac,
+        (det2(u1x, u2x, u1yy, u2yy) + 2 * det2(u1y, u2y, u1xy, u2xy)) / neg,
+    )
+
+
+def assert_close(got, ref, rel=1e-13):
+    assert (got.dim, got.order) == (ref.dim, ref.order)
+    scale = max(ref.max_abs(), 1.0)
+    assert np.max(np.abs(got._c - ref._c)) <= rel * scale
+
+
+class TestArrayKernelsMatchThePerTermReferences:
+    @pytest.mark.parametrize("dim, order", DIM_ORDERS)
+    def test_inverse_and_division(self, dim, order):
+        import random
+
+        rng = random.Random(100 + dim * 10 + order)
+        for _ in range(5):
+            a = rand_jet(rng, dim, order)
+            b = rand_jet(rng, dim, order, const_floor=0.4)
+            assert_close(b._inverse(), _ref_inverse(b))
+            assert_close(1 / b, _ref_inverse(b))
+            assert_close(a / b, a * _ref_inverse(b))
+
+    @pytest.mark.parametrize("dim, order", DIM_ORDERS)
+    @pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(-2, 3), Fraction(5, 2)])
+    def test_powq(self, dim, order, q):
+        import random
+
+        rng = random.Random(200 + dim * 10 + order)
+        for _ in range(5):
+            a = rand_jet(rng, dim, order, const_floor=0.4)
+            assert_close(jet_powq(a, q), _ref_powq(a, q))
+
+    @pytest.mark.parametrize("dim, order", DIM_ORDERS)
+    @pytest.mark.parametrize("hdim", [1, 2, 4])
+    def test_compose(self, dim, order, hdim):
+        # h at the arguments' order and above it, whose extra terms vanish
+        import random
+
+        rng = random.Random(300 + dim * 10 + order + 1000 * hdim)
+        for h_order in range(order, 4):
+            h = rand_jet(rng, hdim, h_order)
+            gs = [rand_jet(rng, dim, order) for _ in range(hdim)]
+            assert_close(compose(h, gs), _ref_compose(h, gs))
+
+    @pytest.mark.parametrize("dim, order", [(d, o) for d, o in DIM_ORDERS if d >= 2 and o >= 2])
+    def test_deriv_quad(self, dim, order):
+        import random
+
+        rng = random.Random(400 + dim * 10 + order)
+        for active in ((0, 1), (1, 0), (dim - 1, 0)):
+            base = [Jet.variable(dim, order, v) for v in active]
+            m = MapJet2(*(v + 0.3 * rand_jet(rng, dim, order) for v in base), active=active)
+            for got, ref in zip(deriv_quad(m).components(), _ref_deriv_quad(m).components()):
+                assert_close(got, ref)
+
+
+# Negative controls for the array kernels: each row plants one plausible
+# slip in a kernel, by monkeypatching, and the seed-42 report must fail.
+
+
+def _inverse_without_alternation(self):
+    dim, order = self.dim, self.order
+    signs = (1.0, 1.0, 1.0)[:order]  # (-1.0, 1.0, -1.0) in the kernel
+    return _wrap(dim, order, _series(dim, order, self._nilpotent(self.value), signs) / self.value)
+
+
+def _powq_dropping_the_k(a, q):
+    c0 = a.value
+    qf = q if isinstance(q, (float, complex)) else float(Fraction(q))
+    binoms, binom = [], 1.0
+    for k in range(1, a.order + 1):
+        binom *= qf - (k - 1)  # the / k of the binomial coefficient dropped
+        binoms.append(binom)
+    head = cmath.exp(qf * cmath.log(c0))
+    return _wrap(a.dim, a.order, _series(a.dim, a.order, a._nilpotent(c0), binoms) * head)
+
+
+def _fault_inverse_sign(monkeypatch):
+    monkeypatch.setattr(Jet, "_inverse", _inverse_without_alternation)
+
+
+def _fault_powq_binomial(monkeypatch):
+    # every module that imported it by name
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("gl3schwarz") and getattr(mod, "jet_powq", None) is jet_powq:
+            monkeypatch.setattr(mod, "jet_powq", _powq_dropping_the_k)
+
+
+def _fault_power_table_swap(monkeypatch):
+    original = jets._power_table
+
+    def swapped(dim, order):
+        units, levels = original(dim, order)
+        if dim < 2:
+            return units, levels
+        swap = {units[0]: units[1], units[1]: units[0]}
+        return units, tuple(
+            (lo, hi, parents, np.array([swap.get(int(f), f) for f in factors]))
+            for lo, hi, parents, factors in levels
+        )
+
+    monkeypatch.setattr(jets, "_power_table", swapped)
+
+
+def _fault_det_pair_swap(monkeypatch):
+    dets = derivs._DETS.copy()
+    dets[:, 0] = dets[::-1, 0]  # |u_xx; u_x| in place of |u_x; u_xx|
+    monkeypatch.setattr(derivs, "_DETS", dets)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [_fault_inverse_sign, _fault_powq_binomial, _fault_power_table_swap, _fault_det_pair_swap],
+    ids=["inverse-sign", "powq-binomial", "power-table-swap", "det-pair-swap"],
+)
+def test_a_kernel_fault_fails_the_report(monkeypatch, fault):
+    fault(monkeypatch)
+    assert run_suites(seed=42)["summary"]["failed"] > 0
