@@ -179,6 +179,14 @@ def f1(a, b, bp, c, x, y, method):
     _emit(out)
 
 
+def _coefficient(val) -> complex:
+    """A map coefficient: a JSON number or a [re, im] pair of numbers."""
+    parts = val if isinstance(val, list) and len(val) == 2 else (val, 0)
+    if not all(type(p) in (int, float) for p in parts):
+        raise ValueError(f"malformed map file: coefficient {val!r} is not a number or [re, im]")
+    return complex(*parts)
+
+
 def _poly_jet(coeffs: dict, base, order: int = 3) -> Jet:
     x, y = Jet.variables(2, order, base)
     out = Jet.constant(2, order, 0.0)
@@ -186,9 +194,7 @@ def _poly_jet(coeffs: dict, base, order: int = 3) -> Jet:
         e1, e2 = (int(p) for p in key.split(","))
         if e1 < 0 or e2 < 0:
             raise ValueError(f"negative exponent in key {key!r}")
-        val = coeffs[key]
-        c = complex(val[0], val[1]) if isinstance(val, (list, tuple)) else complex(val)
-        out = out + c * x**e1 * y**e2
+        out = out + _coefficient(coeffs[key]) * x**e1 * y**e2
     return out
 
 
@@ -209,10 +215,12 @@ def deriv(map_file, at):
             spec = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed map file: {exc}")
+    if not isinstance(spec, dict):
+        raise ValueError("malformed map file: expected a JSON object")
     if spec.get("dim", 2) != 2:
         raise ValueError("map file must have dim 2")
-    if "u1" not in spec or "u2" not in spec:
-        raise ValueError("map file needs u1 and u2 coefficient tables")
+    if not all(isinstance(spec.get(k), dict) for k in ("u1", "u2")):
+        raise ValueError("malformed map file: u1 and u2 must be coefficient tables")
     m = MapJet2(_poly_jet(spec["u1"], at), _poly_jet(spec["u2"], at))
     brace_x, brace_y, bracket_x, bracket_y = deriv_quad(m).values()
     _emit(
@@ -331,7 +339,7 @@ def heis(alpha, q):
         a, b = (int(p) for p in alpha.split(","))
     except ValueError:
         raise click.UsageError(f"--alpha expects two integers, got {alpha!r}")
-    elem = HeisenbergElem.from_alpha_q(Eis(a, b), q)
+    elem = HeisenbergElem(Eis(a, b), q)
     m, n, ell = decompose_heisenberg(elem)
     _emit(
         {

@@ -23,7 +23,7 @@ from .jets import (
     _wrap,
     monomials,
 )
-from .lft import _as_numpy, act_jets, denominator
+from .lft import _as_numpy, act, denominator
 from .worst import worst_of
 
 _TINY = 1e-14
@@ -85,7 +85,7 @@ def _unit(dim: int, var: int) -> tuple:
 
 def lft_map(g, z, order: int = 3) -> MapJet2:
     """Jets of the linear fractional action of g at the point z."""
-    return MapJet2(*act_jets(g, z, order))
+    return MapJet2(*act(g, Jet.variables(2, order, z)))
 
 
 class DerivQuad:

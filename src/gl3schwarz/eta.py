@@ -116,7 +116,7 @@ def _poly_eq(p: dict, q: dict) -> bool:
 
 @dataclass(frozen=True)
 class AutomorphyFactor:
-    """Exact multiplier e^{2 pi i phase} * (prod num / prod den)^{form_power}.
+    """Exact multiplier e^{2 pi i phase} * (prod num / prod den)^(1/3).
 
     num and den are tuples of affine rows (c1, c2, c3) standing for
     c1 w1 + c2 w2 + c3; empty tuples mean the trivial form 1.
@@ -125,8 +125,6 @@ class AutomorphyFactor:
     phase: Fraction
     num: tuple = ()
     den: tuple = ()
-    form_power: Fraction = Fraction(1, 3)
-    det_power: Fraction = Fraction(-1, 9)
 
     def __post_init__(self):
         object.__setattr__(self, "num", tuple(_as_row(r) for r in self.num))
@@ -198,6 +196,10 @@ def word_factor(word, base=None) -> AutomorphyFactor:
 _S3C3 = (("S", 3), ("commutator", 1), ("S", 3))
 
 
+def _claim(row) -> AutomorphyFactor:
+    return AutomorphyFactor(row.phase, row.num, row.den)
+
+
 @dataclass(frozen=True)
 class VariantRow:
     label: str
@@ -209,22 +211,22 @@ class VariantRow:
     num: tuple = ()
     den: tuple = ()
 
-    def verify(self) -> dict:
-        target = VARIANTS[self.lhs] * word_product(self.g_word)
+    def holds(self) -> bool:
         factor, matrix = _word_factor(self.word, VARIANTS[self.rhs])
-        claimed = AutomorphyFactor(self.phase, self.num, self.den)
-        matrix_ok = matrix == target
-        factor_ok = factor.same_as(claimed)
-        return {
-            "identity": self.label,
-            "matrix_ok": matrix_ok,
-            "factor_ok": factor_ok,
-            "ok": matrix_ok and factor_ok,
-        }
+        target = VARIANTS[self.lhs] * word_product(self.g_word)
+        return matrix == target and factor.same_as(_claim(self))
 
 
 @dataclass(frozen=True)
 class QuotientRow:
+    """num_row / den_row, landing on target with the claimed multiplier.
+
+    Once both sub-rows hold, each word factor agrees with its claim under
+    same_as.  same_as is a congruence under division and no table row is the
+    zero form, so comparing the quotient of the claims with the claim here
+    also settles the quotient of the word factors.
+    """
+
     label: str
     num_row: VariantRow
     den_row: VariantRow
@@ -233,26 +235,15 @@ class QuotientRow:
     num: tuple = ()
     den: tuple = ()
 
-    def verify(self) -> dict:
-        sub = [self.num_row.verify(), self.den_row.verify()]
-        pair_ok = (
-            self.num_row.g_word == self.den_row.g_word
-            and _PHI_NAMES.get((self.num_row.rhs, self.den_row.rhs)) == self.target
+    def holds(self) -> bool:
+        top, bottom = self.num_row, self.den_row
+        return (
+            top.holds()
+            and bottom.holds()
+            and top.g_word == bottom.g_word
+            and _PHI_NAMES.get((top.rhs, bottom.rhs)) == self.target
+            and (_claim(top) / _claim(bottom)).same_as(_claim(self))
         )
-        f_num, _ = _word_factor(self.num_row.word, VARIANTS[self.num_row.rhs])
-        f_den, _ = _word_factor(self.den_row.word, VARIANTS[self.den_row.rhs])
-        claim_num = AutomorphyFactor(self.num_row.phase, self.num_row.num, self.num_row.den)
-        claim_den = AutomorphyFactor(self.den_row.phase, self.den_row.num, self.den_row.den)
-        quotient = claim_num / claim_den
-        claimed = AutomorphyFactor(self.phase, self.num, self.den)
-        factor_ok = (f_num / f_den).same_as(claimed) and quotient.same_as(claimed)
-        ok = all(s["ok"] for s in sub) and pair_ok and factor_ok
-        return {
-            "identity": self.label,
-            "matrix_ok": all(s["matrix_ok"] for s in sub) and pair_ok,
-            "factor_ok": factor_ok,
-            "ok": ok,
-        }
 
 
 _PHI_NAMES = {
@@ -424,83 +415,67 @@ _R46 = {
 }
 
 
-def _scalar_bookkeeping() -> dict:
+def _scalar_bookkeeping() -> bool:
     """The diagonal-unit identities behind the nine scalar classes."""
     g = _GEN
     w, wb = OMEGA, OMEGA_BAR
-    checks = {
-        "commutator": g["commutator"] == EisMatrix([[1, 0, wb - w], [0, 1, 0], [0, 0, 1]]),
-        "S^2": g["S"] ** 2 == EisMatrix.diag(w, w, w),
-        "S^4": g["S"] ** 4 == EisMatrix.diag(wb, wb, wb),
-        "S^6": g["S"] ** 6 == EisMatrix.identity(),
-        "U1^2": g["U1"] ** 2 == EisMatrix.diag(1, wb, 1),
-        "U1^3": g["U1"] ** 3 == EisMatrix.diag(1, -1, 1),
-        "U1^4": g["U1"] ** 4 == EisMatrix.diag(1, w, 1),
-        "U1^6": g["U1"] ** 6 == EisMatrix.identity(),
-        "U2^6": g["U2"] ** 6 == EisMatrix.identity(),
-        "(U1 U2)^3": (g["U1"] * g["U2"]) ** 3 == EisMatrix.diag(-1, 1, -1),
-        "S^2 U1^2": g["S"] ** 2 * g["U1"] ** 2 == EisMatrix.diag(w, 1, w),
-        "(S^2 U1^2)^2": (g["S"] ** 2 * g["U1"] ** 2) ** 2 == EisMatrix.diag(wb, 1, wb),
-        "S^4 U1^2": g["S"] ** 4 * g["U1"] ** 2 == EisMatrix.diag(wb, w, wb),
-        "(S^4 U1^2)^2": (g["S"] ** 4 * g["U1"] ** 2) ** 2 == EisMatrix.diag(w, wb, w),
-    }
-    return {
-        "identity": "scalar and commutator bookkeeping",
-        "matrix_ok": all(checks.values()),
-        "factor_ok": True,
-        "ok": all(checks.values()),
-    }
+    return (
+        g["commutator"] == EisMatrix([[1, 0, wb - w], [0, 1, 0], [0, 0, 1]])
+        and g["S"] ** 2 == EisMatrix.diag(w, w, w)
+        and g["S"] ** 4 == EisMatrix.diag(wb, wb, wb)
+        and g["S"] ** 6 == EisMatrix.identity()
+        and g["U1"] ** 2 == EisMatrix.diag(1, wb, 1)
+        and g["U1"] ** 3 == EisMatrix.diag(1, -1, 1)
+        and g["U1"] ** 4 == EisMatrix.diag(1, w, 1)
+        and g["U1"] ** 6 == EisMatrix.identity()
+        and g["U2"] ** 6 == EisMatrix.identity()
+        and (g["U1"] * g["U2"]) ** 3 == EisMatrix.diag(-1, 1, -1)
+        and g["S"] ** 2 * g["U1"] ** 2 == EisMatrix.diag(w, 1, w)
+        and (g["S"] ** 2 * g["U1"] ** 2) ** 2 == EisMatrix.diag(wb, 1, wb)
+        and g["S"] ** 4 * g["U1"] ** 2 == EisMatrix.diag(wb, w, wb)
+        and (g["S"] ** 4 * g["U1"] ** 2) ** 2 == EisMatrix.diag(w, wb, w)
+    )
 
 
-def _generator_decompositions() -> dict:
+def _generator_decompositions() -> bool:
     """The five lattice generators in terms of T1, T2, S, U1, U2."""
-    ok = all(word_product(w) == _GEN[name] for name, w in DECOMPOSITION_WORDS.items())
-    return {
-        "identity": "lattice generators decompose over T1, T2, S, U1, U2",
-        "matrix_ok": ok,
-        "factor_ok": True,
-        "ok": ok,
-    }
+    return all(word_product(w) == _GEN[name] for name, w in DECOMPOSITION_WORDS.items())
 
 
-def _variant_matrix_forms() -> dict:
+def _variant_matrix_forms() -> bool:
     """Explicit matrices of the shifted and conjugated variants."""
     r = SQRTM3
-    checks = (
-        M3 == EisMatrix([[1, 0, r], [0, 1 - OMEGA, 0], [0, 0, 3]]),
-        M4 == EisMatrix([[3, 0, 0], [0, 1 - OMEGA, 0], [r, 0, 1]]),
-        M5 == EisMatrix([[-2, 0, r], [0, 1 - OMEGA, 0], [3 * r, 0, 3]]),
+    return (
+        M3 == EisMatrix([[1, 0, r], [0, 1 - OMEGA, 0], [0, 0, 3]])
+        and M4 == EisMatrix([[3, 0, 0], [0, 1 - OMEGA, 0], [r, 0, 1]])
+        and M5 == EisMatrix([[-2, 0, r], [0, 1 - OMEGA, 0], [3 * r, 0, 3]])
     )
-    return {
-        "identity": "explicit matrices of eta3, eta4, eta5",
-        "matrix_ok": all(checks),
-        "factor_ok": True,
-        "ok": all(checks),
-    }
+
+
+def _verdicts(*tables) -> dict[str, bool]:
+    return {row.label: row.holds() for table in tables for row in table.values()}
 
 
 @functools.cache
-def eta_variant_identities() -> dict:
-    """Verify every variant identity exactly; report keyed by proposition.
+def eta_variant_identities() -> dict[str, dict[str, bool]]:
+    """Verify every variant identity exactly: {proposition: {label: verdict}}.
 
     Computed once per process: the table takes no input, and callers only
     read it.
     """
-    sections = {
-        "P4.1": [_scalar_bookkeeping()] + [r.verify() for r in _R41.values()],
-        "P4.2": [_generator_decompositions()] + [r.verify() for r in _R42.values()],
-        "P4.3": (
-            [_variant_matrix_forms()]
-            + [r.verify() for r in _R418.values()]
-            + [r.verify() for r in _R43.values()]
-        ),
-        "P4.4": [r.verify() for r in _R44.values()],
-        "P4.5": [r.verify() for r in _R45.values()],
-        "P4.6": [r.verify() for r in _R46.values()],
-    }
     return {
-        key: {"rows": rows, "ok": all(r["ok"] for r in rows)}
-        for key, rows in sections.items()
+        "P4.1": {"scalar and commutator bookkeeping": _scalar_bookkeeping(), **_verdicts(_R41)},
+        "P4.2": {
+            "lattice generators decompose over T1, T2, S, U1, U2": _generator_decompositions(),
+            **_verdicts(_R42),
+        },
+        "P4.3": {
+            "explicit matrices of eta3, eta4, eta5": _variant_matrix_forms(),
+            **_verdicts(_R418, _R43),
+        },
+        "P4.4": _verdicts(_R44),
+        "P4.5": _verdicts(_R45),
+        "P4.6": _verdicts(_R46),
     }
 
 

@@ -282,8 +282,13 @@ class Jet:
         if n < 0:
             return self._inverse() ** (-n)
         out = Jet.constant(self.dim, self.order, 1.0)
-        for _ in range(n):
-            out = out * self
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def _nilpotent(self, c0) -> np.ndarray:

@@ -1,7 +1,7 @@
 """GL(3, C) linear fractional action on C^2 and exact Eisenstein-integer algebra.
 
 The exact layer (Eis, EisMatrix) carries the generator zoo, word
-verification, and the Heisenberg-lattice decomposition; the numeric layer
+products, and the Heisenberg-lattice decomposition; the numeric layer
 (act on numbers or jets, and its denominator) drives everything downstream
 that samples points.  jacobian_factor is the closed form of the action's
 Jacobian, Delta (c.z)^-3, which the tests hold the jet Jacobian to.
@@ -278,11 +278,6 @@ DECOMPOSITION_WORDS = {
 }
 
 
-def verify_word(target: EisMatrix, word) -> bool:
-    """Exact equality of target with the word product; no floating point."""
-    return word_product(word) == target
-
-
 def _as_numpy(g) -> np.ndarray:
     if isinstance(g, EisMatrix):
         return g.to_numpy()
@@ -313,11 +308,6 @@ def act(g, z):
     )
 
 
-def act_jets(g, z, order: int = 3) -> tuple[Jet, Jet]:
-    """Jets of the action of g at the point z."""
-    return act(g, Jet.variables(2, order, z))
-
-
 def det_and_matrix(g) -> tuple[complex, np.ndarray]:
     """(det g, g as a numpy matrix); the det is exact for an EisMatrix."""
     if isinstance(g, EisMatrix):
@@ -336,55 +326,42 @@ def jacobian_factor(g, z) -> complex:
 
 
 class HeisenbergElem:
-    """[alpha, beta] with beta = (p + q*sqrt(-3))/2 exactly, p = norm(alpha)."""
+    """[alpha, beta] with beta = (N(alpha) + q*sqrt(-3))/2 exactly.
 
-    __slots__ = ("alpha", "p", "q")
+    Then beta + conj(beta) = alpha*conj(alpha) by construction.
+    """
 
-    def __init__(self, alpha: Eis, p: int, q: int):
+    __slots__ = ("alpha", "q")
+
+    def __init__(self, alpha: Eis, q: int):
         alpha = _lift(alpha)
         if not alpha.is_integral():
             raise ValueError("alpha must be an Eisenstein integer")
-        if Fraction(p) != alpha.norm():
-            raise ValueError("beta + conj(beta) must equal alpha*conj(alpha)")
         self.alpha = alpha
-        self.p = int(p)
         self.q = int(q)
 
-    @classmethod
-    def from_alpha_q(cls, alpha: Eis, q: int) -> "HeisenbergElem":
-        alpha = _lift(alpha)
-        return cls(alpha, int(alpha.norm()), q)
-
     def beta(self) -> Eis:
-        # sqrt(-3) = 1 + 2*omega, so (p + q*sqrt(-3))/2 = (p + q)/2 + q*omega
-        return Eis(Fraction(self.p + self.q, 2), self.q)
+        # sqrt(-3) = 1 + 2*omega, so (N + q*sqrt(-3))/2 = (N + q)/2 + q*omega
+        return Eis(Fraction(self.alpha.norm() + self.q, 2), self.q)
 
     def to_matrix(self) -> EisMatrix:
         return EisMatrix(
             [[1, self.alpha, self.beta()], [0, 1, self.alpha.conj()], [0, 0, 1]]
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, HeisenbergElem):
-            return NotImplemented
-        return self.alpha == other.alpha and self.p == other.p and self.q == other.q
-
     def __repr__(self):
-        return f"HeisenbergElem(alpha={self.alpha!r}, beta=({self.p}+{self.q}*sqrt(-3))/2)"
+        return f"HeisenbergElem(alpha={self.alpha!r}, q={self.q})"
 
 
 def decompose_heisenberg(elem: HeisenbergElem) -> tuple[int, int, int]:
     """(m, n, l) with T1^m T2^n [T1,T2]^{-l-m-n-mn} equal to elem, exactly."""
-    if elem.alpha.a.denominator != 1 or elem.alpha.b.denominator != 1:
-        raise ValueError("alpha not integral")
-    m = int(elem.alpha.a)
-    n = int(elem.alpha.b)
+    m, n = elem.alpha.a, elem.alpha.b
     num = elem.q - m - n - m * n
     if num % 2 != 0:
         raise ValueError("element not in the T1, T2 lattice (parity obstruction)")
     l = num // 2
     word = [("T1", m), ("T2", n), ("commutator", -l - m - n - m * n)]
-    if not verify_word(elem.to_matrix(), word):
+    if word_product(word) != elem.to_matrix():
         raise AssertionError("decomposition failed to reproduce the element")
     return m, n, l
 

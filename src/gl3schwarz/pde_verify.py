@@ -21,24 +21,6 @@ from .derivs import DerivQuad, MapJet2, deriv_quad
 from .jets import Jet, JetError, jet_powq
 from .worst import worst_of
 
-__all__ = [
-    "BASE_MARGIN",
-    "PICARD",
-    "PICARD_MODULAR",
-    "ParamTriple",
-    "field_quad",
-    "mt1_residuals",
-    "mt1_relative_residual",
-    "mt2_solution_residuals",
-    "mt2_field_recovery_gap",
-    "pfaffian_jet",
-    "picard_modular_form_residuals",
-    "pole_quotient",
-    "pole_sum",
-    "w_system_residuals",
-    "z_system_residuals",
-]
-
 # Sample points must keep this distance from the poles {0, 1, v_other}.
 BASE_MARGIN = 0.05
 

@@ -20,24 +20,6 @@ from .lft import denominator
 from .pde_verify import ParamTriple, _pole_gap, field_quad, pole_quotient, pole_sum
 from .worst import worst_of
 
-__all__ = [
-    "ModuliPair",
-    "TransformABG",
-    "S3_MATRICES",
-    "corollary52_check",
-    "f_sign_relations",
-    "j_invariants",
-    "modular_form_value",
-    "modular_residual",
-    "modular_solve",
-    "order5_map",
-    "p_transform_relations",
-    "param_table_check",
-    "pullback_identity_check",
-    "s3_orbit",
-    "transform_abg",
-]
-
 _TINY = 1e-12
 
 

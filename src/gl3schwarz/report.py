@@ -68,7 +68,6 @@ from .lft import (
     act,
     denominator,
     generators,
-    verify_word,
     word_product,
 )
 from .pde_verify import (
@@ -215,7 +214,7 @@ def _exact(ok: bool) -> float:
 
 def _check_group_algebra(rng, n):
     g = generators()
-    yield _exact(verify_word(g["commutator"], (("T1", 1), ("T2", 1), ("T1", -1), ("T2", -1))))
+    yield _exact(word_product((("T1", 1), ("T2", 1), ("T1", -1), ("T2", -1))) == g["commutator"])
     yield _exact((g["S"] * g["T1"]) ** 4 == EisMatrix.identity().scale(OMEGA))
     yield _exact((g["S"] * g["T2"]) ** 4 == EisMatrix.identity().scale(OMEGA))
     form = g["J"]
@@ -453,8 +452,8 @@ def _check_sign_tables(rng, n):
 
 def _p4_runner(section):
     def run(rng, n):
-        for row in eta_variant_identities()[section]["rows"]:
-            yield _exact(row["ok"])
+        for ok in eta_variant_identities()[section].values():
+            yield _exact(ok)
 
     return run
 

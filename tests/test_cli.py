@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -382,6 +383,36 @@ class TestDeriv:
         path.write_text("{not json")
         res = invoke(runner, ["deriv", "--map", str(path), "--at", "0,0"])
         assert res.exit_code == 1
+
+    # each of these once ended in a traceback: AttributeError, TypeError,
+    # IndexError; a string coefficient was parsed by complex()
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            [],
+            {"dim": 2, "u1": {"1,0": {"a": 1}}, "u2": {"0,1": 1}},
+            {"dim": 2, "u1": {"1,0": [1]}, "u2": {"0,1": 1}},
+            {"dim": 2, "u1": {"1,0": "1+2j"}, "u2": {"0,1": 1}},
+            {"dim": 2, "u1": [[1, 0]], "u2": {"0,1": 1}},
+        ],
+        ids=["top-level-list", "object-coefficient", "short-pair", "string-coefficient",
+             "list-table"],
+    )
+    def test_malformed_map_is_one_json_error(self, runner, tmp_path, spec):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(spec))
+        res = invoke(runner, ["deriv", "--map", str(path), "--at", "0.1,0.2"])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["error"].startswith("malformed map file")
+
+    def test_huge_exponent_is_quick(self, runner, tmp_path):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"u1": {"1,0": 1, "1000000000,0": 1}, "u2": {"0,1": 1}}))
+        start = time.perf_counter()
+        res = invoke(runner, ["deriv", "--map", str(path), "--at", "0.1,0.2"])
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 0, res.output
 
     def test_wrong_dim_exits_one(self, runner, tmp_path):
         path = tmp_path / "map.json"

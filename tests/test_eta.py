@@ -1,9 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gl3schwarz import lft
+from gl3schwarz import eta, lft
 from gl3schwarz.eta import (
     AutomorphyFactor,
     eta36,
@@ -16,6 +17,7 @@ from gl3schwarz.eta import (
     word_factor,
 )
 from gl3schwarz.jets import Jet
+from gl3schwarz.report import run_suites
 
 GENS = lft.generators()
 
@@ -142,16 +144,18 @@ class TestVariantIdentities:
     def test_all_sections_pass(self, report):
         assert set(report) == {"P4.1", "P4.2", "P4.3", "P4.4", "P4.5", "P4.6"}
         for key, section in report.items():
-            assert section["ok"], (key, section["rows"])
+            assert all(section.values()), (key, [l for l, ok in section.items() if not ok])
 
-    def test_every_row_passes(self, report):
-        for section in report.values():
-            for row in section["rows"]:
-                assert row["matrix_ok"], row
-                assert row["factor_ok"], row
+    def test_every_row_passes(self):
+        # _R_AUX rows are reached in the report only as quotient sub-rows
+        tables = (eta._R41, eta._R42, eta._R418, eta._R43, eta._R_AUX,
+                  eta._R44, eta._R45, eta._R46)
+        for table in tables:
+            for row in table.values():
+                assert row.holds(), row.label
 
     def test_row_counts(self, report):
-        counts = {k: len(v["rows"]) for k, v in report.items()}
+        counts = {k: len(v) for k, v in report.items()}
         assert counts == {
             "P4.1": 6,
             "P4.2": 11,
@@ -174,6 +178,65 @@ class TestVariantIdentities:
         from gl3schwarz.eta import D1
 
         assert D1 * GENS["commutator"] ** -1 == GENS["commutator"] ** -3 * D1
+
+
+def _p41_phase(mp):
+    row = eta._R41["T1"]
+    mp.setitem(eta._R41, "T1", replace(row, phase=row.phase + Fraction(1, 3)))
+
+
+def _p42_word(mp):
+    row = eta._R42["g1a"]
+    mp.setitem(eta._R42, "g1a", replace(row, word=(("U1", 2), ("T2", 1))))
+
+
+def _p43_explicit_matrix(mp):
+    mp.setattr(eta, "M4", eta.M4 * GENS["T1"])
+
+
+def _p44_target(mp):
+    mp.setitem(eta._R44, "g3", replace(eta._R44["g3"], target="phi1"))
+
+
+def _p45_aux_word(mp):
+    row = eta._R45["phi1"]
+    assert row.num_row is eta._R_AUX["eta1_c"]
+    sub = replace(row.num_row, word=(("commutator", 2),))
+    mp.setitem(eta._R45, "phi1", replace(row, num_row=sub))
+
+
+def _p46_aux_claim(mp):
+    # the quotient claim moves with the sub-row, so only the sub-row can fail
+    row = eta._R46["phi2"]
+    assert row.den_row is eta._R_AUX["eta2_s3c-3s3"]
+    sub = replace(row.den_row, phase=row.den_row.phase + Fraction(1, 3))
+    mp.setitem(eta._R46, "phi2", replace(row, den_row=sub, phase=row.phase - Fraction(1, 3)))
+
+
+@pytest.fixture
+def fresh_identities():
+    # torn down before monkeypatch: the mutated table must not stay cached
+    yield
+    eta_variant_identities.cache_clear()
+
+
+# negative controls: one mutated table entry fails its own check and no other
+@pytest.mark.parametrize(
+    "check, mutate",
+    [
+        ("P4.1", _p41_phase),
+        ("P4.2", _p42_word),
+        ("P4.3", _p43_explicit_matrix),
+        ("P4.4", _p44_target),
+        ("P4.5", _p45_aux_word),
+        ("P4.6", _p46_aux_claim),
+    ],
+)
+def test_a_mutated_identity_fails_its_check_only(monkeypatch, fresh_identities, check, mutate):
+    mutate(monkeypatch)
+    eta_variant_identities.cache_clear()
+    failed = {c["id"] for c in run_suites(("eta",), seed=42)["checks"] if not c["pass"]}
+    assert failed == {check}
 
 
 class TestEta36:

@@ -1,5 +1,6 @@
 import cmath
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -68,6 +69,30 @@ class TestArith:
         x = Jet.variable(1, 2, 0)
         with pytest.raises(JetError):
             (1 + x) / x
+
+
+class TestIntegerPower:
+    def test_small_powers_match_the_product_loop(self):
+        x, y = Jet.variables(2, 3, (0.3 + 0.2j, -0.4))
+        f = 1 + x * y - 2 * y
+        for n in range(4):
+            loop = Jet.constant(2, 3, 1.0)
+            for _ in range(n):
+                loop = loop * f
+            assert (f**n - loop).max_abs() <= 1e-15 * loop.max_abs()
+
+    def test_negative_power_inverts_first(self):
+        x, y = Jet.variables(2, 3, (0.3 + 0.2j, -0.4))
+        f = 1 + x * y - 2 * y
+        assert (f**-3).allclose(1 / (f * f * f), tol=1e-13)
+
+    def test_huge_exponent_is_quick(self):
+        # a product per step took 14.6 s at n = 3,000,000
+        x, y = Jet.variables(2, 3, (0.1, 0.2))
+        start = time.perf_counter()
+        out = (x + y) ** 10**9
+        assert time.perf_counter() - start < 1.0
+        assert out.max_abs() == 0.0  # 0.3 ** (10**9 - 3) underflows
 
 
 class TestPowq:

@@ -17,13 +17,12 @@ from gl3schwarz.lft import (
     EisMatrix,
     HeisenbergElem,
     act,
-    act_jets,
     decompose_heisenberg,
     generators,
     jacobian_factor,
-    verify_word,
     word_product,
 )
+from gl3schwarz.jets import Jet
 
 G = generators()
 I3 = EisMatrix.identity()
@@ -194,20 +193,20 @@ class TestGenerators:
 
 class TestWords:
     def test_g1_g2_g3(self):
-        assert verify_word(G["g1"], [("U1", -4), ("T1", -1), ("T2", -2)])
-        assert verify_word(G["g2"], [("U1", -4), ("T1", -2), ("T2", -1)])
-        assert verify_word(G["g3"], [("U1", 4)])
+        assert word_product([("U1", -4), ("T1", -1), ("T2", -2)]) == G["g1"]
+        assert word_product([("U1", -4), ("T1", -2), ("T2", -1)]) == G["g2"]
+        assert word_product([("U1", 4)]) == G["g3"]
 
     def test_g4_g5(self):
         S3 = G["S"] ** 3
         tail = (G["S"] ** 4 * G["U2"]).inv()
         word = [(S3, 1), ("commutator", 1), (S3, 1), (tail, 1), ("commutator", 1)]
-        assert verify_word(G["g4"], word)
+        assert word_product(word) == G["g4"]
         word5 = [(S3, 1), ("U1", -4), ("T1", -1), ("T2", 1), (S3, 1)]
-        assert verify_word(G["g5"], word5)
+        assert word_product(word5) == G["g5"]
 
     def test_mismatch_is_false(self):
-        assert not verify_word(G["T1"], [("T2", 1)])
+        assert word_product([("T2", 1)]) != G["T1"]
 
     def test_s3_conjugations(self):
         # S^3 swaps the upper and lower unipotent one-parameter subgroups
@@ -270,7 +269,7 @@ class TestJacobianFactor:
                 complex(1 + rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)),
                 complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)),
             )
-            a1, a2 = act_jets(G[name], z)
+            a1, a2 = act(G[name], Jet.variables(2, 3, z))
             jac = a1.partial((1, 0)) * a2.partial((0, 1)) - a1.partial((0, 1)) * a2.partial((1, 0))
             assert abs(jac - jacobian_factor(G[name], z)) < 1e-12
 
@@ -291,23 +290,27 @@ class TestJacobianFactor:
 
 class TestHeisenberg:
     def test_condition_enforced(self):
+        # beta + conj(beta) = alpha conj(alpha) holds by construction
+        for alpha, q in ((Eis(2, 1), 3), (Eis(-3, 5), -4), (OMEGA, 0)):
+            beta = HeisenbergElem(alpha, q).beta()
+            assert beta + beta.conj() == alpha * alpha.conj()
         with pytest.raises(ValueError):
-            HeisenbergElem(Eis(1, 0), 0, 0)  # beta + conj(beta) != norm(alpha)
+            HeisenbergElem(Eis(Fraction(1, 2), 0), 0)  # alpha not integral
 
     def test_t1_decomposition(self):
-        t1 = HeisenbergElem.from_alpha_q(Eis(1, 0), -1)
+        t1 = HeisenbergElem(Eis(1, 0), -1)
         assert t1.beta() == -OMEGA
         assert t1.to_matrix() == G["T1"]
         assert decompose_heisenberg(t1) == (1, 0, -1)
 
     def test_t2_decomposition(self):
-        t2 = HeisenbergElem.from_alpha_q(OMEGA, -1)
+        t2 = HeisenbergElem(OMEGA, -1)
         assert t2.beta() == -OMEGA
         assert t2.to_matrix() == G["T2"]
         assert decompose_heisenberg(t2) == (0, 1, -1)
 
     def test_central_element(self):
-        center = HeisenbergElem(Eis(0, 0), 0, -2)  # beta = omegabar - omega
+        center = HeisenbergElem(Eis(0, 0), -2)  # beta = omegabar - omega
         assert center.beta() == OMEGA_BAR - OMEGA
         m, n, l = decompose_heisenberg(center)
         assert (m, n) == (0, 0)
@@ -318,6 +321,6 @@ class TestHeisenberg:
             word = [("T1", m0), ("T2", n0), ("commutator", -l0 - m0 - n0 - m0 * n0)]
             target = word_product(word)
             beta = target.m[0][2]
-            elem = HeisenbergElem(Eis(m0, n0), int(2 * beta.a - beta.b), int(beta.b))
+            elem = HeisenbergElem(Eis(m0, n0), int(beta.b))
             assert elem.to_matrix() == target
             assert decompose_heisenberg(elem) == (m0, n0, l0)
