@@ -27,6 +27,8 @@ with numpy alone: Golub-Welsch nodes (eigenvalues of the Jacobi matrix),
 each polished by one Newton step on P_n^(alpha, beta), and weights from
 P_n' at the polished nodes rather than from eigenvector squares, which
 Hale & Townsend (SIAM J. Sci. Comput. 35, 2013) show to be more accurate.
+Rules are cached per exponent pair, and exponents that are roundings of one
+small-denominator rational share its rule.
 """
 
 from __future__ import annotations
@@ -200,9 +202,23 @@ def _jacobi_rule(n: int, alpha: float, beta: float):
     return (1.0 + x) / 2.0, w * (mass / w.sum())
 
 
+# An endpoint exponent within _SNAP_ULPS units in the last place of a
+# rational with denominator at most _SNAP_DENOMINATOR is taken as that
+# rational's float, so spellings such as c - a - 1 and -1/3 share one rule.
+_SNAP_DENOMINATOR = 1000
+_SNAP_ULPS = 4
+
+
+@lru_cache(maxsize=256)
+def _snap(e: float) -> float:
+    """e, or the nearest small-denominator rational when e is a rounding of it."""
+    r = float(Fraction(e).limit_denominator(_SNAP_DENOMINATOR))
+    return r if abs(r - e) <= _SNAP_ULPS * math.ulp(e) else e
+
+
 def _quad(g, alpha: float, beta: float) -> complex:
     """Integral over (0,1) of t^beta (1-t)^alpha g(t)."""
-    t, w = _jacobi_rule(QUAD_NODES, float(alpha), float(beta))
+    t, w = _jacobi_rule(QUAD_NODES, _snap(float(alpha)), _snap(float(beta)))
     return complex(np.sum(w * g(t)))
 
 

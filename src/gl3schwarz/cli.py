@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import functools
 import json
+import math
 import sys
 import time
 
@@ -221,8 +222,17 @@ def deriv(map_file, at):
         raise ValueError("map file must have dim 2")
     if not all(isinstance(spec.get(k), dict) for k in ("u1", "u2")):
         raise ValueError("malformed map file: u1 and u2 must be coefficient tables")
-    m = MapJet2(_poly_jet(spec["u1"], at), _poly_jet(spec["u2"], at))
-    brace_x, brace_y, bracket_x, bracket_y = deriv_quad(m).values()
+    # an overflow leaves a non-finite jet coefficient, which is named here
+    # rather than warned about along the way
+    with np.errstate(all="ignore"):
+        m = MapJet2(_poly_jet(spec["u1"], at), _poly_jet(spec["u2"], at))
+        for name, u in (("u1", m.u1), ("u2", m.u2)):
+            if not math.isfinite(u.max_abs()):
+                raise ValueError(f"map component {name} overflows at the point")
+        quad = deriv_quad(m).values()
+    if not all(cmath.isfinite(v) for v in quad):
+        raise ValueError("the derivatives overflow at the point")
+    brace_x, brace_y, bracket_x, bracket_y = quad
     _emit(
         {
             "map": {"u1": spec["u1"], "u2": spec["u2"]},

@@ -4,11 +4,16 @@ A map is a pair of jets (u1, u2); the four derivatives are determinant
 ratios in its first and second partials. Composition transports the
 quadruple by a 4x4 matrix of cubic monomials in first partials, extended
 to a 5x5 cocycle with one free constant.
+
+Every function here takes stacks of jets as well (see `jets`): a map whose
+jets stack n samples gives quads whose entries stack them, and transport
+matrices of shape (n, 4, 4).  Matrices acting by linear fractional maps
+stack their samples on the last axis, (3, 3, n), so that m[i, j] is entry
+(i, j) of every sample.
 """
 
 from __future__ import annotations
 
-import cmath
 from functools import lru_cache
 
 import numpy as np
@@ -16,6 +21,8 @@ import numpy as np
 from .jets import (
     Jet,
     JetError,
+    _any,
+    _col,
     _compose_each,
     _deriv_table,
     _product,
@@ -35,8 +42,8 @@ class MapJet2:
     __slots__ = ("u1", "u2", "ix", "iy")
 
     def __init__(self, u1: Jet, u2: Jet, active=(0, 1)):
-        if u1.dim != u2.dim or u1.order != u2.order:
-            raise JetError("map components need matching dim and order")
+        if u1.dim != u2.dim or u1.order != u2.order or u1._c.shape != u2._c.shape:
+            raise JetError("map components need matching dim, order and samples")
         ix, iy = active
         if ix == iy or not (0 <= ix < u1.dim and 0 <= iy < u1.dim):
             raise JetError("active variables must be two distinct indices")
@@ -44,6 +51,13 @@ class MapJet2:
         self.u2 = u2
         self.ix = ix
         self.iy = iy
+
+    def __getitem__(self, k) -> "MapJet2":
+        """Sample(s) k of a stacked map."""
+        u1, u2 = self.u1, self.u2
+        return MapJet2(
+            _wrap(u1.dim, u1.order, u1._c[k]), _wrap(u2.dim, u2.order, u2._c[k]), (self.ix, self.iy)
+        )
 
     @property
     def dim(self) -> int:
@@ -77,6 +91,16 @@ class MapJet2:
         return u1x * u2y - u2x * u1y
 
 
+def stack_maps(maps) -> MapJet2:
+    """One map whose jets stack the given maps' jets along a new first axis."""
+    m = maps[0]
+    return MapJet2(
+        _wrap(m.dim, m.order, np.stack([w.u1._c for w in maps])),
+        _wrap(m.dim, m.order, np.stack([w.u2._c for w in maps])),
+        (m.ix, m.iy),
+    )
+
+
 def _unit(dim: int, var: int) -> tuple:
     e = [0] * dim
     e[var] = 1
@@ -84,7 +108,11 @@ def _unit(dim: int, var: int) -> tuple:
 
 
 def lft_map(g, z, order: int = 3) -> MapJet2:
-    """Jets of the linear fractional action of g at the point z."""
+    """Jets of the linear fractional action of g at the point z.
+
+    A stack of matrices (3, 3, n) with points z = (z1, z2) of n entries each
+    gives the stack of the n maps.
+    """
     return MapJet2(*act(g, Jet.variables(2, order, z)))
 
 
@@ -103,16 +131,33 @@ class DerivQuad:
         return (self.brace_x, self.brace_y, self.bracket_x, self.bracket_y)
 
     def values(self) -> tuple[complex, complex, complex, complex]:
-        return tuple(c.value if isinstance(c, Jet) else complex(c) for c in self.components())
+        """The values: complex numbers, or arrays over a stack's samples."""
+        return tuple(
+            c.value if isinstance(c, Jet) else c if isinstance(c, np.ndarray) else complex(c)
+            for c in self.components()
+        )
 
     def vector(self) -> np.ndarray:
-        return np.array(self.values(), dtype=np.complex128)
+        """The four values, on the last axis of a stack: shape (..., 4)."""
+        v = np.array(self.values(), dtype=np.complex128)
+        return v if v.ndim == 1 else np.moveaxis(v, 0, -1)
 
     def max_abs(self) -> float:
+        """The largest |value|, NaN-sticky; per sample for a stacked quad."""
         return worst_of(abs(v) for v in self.values())
 
     def __repr__(self):
         return f"DerivQuad{self.values()!r}"
+
+
+def _quad_of(vec: np.ndarray) -> DerivQuad:
+    """The quad whose values are the last axis of vec."""
+    return DerivQuad(*(vec if vec.ndim == 1 else np.moveaxis(vec, -1, 0)))
+
+
+def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Matrix times vector for every sample of (..., k, k) and (..., k)."""
+    return mat @ vec if vec.ndim == 1 else (mat @ vec[..., None])[..., 0]
 
 
 def _det2(p, q, r, s):
@@ -162,19 +207,20 @@ def deriv_quad(m: MapJet2) -> DerivQuad:
         raise JetError("deriv_quad needs jets of order >= 2")
     dim, k = m.dim, m.order - 2
     src, f1, f2 = _partials_table(dim, m.order, m.ix, m.iy)
-    partials = np.array((m.u1._c, m.u2._c))[:, src] * f1 * f2
+    # (component, ..., partial, coefficient)
+    partials = np.array((m.u1._c, m.u2._c)).take(src, -1) * f1 * f2
     a, b = _DETS
-    prods = _product(dim, k, partials[:, a], partials[::-1, b])
-    sums = np.add.reduceat(prods[0] - prods[1], _NUMERATORS, 0)
-    jac = _wrap(dim, k, sums[4])
-    if abs(jac.value) < _TINY:
+    prods = _product(dim, k, partials[..., a, :], partials[::-1, ..., b, :])
+    sums = np.add.reduceat(prods[0] - prods[1], _NUMERATORS, -2)
+    jac = _wrap(dim, k, sums[..., 4, :])
+    if _any(abs(jac.value) < _TINY):
         raise JetError("zero Jacobian at base point")
-    quot = _product(dim, k, sums[:4], jac._inverse()._c)
-    return DerivQuad(*(_wrap(dim, k, q.copy()) for q in quot))
+    quot = _product(dim, k, sums[..., :4, :], jac._inverse()._c[..., None, :])
+    return DerivQuad(*(_wrap(dim, k, quot[..., i, :].copy()) for i in range(4)))
 
 
 def _transport_from_partials(w1x, w1y, w2x, w2y) -> np.ndarray:
-    return np.array(
+    m = np.array(
         [
             [w1x**3, -(w2x**3), w1x**2 * w2x, -w1x * w2x**2],
             [-(w1y**3), w2y**3, -(w1y**2) * w2y, w1y * w2y**2],
@@ -193,6 +239,7 @@ def _transport_from_partials(w1x, w1y, w2x, w2y) -> np.ndarray:
         ],
         dtype=np.complex128,
     )
+    return m if m.ndim == 2 else np.moveaxis(m, (0, 1), (-2, -1))
 
 
 def transport_matrix(w: MapJet2) -> np.ndarray:
@@ -207,14 +254,17 @@ def chain_rule_rhs(u_quad: DerivQuad, w: MapJet2) -> DerivQuad:
     u_quad must be taken at the image point w(base).
     """
     jac = w.jacobian_value()
-    if abs(jac) < _TINY:
+    if _any(abs(jac) < _TINY):
         raise JetError("zero Jacobian at base point")
-    vec = transport_matrix(w) @ u_quad.vector() / jac + deriv_quad(w).vector()
-    return DerivQuad(*vec)
+    vec = _apply(transport_matrix(w), u_quad.vector()) / _col(jac) + deriv_quad(w).vector()
+    return _quad_of(vec)
 
 
 class ExtendedTransport:
-    """5x5 block cocycle: |M  c*J*quad; 0  J| for a free constant c."""
+    """5x5 block cocycle: |M  c*J*quad; 0  J| for a free constant c.
+
+    For a stacked map c may be an array with one constant per sample.
+    """
 
     __slots__ = ("m", "jac", "quad", "c")
 
@@ -222,13 +272,13 @@ class ExtendedTransport:
         self.m = transport_matrix(w)
         self.jac = w.jacobian_value()
         self.quad = deriv_quad(w)
-        self.c = complex(c)
+        self.c = c if isinstance(c, np.ndarray) else complex(c)
 
     def matrix(self) -> np.ndarray:
-        out = np.zeros((5, 5), dtype=np.complex128)
-        out[:4, :4] = self.m
-        out[:4, 4] = self.c * self.jac * self.quad.vector()
-        out[4, 4] = self.jac
+        out = np.zeros(np.shape(self.jac) + (5, 5), dtype=np.complex128)
+        out[..., :4, :4] = self.m
+        out[..., :4, 4] = _col(self.c * self.jac) * self.quad.vector()
+        out[..., 4, 4] = self.jac
         return out
 
 
@@ -243,8 +293,8 @@ def second_arg_transform(u_quad: DerivQuad, g, z) -> DerivQuad:
     (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = m
     x, y = z
     cz = denominator(m, z)
-    delta = complex(np.linalg.det(m))
-    if abs(cz) < _TINY or abs(delta) < _TINY:
+    delta = np.linalg.det(m if m.ndim == 2 else np.moveaxis(m, (0, 1), (-2, -1)))
+    if _any(abs(cz) < _TINY) or _any(abs(delta) < _TINY):
         raise ZeroDivisionError("vanishing denominator or determinant")
     A1 = (a1 * c2 - a2 * c1) * y + (a1 * c3 - a3 * c1)
     A2 = (a2 * c1 - a1 * c2) * x + (a2 * c3 - a3 * c2)
@@ -252,7 +302,7 @@ def second_arg_transform(u_quad: DerivQuad, g, z) -> DerivQuad:
     B2 = (b2 * c1 - b1 * c2) * x + (b2 * c3 - b3 * c2)
     mat = _transport_from_partials(A1 / cz**2, A2 / cz**2, B1 / cz**2, B2 / cz**2)
     jac = delta / cz**3
-    return DerivQuad(*(mat @ u_quad.vector() / jac))
+    return _quad_of(_apply(mat, u_quad.vector()) / _col(jac))
 
 
 def jacobian_deformation(fhat1: Jet, fhat2: Jet, z: MapJet2) -> complex:
@@ -274,7 +324,7 @@ def jacobian_deformation(fhat1: Jet, fhat2: Jet, z: MapJet2) -> complex:
     z2_11, z2_12, z2_22 = z2.partial((2, 0)), z2.partial((1, 1)), z2.partial((0, 2))
 
     jac = z1w1 * z2w2 - z2w1 * z1w2
-    if abs(jac) < _TINY:
+    if _any(abs(jac) < _TINY):
         raise JetError("zero Jacobian at base point")
 
     return (
@@ -301,62 +351,84 @@ def transported_pair(fhat1: Jet, fhat2: Jet, z: MapJet2) -> tuple[Jet, Jet]:
     )
 
 
+def exponent_rows(pairs):
+    """(lambda, mu, rows) of three exponent pairs, rows = (lambda_i, mu_i, 1).
+
+    pairs has shape (3, 2), or (..., 3, 2) for a stack of triples; a
+    singular row matrix, in any sample, is a ValueError.
+    """
+    pairs = np.asarray(pairs, dtype=np.complex128)
+    if pairs.shape[-2:] != (3, 2):
+        raise ValueError("need exactly three exponent pairs")
+    lam, mu = pairs[..., 0], pairs[..., 1]
+    rows = np.stack([lam, mu, np.ones_like(lam)], -1)
+    if _any(abs(np.linalg.det(rows)) < 1e-12):
+        raise ValueError("degenerate exponent pairs: singular linear system")
+    return lam, mu, rows
+
+
 def exp_system_oracle(pairs):
     """Constant-coefficient system solved by three exponentials, and its quad.
 
     Each (lambda, mu) pair gives z = exp(lambda x + mu y); the linear solves
     impose z_xx = a.(z_x, z_y, z), z_xy = b.(...), z_yy = c.(...). The map
-    (z1/z3, z2/z3) then has quad (a2, c1, 2 b2 - a1, 2 b1 - c2).
+    (z1/z3, z2/z3) then has quad (a2, c1, 2 b2 - a1, 2 b1 - c2).  A stack
+    of triples (..., 3, 2) gives a, b, c of shape (..., 3) and a stacked quad.
     """
-    lam = np.array([p[0] for p in pairs], dtype=np.complex128)
-    mu = np.array([p[1] for p in pairs], dtype=np.complex128)
-    if lam.shape != (3,):
-        raise ValueError("need exactly three exponent pairs")
-    rows = np.column_stack([lam, mu, np.ones(3, dtype=np.complex128)])
-    if abs(np.linalg.det(rows)) < 1e-12:
-        raise ValueError("degenerate exponent pairs: singular linear system")
-    a = np.linalg.solve(rows, lam**2)
-    b = np.linalg.solve(rows, lam * mu)
-    c = np.linalg.solve(rows, mu**2)
-    quad = DerivQuad(a[1], c[0], 2 * b[1] - a[0], 2 * b[0] - c[1])
+    lam, mu, rows = exponent_rows(pairs)
+    a, b, c = (np.linalg.solve(rows, rhs[..., None])[..., 0] for rhs in (lam**2, lam * mu, mu**2))
+    (a0, a1, _), (b0, b1, _), (c0, c1, _) = (np.moveaxis(v, -1, 0) for v in (a, b, c))
+    quad = DerivQuad(a1, c0, 2 * b1 - a0, 2 * b0 - c1)
     return a, b, c, quad
 
 
 def _jet_exp(a: Jet) -> Jet:
     """exp of a jet: exp(const) times the truncated series in the nilpotent part."""
     nil = a._c.copy()
-    nil[0] = 0.0
+    nil[..., 0] = 0.0
     inv_factorials = (1.0, 1 / 2, 1 / 6)[: a.order]
-    return _wrap(a.dim, a.order, _series(a.dim, a.order, nil, inv_factorials) * cmath.exp(a.value))
+    return _wrap(a.dim, a.order, _series(a.dim, a.order, nil, inv_factorials) * _col(np.exp(a.value)))
 
 
 def exp_solution_map(pairs, base=(0.0, 0.0), order: int = 3) -> MapJet2:
-    """(z1/z3, z2/z3) for z_i = exp(lambda_i x + mu_i y), as jets at base."""
+    """(z1/z3, z2/z3) for z_i = exp(lambda_i x + mu_i y), as jets at base.
+
+    pairs has shape (3, 2), or (..., 3, 2) for a stacked map.
+    """
     x, y = Jet.variables(2, order, base)
+    pairs = np.moveaxis(np.asarray(pairs, dtype=np.complex128), (-2, -1), (0, 1))
     zs = [_jet_exp(lam * x + mu * y) for lam, mu in pairs]
     return MapJet2(zs[0] / zs[2], zs[1] / zs[2])
 
 
-def random_map(rng, order: int = 3, radius: float = 0.3, min_jac: float = 0.1) -> MapJet2:
+def random_map(rng, order: int = 3, radius: float = 0.3, min_jac: float = 0.1, size=None) -> MapJet2:
     """Polynomial map near the identity with a well-conditioned Jacobian.
 
     Coefficients live in a disc of the given radius around the identity map;
-    draws are repeated until |Jacobian| >= min_jac at the base point.
+    a draw is repeated, up to 100 times, until |Jacobian| >= min_jac at the
+    base point.  size=n gives a stack of n maps, drawn from the stream as n
+    calls without size would draw them: each round draws the maps still
+    missing and keeps the good ones in order.
     """
     monos = monomials(2, order)
-    for _ in range(100):
-        jets = []
-        for lin in ((1, 0), (0, 1)):
-            # per monomial a modulus draw, then a phase draw: the order of
-            # one scalar uniform() and one uniform(0, 2 pi) per coefficient
-            u = rng.uniform(size=(len(monos), 2))
-            coeffs = radius * np.sqrt(u[:, 0]) * np.exp(1j * (2 * np.pi * u[:, 1]))
-            coeffs[monos.index(lin)] += 1.0
-            jets.append(Jet(2, order, coeffs))
-        m = MapJet2(*jets)
-        if abs(m.jacobian_value()) >= min_jac:
-            return m
-    raise RuntimeError("failed to sample a well-conditioned map")
+    ix, iy = monos.index((1, 0)), monos.index((0, 1))
+    want = 1 if size is None else size
+    kept, have, misses = [], 0, 0
+    while have < want:
+        # per map, component and monomial a modulus draw, then a phase draw:
+        # the order of one scalar uniform() and one uniform(0, 2 pi) each
+        u = rng.uniform(size=(want - have, 2, len(monos), 2))
+        c = radius * np.sqrt(u[..., 0]) * np.exp(1j * (2 * np.pi * u[..., 1]))
+        c[:, (0, 1), (ix, iy)] += 1.0
+        ok = abs(c[:, 0, ix] * c[:, 1, iy] - c[:, 1, ix] * c[:, 0, iy]) >= min_jac
+        for good in ok.tolist():
+            misses = 0 if good else misses + 1
+            if misses == 100:
+                raise RuntimeError("failed to sample a well-conditioned map")
+        kept.append(c[ok])
+        have += len(kept[-1])
+    c = kept[-1][0] if size is None else np.concatenate(kept)
+    return MapJet2(_wrap(2, order, c[..., 0, :].copy()), _wrap(2, order, c[..., 1, :].copy()))
 
 
 def compose_maps(u: MapJet2, w: MapJet2) -> MapJet2:

@@ -7,15 +7,18 @@ pair of first-order equations; this module evaluates those residuals, the
 Galilean covariance of the equations, and the mixed-partial consistency
 identity behind them, all on truncated Taylor data.
 
-Variable order of every jet here is (x, y, t1, t2).
+Variable order of every jet here is (x, y, t1, t2).  Fields may be stacks
+of jets (see `jets`); the residuals are then arrays over their samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .derivs import MapJet2
-from .jets import Jet, JetError, compose, monomials
+from .jets import Jet, JetError, _any, compose, monomials
 from .lft import _as_numpy, act, denominator
 from .worst import worst_of
 
@@ -45,7 +48,7 @@ def evo_quotients(u, which: str):
         raise ValueError(f"time variable must be 't1' or 't2', got {which!r}")
     u1, u2 = u
     jac = MapJet2(u1, u2, active=(IX, IY)).jacobian_value()
-    if abs(jac) < 1e-14:
+    if _any(abs(jac) < 1e-14):
         raise ZeroDivisionError("spatial Jacobian vanishes")
     dt, den = (_DT1, -jac) if which == "t1" else (_DT2, jac)
     ut = (u1.partial(dt), u2.partial(dt))
@@ -85,14 +88,21 @@ class EvoFields:
     @classmethod
     def random(cls, rng, order: int = 2, radius: float = 0.5) -> "EvoFields":
         """Dense random polynomial fields; generically not a solution."""
+        return cls.from_uniform(rng.random(8 * len(monomials(4, order))), order, radius)
 
-        def draw():
-            coeffs = {}
-            for alpha in monomials(4, order):
-                coeffs[alpha] = complex(*rng.uniform(-radius, radius, 2))
-            return Jet(4, order, coeffs)
+    @classmethod
+    def from_uniform(cls, u, order: int = 2, radius: float = 0.5) -> "EvoFields":
+        """The fields `random` makes from the unit draws u, shape (..., 8 m).
 
-        return cls(draw(), draw(), draw(), draw())
+        m is the number of monomials.  Per field and monomial, the real and
+        the imaginary part are low + (high - low) u, as one
+        rng.uniform(-radius, radius, 2) makes them from the same draws;
+        leading axes of u give stacked fields.
+        """
+        low, high = -radius, radius
+        parts = (low + (high - low) * np.asarray(u)).reshape(*np.shape(u)[:-1], 4, -1, 2)
+        coeffs = parts.view(np.complex128)[..., 0]
+        return cls(*(Jet(4, order, coeffs[..., k, :]) for k in range(4)))
 
 
 def mt4_residuals(f: EvoFields):
@@ -145,10 +155,13 @@ def galilean_covariance_check(f: EvoFields, a1, a2, b1, b2) -> float:
 
     The offsets entering through the time partials cancel against the
     constant bracket offsets, so this holds for arbitrary fields, not only
-    solutions of the system.
+    solutions of the system.  The residuals read values and first partials
+    only, which the shift takes from values and first partials: the fields
+    are shifted as order-1 jets.
     """
     r = mt4_residuals(f)
-    rs = mt4_residuals(galilean_shift(f, a1, a2, b1, b2))
+    first = EvoFields(*(g.truncate(1) for g in (f.v1, f.v2, f.w1, f.w2)))
+    rs = mt4_residuals(galilean_shift(first, a1, a2, b1, b2))
     return worst_of((abs(rs[0] - r[0]), abs(rs[1] - r[1])))
 
 
@@ -184,6 +197,6 @@ def consistency_residual(f: EvoFields, u: Jet) -> float:
 def transformed_pair(g, u):
     """Linear fractional image of the pair u under the matrix g, as jets."""
     m = _as_numpy(g)
-    if abs(denominator(m, u).value) < 1e-10:
+    if _any(abs(denominator(m, u).value) < 1e-10):
         raise ZeroDivisionError("vanishing denominator at the base point")
     return act(m, u)

@@ -9,6 +9,15 @@ their base point; callers that need one (map objects) track it themselves.
 Dimensions 1-4 and orders 0-3 are supported.  Mixing (dim, order) in
 arithmetic is an error, never a silent truncation.
 
+A Jet's coefficient array may carry leading sample axes, shape (..., N):
+a stack of jets, one per sample, that arithmetic, powers, derivatives and
+`compose` carry through at once (the vector forward mode of Taylor
+arithmetic); `invert_map2` takes single jets.  A single jet is the stack
+of shape ().  Numbers that vary by sample are arrays over the
+same leading axes: `value`, `coeff` and `partial` return such arrays for a
+stack and Python complex numbers for a single jet, and a jet times an
+array of shape (...) scales each sample by its own number.
+
 Every product is one kernel, `_product`: a gather-multiply-`reduceat` over
 coefficient arrays, for one jet or a whole stack of them.  Inverses and
 rational powers are one power-series pass over raw arrays (`_series`), and
@@ -90,6 +99,32 @@ def _mul_table(dim: int, order: int):
     return np.asarray(ti), np.asarray(tj), np.asarray(starts)
 
 
+def _col(x):
+    """x as a factor of coefficient arrays: a per-sample array gets an axis."""
+    return x[..., None] if isinstance(x, np.ndarray) else x
+
+
+def _any(mask) -> bool:
+    """Whether a per-sample test holds for any sample (or for the one)."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else mask
+
+
+def _constant(value, n: int) -> np.ndarray:
+    """n coefficients of a constant: a number, or an array of them per sample."""
+    if isinstance(value, np.ndarray):
+        c = np.zeros(value.shape + (n,), dtype=np.complex128)
+        c[..., 0] = value
+    else:
+        c = np.zeros(n, dtype=np.complex128)
+        c[0] = value
+    return c
+
+
+def _entry(c: np.ndarray, i: int):
+    """Coefficient i: a complex for one jet, an array over a stack's samples."""
+    return complex(c[i]) if c.ndim == 1 else c[..., i]
+
+
 def _product(dim: int, order: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated product of coefficient arrays, the one multiply kernel.
 
@@ -109,7 +144,7 @@ def _series(dim: int, order: int, nil: np.ndarray, coeffs) -> np.ndarray:
     truncation: the power series of a function at 1 + nil is exact here.
     """
     out = np.zeros_like(nil)
-    out[0] = 1.0
+    out[..., 0] = 1.0
     term = nil
     for k, c in enumerate(coeffs):
         if k:
@@ -165,9 +200,13 @@ def _wrap(dim: int, order: int, c: np.ndarray) -> "Jet":
 
 
 class Jet:
-    """Truncated Taylor expansion; immutable by convention."""
+    """Truncated Taylor expansion, or a stack of them; immutable by convention."""
 
     __slots__ = ("dim", "order", "_c")
+
+    # numpy operands defer to Jet's reflected operators: an array of
+    # per-sample numbers times a jet is a jet, not an object array
+    __array_ufunc__ = None
 
     def __init__(self, dim: int, order: int, coeffs=None):
         monos = monomials(dim, order)
@@ -176,7 +215,7 @@ class Jet:
         if coeffs is None:
             self._c = np.zeros(len(monos), dtype=np.complex128)
         elif isinstance(coeffs, np.ndarray):
-            if coeffs.shape != (len(monos),):
+            if coeffs.shape[-1:] != (len(monos),):
                 raise JetError("coefficient array has wrong length")
             self._c = coeffs.astype(np.complex128, copy=True)
         else:
@@ -190,20 +229,18 @@ class Jet:
 
     @classmethod
     def constant(cls, dim: int, order: int, value) -> "Jet":
-        c = np.zeros(len(monomials(dim, order)), dtype=np.complex128)
-        c[0] = value
-        return _wrap(dim, order, c)
+        """The constant value; an array of values gives a stack of constants."""
+        return _wrap(dim, order, _constant(value, len(monomials(dim, order))))
 
     @classmethod
     def variable(cls, dim: int, order: int, var: int, base=0.0) -> "Jet":
-        """Jet of the coordinate function x_var expanded at base."""
+        """Jet of the coordinate function x_var expanded at base (or at each base)."""
         if not (0 <= var < dim):
             raise JetError(f"variable index {var} out of range for dim {dim}")
-        j = cls(dim, order)
-        j._c[0] = base
+        j = cls.constant(dim, order, base)
         if order >= 1:
             e = tuple(1 if k == var else 0 for k in range(dim))
-            j._c[_index(dim, order)[e]] = 1.0
+            j._c[..., _index(dim, order)[e]] = 1.0
         return j
 
     @classmethod
@@ -212,17 +249,17 @@ class Jet:
 
     @property
     def value(self) -> complex:
-        return complex(self._c[0])
+        return _entry(self._c, 0)
 
     def coeff(self, alpha) -> complex:
-        return complex(self._c[_index(self.dim, self.order)[tuple(alpha)]])
+        return _entry(self._c, _index(self.dim, self.order)[tuple(alpha)])
 
     def partial(self, alpha) -> complex:
         """Mixed partial derivative value at the base point."""
         return self.coeff(alpha) * _multifactorial(alpha)
 
     def coeffs(self) -> dict[tuple[int, ...], complex]:
-        return {m: complex(c) for m, c in zip(monomials(self.dim, self.order), self._c)}
+        return {m: _entry(self._c, i) for i, m in enumerate(monomials(self.dim, self.order))}
 
     def copy(self) -> "Jet":
         return _wrap(self.dim, self.order, self._c.copy())
@@ -235,13 +272,12 @@ class Jet:
             )
 
     def _lift(self, other) -> np.ndarray:
-        """Coefficients of other: a jet of the same (dim, order), or a constant."""
+        """Coefficients of other: a jet of the same (dim, order), or a constant
+        (a number, or an array of them over the sample axes)."""
         if isinstance(other, Jet):
             self._check(other)
             return other._c
-        c = np.zeros(len(self._c), dtype=np.complex128)
-        c[0] = other
-        return c
+        return _constant(other, self._c.shape[-1])
 
     def __add__(self, other):
         return _wrap(self.dim, self.order, self._c + self._lift(other))
@@ -260,7 +296,7 @@ class Jet:
     def __mul__(self, other):
         dim, order = self.dim, self.order
         if not isinstance(other, Jet):
-            return _wrap(dim, order, self._c * other)
+            return _wrap(dim, order, self._c * _col(other))
         if other.dim != dim or other.order != order:
             self._check(other)
         return _wrap(dim, order, _product(dim, order, self._c, other._c))
@@ -270,7 +306,7 @@ class Jet:
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return _wrap(self.dim, self.order, self._c / other)
+            return _wrap(self.dim, self.order, self._c / _col(other))
         return self * other._inverse()
 
     def __rtruediv__(self, other):
@@ -281,20 +317,21 @@ class Jet:
             raise JetError("use jet_powq for non-integer exponents")
         if n < 0:
             return self._inverse() ** (-n)
-        out = Jet.constant(self.dim, self.order, 1.0)
-        base = self
+        if n == 0:
+            return Jet.constant(self.dim, self.order, 1.0)
+        out, base = None, self
         while n:
             if n & 1:
-                out = out * base
+                out = base if out is None else out * base
             n >>= 1
             if n:
                 base = base * base
-        return out
+        return out.copy() if out is self else out  # never the operand itself
 
     def _nilpotent(self, c0) -> np.ndarray:
         """Coefficients of self / c0 with the constant term removed."""
-        c = self._c / c0
-        c[0] = 0.0
+        c = self._c / _col(c0)
+        c[..., 0] = 0.0
         return c
 
     def _inverse(self) -> "Jet":
@@ -303,11 +340,11 @@ class Jet:
         One pass over coefficient arrays: order - 1 products, no jet per term.
         """
         c0 = self.value
-        if c0 == 0:
+        if _any(c0 == 0):
             raise JetError("division by jet with zero constant term")
         dim, order = self.dim, self.order
         signs = (-1.0, 1.0, -1.0)[:order]
-        return _wrap(dim, order, _series(dim, order, self._nilpotent(c0), signs) / c0)
+        return _wrap(dim, order, _series(dim, order, self._nilpotent(c0), signs) / _col(c0))
 
     def deriv(self, var: int) -> "Jet":
         """Partial derivative; the result order drops by one."""
@@ -316,13 +353,13 @@ class Jet:
         if not (0 <= var < self.dim):
             raise JetError(f"variable index {var} out of range")
         src, factor = _deriv_table(self.dim, self.order, var)
-        return _wrap(self.dim, self.order - 1, self._c[src] * factor)
+        return _wrap(self.dim, self.order - 1, self._c.take(src, -1) * factor)
 
     def truncate(self, order: int) -> "Jet":
         """The jet at a lower order: monomials sort by degree, so a prefix."""
         if order > self.order:
             raise JetError("cannot raise truncation order")
-        return _wrap(self.dim, order, self._c[: len(monomials(self.dim, order))].copy())
+        return _wrap(self.dim, order, self._c[..., : len(monomials(self.dim, order))].copy())
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self._c)))
@@ -332,6 +369,8 @@ class Jet:
         return bool(np.allclose(self._c, other._c, rtol=0, atol=tol))
 
     def __repr__(self):
+        if self._c.ndim > 1:
+            return f"Jet(dim={self.dim}, order={self.order}, stack of shape {self._c.shape[:-1]})"
         terms = ", ".join(
             f"{m}: {c:.6g}" for m, c in self.coeffs().items() if c != 0
         )
@@ -345,15 +384,19 @@ def jet_powq(a: Jet, q) -> Jet:
     over coefficient arrays; exact at truncation.
     """
     c0 = a.value
-    if c0 == 0:
+    if _any(c0 == 0):
         raise JetError("jet_powq requires nonzero constant term")
     qf = q if isinstance(q, (float, complex)) else float(Fraction(q))
-    head = cmath.exp(qf * cmath.log(c0))
+    if isinstance(c0, np.ndarray):
+        head = np.exp(qf * np.log(c0))
+    else:
+        # numpy's complex log rounds differently: a single jet keeps cmath
+        head = cmath.exp(qf * cmath.log(c0))
     binoms, binom = [], 1.0
     for k in range(1, a.order + 1):
         binom *= (qf - (k - 1)) / k
         binoms.append(binom)
-    return _wrap(a.dim, a.order, _series(a.dim, a.order, a._nilpotent(c0), binoms) * head)
+    return _wrap(a.dim, a.order, _series(a.dim, a.order, a._nilpotent(c0), binoms) * _col(head))
 
 
 def _compose_each(hs, gs: "list[Jet]") -> "list[Jet]":
@@ -362,7 +405,8 @@ def _compose_each(hs, gs: "list[Jet]") -> "list[Jet]":
     Row k of the monomial matrix is the coefficient array of delta^alpha_k,
     alpha_k the k-th monomial of (len(gs), order): one batched product per
     degree builds them, and each composite is h's coefficient prefix times
-    the matrix.
+    the matrix.  Stacks of jets among hs and gs broadcast over their
+    sample axes, one monomial matrix per sample.
     """
     for h in hs:
         if h.dim != len(gs):
@@ -373,13 +417,16 @@ def _compose_each(hs, gs: "list[Jet]") -> "list[Jet]":
     if any(h.order < order for h in hs):
         raise JetError("h order too low for requested composition")
     units, levels = _power_table(len(gs), order)
-    rows = np.zeros((len(monomials(len(gs), order)), len(gs[0]._c)), dtype=np.complex128)
-    rows[0, 0] = 1.0
+    shapes = {g._c.shape for g in gs}
+    shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+    m = len(monomials(len(gs), order))
+    rows = np.zeros(shape[:-1] + (m, shape[-1]), dtype=np.complex128)
+    rows[..., 0, 0] = 1.0
     for u, g in zip(units, gs):
-        rows[u, 1:] = g._c[1:]
+        rows[..., u, 1:] = g._c[..., 1:]
     for lo, hi, parents, factors in levels:
-        rows[lo:hi] = _product(dim, order, rows[parents], rows[factors])
-    return [_wrap(dim, order, h._c[: len(rows)] @ rows) for h in hs]
+        rows[..., lo:hi, :] = _product(dim, order, rows.take(parents, -2), rows.take(factors, -2))
+    return [_wrap(dim, order, (h._c[..., None, :m] @ rows)[..., 0, :]) for h in hs]
 
 
 def compose(h: Jet, gs: "list[Jet]") -> Jet:

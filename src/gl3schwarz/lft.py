@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .jets import Jet
+from .jets import Jet, _any
 
 OMEGA_C = complex(-0.5, 3**0.5 / 2)
 
@@ -288,6 +288,8 @@ def denominator(m, z):
     """c.z = c1 z1 + c2 z2 + c3 for the bottom row of the numpy matrix m.
 
     z1, z2 may be numbers or jets; callers apply their own rejection margin.
+    A stack of matrices carries its samples on the last axes, (3, 3, ...),
+    and pairs with z1, z2 over the same samples.
     """
     return m[2, 0] * z[0] + m[2, 1] * z[1] + m[2, 2]
 
@@ -295,12 +297,14 @@ def denominator(m, z):
 def act(g, z):
     """((a.z)/(c.z), (b.z)/(c.z)) with rows of g as affine forms on (z1, z2, 1).
 
-    z1, z2 may be numbers or jets (then the result is the pair of jets).
+    z1, z2 may be numbers or jets (then the result is the pair of jets), and
+    g a stack of matrices (3, 3, ...) acting sample by sample, as in
+    `denominator`.
     """
     m = _as_numpy(g)
     z1, z2 = z
     den = denominator(m, z)
-    if (den.value if isinstance(den, Jet) else den) == 0:
+    if _any((den.value if isinstance(den, Jet) else den) == 0):
         raise ZeroDivisionError("linear fractional action: vanishing denominator")
     return (
         (m[0, 0] * z1 + m[0, 1] * z2 + m[0, 2]) / den,

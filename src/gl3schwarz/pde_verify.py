@@ -113,27 +113,32 @@ def _field_data(fields):
 
 
 def _z_system(z: Jet, fields):
-    """Residuals and term scale of the three linear equations."""
+    """Residuals and term scale of the three linear equations.
+
+    On stacked jets both are arrays over the samples.  The rational
+    coefficients are floats: a Fraction times a complex is the float times
+    it, and a Fraction times an array would be an object array.
+    """
     (f1, f1_1, f1_2), (f2, f2_1, f2_2), (p1, p1_1, p1_2), (p2, p2_1, p2_2) = (
         _field_data(fields)
     )
     z0 = z.value
     z1, z2 = z.partial((1, 0)), z.partial((0, 1))
     z11, z12, z22 = z.partial((2, 0)), z.partial((1, 1)), z.partial((0, 2))
-    third = Fraction(1, 3)
+    third = 1 / 3
     eqs = (
         (z11, third * p1 * z1, -f1 * z2,
-         (f1_2 - third * p1_1 - Fraction(2, 9) * p1 * p1
-          - Fraction(2, 3) * f1 * p2) * z0),
+         (f1_2 - third * p1_1 - 2 / 9 * p1 * p1
+          - 2 / 3 * f1 * p2) * z0),
         (z12, -third * p2 * z1, -third * p1 * z2,
-         (third * p2_1 + third * p1_2 + Fraction(1, 9) * p1 * p2
+         (third * p2_1 + third * p1_2 + 1 / 9 * p1 * p2
           - f1 * f2) * z0),
         (z22, third * p2 * z2, -f2 * z1,
-         (f2_1 - third * p2_2 - Fraction(2, 9) * p2 * p2
-          - Fraction(2, 3) * f2 * p1) * z0),
+         (f2_1 - third * p2_2 - 2 / 9 * p2 * p2
+          - 2 / 3 * f2 * p1) * z0),
     )
     residuals = tuple(sum(terms) for terms in eqs)
-    scale = max(abs(t) for terms in eqs for t in terms)
+    scale = worst_of(abs(t) for terms in eqs for t in terms)
     return residuals, scale
 
 
@@ -169,7 +174,8 @@ def mt1_residuals(w, branch: int = 0) -> tuple[complex, complex, complex]:
 
     ``w`` is a MapJet2 (or pair of jets) of order >= 3; the coefficient
     fields are its derivative quadruple.  ``branch`` multiplies z by a
-    cube root of unity; residuals are invariant under that choice.
+    cube root of unity; residuals are invariant under that choice.  A
+    stacked map gives residuals over its samples.
     """
     return z_system_residuals(*_mt1_system(w, branch))
 

@@ -37,10 +37,12 @@ from .derivs import (
     deriv_quad,
     exp_solution_map,
     exp_system_oracle,
+    exponent_rows,
     jacobian_deformation,
     lft_map,
     random_map,
     second_arg_transform,
+    stack_maps,
     transport_matrix,
     transported_pair,
 )
@@ -59,7 +61,7 @@ from .evolution import (
     mt4_residuals,
     transformed_pair,
 )
-from .jets import Jet
+from .jets import Jet, monomials
 from .lft import (
     DECOMPOSITION_WORDS,
     OMEGA,
@@ -204,7 +206,9 @@ def _order5_point(rng, u):
 
 # ---------------------------------------------------------------------------
 # check runners: (rng, samples) -> one residual per sample; _reduce gives
-# the check its (worst residual, samples used)
+# the check its (worst residual, samples used).  The derivs runners, MT1,
+# MT1-branch and MT4-galilean draw every sample first, making each
+# rejection as they draw, and then evaluate them all as one stack of jets.
 
 
 def _exact(ok: bool) -> float:
@@ -226,103 +230,116 @@ def _check_group_algebra(rng, n):
         yield _exact(word_product(w) == g[name])
 
 
+def _lft_draws(rng, n, with_map=False):
+    """The n (generator, point[, map]) draws of the lft checks, stacked.
+
+    Generators cycle through _GEN_NAMES; each point is drawn off the pole of
+    its generator, then (with_map) a random map.  Returns the matrices as
+    (3, 3, n), the point as (z1, z2) of n entries each, and the maps.
+    """
+    gens = generators()
+    mats, points, maps = [], [], []
+    for k in range(n):
+        g = gens[_GEN_NAMES[k % len(_GEN_NAMES)]]
+        points.append(_safe_lft_point(rng, g))
+        if with_map:
+            maps.append(random_map(rng))
+        mats.append(g.to_numpy())
+    z = tuple(np.array(points).T)
+    return np.stack(mats, -1), z, stack_maps(maps) if with_map else None
+
+
 def _check_invariance(rng, n):
     gens = generators()
-    done = 0
-    while done < n:
+    maps, mats = [], []
+    while len(maps) < n:
         u = random_map(rng)
         m = gens[_GEN_NAMES[rng.integers(len(_GEN_NAMES))]].to_numpy()
-        z = (u.u1, u.u2)
-        if abs(denominator(m, z).value) < 0.2:
+        if abs(denominator(m, (u.u1, u.u2)).value) < 0.2:
             continue
-        base = deriv_quad(u).vector()
-        diff = np.abs(deriv_quad(MapJet2(*act(m, z))).vector() - base).max()
-        yield diff / max(1.0, np.abs(base).max())
-        done += 1
+        maps.append(u)
+        mats.append(m)
+    u = stack_maps(maps)
+    base = deriv_quad(u).vector()
+    diff = np.abs(deriv_quad(MapJet2(*act(np.stack(mats, -1), (u.u1, u.u2)))).vector() - base)
+    yield from diff.max(-1) / np.maximum(1.0, np.abs(base).max(-1))
 
 
 def _check_vanishing(rng, n):
-    gens = generators()
-    for k in range(n):
-        g = gens[_GEN_NAMES[k % len(_GEN_NAMES)]]
-        z = _safe_lft_point(rng, g)
-        yield deriv_quad(lft_map(g, z)).max_abs()
+    m, z, _ = _lft_draws(rng, n)
+    yield from deriv_quad(lft_map(m, z)).max_abs()
+
+
+def _map_pairs(rng, n):
+    """n pairs (w, u) of random maps, drawn w then u, as two stacks."""
+    maps = random_map(rng, size=2 * n)
+    return maps[0::2], maps[1::2]
 
 
 def _check_chain_rule(rng, n):
-    for _ in range(n):
-        w, u = random_map(rng), random_map(rng)
-        lhs = deriv_quad(compose_maps(u, w)).vector()
-        rhs = chain_rule_rhs(deriv_quad(u), w).vector()
-        yield np.abs(lhs - rhs).max()
+    w, u = _map_pairs(rng, n)
+    lhs = deriv_quad(compose_maps(u, w)).vector()
+    rhs = chain_rule_rhs(deriv_quad(u), w).vector()
+    yield from np.abs(lhs - rhs).max(-1)
 
 
 def _check_cocycle(rng, n):
-    for _ in range(n):
-        w, u = random_map(rng), random_map(rng)
-        lhs = transport_matrix(w) @ transport_matrix(u)
-        yield np.abs(lhs - transport_matrix(compose_maps(u, w))).max()
+    w, u = _map_pairs(rng, n)
+    lhs = transport_matrix(w) @ transport_matrix(u)
+    yield from np.abs(lhs - transport_matrix(compose_maps(u, w))).max((-2, -1))
 
 
 def _check_cocycle_u(rng, n):
-    cs = (0.0, 1.0, 2.5)
-    for k in range(n):
-        c = cs[k % 3]
-        w, u = random_map(rng), random_map(rng)
-        lhs = ExtendedTransport(w, c).matrix() @ ExtendedTransport(u, c).matrix()
-        rhs = ExtendedTransport(compose_maps(u, w), c).matrix()
-        yield np.abs(lhs - rhs).max()
+    c = np.array((0.0, 1.0, 2.5))[np.arange(n) % 3]
+    w, u = _map_pairs(rng, n)
+    lhs = ExtendedTransport(w, c).matrix() @ ExtendedTransport(u, c).matrix()
+    rhs = ExtendedTransport(compose_maps(u, w), c).matrix()
+    yield from np.abs(lhs - rhs).max((-2, -1))
 
 
 def _check_second_argument(rng, n):
-    gens = generators()
-    for k in range(n):
-        g = gens[_GEN_NAMES[k % len(_GEN_NAMES)]]
-        z = _safe_lft_point(rng, g)
-        u = random_map(rng)
-        lhs = deriv_quad(compose_maps(u, lft_map(g, z))).vector()
-        rhs = second_arg_transform(deriv_quad(u), g, z).vector()
-        yield np.abs(lhs - rhs).max()
+    m, z, u = _lft_draws(rng, n, with_map=True)
+    lhs = deriv_quad(compose_maps(u, lft_map(m, z))).vector()
+    rhs = second_arg_transform(deriv_quad(u), m, z).vector()
+    yield from np.abs(lhs - rhs).max(-1)
 
 
 def _check_jacobian_deformation(rng, n):
-    for _ in range(n):
-        zm = random_map(rng)
-        f1h, f2h = random_map(rng).u1, random_map(rng).u2
-        lhs = jacobian_deformation(f1h, f2h, zm)
-        rhs = MapJet2(*transported_pair(f1h, f2h, zm)).jacobian_value() / zm.jacobian_value()
-        yield abs(lhs - rhs)
+    maps = random_map(rng, size=3 * n)
+    zm, f1h, f2h = maps[0::3], maps[1::3].u1, maps[2::3].u2
+    lhs = jacobian_deformation(f1h, f2h, zm)
+    rhs = MapJet2(*transported_pair(f1h, f2h, zm)).jacobian_value() / zm.jacobian_value()
+    yield from abs(lhs - rhs)
 
 
 def _check_exp_oracle(rng, n):
-    done = 0
-    while done < n:
+    draws = []
+    while len(draws) < n:
         pts = rng.uniform(-1, 1, size=(3, 2)) + 1j * rng.uniform(-1, 1, size=(3, 2))
-        pairs = [tuple(row) for row in pts]
         try:
-            _, _, _, predicted = exp_system_oracle(pairs)
+            exponent_rows(pts)
         except ValueError:
             continue
-        m = exp_solution_map(pairs, base=(0.05, -0.03))
-        yield np.abs(deriv_quad(m).vector() - predicted.vector()).max()
-        done += 1
+        draws.append(pts)
+    pairs = np.array(draws)
+    _, _, _, predicted = exp_system_oracle(pairs)
+    m = exp_solution_map(pairs, base=(0.05, -0.03))
+    yield from np.abs(deriv_quad(m).vector() - predicted.vector()).max(-1)
 
 
 def _check_mt1(rng, n):
-    for _ in range(n):
-        yield mt1_relative_residual(random_map(rng, order=3))
+    yield from mt1_relative_residual(random_map(rng, order=3, size=n))
 
 
 def _check_mt1_branch(rng, n):
-    for _ in range(n):
-        m = random_map(rng, order=3)
-        r0 = mt1_residuals(m)
-        parts = []
-        for branch in (1, 2):
-            rb = mt1_residuals(m, branch=branch)
-            phase = cmath.exp(2j * cmath.pi * branch / 3)
-            parts += [abs(b - phase * a) for a, b in zip(r0, rb)]
-        yield worst_of(parts)
+    m = random_map(rng, order=3, size=n)
+    r0 = mt1_residuals(m)
+    parts = []
+    for branch in (1, 2):
+        rb = mt1_residuals(m, branch=branch)
+        phase = cmath.exp(2j * cmath.pi * branch / 3)
+        parts += [abs(b - phase * a) for a, b in zip(r0, rb)]
+    yield from worst_of(parts)
 
 
 def _mt2_branch_runner(which):
@@ -489,11 +506,15 @@ def _check_mt4(rng, n):
 
 
 def _check_mt4_galilean(rng, n):
-    for _ in range(n):
-        f = EvoFields.random(rng, order=3)
-        shift = rng.uniform(-1.5, 1.5, 4)
-        # the mixed-partial identity holds for any order >= 2 u: f.v1 draws nothing
-        yield worst_of((galilean_covariance_check(f, *shift), consistency_residual(f, f.v1)))
+    # per sample the draws of EvoFields.random(rng, order=3), then those of
+    # rng.uniform(-1.5, 1.5, 4) for the shift, all from one block
+    fields = 8 * len(monomials(4, 3))
+    u = rng.random((n, fields + 4))
+    f = EvoFields.from_uniform(u[:, :fields], order=3)
+    low, high = -1.5, 1.5
+    shift = low + (high - low) * u[:, fields:]
+    # the mixed-partial identity holds for any order >= 2 u: f.v1 draws nothing
+    yield from worst_of((galilean_covariance_check(f, *shift.T), consistency_residual(f, f.v1)))
 
 
 _MT4_MATS = (

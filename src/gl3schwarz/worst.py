@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+from functools import reduce
+
+import numpy as np
 
 
 class Worst:
@@ -26,7 +29,14 @@ class Worst:
 
 
 def worst_of(residuals) -> float:
-    """Largest of non-negative residuals, NaN if any of them is NaN."""
+    """Largest of non-negative residuals, NaN if any of them is NaN.
+
+    Residuals of a stack of samples are arrays over its sample axes; their
+    worst is taken sample by sample with np.maximum, which keeps a NaN too.
+    """
+    residuals = tuple(residuals)
+    if any(isinstance(r, np.ndarray) for r in residuals):
+        return reduce(np.maximum, residuals)
     w = Worst()
     w.add(*residuals)
     return w.value

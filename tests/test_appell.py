@@ -98,6 +98,31 @@ class TestJacobiRule:
             assert abs(np.sum(w * t**k) - ref) <= 1e-11 * ref, k
 
 
+class TestRuleSharing:
+    def test_rounded_exponents_share_one_rule(self):
+        # f1_euler at a = 1/3, c = 1 spells the exponents c - a - 1 and a - 1;
+        # k_integral spells them -1/3 and -2/3
+        a, c = 1 / 3, 1.0
+        spelled = (c - a - 1, a - 1)
+        assert spelled != (-1 / 3, -2 / 3)
+        g = lambda t: np.ones_like(t)  # noqa: E731
+        appell._jacobi_rule.cache_clear()
+        assert appell._quad(g, *spelled) == appell._quad(g, -1 / 3, -2 / 3)
+        assert appell._jacobi_rule.cache_info().currsize == 1
+        appell._jacobi_rule.cache_clear()
+
+    @pytest.mark.parametrize("e", [0.1234567, math.pi - 4, 198 + 2 / 3 + 1e-9, -1 / 3 + 1e-12])
+    def test_other_exponents_are_untouched(self, e):
+        assert appell._snap(e) == e
+
+    def test_a_report_builds_one_rule_per_exponent_pair(self):
+        appell._jacobi_rule.cache_clear()
+        run_suites(("f1",), seed=42)
+        # (-1/3, -2/3), (-1/4, -3/4) and (-1/3, -1/3), which f1_euler,
+        # k_integral and picard_integral spell five ways
+        assert appell._jacobi_rule.cache_info().currsize == 3
+
+
 class TestF1Series:
     def test_at_origin(self):
         p = F1Params("1/3", "1/2", "1/4", 2)

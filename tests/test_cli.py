@@ -406,6 +406,29 @@ class TestDeriv:
         assert res.stdout == ""
         assert json.loads(res.stderr)["error"].startswith("malformed map file")
 
+    # the first once printed four numpy RuntimeWarnings and then "Out of
+    # range float values are not JSON compliant: nan"
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"u1": {"3000,0": 1, "0,1": 1}, "u2": {"1,0": 1}}, "map component u1 overflows"),
+            ({"u1": {"1,0": 1e200, "0,1": 1}, "u2": {"1,0": 1, "2,0": 1e200}},
+             "the derivatives overflow"),
+        ],
+        ids=["overflowing-monomial", "overflowing-derivatives"],
+    )
+    def test_overflow_is_one_json_error_and_no_warning(self, tmp_path, spec, message):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(spec))
+        out = subprocess.run(
+            [sys.executable, "-m", "gl3schwarz", "deriv", "--map", str(path), "--at", "2,0.5"],
+            capture_output=True, text=True, env=_child_env(),
+        )
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert "Warning" not in out.stderr
+        assert message in json.loads(out.stderr)["error"]
+
     def test_huge_exponent_is_quick(self, runner, tmp_path):
         path = tmp_path / "map.json"
         path.write_text(json.dumps({"u1": {"1,0": 1, "1000000000,0": 1}, "u2": {"0,1": 1}}))

@@ -280,3 +280,20 @@ def test_random_map_draws_as_scalar_calls_did(order, radius, min_jac):
         new = random_map(np.random.default_rng(seed), order, radius, min_jac)
         assert new.u1._c.tobytes() == old.u1._c.tobytes()
         assert new.u2._c.tobytes() == old.u2._c.tobytes()
+
+
+@pytest.mark.parametrize("order, radius, min_jac", [(3, 0.3, 0.1), (2, 0.3, 0.1), (3, 0.9, 0.5)])
+@pytest.mark.parametrize("size", [1, 7, 40])
+def test_batched_random_maps_draw_as_scalar_calls_did(order, radius, min_jac, size):
+    # one block of draws per round, the rejected maps redrawn in the next:
+    # map k of the stack is the k-th of size sequential calls, bit for bit
+    for seed in range(1, 21):
+        rng_old, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
+        old = [_scalar_draw_map(rng_old, order, radius, min_jac) for _ in range(size)]
+        new = random_map(rng_new, order, radius, min_jac, size=size)
+        assert new.u1._c.shape == (size, len(monomials(2, order)))
+        for k, m in enumerate(old):
+            assert new.u1._c[k].tobytes() == m.u1._c.tobytes()
+            assert new.u2._c[k].tobytes() == m.u2._c.tobytes()
+        # and the stream is left where the sequential calls left it
+        assert rng_new.random() == rng_old.random()

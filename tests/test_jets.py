@@ -464,7 +464,8 @@ class TestArrayKernelsMatchThePerTermReferences:
 def _inverse_without_alternation(self):
     dim, order = self.dim, self.order
     signs = (1.0, 1.0, 1.0)[:order]  # (-1.0, 1.0, -1.0) in the kernel
-    return _wrap(dim, order, _series(dim, order, self._nilpotent(self.value), signs) / self.value)
+    c0 = self.value
+    return _wrap(dim, order, _series(dim, order, self._nilpotent(c0), signs) / jets._col(c0))
 
 
 def _powq_dropping_the_k(a, q):
@@ -474,8 +475,8 @@ def _powq_dropping_the_k(a, q):
     for k in range(1, a.order + 1):
         binom *= qf - (k - 1)  # the / k of the binomial coefficient dropped
         binoms.append(binom)
-    head = cmath.exp(qf * cmath.log(c0))
-    return _wrap(a.dim, a.order, _series(a.dim, a.order, a._nilpotent(c0), binoms) * head)
+    head = np.exp(qf * np.log(c0)) if isinstance(c0, np.ndarray) else cmath.exp(qf * cmath.log(c0))
+    return _wrap(a.dim, a.order, _series(a.dim, a.order, a._nilpotent(c0), binoms) * jets._col(head))
 
 
 def _fault_inverse_sign(monkeypatch):
