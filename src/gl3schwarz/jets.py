@@ -88,15 +88,15 @@ def _mul_table(dim: int, order: int):
     """
     monos = monomials(dim, order)
     idx = _index(dim, order)
-    ti, tj, starts = [], [], []
-    for mk in monos:
-        starts.append(len(ti))
-        for i, mi in enumerate(monos):
-            mj = tuple(a - b for a, b in zip(mk, mi))
-            if min(mj) >= 0:
-                ti.append(i)
-                tj.append(idx[mj])
-    return np.asarray(ti), np.asarray(tj), np.asarray(starts)
+    # monomials sort by degree: those of degree <= d are a prefix
+    upto = [len(monomials(dim, d)) for d in range(order + 1)]
+    groups = [[] for _ in monos]
+    for i, mi in enumerate(monos):
+        for j in range(upto[order - sum(mi)]):
+            groups[idx[tuple(a + b for a, b in zip(mi, monos[j]))]].append((i, j))
+    starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
+    ti, tj = zip(*(pair for g in groups for pair in g))
+    return np.asarray(ti), np.asarray(tj), starts
 
 
 def _col(x):

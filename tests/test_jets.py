@@ -520,3 +520,23 @@ def _fault_det_pair_swap(monkeypatch):
 def test_a_kernel_fault_fails_the_report(monkeypatch, fault):
     fault(monkeypatch)
     assert run_suites(seed=42)["summary"]["failed"] > 0
+
+
+def _ref_mul_table(dim, order):
+    """_mul_table as a loop over every target and source monomial."""
+    monos = monomials(dim, order)
+    ti, tj, starts = [], [], []
+    for mk in monos:
+        starts.append(len(ti))
+        for i, mi in enumerate(monos):
+            mj = tuple(a - b for a, b in zip(mk, mi))
+            if min(mj) >= 0:
+                ti.append(i)
+                tj.append(_index(dim, order)[mj])
+    return ti, tj, starts
+
+
+@pytest.mark.parametrize("dim, order", DIM_ORDERS)
+def test_mul_table_matches_the_loop(dim, order):
+    for got, ref in zip(jets._mul_table(dim, order), _ref_mul_table(dim, order)):
+        assert got.dtype == np.intp and got.tolist() == ref
