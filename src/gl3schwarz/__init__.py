@@ -6,13 +6,12 @@ ledger, and the invariant evolution system, with verification suites behind
 the `gl3schwarz` CLI.
 """
 
-from .jets import Jet, JetError, compose, invert_map2, jet_powq
+from .jets import Jet, JetError, compose, jet_powq
 
 __all__ = [
     "Jet",
     "JetError",
     "compose",
-    "invert_map2",
     "jet_powq",
 ]
 

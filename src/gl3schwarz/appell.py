@@ -29,6 +29,13 @@ P_n' at the polished nodes rather than from eigenvector squares, which
 Hale & Townsend (SIAM J. Sci. Comput. 35, 2013) show to be more accurate.
 Rules are cached per exponent pair, and exponents that are roundings of one
 small-denominator rational share its rule.
+
+Both routes take stacks: arrays of points, or jets with leading sample
+axes (see `jets`).  The series runs all points through one set of
+convolution rows, each point with its own budget, stop and refusals; the
+quadrature evaluates its integrand on one (points, nodes) array.  A single
+point is a stack of one, and a refused point of a stack is named by its
+index in the error.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .jets import Jet, compose, monomials
+from .jets import Jet, _col, _refuse, _sample, _wrap, compose, monomials
 
 # Most anti-diagonals a series may be budgeted; a point that needs more is a
 # domain error.  The budget reaches it at max(|x|, |y|) of about 0.986-0.991,
@@ -216,10 +223,15 @@ def _snap(e: float) -> float:
     return r if abs(r - e) <= _SNAP_ULPS * math.ulp(e) else e
 
 
-def _quad(g, alpha: float, beta: float) -> complex:
-    """Integral over (0,1) of t^beta (1-t)^alpha g(t)."""
+def _quad(g, alpha: float, beta: float):
+    """Integral over (0,1) of t^beta (1-t)^alpha g(t).
+
+    g may return an array (..., nodes) for a stack of integrands, one row
+    per sample; the result is then an array over the samples.
+    """
     t, w = _jacobi_rule(QUAD_NODES, _snap(float(alpha)), _snap(float(beta)))
-    return complex(np.sum(w * g(t)))
+    total = np.sum(w * g(t), axis=-1)
+    return total if total.ndim else complex(total)
 
 
 def _ppow(base, p):
@@ -227,113 +239,162 @@ def _ppow(base, p):
     return np.exp(p * np.log(np.asarray(base, dtype=np.complex128)))
 
 
-def _diagonal_budget(r: float, growth: float, tol: float) -> int:
+def _diagonal_budget(r: float, growth: float, tol: float, sample: str = "") -> int:
     """Anti-diagonals the series gets to settle in, at radius r = max(|x|, |y|).
 
     Diagonal d of the series is of order d**growth * r**d.  The budget is
     twice the d where that bound falls to tol, plus a margin for its
     constant; a budget above DIAGONAL_LIMIT is refused up front, and so is a
-    growth exponent so large that the estimate itself overflows.
+    growth exponent so large that the estimate itself overflows.  sample
+    names the point of a stack in these errors.
     """
     d = 0.0
     if r > 0:
         for _ in range(8):  # fixed point of d = (log tol - growth log d) / log r
             d = max((math.log(tol) - growth * math.log(max(d, 1.0))) / math.log(r), 0.0)
-    _require_finite(d)
+    _refuse(not math.isfinite(d), _OVERFLOW + sample)
     budget = 2 * math.ceil(d) + 16
     if budget > DIAGONAL_LIMIT:
         raise ValueError(
             f"series would need about {budget} anti-diagonals at max(|x|, |y|) = "
             f"{r:.6g}, more than {DIAGONAL_LIMIT}: too close to the unit circle "
-            "for these parameters"
+            f"for these parameters{sample}"
         )
     return budget
 
 
 def _running_products(num: np.ndarray, den, z) -> np.ndarray:
-    """Rows 1, q_0, q_0 q_1, ... of the ratios q_k = num[:, k] / den[k] * z."""
-    out = np.ones((num.shape[0], num.shape[1] + 1), dtype=np.complex128)
-    np.cumprod(num / den * z, axis=1, out=out[:, 1:])
+    """Rows 1, q_0, q_0 q_1, ... of the ratios q_k = num[..., k] / den[k] * z.
+
+    z may carry leading sample axes, which the rows then carry too.
+    """
+    q = num / den * z
+    out = np.ones(q.shape[:-1] + (q.shape[-1] + 1,), dtype=np.complex128)
+    np.cumprod(q, axis=-1, out=out[..., 1:])
     return out
 
 
-def _settled(terms: np.ndarray, sums: np.ndarray, quiet_tol: float):
-    """First diagonal ending three in a row that add at most quiet_tol relative, or None."""
-    quiet = np.all(np.abs(terms) <= quiet_tol * np.abs(sums), axis=0)
-    quiet[0] = False  # diagonal 0 starts the sum; it does not add to it
-    run = np.flatnonzero(quiet[:-2] & quiet[1:-1] & quiet[2:])
-    return int(run[0]) + 2 if run.size else None
+def _points(x, y):
+    """The stack shape of x and y, and their points as pairs of Python complex numbers."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=np.complex128), np.asarray(y, dtype=np.complex128))
+        return x.shape, list(zip(x.ravel().tolist(), y.ravel().tolist()))
+    return (), [(complex(x), complex(y))]
+
+
+def _convolved(row_x: np.ndarray, row_y: np.ndarray, n: int) -> np.ndarray:
+    """The first n entries of conv(row_x[k], row_y[k]) for every shift k."""
+    return np.array([np.convolve(u[:n], v[:n])[:n] for u, v in zip(row_x, row_y)])
+
+
+_OVERFLOW = "series terms overflow the float range for these parameters"
 
 
 # overflowing or NaN terms are refused at the exits, not warned about per row
 @np.errstate(all="ignore")
-def _shifted_sums(p: F1Params, shifts, x: complex, y: complex, tol: float) -> np.ndarray:
+def _shifted_sums(p: F1Params, shifts, x, y, tol: float) -> np.ndarray:
     """F1(a+i+j; b+i, b'+j; c+i+j; x, y) for every shift (i, j), in one pass.
 
-    Each term factors as T(m, n) = A[m+n] B[m] C[n], with r = max(|x|, |y|),
+    x and y are numbers, or arrays over a stack of points; the sums have
+    shape (..., len(shifts)), one row per point.  Each term factors as
+    T(m, n) = A[m+n] B[m] C[n], with r = max(|x|, |y|),
         A[d] = (a+i+j)_d / (c+i+j)_d r^d,
         B[m] = (b+i)_m / m! (x/r)^m,    C[n] = (b'+j)_n / n! (y/r)^n,
-    three running products per shift.  B and C grow at most polynomially,
-    the decay is all in A, and the sum of anti-diagonal d is
+    three running products per shift and point.  B and C grow at most
+    polynomially, the decay is all in A, and the sum of anti-diagonal d is
     A[d] * conv(B, C)[d]: one convolution per shift gives every diagonal.
 
     Summation stops once three consecutive anti-diagonals each add at most
     tol * (1 - r) relative to every shift's partial sum: the geometric tail
     after such a diagonal is then about tol relative.  Sums settle near half
-    the budget, so the convolution first runs to budget // 2 and widens by a
-    quarter of the budget while they have not.  Terms that cancel to below
-    tol relative are refused (see _conditioned); sqrt(2) |A[d]| conv(|B|, |C|)[d]
-    bounds each diagonal's sum of |Re T| + |Im T|.
+    the budget, so a point's convolution first runs to its budget // 2 and
+    widens by a quarter of its budget while it has not settled.  Terms that
+    cancel to below tol relative are refused (see _conditioned);
+    sqrt(2) |A[d]| conv(|B|, |C|)[d] bounds each diagonal's sum of
+    |Re T| + |Im T|.
+
+    Every point keeps its own budget, stopping diagonal and refusals: the
+    rows run to the largest budget in the stack, a point's diagonals past
+    its own budget are masked out, and a refused point of a stack raises
+    its error with the point's index appended.
     """
+    shape, points = _points(x, y)
     i, j = np.asarray(shifts, dtype=float).T[:, :, None]
-    r = max(abs(x), abs(y))
     growth = max(0.0, (p.a + p.b + p.bprime - p.c).real - 1.0 + float(np.max(i + j)))
-    budget = _diagonal_budget(r, growth, tol)
-    quiet_tol = tol * (1.0 - r)
-    k = np.arange(budget)
+    # per point r, x / r and y / r in Python arithmetic (numpy's complex abs
+    # and division round differently), then the point's budget
+    per_point, budget = [], []
+    for s, (xs, ys) in enumerate(points):
+        r = max(abs(xs), abs(ys))
+        budget.append(_diagonal_budget(r, growth, tol, _sample(shape, s)))
+        per_point.append((r, xs / (r or 1.0), ys / (r or 1.0), tol * (1.0 - r)))
+    # axes (point, shift, diagonal)
+    r, zx, zy, quiet_tol = np.array(per_point)[:, :, None, None].transpose(1, 0, 2, 3)
+    r, quiet_tol = r.real, quiet_tol.real
+    k = np.arange(max(budget))
     diag = _running_products(p.a + (i + j) + k, p.c + (i + j) + k, r)
-    row_x = _running_products(p.b + i + k, k + 1, x / (r or 1.0))
-    row_y = _running_products(p.bprime + j + k, k + 1, y / (r or 1.0))
-    # diagonals up to budget // 2, 3 budget // 4, ..., budget
-    for length in range(budget // 2, budget + budget // 4, budget // 4):
-        n = min(length, budget) + 1
-        terms = diag[:, :n] * np.array([np.convolve(u[:n], v[:n])[:n] for u, v in zip(row_x, row_y)])
-        sums = np.cumsum(terms, axis=1)
-        stop = _settled(terms, sums, quiet_tol)
-        if stop is not None:
-            n = stop + 1
-            abs_conv = np.array(
-                [np.convolve(np.abs(u[:n]), np.abs(v[:n]))[:n] for u, v in zip(row_x, row_y)]
-            )
-            abs_total = math.sqrt(2.0) * np.sum(np.abs(diag[:, :n]) * abs_conv, axis=1)
-            return _conditioned(sums[:, stop], abs_total, tol)
-    _require_finite(sums[:, -1])
-    raise ValueError(f"series did not settle within {budget} anti-diagonals")
+    row_x = _running_products(p.b + i + k, k + 1, zx)
+    row_y = _running_products(p.bprime + j + k, k + 1, zy)
 
-
-def _require_finite(*values):
-    if not all(np.isfinite(v).all() for v in values):
-        raise ValueError("series terms overflow the float range for these parameters")
+    total = np.empty((len(budget), len(i)), dtype=np.complex128)
+    abs_total = np.empty(total.shape)
+    todo, t = list(range(len(budget))), 0
+    while todo:
+        # round t: every point not settled yet sums up to diagonal
+        # budget // 2 + t (budget // 4) of its own budget, or to the budget
+        n = [min(budget[s] // 2 + t * (budget[s] // 4), budget[s]) + 1 for s in todo]
+        terms = np.zeros((len(todo), len(i), max(n)), dtype=np.complex128)
+        for row, s, m in zip(terms, todo, n):
+            row[:, :m] = diag[s, :, :m] * _convolved(row_x[s], row_y[s], m)
+        sums = np.cumsum(terms, axis=-1)
+        quiet = np.all(np.abs(terms) <= quiet_tol[todo] * np.abs(sums), axis=1)
+        quiet[:, 0] = False  # diagonal 0 starts the sum; it does not add to it
+        run = quiet[:, :-2] & quiet[:, 1:-1] & quiet[:, 2:]
+        left = []
+        for a, (s, m) in enumerate(zip(todo, n)):
+            # runs of three quiet diagonals inside the point's own window
+            ends = np.flatnonzero(run[a, : m - 2])
+            if ends.size:
+                stop = int(ends[0]) + 2
+                upto = stop + 1
+                total[s] = sums[a, :, stop]
+                abs_conv = _convolved(np.abs(row_x[s, :, :upto]), np.abs(row_y[s, :, :upto]), upto)
+                abs_total[s] = math.sqrt(2.0) * np.sum(np.abs(diag[s, :, :upto]) * abs_conv, axis=1)
+            elif m > budget[s]:
+                where = _sample(shape, s)
+                _refuse(not np.isfinite(sums[a, :, m - 1]).all(), _OVERFLOW + where)
+                raise ValueError(f"series did not settle within {budget[s]} anti-diagonals{where}")
+            else:
+                left.append(s)
+        todo, t = left, t + 1
+    rows = shape + total.shape[-1:]
+    return _conditioned(total.reshape(rows), abs_total.reshape(rows), tol)
 
 
 def _conditioned(total: np.ndarray, abs_total: np.ndarray, tol: float) -> np.ndarray:
     """total, unless its terms cancel so far that roundoff exceeds tol relative.
 
-    abs_total bounds sum(|Re T| + |Im T|) over each shift's terms.  Real and
-    imaginary parts are summed separately, so roundoff in the sum is of
-    order eps * abs_total; a sum with eps * abs_total > tol * |total| (at
-    tol = 1e-12, terms about 4,500 times larger than the sum) has no
+    total and abs_total have shape (..., shifts), a row per point of a
+    stack.  abs_total bounds sum(|Re T| + |Im T|) over each shift's terms.
+    Real and imaginary parts are summed separately, so roundoff in the sum
+    is of order eps * abs_total; a sum with eps * abs_total > tol * |total|
+    (at tol = 1e-12, terms about 4,500 times larger than the sum) has no
     digits left to trust and is refused with ValueError, and so is a sum
-    whose terms overflow.
+    whose terms overflow; a refused point of a stack is named.
     """
-    _require_finite(total, abs_total)
+    _refuse(~np.isfinite(total + abs_total).all(axis=-1), _OVERFLOW)
     lost = np.finfo(float).eps * abs_total > tol * np.abs(total)
-    if np.any(lost):
-        kappa = max(float(a / abs(t)) if t else math.inf for a, t in zip(abs_total[lost], total[lost]))
-        raise ValueError(
+
+    def message(k):
+        # the worst ratio of absolute sum to sum over the refused shifts of point k
+        a, t, bad = (v.reshape(-1, lost.shape[-1])[k] for v in (abs_total, total, lost))
+        kappa = max(float(v / abs(w)) if w else math.inf for v, w in zip(a[bad], t[bad]))
+        return (
             f"series terms cancel: their absolute sum is {kappa:.3g} times the sum, "
             f"so roundoff exceeds the tolerance {tol:g}"
         )
+
+    _refuse(lost.any(axis=-1), message)
     return total
 
 
@@ -352,9 +413,11 @@ def f1_series(p: F1Params, x, y, tol: float = 1e-12):
     partials up to the jets' order.  Those come from the shifted-parameter
     sums F1(a+i+j; b+i, b'+j; c+i+j) at the base point, all taken in one
     pass, which form the Taylor jet of F1 there; it is composed with (x, y).
-    Raises ValueError outside |x|, |y| < 1, where the series would need
-    more than DIAGONAL_LIMIT anti-diagonals, and where its terms cancel so
-    far that roundoff exceeds tol.
+    Arrays of points, or stacked jets, give F1 at every point of the stack
+    in one pass.  Raises ValueError outside |x|, |y| < 1, where the series
+    would need more than DIAGONAL_LIMIT anti-diagonals, and where its terms
+    cancel so far that roundoff exceeds tol; for a stack the error names
+    the first point refused.
     """
     p.require_series_ok()
     proto = x if isinstance(x, Jet) else y if isinstance(y, Jet) else None
@@ -362,19 +425,23 @@ def f1_series(p: F1Params, x, y, tol: float = 1e-12):
         x, y = (
             v if isinstance(v, Jet) else Jet.constant(proto.dim, proto.order, v) for v in (x, y)
         )
-    x0, y0 = (v.value if isinstance(v, Jet) else complex(v) for v in (x, y))
-    if not (abs(x0) < 1 and abs(y0) < 1):
-        raise ValueError("series needs |x|, |y| < 1 at the base point")
+    x0, y0 = (
+        v.value if isinstance(v, Jet) else v if isinstance(v, np.ndarray) else complex(v)
+        for v in (x, y)
+    )
+    inside = (abs(x0) < 1) & (abs(y0) < 1)  # False at NaN too
+    _refuse(~np.asarray(inside), "series needs |x|, |y| < 1 at the base point")
     if proto is None:
-        return complex(_shifted_sums(p, ((0, 0),), x0, y0, tol)[0])
+        sums = _shifted_sums(p, ((0, 0),), x0, y0, tol)[..., 0]
+        return sums if sums.ndim else complex(sums)
     shifts = monomials(2, proto.order)
-    sums = _shifted_sums(p, shifts, x0, y0, tol)
-    taylor = [
+    factors = np.array([
         _rising(p.a, i + j) * _rising(p.b, i) * _rising(p.bprime, j)
-        / (_rising(p.c, i + j) * math.factorial(i) * math.factorial(j)) * s
-        for (i, j), s in zip(shifts, sums)
-    ]
-    return compose(Jet(2, proto.order, np.array(taylor)), [x, y])
+        / (_rising(p.c, i + j) * math.factorial(i) * math.factorial(j))
+        for i, j in shifts
+    ])
+    taylor = _shifted_sums(p, shifts, x0, y0, tol) * factors
+    return compose(_wrap(2, proto.order, taylor), [x, y])
 
 
 # (1 - v t)^(-p) branches at t = 1/v, and the Gauss-Jacobi rule on [0, 1]
@@ -386,30 +453,39 @@ def f1_series(p: F1Params, x, y, tol: float = 1e-12):
 _CUT_ELLIPSE = (1.1 + 1 / 1.1) / 2
 
 
+def _modulus(v):
+    """A modulus as a complex number, or an array of them over a stack."""
+    return v if isinstance(v, np.ndarray) else complex(v)
+
+
 def _require_off_cut(*moduli):
     """Refuse a modulus v on the cut [1, inf) or with 1/v inside _CUT_ELLIPSE.
 
     On the cut (1 - v t)^(-p) branches inside (0, 1); near it the rule is
     imprecise.  |1/v| + |1/v - 1| < E, multiplied through by |v|, reads
-    1 + |v - 1| < E |v|, which holds no division by v.
+    1 + |v - 1| < E |v|, which holds no division by v.  Moduli may be
+    arrays over a stack, whose first refused point is named.
     """
-    for v in moduli:
-        v = complex(v)
-        if v.imag == 0 and v.real >= 1:
-            raise ValueError("modulus on the cut [1, inf)")
-        if 1 + abs(v - 1) < _CUT_ELLIPSE * abs(v):
-            raise ValueError("modulus too near the cut [1, inf) for the quadrature rule")
+    for v in map(_modulus, moduli):
+        _refuse((v.imag == 0) & (v.real >= 1), "modulus on the cut [1, inf)")
+        _refuse(
+            1 + abs(v - 1) < _CUT_ELLIPSE * abs(v),
+            "modulus too near the cut [1, inf) for the quadrature rule",
+        )
 
 
-def f1_euler(p: F1Params, x, y) -> complex:
+def f1_euler(p: F1Params, x, y):
     """Euler integral Gamma(c)/(Gamma(a)Gamma(c-a)) int_0^1 t^{a-1}(1-t)^{c-a-1}(1-tx)^{-b}(1-ty)^{-b'} dt.
 
     The prefactor is taken through lgamma: c > a > 0 are real, and Gamma(c)
-    alone overflows from c of about 171.6.
+    alone overflows from c of about 171.6.  Arrays of points x, y give the
+    integral at every point, the integrand evaluated on one (points, nodes)
+    array.
     """
     p.require_euler_ok()
     _require_off_cut(x, y)
     a, b, bp, c = p.a.real, p.b, p.bprime, p.c.real
+    x, y = (_col(_modulus(v)) for v in (x, y))
 
     def g(t):
         return _ppow(1 - t * x, -b) * _ppow(1 - t * y, -bp)
@@ -422,7 +498,8 @@ def f1_pde_residual(p: F1Params, x, y) -> tuple[complex, complex]:
     """Residuals of the two second-order equations satisfied by F1.
 
     x(1-x) z_xx + y(1-x) z_xy + [c-(a+b+1)x] z_x - b y z_y - a b z and the
-    (y, b') mirror; both stay finite at x = y.
+    (y, b') mirror; both stay finite at x = y.  Arrays of points give the
+    residuals at every point, from one stacked series.
     """
     a, b, bp, c = p.a, p.b, p.bprime, p.c
     F = f1_series(p, *Jet.variables(2, 2, (x, y)))
@@ -468,9 +545,13 @@ def picard_f1_identity_rhs(x, y) -> complex:
     return pref * xr * yr * f1_series(params, 1 / x, 1 / y)
 
 
-def k_integral(ki, kj) -> complex:
-    """int_0^1 dx / cbrt(x^2 (1-x) (1-ki x) (1-kj x)); exponents (-1/3, -2/3)."""
+def k_integral(ki, kj):
+    """int_0^1 dx / cbrt(x^2 (1-x) (1-ki x) (1-kj x)); exponents (-1/3, -2/3).
+
+    Arrays of moduli give the integral for every pair of a stack.
+    """
     _require_off_cut(ki, kj)
+    ki, kj = (_col(_modulus(v)) for v in (ki, kj))
 
     def g(t):
         return _ppow(1 - ki * t, -1.0 / 3.0) * _ppow(1 - kj * t, -1.0 / 3.0)

@@ -12,8 +12,7 @@ arithmetic is an error, never a silent truncation.
 A Jet's coefficient array may carry leading sample axes, shape (..., N):
 a stack of jets, one per sample, that arithmetic, powers, derivatives and
 `compose` carry through at once (the vector forward mode of Taylor
-arithmetic); `invert_map2` takes single jets.  A single jet is the stack
-of shape ().  Numbers that vary by sample are arrays over the
+arithmetic).  A single jet is the stack of shape ().  Numbers that vary by sample are arrays over the
 same leading axes: `value`, `coeff` and `partial` return such arrays for a
 stack and Python complex numbers for a single jet, and a jet times an
 array of shape (...) scales each sample by its own number.
@@ -107,6 +106,28 @@ def _col(x):
 def _any(mask) -> bool:
     """Whether a per-sample test holds for any sample (or for the one)."""
     return bool(mask.any()) if isinstance(mask, np.ndarray) else mask
+
+
+def _sample(shape, k: int) -> str:
+    """' (sample k)' for flat sample k of a stack of the given shape; '' for one."""
+    if not shape:
+        return ""
+    index = tuple(int(i) for i in np.unravel_index(k, shape))
+    return f" (sample {index[0] if len(index) == 1 else index})"
+
+
+def _refuse(bad, message, error=ValueError):
+    """Raise error(message) for the first sample where the mask bad holds.
+
+    bad is a per-sample test over a stack's sample axes, or one bool for a
+    single point, whose message stays as it is; a stack's message names the
+    sample.  message may be a function of the flat sample index, for a
+    message that quotes the sample's own numbers.
+    """
+    if _any(bad):
+        bad = np.asarray(bad)
+        k = int(np.argmax(bad.ravel()))
+        raise error((message(k) if callable(message) else message) + _sample(bad.shape, k))
 
 
 def _constant(value, n: int) -> np.ndarray:
@@ -219,13 +240,16 @@ class Jet:
                 raise JetError("coefficient array has wrong length")
             self._c = coeffs.astype(np.complex128, copy=True)
         else:
-            self._c = np.zeros(len(monos), dtype=np.complex128)
+            # coefficients may be arrays over a stack's samples
+            coeffs = dict(coeffs)
+            shape = np.broadcast_shapes(*map(np.shape, coeffs.values()))
+            self._c = np.zeros(shape + (len(monos),), dtype=np.complex128)
             idx = _index(dim, order)
-            for alpha, v in dict(coeffs).items():
+            for alpha, v in coeffs.items():
                 key = tuple(alpha)
                 if key not in idx:
                     raise JetError(f"monomial {key} invalid for dim={dim} order={order}")
-                self._c[idx[key]] = v
+                self._c[..., idx[key]] = v
 
     @classmethod
     def constant(cls, dim: int, order: int, value) -> "Jet":
@@ -340,8 +364,7 @@ class Jet:
         One pass over coefficient arrays: order - 1 products, no jet per term.
         """
         c0 = self.value
-        if _any(c0 == 0):
-            raise JetError("division by jet with zero constant term")
+        _refuse(c0 == 0, "division by jet with zero constant term", JetError)
         dim, order = self.dim, self.order
         signs = (-1.0, 1.0, -1.0)[:order]
         return _wrap(dim, order, _series(dim, order, self._nilpotent(c0), signs) / _col(c0))
@@ -384,13 +407,13 @@ def jet_powq(a: Jet, q) -> Jet:
     over coefficient arrays; exact at truncation.
     """
     c0 = a.value
-    if _any(c0 == 0):
-        raise JetError("jet_powq requires nonzero constant term")
+    _refuse(c0 == 0, "jet_powq requires nonzero constant term", JetError)
     qf = q if isinstance(q, (float, complex)) else float(Fraction(q))
+    # cmath for every sample: numpy's complex log and exp round differently,
+    # and a stack's samples match the single jets bit for bit
     if isinstance(c0, np.ndarray):
-        head = np.exp(qf * np.log(c0))
+        head = np.array([cmath.exp(qf * cmath.log(c)) for c in c0.ravel().tolist()]).reshape(c0.shape)
     else:
-        # numpy's complex log rounds differently: a single jet keeps cmath
         head = cmath.exp(qf * cmath.log(c0))
     binoms, binom = [], 1.0
     for k in range(1, a.order + 1):
@@ -438,41 +461,3 @@ def compose(h: Jet, gs: "list[Jet]") -> Jet:
     g - g(0) come from one batched product per degree (see _compose_each).
     """
     return _compose_each((h,), gs)[0]
-
-
-def invert_map2(g1: Jet, g2: Jet) -> tuple[Jet, Jet]:
-    """Jets of the inverse of the 2-variable map (g1, g2) around its image.
-
-    Constant terms of the result are zero: the inverse is expanded in offsets
-    from the image point.  Degree-by-degree fixed point iteration.
-    """
-    if g1.dim != 2 or g2.dim != 2:
-        raise JetError("invert_map2 needs 2-variable jets")
-    g1._check(g2)
-    order = g1.order
-    e10, e01 = (1, 0), (0, 1)
-    A = np.array(
-        [[g1.coeff(e10), g1.coeff(e01)], [g2.coeff(e10), g2.coeff(e01)]],
-        dtype=np.complex128,
-    )
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    if abs(det) < 1e-14:
-        raise JetError("singular Jacobian: map not invertible at base")
-    B = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / det
-    # strip constants and linear part: g = const + A*delta + N(delta)
-    n1, n2 = g1.copy(), g2.copy()
-    for n, row in ((n1, 0), (n2, 1)):
-        n._c[0] = 0.0
-        idx = _index(2, order)
-        n._c[idx[e10]] -= A[row, 0]
-        n._c[idx[e01]] -= A[row, 1]
-    w1, w2 = Jet.variables(2, order, (0.0, 0.0))
-    h1 = B[0, 0] * w1 + B[0, 1] * w2
-    h2 = B[1, 0] * w1 + B[1, 1] * w2
-    for _ in range(max(order - 1, 0)):
-        c1, c2 = _compose_each((n1, n2), [h1, h2])
-        r1 = w1 - c1
-        r2 = w2 - c2
-        h1 = B[0, 0] * r1 + B[0, 1] * r2
-        h2 = B[1, 0] * r1 + B[1, 1] * r2
-    return h1, h2

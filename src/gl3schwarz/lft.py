@@ -4,7 +4,8 @@ The exact layer (Eis, EisMatrix) carries the generator zoo, word
 products, and the Heisenberg-lattice decomposition; the numeric layer
 (act on numbers or jets, and its denominator) drives everything downstream
 that samples points.  jacobian_factor is the closed form of the action's
-Jacobian, Delta (c.z)^-3, which the tests hold the jet Jacobian to.
+Jacobian, Delta (c.z)^-3, which the tests hold the jet Jacobian to and
+MT4-invariance rejects its draws by.
 Exact parts are Python ints whenever they are integral, which covers every
 lattice element; a part is a Fraction only where the value really is
 rational (Heisenberg half-integers, inverses with a non-unit determinant).

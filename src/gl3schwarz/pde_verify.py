@@ -8,6 +8,9 @@ three-pole rational shape parametrized by (alpha, beta, gamma), the
 system has closed-form solutions: an Appell series times an algebraic
 prefactor (``mt2_solution_residuals``).  Everything is evaluated on
 truncated jets, so residuals of a true identity sit at rounding level.
+Points may be arrays over a stack of samples: the jets then stack them
+(see `jets`), each Appell branch is one stacked series, and the residuals
+are arrays over the samples.
 """
 
 from __future__ import annotations
@@ -15,18 +18,22 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+
+import numpy as np
 
 from .appell import F1Params, f1_series
 from .derivs import DerivQuad, MapJet2, deriv_quad
-from .jets import Jet, JetError, jet_powq
+from .jets import Jet, JetError, _refuse, jet_powq
 from .worst import worst_of
 
 # Sample points must keep this distance from the poles {0, 1, v_other}.
 BASE_MARGIN = 0.05
 
 
-def _base(x) -> complex:
-    return x.value if isinstance(x, Jet) else complex(x)
+def _base(x):
+    """The base point of x: a jet's value, an array of points, or a complex number."""
+    return x.value if isinstance(x, Jet) else x if isinstance(x, np.ndarray) else complex(x)
 
 
 def _coerce(x) -> complex:
@@ -74,13 +81,17 @@ PICARD_MODULAR = ParamTriple(Fraction(3, 4), Fraction(1, 2), Fraction(-1, 4))
 
 
 def _pole_gap(v1: complex, v2: complex) -> float:
-    """Distance of the point from the poles: min |v1|, |v2|, |v1-1|, |v2-1|, |v1-v2|."""
-    return min(abs(v1), abs(v2), abs(v1 - 1), abs(v2 - 1), abs(v1 - v2))
+    """Distance of the point from the poles: min |v1|, |v2|, |v1-1|, |v2-1|, |v1-v2|.
+
+    Arrays of points give the distance of each.
+    """
+    gaps = (abs(v1), abs(v2), abs(v1 - 1), abs(v2 - 1), abs(v1 - v2))
+    return reduce(np.minimum, gaps) if isinstance(gaps[0], np.ndarray) else min(gaps)
 
 
 def _check_poles(v1, v2, margin: float):
-    if _pole_gap(_base(v1), _base(v2)) < margin:
-        raise ValueError(f"pole hit: point within {margin} of {{0, 1, v_other}}")
+    gap = _pole_gap(_base(v1), _base(v2))
+    _refuse(gap < margin, f"pole hit: point within {margin} of {{0, 1, v_other}}")
 
 
 def pole_quotient(x, y):
@@ -235,16 +246,17 @@ def _z_prefactor(p: ParamTriple, V1: Jet, V2: Jet) -> Jet:
 
 def _series_domain(v1: complex, v2: complex, which: str):
     if which == "first":
-        if max(abs(v1), abs(v2)) >= 1:
-            raise ValueError("first branch needs |v1|, |v2| < 1")
+        _refuse((abs(v1) >= 1) | (abs(v2) >= 1), "first branch needs |v1|, |v2| < 1")
     else:
-        if max(abs(1 - v1), abs(1 - v2)) >= 1:
-            raise ValueError("second branch needs |1-v1|, |1-v2| < 1")
+        _refuse((abs(1 - v1) >= 1) | (abs(1 - v2) >= 1), "second branch needs |1-v1|, |1-v2| < 1")
 
 
 def _series_point(v, branches):
     """(v1, v2) and their order-2 variable jets, checked against the poles
-    and the series domain of each branch."""
+    and the series domain of each branch.
+
+    Arrays of points give stacked jets; the first point refused is named.
+    """
     v1, v2 = _base(v[0]), _base(v[1])
     _check_poles(v1, v2, BASE_MARGIN)
     for which in branches:
@@ -265,7 +277,8 @@ def mt2_solution_residuals(p: ParamTriple, v, which: str = "first") -> tuple:
     Builds w from the Appell series branch, checks the three w-equations,
     then rebuilds z = prefactor * w and checks the three z-equations with
     the closed-form fields.  Returns (w_residuals, z_residuals), three
-    residuals each.
+    residuals each; arrays of points give arrays of residuals, from one
+    stacked series per branch.
     """
     v, (V1, V2) = _series_point(v, (which,))
     w = _branch_solution(p, V1, V2, which)
@@ -280,11 +293,12 @@ def pfaffian_jet(p: ParamTriple, v, data) -> Jet:
 
     The three equations express every second partial through (w, w_v1,
     w_v2), so a local solution jet is determined by that triple alone.
+    Arrays of points give a stack of jets, one per point.
     """
     v1, v2 = _base(v[0]), _base(v[1])
     _check_poles(v1, v2, 1e-12)
     (A1, B1, C1), (A2, B2, C2), h = _w_coefficients(p, v1, v2)
-    w0, w1, w2 = (complex(t) for t in data)
+    w0, w1, w2 = (_base(t) for t in data)
     w11 = -(A1 * w1 + B1 * w2 + C1 * w0)
     w22 = -(A2 * w2 + B2 * w1 + C2 * w0)
     w12 = -h * w1 + h * w2
@@ -308,7 +322,7 @@ def mt2_field_recovery_gap(p: ParamTriple, v, third=(1.0, -0.5, 0.9)) -> float:
     Takes the two series branches as s1, s2, completes the basis with a
     prescribed-gradient jet s3, and compares the derivative quadruple of
     (s1/s3, s2/s3) against the closed-form fields.  Needs a point where
-    both branches converge.
+    both branches converge.  Arrays of points give the gap at each.
     """
     v, (V1, V2) = _series_point(v, ("first", "second"))
     s1 = _branch_solution(p, V1, V2, "first")
@@ -326,6 +340,8 @@ def picard_modular_form_residuals(v, coeffs=(1.0, 1.0)) -> tuple:
         * [c1 * F1(1/4; 1/4, 1/4; 1; v1, v2)
            + c2 * F1(1/4; 1/4, 1/4; 3/4; 1-v1, 1-v2)]
     checked against the system with (alpha, beta, gamma) = (3/4, 1/2, -1/4).
+    Arrays of points, and of coefficients c1, c2 over the same points, give
+    the residuals at each point.
     """
     _, (V1, V2) = _series_point(v, ("first", "second"))
     c1, c2 = coeffs

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivs import MapJet2, second_arg_transform
-from .jets import Jet, jet_powq
+from .jets import Jet, _any, _refuse, jet_powq
 from .lft import denominator
-from .pde_verify import ParamTriple, _pole_gap, field_quad, pole_quotient, pole_sum
+from .pde_verify import ParamTriple, _base, _pole_gap, field_quad, pole_quotient, pole_sum
 from .worst import worst_of
 
 _TINY = 1e-12
@@ -228,22 +228,37 @@ def transform_abg(u, v) -> TransformABG:
     return _abg_unchecked(pu, pv)
 
 
+def _off_zero(z, refused):
+    """z, moved to one at the refused samples: a stack then divides by it
+    without raising, and the refused samples' results are meaningless."""
+    return z + np.where(refused, 1 - _base(z), 0) if _any(refused) else z
+
+
+def _order5(abg: TransformABG, t1, t2):
+    """(w1, w2) of order5_map, and the samples it refuses, without raising.
+
+    A sample is refused where b t1 + (a + g) or t2 is below _TINY; its
+    denominators are moved off zero (see _off_zero).
+    """
+    a, b, g = abg.alpha, abg.beta, abg.gamma
+    num = (b + g) * t1 + a
+    den = b * t1 + (a + g)
+    refused = (abs(_base(den)) < _TINY) | (abs(_base(t2)) < _TINY)
+    den, t2 = _off_zero(den, refused), _off_zero(t2, refused)
+    t2_5 = t2 * t2 * t2 * t2 * t2
+    return num / den, t1 * num * num * den / t2_5, refused
+
+
 def order5_map(abg: TransformABG, t1, t2) -> tuple:
     """(w1, w2) of the order-five transform; t1, t2 may be jets.
 
     w1 = ((b+g) t1 + a)/(b t1 + (a+g)),
     w2 = t1 ((b+g) t1 + a)^2 (b t1 + (a+g)) / t2^5.
+    Arrays of points, or stacked jets, give the map at each point; a
+    vanishing denominator is a ZeroDivisionError naming the first such point.
     """
-    a, b, g = abg.alpha, abg.beta, abg.gamma
-    num = (b + g) * t1 + a
-    den = b * t1 + (a + g)
-    t2_5 = t2 * t2 * t2 * t2 * t2
-    den0 = den.value if isinstance(den, Jet) else den
-    t2_0 = t2.value if isinstance(t2, Jet) else t2
-    if abs(complex(den0)) < _TINY or abs(complex(t2_0)) < _TINY:
-        raise ZeroDivisionError("vanishing denominator")
-    w1 = num / den
-    w2 = t1 * num * num * den / t2_5
+    w1, w2, refused = _order5(abg, t1, t2)
+    _refuse(refused, "vanishing denominator", ZeroDivisionError)
     return (w1, w2)
 
 
@@ -258,13 +273,53 @@ def _transform(u, v, check_modular: bool):
     return pu, pv, transform_abg(pu, pv) if check_modular else _abg_unchecked(pu, pv)
 
 
-def _cubed_gap(jac, f_src, k, f_img) -> float:
-    """Relative residual of jac^3 f_src = k^3 f_img; a vanishing radicand is refused."""
-    if min(abs(f_src), abs(f_img)) < _TINY:
-        raise ValueError("radicand zero")
+@np.errstate(divide="ignore", invalid="ignore")
+def _cubed_gap(jac, f_src, k, f_img):
+    """Relative residual of jac^3 f_src = k^3 f_img, and where a radicand vanishes."""
+    zero = (abs(f_src) < _TINY) | (abs(f_img) < _TINY)
     lhs = jac**3 * f_src
     rhs = k**3 * f_img
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+    return abs(lhs - rhs) / np.maximum(abs(lhs), abs(rhs)), zero
+
+
+def _checked(gap, zero, refused):
+    """gap, unless a point was refused: a vanishing denominator of the
+    transform (ZeroDivisionError) or a vanishing radicand (ValueError)."""
+    _refuse(refused, "vanishing denominator", ZeroDivisionError)
+    _refuse(zero, "radicand zero")
+    return gap
+
+
+def _stacked(point):
+    """A point (p1, p2) as two arrays over a stack; a single point is a stack of one."""
+    return np.broadcast_arrays(*(np.atleast_1d(np.asarray(c, dtype=np.complex128)) for c in point))
+
+
+def _as_given(point, *values):
+    """values over the stack of _stacked(point), unstacked for a single point."""
+    if isinstance(point[0], np.ndarray) or isinstance(point[1], np.ndarray):
+        return values
+    return tuple(v[0].item() for v in values)
+
+
+def pullback_gaps(u, v, t, check_modular: bool = True):
+    """pullback_identity_check at every point of t, refusing none.
+
+    t may be a pair of arrays over a stack of points; a single point is
+    evaluated as a stack of one, so that it rounds as it would in a stack.
+    Returns the residuals and the masks of the points the check refuses:
+    those where a radicand vanishes, and those where a denominator of the
+    transform does.  A refused point's residual is meaningless.
+    """
+    pu, pv, abg = _transform(u, v, check_modular)
+    t1, t2 = _stacked(t)
+    w1, w2, refused = _order5(abg, *Jet.variables(2, 1, (t1, t2)))
+    jac = MapJet2(w1, w2).jacobian_value()
+    w1v, w2v = w1.value, w2.value
+    ft = t1 * t1 * t2 * t2 * _radicand(pu, t1)
+    fw = w1v * w1v * w2v * w2v * _radicand(pv, w1v)
+    t2 = _off_zero(t2, refused)
+    return _as_given(t, *_cubed_gap(jac, ft, -5 * t1 / (t2 * t2), fw), refused)
 
 
 def pullback_identity_check(u, v, t, check_modular: bool = True) -> float:
@@ -272,16 +327,23 @@ def pullback_identity_check(u, v, t, check_modular: bool = True) -> float:
 
     Jac^3 f_t(t1, t2) = (-5 t1/t2^2)^3 f_w(w1, w2), with Jac the jet
     Jacobian of the order-five map, f_t, f_w the two quintic radicands.
-    Cubing removes every cube-root branch choice.
+    Cubing removes every cube-root branch choice.  A pair of arrays t gives
+    the residual at each point, and a refused point is named.
     """
+    return _checked(*pullback_gaps(u, v, t, check_modular))
+
+
+def corollary52_gaps(u, v, x, check_modular: bool = True):
+    """corollary52_check at every point of x, refusing none; see pullback_gaps."""
     pu, pv, abg = _transform(u, v, check_modular)
-    t1, t2 = complex(t[0]), complex(t[1])
-    w1, w2 = order5_map(abg, *Jet.variables(2, 1, (t1, t2)))
-    jac = MapJet2(w1, w2).jacobian_value()
-    w1v, w2v = w1.value, w2.value
-    ft = t1 * t1 * t2 * t2 * _radicand(pu, t1)
-    fw = w1v * w1v * w2v * w2v * _radicand(pv, w1v)
-    return _cubed_gap(jac, ft, -5 * t1 / (t2 * t2), fw)
+    x1, x2 = _stacked(x)
+    X1, X2 = Jet.variables(2, 1, (x1, x2))
+    w1, w2, refused = _order5(abg, X1 * X1 * X1, X2 * X2 * X2)
+    jac = MapJet2(jet_powq(w1, "1/3"), jet_powq(w2, "1/3")).jacobian_value()
+    x1c = x1**3
+    x2 = _off_zero(x2, refused)
+    gap, zero = _cubed_gap(jac, _radicand(pu, x1c), -5 * x1c / x2**6, _radicand(pv, w1.value))
+    return _as_given(x, gap, zero, refused)
 
 
 def corollary52_check(u, v, x, check_modular: bool = True) -> float:
@@ -290,14 +352,9 @@ def corollary52_check(u, v, x, check_modular: bool = True) -> float:
     With t_i = x_i^3 and y_i = w_i^(1/3), checks
     Jac_y^3 g_x = (-5 x1^3/x2^6)^3 g_y for the sextic-free radicands
     g_x = (1-x1^3)(1-u1 x1^3)(1-u2 x1^3), g_y the same in (v, y1^3).
+    A pair of arrays x gives the residual at each point.
     """
-    pu, pv, abg = _transform(u, v, check_modular)
-    x1, x2 = complex(x[0]), complex(x[1])
-    X1, X2 = Jet.variables(2, 1, (x1, x2))
-    w1, w2 = order5_map(abg, X1 * X1 * X1, X2 * X2 * X2)
-    jac = MapJet2(jet_powq(w1, "1/3"), jet_powq(w2, "1/3")).jacobian_value()
-    x1c = x1**3
-    return _cubed_gap(jac, _radicand(pu, x1c), -5 * x1c / x2**6, _radicand(pv, w1.value))
+    return _checked(*corollary52_gaps(u, v, x, check_modular))
 
 
 # ---------------------------------------------------------------------------

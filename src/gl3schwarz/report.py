@@ -16,6 +16,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -70,6 +71,7 @@ from .lft import (
     act,
     denominator,
     generators,
+    jacobian_factor,
     word_product,
 )
 from .pde_verify import (
@@ -84,13 +86,13 @@ from .pde_verify import (
     picard_modular_form_residuals,
 )
 from .picard import (
-    corollary52_check,
+    corollary52_gaps,
     f_sign_relations,
     j_invariants,
     modular_solve,
     p_transform_relations,
     param_table_check,
-    pullback_identity_check,
+    pullback_gaps,
     s3_orbit,
     transform_abg,
 )
@@ -207,8 +209,13 @@ def _order5_point(rng, u):
 # ---------------------------------------------------------------------------
 # check runners: (rng, samples) -> one residual per sample; _reduce gives
 # the check its (worst residual, samples used).  The derivs runners, MT1,
-# MT1-branch and MT4-galilean draw every sample first, making each
-# rejection as they draw, and then evaluate them all as one stack of jets.
+# MT1-branch, the MT2 checks, F1-euler, F1-pde, F1-k3, MT4-galilean and
+# MT4-invariance draw every sample first, making each rejection as they
+# draw, and then evaluate them all in one stacked pass: one stack of jets,
+# one stacked F1 series per parameter set, one stacked quadrature.  MT3
+# rejects while it evaluates: it draws the shortfall of each moduli
+# instance's points, evaluates them as one stack, keeps those not refused,
+# in order, and draws again only for what is still missing.
 
 
 def _exact(ok: bool) -> float:
@@ -342,48 +349,67 @@ def _check_mt1_branch(rng, n):
     yield from worst_of(parts)
 
 
+def _mt2_points(rng, region, n):
+    """n points of the region, drawn one after another, as (v1, v2) arrays."""
+    return tuple(np.array([_mt2_point(rng, region) for _ in range(n)]).T)
+
+
 def _mt2_branch_runner(which):
     def run(rng, n):
-        for _ in range(n):
-            v = _mt2_point(rng, which)
-            parts = []
-            for p in (PICARD, PICARD_MODULAR):
-                wr, zr = mt2_solution_residuals(p, v, which)
-                parts += [abs(r) for r in (*wr, *zr)]
-            yield worst_of(parts)
+        v = _mt2_points(rng, which, n)
+        parts = []
+        for p in (PICARD, PICARD_MODULAR):
+            wr, zr = mt2_solution_residuals(p, v, which)
+            parts += [abs(r) for r in (*wr, *zr)]
+        yield from worst_of(parts)
 
     return run
 
 
 def _check_mt2_picard(rng, n):
-    for _ in range(n):
-        v = _mt2_point(rng, "lens")
-        yield worst_of(mt2_field_recovery_gap(p, v) for p in (PICARD, PICARD_MODULAR))
+    v = _mt2_points(rng, "lens", n)
+    yield from worst_of(mt2_field_recovery_gap(p, v) for p in (PICARD, PICARD_MODULAR))
+
+
+_MT2_COEFF_SETS = np.array(((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (2.0, -0.7 + 0.3j)))
 
 
 def _check_mt2_picard_modular(rng, n):
-    coeff_sets = ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (2.0, -0.7 + 0.3j))
-    for k in range(n):
-        v = _mt2_point(rng, "lens")
-        res = picard_modular_form_residuals(v, coeff_sets[k % len(coeff_sets)])
-        yield worst_of(abs(r) for r in res)
+    # sample k takes coefficient set k mod 4
+    coeffs = _MT2_COEFF_SETS[np.arange(n) % len(_MT2_COEFF_SETS)].T
+    res = picard_modular_form_residuals(_mt2_points(rng, "lens", n), coeffs)
+    yield from worst_of(abs(r) for r in res)
 
 
 _F1_CHECK_PARAMS = (("1/3", "1/3", "1/3", 1), ("1/4", "1/4", "1/4", 1), ("2/3", "1/3", "1/3", "4/3"))
 
 
+def _f1_points(rng, n, radius=0.45):
+    """n points (x, y), each drawn as _cpx(rng, radius) twice, as two arrays."""
+    return rng.uniform(-radius, radius, (n, 4)).view(np.complex128).T
+
+
+def _f1_groups(n):
+    """(parameters, samples) for each row of _F1_CHECK_PARAMS: sample k takes row k mod 3."""
+    rows = len(_F1_CHECK_PARAMS)
+    return [(F1Params(*_F1_CHECK_PARAMS[row]), slice(row, n, rows)) for row in range(min(n, rows))]
+
+
 def _check_f1_euler(rng, n):
-    for k in range(n):
-        p = F1Params(*_F1_CHECK_PARAMS[k % len(_F1_CHECK_PARAMS)])
-        x, y = _cpx(rng, 0.45), _cpx(rng, 0.45)
-        yield abs(f1_series(p, x, y) - f1_euler(p, x, y))
+    x, y = _f1_points(rng, n)
+    res = np.empty(n)
+    for p, k in _f1_groups(n):
+        res[k] = abs(f1_series(p, x[k], y[k]) - f1_euler(p, x[k], y[k]))
+    yield from res
 
 
 def _check_f1_pde(rng, n):
-    for k in range(n):
-        p = F1Params(*_F1_CHECK_PARAMS[k % len(_F1_CHECK_PARAMS)])
-        r1, r2 = f1_pde_residual(p, _cpx(rng, 0.45), _cpx(rng, 0.45))
-        yield worst_of((abs(r1), abs(r2)))
+    x, y = _f1_points(rng, n)
+    res = np.empty(n)
+    for p, k in _f1_groups(n):
+        r1, r2 = f1_pde_residual(p, x[k], y[k])
+        res[k] = worst_of((abs(r1), abs(r2)))
+    yield from res
 
 
 def _gamma_modulus(rng):
@@ -411,9 +437,8 @@ def _check_f1_picard_gamma(rng, n):
 def _check_f1_k3(rng, n):
     pref = gamma(1 / 3) * gamma(2 / 3)
     p = F1Params("1/3", "1/3", "1/3", 1)
-    for _ in range(n):
-        ki, kj = _cpx(rng, 0.45), _cpx(rng, 0.45)
-        yield abs(k_integral(ki, kj) - pref * f1_series(p, ki, kj))
+    ki, kj = _f1_points(rng, n)
+    yield from abs(k_integral(ki, kj) - pref * f1_series(p, ki, kj))
 
 
 def _check_f1_beta(rng, n):
@@ -424,16 +449,18 @@ def _check_mt3(rng, n):
     per_instance = 10
     for _ in range(n):
         u, v = _moduli_instance(rng)
-        done = 0
-        while done < per_instance:
-            t = _order5_point(rng, u)
-            x = [ti ** (1 / 3) for ti in t]  # the same point in root coordinates
-            try:
-                res = worst_of((pullback_identity_check(u, v, t), corollary52_check(u, v, x)))
-            except (ValueError, ZeroDivisionError):
-                continue
-            yield res
-            done += 1
+        kept = []
+        # draw the shortfall, evaluate it as one stack and keep the points
+        # neither check refuses, in order: no draw depends on an evaluation,
+        # so the kept points are those a point-by-point loop keeps
+        while len(kept) < per_instance:
+            t = [_order5_point(rng, u) for _ in range(per_instance - len(kept))]
+            x = [[ti ** (1 / 3) for ti in p] for p in t]  # the same points in root coordinates
+            gap_t, *refused_t = pullback_gaps(u, v, tuple(np.array(t).T))
+            gap_x, *refused_x = corollary52_gaps(u, v, tuple(np.array(x).T))
+            refused = reduce(np.logical_or, refused_t + refused_x)
+            kept += worst_of((gap_t, gap_x))[~refused].tolist()
+        yield from kept
 
 
 def _check_mt3_constraint(rng, n):
@@ -523,34 +550,53 @@ _MT4_MATS = (
 )
 
 
-def _random_evo_pair(rng, order=3):
-    xs = Jet.variables(4, order, rng.uniform(-0.8, 0.8, 4))
+def _random_evo_pairs(rng, size, order=3):
+    """size random pairs (u1, u2) of jets in (x, y, t1, t2), as one stacked map.
 
-    def poly():
-        out = Jet.constant(4, order, _cpx(rng, 0.6))
-        for v in xs:
-            out = out + _cpx(rng, 0.6) * v
-        return out + _cpx(rng, 0.6) * xs[0] * xs[1] + _cpx(rng, 0.6) * xs[1] * xs[3]
+    Per pair the base point, drawn as rng.uniform(-0.8, 0.8, 4), then the
+    seven coefficients of u1's polynomial and the seven of u2's, each drawn
+    as _cpx(rng, 0.6): u_i = x_i + 0.3 (c0 + c1 x + c2 y + c3 t1 + c4 t2
+    + c5 x y + c6 y t2).
+    """
+    u = rng.random((size, 32))
+    (low, high), (clow, chigh) = (-0.8, 0.8), (-0.6, 0.6)
+    xs = Jet.variables(4, order, tuple((low + (high - low) * u[:, :4]).T))
+    c = (clow + (chigh - clow) * u[:, 4:]).view(np.complex128).T
 
-    return (xs[0] + 0.3 * poly(), xs[1] + 0.3 * poly())
+    def poly(c):
+        out = Jet.constant(4, order, c[0])
+        for v, ck in zip(xs, c[1:5]):
+            out = out + ck * v
+        return out + c[5] * xs[0] * xs[1] + c[6] * xs[1] * xs[3]
+
+    return MapJet2(xs[0] + 0.3 * poly(c[:7]), xs[1] + 0.3 * poly(c[7:]))
 
 
 def _check_mt4_invariance(rng, n):
-    done = 0
-    while done < n:
-        u = _random_evo_pair(rng)
-        try:
-            ut = transformed_pair(_MT4_MATS[done % 2], u)
-            parts = []
-            for which in ("t1", "t2"):
-                qa, qb = evo_quotients(u, which), evo_quotients(ut, which)
-                parts += [abs(qa[0] - qb[0]), abs(qa[1] - qb[1])]
-            va = deriv_quad(MapJet2(u[0], u[1], active=(0, 1))).values()
-            vb = deriv_quad(MapJet2(ut[0], ut[1], active=(0, 1))).values()
-        except ZeroDivisionError:
-            continue
-        yield worst_of(parts + [abs(a - b) for a, b in zip(va, vb)])
-        done += 1
+    # the pair's spatial Jacobian and the action's denominator and Jacobian
+    # factor at the base point are drawn values: rejected at draw time, in
+    # order, each sample taking matrix k mod 2 by its place k among the kept
+    kept, mats = [], []
+    while len(kept) < n:
+        pairs = _random_evo_pairs(rng, n - len(kept))
+        base = tuple(zip(pairs.u1.value.tolist(), pairs.u2.value.tolist()))
+        for k, jac in enumerate(pairs.jacobian_value().tolist()):
+            m = _MT4_MATS[len(kept) % 2]
+            if abs(denominator(m, base[k])) < 1e-10 or abs(jac) < 1e-14:
+                continue
+            if abs(jacobian_factor(m, base[k]) * jac) < 1e-14:
+                continue
+            kept.append(pairs[k])
+            mats.append(m)
+    u = stack_maps(kept)
+    ut = transformed_pair(np.stack(mats, -1), (u.u1, u.u2))
+    parts = []
+    for which in ("t1", "t2"):
+        qa, qb = evo_quotients((u.u1, u.u2), which), evo_quotients(ut, which)
+        parts += [abs(qa[0] - qb[0]), abs(qa[1] - qb[1])]
+    va = deriv_quad(u).values()
+    vb = deriv_quad(MapJet2(*ut)).values()
+    yield from worst_of(parts + [abs(a - b) for a, b in zip(va, vb)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,43 @@
+"""Oracles the tests hold the package to; the program itself does not use them."""
+
+import numpy as np
+
+from gl3schwarz.jets import Jet, JetError, _compose_each, _index
+
+
+def invert_map2(g1: Jet, g2: Jet) -> tuple[Jet, Jet]:
+    """Jets of the inverse of the 2-variable map (g1, g2) around its image.
+
+    Constant terms of the result are zero: the inverse is expanded in offsets
+    from the image point.  Degree-by-degree fixed point iteration.
+    """
+    if g1.dim != 2 or g2.dim != 2:
+        raise JetError("invert_map2 needs 2-variable jets")
+    g1._check(g2)
+    order = g1.order
+    e10, e01 = (1, 0), (0, 1)
+    A = np.array(
+        [[g1.coeff(e10), g1.coeff(e01)], [g2.coeff(e10), g2.coeff(e01)]],
+        dtype=np.complex128,
+    )
+    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    if abs(det) < 1e-14:
+        raise JetError("singular Jacobian: map not invertible at base")
+    B = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / det
+    # strip constants and linear part: g = const + A*delta + N(delta)
+    n1, n2 = g1.copy(), g2.copy()
+    for n, row in ((n1, 0), (n2, 1)):
+        n._c[0] = 0.0
+        idx = _index(2, order)
+        n._c[idx[e10]] -= A[row, 0]
+        n._c[idx[e01]] -= A[row, 1]
+    w1, w2 = Jet.variables(2, order, (0.0, 0.0))
+    h1 = B[0, 0] * w1 + B[0, 1] * w2
+    h2 = B[1, 0] * w1 + B[1, 1] * w2
+    for _ in range(max(order - 1, 0)):
+        c1, c2 = _compose_each((n1, n2), [h1, h2])
+        r1 = w1 - c1
+        r2 = w2 - c2
+        h1 = B[0, 0] * r1 + B[0, 1] * r2
+        h2 = B[1, 0] * r1 + B[1, 1] * r2
+    return h1, h2

@@ -163,6 +163,8 @@ class TestF1Series:
             f1_series(F1Params(1, 1, 1, 0), 0.1, 0.1)
 
 
+LOOP_PARAMS_COMPLEX_A = ("0.3+0.2j", "1/3", "1/4", "3/2")
+
 # Near the unit circle: one point with |x| = 0.95 and one with |y| = 0.95.
 EDGE_POINTS = [(0.95 * cmath.exp(2.1j), 0.6j), (0.4 - 0.3j, 0.95 * cmath.exp(-2.4j))]
 PARTIALS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
@@ -219,6 +221,110 @@ class TestF1NearUnitCircle:
             f1_series(p, Jet.variable(2, 2, 0, base=0.1), Jet.variable(2, 2, 1, base=-0.999j))
 
 
+# (theta, phi) of x = r e^(i theta), y = 0.8 r e^(i phi); mpmath takes about
+# 0.1 s per point here, and seconds at other phases
+STOP_PHASES = [(2.0, 0.7), (-2.5, 2.9)]
+STOP_RADII = [0.9, 0.95, 0.98]
+
+
+def _stop_point(r, phases):
+    theta, phi = phases
+    return r * cmath.exp(1j * theta), 0.8 * r * cmath.exp(1j * phi)
+
+
+class TestStoppingRule:
+    # the stop after three diagonals that each add at most tol (1 - r)
+    # relative keeps these within 4e-14; a stop at tol / (1 - r) stays inside
+    # every report ceiling but is 4e-12 to 3e-11 off here
+    @pytest.mark.parametrize("phases", STOP_PHASES)
+    @pytest.mark.parametrize("r", STOP_RADII)
+    def test_value_matches_mpmath_near_the_unit_circle(self, r, phases):
+        x, y = _stop_point(r, phases)
+        ref = complex(_mp_f1(PARAM_SETS[0], x, y))
+        assert abs(f1_series(F1Params(*PARAM_SETS[0]), x, y) - ref) <= 1e-12 * abs(ref)
+
+    def test_every_point_of_a_stack_stops_on_its_own(self):
+        # one stack across the radii: each point keeps its own budget and stop
+        points = [_stop_point(r, ph) for r in STOP_RADII for ph in STOP_PHASES]
+        x, y = (np.array(v) for v in zip(*points))
+        got = f1_series(F1Params(*PARAM_SETS[0]), x, y)
+        for g, (xk, yk) in zip(got, points):
+            assert g == f1_series(F1Params(*PARAM_SETS[0]), xk, yk)
+
+
+class TestStacks:
+    # (x, y) pairs from r = 0.05 to 0.9: budgets from 28 to over 500 in one stack
+    POINTS = [(0.05, 0.02j), (0.3 - 0.4j, 0.2), (0.85j, -0.5), (-0.6 + 0.1j, 0.9), (0.0, 0.0), (0.7, 0.7)]
+
+    @pytest.mark.parametrize("params", PARAM_SETS + [LOOP_PARAMS_COMPLEX_A])
+    def test_a_stack_of_points_matches_one_point_at_a_time(self, params):
+        p = F1Params(*params)
+        x, y = (np.array(v) for v in zip(*self.POINTS))
+        one = [f1_series(p, xk, yk) for xk, yk in self.POINTS]
+        assert list(f1_series(p, x, y)) == one
+        if p.a.imag == 0:
+            assert list(f1_euler(p, x, y)) == [f1_euler(p, xk, yk) for xk, yk in self.POINTS]
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_a_stack_of_jets_matches_one_jet_at_a_time(self, order):
+        p = F1Params(*PARAM_SETS[2])
+        x, y = (np.array(v) for v in zip(*self.POINTS))
+        got = f1_series(p, *Jet.variables(2, order, (x, y)))
+        for k, (xk, yk) in enumerate(self.POINTS):
+            one = f1_series(p, *Jet.variables(2, order, (xk, yk)))
+            assert np.abs(got._c[k] - one._c).max() <= 1e-15 * np.abs(one._c).max()
+
+    def test_a_stack_of_one_is_a_point(self):
+        p = F1Params(*PARAM_SETS[0])
+        got = f1_series(p, np.array([0.3 + 0.1j]), np.array([-0.2]))
+        assert got.shape == (1,) and got[0] == f1_series(p, 0.3 + 0.1j, -0.2)
+        assert k_integral(np.array([0.2]), np.array([0.1j]))[0] == k_integral(0.2, 0.1j)
+
+    # each refusal of one point, at sample 2 of a stack whose other points are
+    # fine: the stack raises the one point's message with the index appended
+    @pytest.mark.parametrize(
+        "call, bad",
+        [
+            ("series", (1.2, 0.0)),  # outside the unit disc
+            ("series", (0.999, 0.1)),  # past the diagonal budget
+            ("series", (0.3, float("nan"))),
+            ("euler", (2.0, 0.1)),  # on the cut
+            ("euler", (2.0 + 0.01j, 0.1)),  # too near it
+            ("k", (0.1, 1.5)),
+        ],
+    )
+    def test_a_refused_point_is_named(self, call, bad):
+        p = F1Params(*PARAM_SETS[0])
+        f = {
+            "series": lambda x, y: f1_series(p, x, y),
+            "euler": lambda x, y: f1_euler(p, x, y),
+            "k": k_integral,
+        }[call]
+        with pytest.raises(ValueError) as one:
+            f(*bad)
+        x, y = (np.array(v) for v in zip((0.1, 0.2), (0.3j, -0.1), bad, (0.2, 0.2)))
+        with pytest.raises(ValueError) as stack:
+            f(x, y)
+        assert str(stack.value) == f"{one.value} (sample 2)"
+
+    def test_cancelled_sums_are_named(self):
+        # the conditioning refusal of TestSeriesConditioning, at sample 1
+        x, y = 0.985 * (0.3 - 0.2j), 0.985 * cmath.exp(-1.2j)
+        shifts = monomials(2, 3)
+        p = F1Params(*LOOP_PARAMS["thirds"])
+        with pytest.raises(ValueError) as one:
+            _shifted_sums(p, shifts, x, y, 1e-12)
+        with pytest.raises(ValueError) as stack:
+            _shifted_sums(p, shifts, np.array([0.2, x]), np.array([0.1, y]), 1e-12)
+        assert str(stack.value) == f"{one.value} (sample 1)"
+
+    def test_stacks_with_more_axes_name_the_index(self):
+        x = np.array([[0.1, 0.2], [0.3, 1.5]])
+        with pytest.raises(ValueError, match=r"\(sample \(1, 1\)\)$"):
+            f1_series(F1Params(*PARAM_SETS[0]), x, 0.1)
+        assert f1_series(F1Params(*PARAM_SETS[0]), x[:1], 0.1).shape == (1, 2)
+
+
 def _loop_shifted_sums(p, shifts, x, y, tol):
     """The shifted sums one anti-diagonal per Python step, and the diagonal they stopped on.
 
@@ -271,7 +377,7 @@ def _assert_matches_loop(p, shifts, x, y, tol=1e-12):
 LOOP_PARAMS = {
     "thirds": ("1/3", "1/3", "1/3", 1),
     "picard": ("2/3", "1/3", "1/3", "4/3"),
-    "complex-a": ("0.3+0.2j", "1/3", "1/4", "3/2"),
+    "complex-a": LOOP_PARAMS_COMPLEX_A,
     "terminating": (-3, "1/3", "1/2", "3/2"),  # (a)_d = 0 from d = 4 on
 }
 # (x, y) / r, with r = max(|x|, |y|)

@@ -22,8 +22,9 @@ from gl3schwarz.derivs import (
     transport_matrix,
     transported_pair,
 )
-from gl3schwarz.jets import Jet, JetError, compose, invert_map2, monomials
+from gl3schwarz.jets import Jet, JetError, compose, monomials
 from gl3schwarz.lft import generators
+from oracles import invert_map2
 
 G = generators()
 

@@ -1,19 +1,27 @@
 """The whole-sample checks against their one-sample-at-a-time references.
 
-The derivs runners, MT1, MT1-branch and MT4-galilean draw all samples first
-and evaluate them as one stack of jets.  The runners below are the loops
-they replaced: one map, one point, one quad per sample.  They stay here as
-references only, and the stacked runners must match them sample by sample.
+The derivs runners, MT1, MT1-branch, MT2-first, MT2-second, MT2-picard,
+MT2-picard-modular, F1-euler, F1-pde, F1-k3, MT4-galilean and
+MT4-invariance draw all samples first and evaluate them in one stacked
+pass: one stack of jets, one stacked F1 series and one stacked quadrature
+per parameter set.  MT3 evaluates each moduli instance's points as one
+stack and draws again for the points it refuses.  The runners below are
+the loops they replaced: one map, one point, one series per sample.  They
+stay here as references only, and the stacked runners must match them
+sample by sample.
 """
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gl3schwarz import derivs, evolution, lft, pde_verify, report
+from gl3schwarz import appell, derivs, evolution, lft, pde_verify, picard, report
+from gl3schwarz.appell import F1Params, f1_euler, f1_pde_residual, f1_series, gamma, k_integral
 from gl3schwarz.derivs import (
+    DerivQuad,
     ExtendedTransport,
     MapJet2,
     chain_rule_rhs,
@@ -28,10 +36,36 @@ from gl3schwarz.derivs import (
     transport_matrix,
     transported_pair,
 )
-from gl3schwarz.evolution import EvoFields, consistency_residual, galilean_covariance_check
+from gl3schwarz.evolution import (
+    EvoFields,
+    consistency_residual,
+    evo_quotients,
+    galilean_covariance_check,
+    transformed_pair,
+)
+from gl3schwarz.jets import Jet, JetError, _wrap, jet_powq
 from gl3schwarz.lft import act, denominator, generators
-from gl3schwarz.pde_verify import mt1_relative_residual, mt1_residuals
-from gl3schwarz.report import _GEN_NAMES, _safe_lft_point, run_suites
+from gl3schwarz.pde_verify import (
+    PICARD,
+    PICARD_MODULAR,
+    mt1_relative_residual,
+    mt1_residuals,
+    mt2_field_recovery_gap,
+    mt2_solution_residuals,
+    picard_modular_form_residuals,
+)
+from gl3schwarz.picard import corollary52_check, order5_map, pullback_identity_check
+from gl3schwarz.report import (
+    _F1_CHECK_PARAMS,
+    _GEN_NAMES,
+    _MT4_MATS,
+    _cpx,
+    _moduli_instance,
+    _mt2_point,
+    _order5_point,
+    _safe_lft_point,
+    run_suites,
+)
 from gl3schwarz.worst import worst_of
 
 
@@ -141,6 +175,101 @@ def _ref_mt4_galilean(rng, n):
         yield worst_of((galilean_covariance_check(f, *shift), consistency_residual(f, f.v1)))
 
 
+def _ref_mt2_branch(which):
+    def run(rng, n):
+        for _ in range(n):
+            v = _mt2_point(rng, which)
+            parts = []
+            for p in (PICARD, PICARD_MODULAR):
+                wr, zr = mt2_solution_residuals(p, v, which)
+                parts += [abs(r) for r in (*wr, *zr)]
+            yield worst_of(parts)
+
+    return run
+
+
+def _ref_mt2_picard(rng, n):
+    for _ in range(n):
+        v = _mt2_point(rng, "lens")
+        yield worst_of(mt2_field_recovery_gap(p, v) for p in (PICARD, PICARD_MODULAR))
+
+
+def _ref_mt2_picard_modular(rng, n):
+    coeff_sets = ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (2.0, -0.7 + 0.3j))
+    for k in range(n):
+        v = _mt2_point(rng, "lens")
+        res = picard_modular_form_residuals(v, coeff_sets[k % len(coeff_sets)])
+        yield worst_of(abs(r) for r in res)
+
+
+def _ref_f1_euler(rng, n):
+    for k in range(n):
+        p = F1Params(*_F1_CHECK_PARAMS[k % len(_F1_CHECK_PARAMS)])
+        x, y = _cpx(rng, 0.45), _cpx(rng, 0.45)
+        yield abs(f1_series(p, x, y) - f1_euler(p, x, y))
+
+
+def _ref_f1_pde(rng, n):
+    for k in range(n):
+        p = F1Params(*_F1_CHECK_PARAMS[k % len(_F1_CHECK_PARAMS)])
+        r1, r2 = f1_pde_residual(p, _cpx(rng, 0.45), _cpx(rng, 0.45))
+        yield worst_of((abs(r1), abs(r2)))
+
+
+def _ref_f1_k3(rng, n):
+    pref = gamma(1 / 3) * gamma(2 / 3)
+    p = F1Params("1/3", "1/3", "1/3", 1)
+    for _ in range(n):
+        ki, kj = _cpx(rng, 0.45), _cpx(rng, 0.45)
+        yield abs(k_integral(ki, kj) - pref * f1_series(p, ki, kj))
+
+
+def _ref_mt3(rng, n):
+    per_instance = 10
+    for _ in range(n):
+        u, v = _moduli_instance(rng)
+        done = 0
+        while done < per_instance:
+            t = _order5_point(rng, u)
+            x = [ti ** (1 / 3) for ti in t]  # the same point in root coordinates
+            try:
+                res = worst_of((pullback_identity_check(u, v, t), corollary52_check(u, v, x)))
+            except (ValueError, ZeroDivisionError):
+                continue
+            yield res
+            done += 1
+
+
+def _random_evo_pair(rng, order=3):
+    xs = Jet.variables(4, order, rng.uniform(-0.8, 0.8, 4))
+
+    def poly():
+        out = Jet.constant(4, order, _cpx(rng, 0.6))
+        for v in xs:
+            out = out + _cpx(rng, 0.6) * v
+        return out + _cpx(rng, 0.6) * xs[0] * xs[1] + _cpx(rng, 0.6) * xs[1] * xs[3]
+
+    return (xs[0] + 0.3 * poly(), xs[1] + 0.3 * poly())
+
+
+def _ref_mt4_invariance(rng, n):
+    done = 0
+    while done < n:
+        u = _random_evo_pair(rng)
+        try:
+            ut = transformed_pair(_MT4_MATS[done % 2], u)
+            parts = []
+            for which in ("t1", "t2"):
+                qa, qb = evo_quotients(u, which), evo_quotients(ut, which)
+                parts += [abs(qa[0] - qb[0]), abs(qa[1] - qb[1])]
+            va = deriv_quad(MapJet2(u[0], u[1], active=(0, 1))).values()
+            vb = deriv_quad(MapJet2(ut[0], ut[1], active=(0, 1))).values()
+        except ZeroDivisionError:
+            continue
+        yield worst_of(parts + [abs(a - b) for a, b in zip(va, vb)])
+        done += 1
+
+
 REFERENCES = {
     "invariance": _ref_invariance,
     "vanishing": _ref_vanishing,
@@ -153,6 +282,15 @@ REFERENCES = {
     "MT1": _ref_mt1,
     "MT1-branch": _ref_mt1_branch,
     "MT4-galilean": _ref_mt4_galilean,
+    "MT2-first": _ref_mt2_branch("first"),
+    "MT2-second": _ref_mt2_branch("second"),
+    "MT2-picard": _ref_mt2_picard,
+    "MT2-picard-modular": _ref_mt2_picard_modular,
+    "F1-euler": _ref_f1_euler,
+    "F1-pde": _ref_f1_pde,
+    "F1-k3": _ref_f1_k3,
+    "MT3": _ref_mt3,
+    "MT4-invariance": _ref_mt4_invariance,
 }
 STACKED = {c.id: c for c in report.CHECKS if c.id in REFERENCES}
 RUNNERS = {
@@ -167,26 +305,44 @@ RUNNERS = {
     "MT1": report._check_mt1,
     "MT1-branch": report._check_mt1_branch,
     "MT4-galilean": report._check_mt4_galilean,
+    "MT2-first": report._mt2_branch_runner("first"),
+    "MT2-second": report._mt2_branch_runner("second"),
+    "MT2-picard": report._check_mt2_picard,
+    "MT2-picard-modular": report._check_mt2_picard_modular,
+    "F1-euler": report._check_f1_euler,
+    "F1-pde": report._check_f1_pde,
+    "F1-k3": report._check_f1_k3,
+    "MT3": report._check_mt3,
+    "MT4-invariance": report._check_mt4_invariance,
 }
 
 
-def _residuals(runner, seed, cid, n):
-    return [float(r) for r in runner(report._rng(seed, cid)[0], n)]
+def _residuals(runner, seed, cid, n, rng=None):
+    rng = report._rng(seed, cid)[0] if rng is None else rng
+    return [float(r) for r in runner(rng, n)]
+
+
+# residuals per sample: an MT3 sample is a moduli instance with ten points
+PER_SAMPLE = {"MT3": 10}
 
 
 def test_every_stacked_check_has_a_reference():
     assert set(STACKED) == set(REFERENCES) == set(RUNNERS) == set(FAULTS)
+    assert set(MISALIGNED) == {c for c in STACKED if c[:3] in ("MT2", "F1-", "MT3")} | {"MT4-invariance"}
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 42])
 @pytest.mark.parametrize("cid", sorted(REFERENCES))
 def test_stacked_residuals_match_the_per_sample_reference(cid, seed):
     n = STACKED[cid].samples
-    got = _residuals(RUNNERS[cid], seed, cid, n)
-    ref = _residuals(REFERENCES[cid], seed, cid, n)
-    assert len(got) == len(ref) == n
+    rngs = [report._rng(seed, cid)[0] for _ in range(2)]
+    got = _residuals(RUNNERS[cid], seed, cid, n, rngs[0])
+    ref = _residuals(REFERENCES[cid], seed, cid, n, rngs[1])
+    assert len(got) == len(ref) == n * PER_SAMPLE.get(cid, 1)
     assert all(math.isfinite(g) for g in got)
     assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-13
+    # both drew the same numbers: the stream ends in the same state
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 # The residuals of a sound check sit at roundoff, so matching them says
@@ -244,6 +400,34 @@ def _offset_r1(monkeypatch):
     monkeypatch.setattr(evolution, "mt4_residuals", offset)
 
 
+def _offset_by_z(monkeypatch):
+    # an offset by z's value follows each sample's coefficient set
+    real = pde_verify._z_system
+
+    def offset(z, fields):
+        (r1, r2, r3), scale = real(z, fields)
+        return (r1 + 1e-3 * z.value * fields.brace_x.value, r2, r3), scale
+
+    monkeypatch.setattr(pde_verify, "_z_system", offset)
+
+
+def _bend_the_euler_exponents(monkeypatch):
+    # the quadrature side only: the series takes no principal powers
+    real = appell._ppow
+    monkeypatch.setattr(appell, "_ppow", lambda base, p: real(base, p * (1 + 1e-3)))
+
+
+def _misweight_the_partials(monkeypatch):
+    # the Taylor factors of the shifted sums: values stay, partials move
+    real = appell._rising
+    monkeypatch.setattr(appell, "_rising", lambda z, n: real(z, n) * (1 + 1e-3 * n))
+
+
+def _perturb_the_cube_root(monkeypatch):
+    real = picard.jet_powq
+    monkeypatch.setattr(picard, "jet_powq", lambda a, q: real(a, float(Fraction(q)) * (1 + 1e-4)))
+
+
 FAULTS = {
     "invariance": _bend_the_action,
     "vanishing": _bend_the_action,
@@ -256,6 +440,15 @@ FAULTS = {
     "MT1": _swap_a_det_pair,
     "MT1-branch": _offset_the_z_system,
     "MT4-galilean": _offset_r1,
+    "MT2-first": _offset_the_z_system,
+    "MT2-second": _offset_the_z_system,
+    "MT2-picard": _swap_a_det_pair,
+    "MT2-picard-modular": _offset_by_z,
+    "F1-euler": _bend_the_euler_exponents,
+    "F1-pde": _misweight_the_partials,
+    "F1-k3": _bend_the_euler_exponents,
+    "MT3": _perturb_the_cube_root,
+    "MT4-invariance": _bend_the_action,
 }
 
 
@@ -267,7 +460,7 @@ def test_faulted_residuals_match_sample_by_sample(monkeypatch, cid, seed):
     got = np.array(_residuals(RUNNERS[cid], seed, cid, n))
     ref = np.array(_residuals(REFERENCES[cid], seed, cid, n))
     assert ref.max() > 1e-5, "the fault must show in the residuals"
-    assert np.abs(got - ref).max() <= 1e-9 * ref.max()
+    assert len(got) == len(ref) and np.abs(got - ref).max() <= 1e-9 * ref.max()
 
 
 @pytest.mark.parametrize("cid", sorted(REFERENCES))
@@ -275,14 +468,15 @@ def test_a_stack_of_one_matches_the_reference(cid):
     # --samples 1: every stacked pass runs on arrays with one sample
     got = _residuals(RUNNERS[cid], 42, cid, 1)
     ref = _residuals(REFERENCES[cid], 42, cid, 1)
-    assert len(got) == 1 and abs(got[0] - ref[0]) <= 1e-13
+    assert len(got) == len(ref) == PER_SAMPLE.get(cid, 1)
+    assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-13
 
 
 def test_samples_one_report_passes():
-    rep = run_suites(("derivs", "pde", "evolution"), seed=42, samples=1)
+    rep = run_suites(("derivs", "pde", "f1", "picard", "evolution"), seed=42, samples=1)
     by_id = {e["id"]: e for e in rep["checks"]}
     for cid in REFERENCES:
-        assert by_id[cid]["samples"] == 1 and by_id[cid]["pass"], cid
+        assert by_id[cid]["samples"] == PER_SAMPLE.get(cid, 1) and by_id[cid]["pass"], cid
     assert rep["summary"]["failed"] == 0
 
 
@@ -335,3 +529,135 @@ def test_misaligned_samples_fail_the_report(monkeypatch):
     monkeypatch.setattr(report, "compose_maps", shifted)
     failed = {e["id"] for e in run_suites(("derivs",), seed=42)["checks"] if not e["pass"]}
     assert {"chain-rule", "cocycle"} <= failed
+
+
+def _rolled(x):
+    """x with its samples moved on by one, so that a stack pairs each
+    sample with its neighbour's data; single values pass through."""
+    if isinstance(x, Jet):
+        return _wrap(x.dim, x.order, np.roll(x._c, 1, axis=0)) if x._c.ndim > 1 else x
+    if isinstance(x, np.ndarray):
+        return np.roll(x, 1, axis=0) if x.ndim else x
+    if isinstance(x, DerivQuad):
+        return DerivQuad(*map(_rolled, x.components()))
+    if isinstance(x, tuple):
+        return tuple(map(_rolled, x))
+    return x
+
+
+def _roll_results(module, name):
+    def patch(monkeypatch):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: _rolled(real(*args)))
+
+    return patch
+
+
+# negative controls for the checks stacked over series, quadrature and
+# refusals (the derivs checks have test_misaligned_samples_fail_the_report):
+# one side of each identity takes its neighbour sample's data
+MISALIGNED = {
+    "MT2-first": _roll_results(pde_verify, "field_quad"),
+    "MT2-second": _roll_results(pde_verify, "field_quad"),
+    "MT2-picard": _roll_results(pde_verify, "field_quad"),
+    "MT2-picard-modular": _roll_results(pde_verify, "field_quad"),
+    "F1-euler": _roll_results(report, "f1_series"),
+    "F1-pde": _roll_results(appell, "f1_series"),
+    "F1-k3": _roll_results(report, "f1_series"),
+    "MT3": _roll_results(picard, "_radicand"),
+    "MT4-invariance": _roll_results(report, "transformed_pair"),
+}
+
+
+@pytest.mark.parametrize("cid", sorted(MISALIGNED))
+def test_a_misaligned_stack_fails_its_check(monkeypatch, cid):
+    MISALIGNED[cid](monkeypatch)
+    check = STACKED[cid]
+    with np.errstate(all="ignore"):
+        residual, _ = check.run(report._rng(42, cid)[0], check.samples)
+    assert not residual <= check.tolerance
+
+
+def _refuse_small_radicands(monkeypatch, refused):
+    # a refusal made while evaluating, for about a third of the points
+    real = picard._cubed_gap
+
+    def stricter(jac, f_src, k, f_img):
+        gap, zero = real(jac, f_src, k, f_img)
+        small = abs(f_src) < 0.5
+        refused.append(np.sum(small))
+        return gap, zero | small
+
+    monkeypatch.setattr(picard, "_cubed_gap", stricter)
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_mt3_keeps_the_points_a_loop_keeps(monkeypatch, seed):
+    # under a refusal made in evaluation, and a fault that makes each
+    # residual a function of its own point, the stacked runner keeps the
+    # points the loop keeps, in order, from the same draws
+    refused = []
+    _refuse_small_radicands(monkeypatch, refused)
+    _perturb_the_cube_root(monkeypatch)
+    rngs = [report._rng(seed, "MT3")[0] for _ in range(2)]
+    got = np.array(_residuals(report._check_mt3, seed, "MT3", 10, rngs[0]))
+    assert sum(refused) > 20
+    ref = np.array(_residuals(_ref_mt3, seed, "MT3", 10, rngs[1]))
+    assert len(got) == len(ref) == 100 and ref.min() > 1e-8
+    assert np.abs(got - ref).max() <= 1e-9 * ref.max()
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def _two_points(bad):
+    """A stack of three points whose sample 1 is bad."""
+    return tuple(np.array(v) for v in zip((0.3 + 0.1j, 0.2), bad, (0.6 - 0.1j, 0.4 + 0.2j)))
+
+
+@pytest.mark.parametrize(
+    "name, one, stack, error",
+    [
+        (
+            "pole hit",
+            lambda: mt2_solution_residuals(PICARD, (0.3, 0.3)),
+            lambda: mt2_solution_residuals(PICARD, _two_points((0.3, 0.3))),
+            ValueError,
+        ),
+        (
+            "outside the first branch",
+            lambda: mt2_solution_residuals(PICARD, (1.2 + 0.3j, 0.2)),
+            lambda: mt2_solution_residuals(PICARD, _two_points((1.2 + 0.3j, 0.2))),
+            ValueError,
+        ),
+        (
+            "outside the second branch",
+            lambda: mt2_field_recovery_gap(PICARD, (-0.1 + 0.3j, 0.5)),
+            lambda: mt2_field_recovery_gap(PICARD, _two_points((-0.1 + 0.3j, 0.5))),
+            ValueError,
+        ),
+        (
+            "vanishing denominator",
+            lambda: order5_map(picard.TransformABG(0, 0, 1), 0.7, 0.0),
+            lambda: order5_map(picard.TransformABG(0, 0, 1), *_two_points((0.7, 0.0))),
+            ZeroDivisionError,
+        ),
+        (
+            "radicand zero",
+            lambda: pullback_identity_check((2, 3), (2, 3), (1.0, 1.3)),
+            lambda: pullback_identity_check((2, 3), (2, 3), _two_points((1.0, 1.3))),
+            ValueError,
+        ),
+        (
+            "zero constant term",
+            lambda: jet_powq(Jet.constant(2, 1, 0.0), "1/3"),
+            lambda: jet_powq(Jet.constant(2, 1, np.array([1.0, 0.0, 2.0])), "1/3"),
+            JetError,
+        ),
+    ],
+)
+def test_a_refused_sample_in_a_stack_is_named(name, one, stack, error):
+    with pytest.raises(error) as single:
+        one()
+    with pytest.raises(error) as stacked:
+        stack()
+    assert type(stacked.value) is type(single.value)
+    assert str(stacked.value) == f"{single.value} (sample 1)"
