@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .jets import Jet, _col, _refuse, _sample, _wrap, compose, monomials
+from .jets import Jet, _base, _col, _refuse, _sample, _wrap, compose, monomials
 
 # Most anti-diagonals a series may be budgeted; a point that needs more is a
 # domain error.  The budget reaches it at max(|x|, |y|) of about 0.986-0.991,
@@ -425,10 +425,7 @@ def f1_series(p: F1Params, x, y, tol: float = 1e-12):
         x, y = (
             v if isinstance(v, Jet) else Jet.constant(proto.dim, proto.order, v) for v in (x, y)
         )
-    x0, y0 = (
-        v.value if isinstance(v, Jet) else v if isinstance(v, np.ndarray) else complex(v)
-        for v in (x, y)
-    )
+    x0, y0 = _base(x), _base(y)
     inside = (abs(x0) < 1) & (abs(y0) < 1)  # False at NaN too
     _refuse(~np.asarray(inside), "series needs |x|, |y| < 1 at the base point")
     if proto is None:
@@ -453,11 +450,6 @@ def f1_series(p: F1Params, x, y, tol: float = 1e-12):
 _CUT_ELLIPSE = (1.1 + 1 / 1.1) / 2
 
 
-def _modulus(v):
-    """A modulus as a complex number, or an array of them over a stack."""
-    return v if isinstance(v, np.ndarray) else complex(v)
-
-
 def _require_off_cut(*moduli):
     """Refuse a modulus v on the cut [1, inf) or with 1/v inside _CUT_ELLIPSE.
 
@@ -466,7 +458,7 @@ def _require_off_cut(*moduli):
     1 + |v - 1| < E |v|, which holds no division by v.  Moduli may be
     arrays over a stack, whose first refused point is named.
     """
-    for v in map(_modulus, moduli):
+    for v in map(_base, moduli):
         _refuse((v.imag == 0) & (v.real >= 1), "modulus on the cut [1, inf)")
         _refuse(
             1 + abs(v - 1) < _CUT_ELLIPSE * abs(v),
@@ -485,7 +477,7 @@ def f1_euler(p: F1Params, x, y):
     p.require_euler_ok()
     _require_off_cut(x, y)
     a, b, bp, c = p.a.real, p.b, p.bprime, p.c.real
-    x, y = (_col(_modulus(v)) for v in (x, y))
+    x, y = (_col(_base(v)) for v in (x, y))
 
     def g(t):
         return _ppow(1 - t * x, -b) * _ppow(1 - t * y, -bp)
@@ -551,7 +543,7 @@ def k_integral(ki, kj):
     Arrays of moduli give the integral for every pair of a stack.
     """
     _require_off_cut(ki, kj)
-    ki, kj = (_col(_modulus(v)) for v in (ki, kj))
+    ki, kj = (_col(_base(v)) for v in (ki, kj))
 
     def g(t):
         return _ppow(1 - ki * t, -1.0 / 3.0) * _ppow(1 - kj * t, -1.0 / 3.0)

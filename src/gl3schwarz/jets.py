@@ -108,6 +108,11 @@ def _any(mask) -> bool:
     return bool(mask.any()) if isinstance(mask, np.ndarray) else mask
 
 
+def _base(x):
+    """The base point of x: a jet's value, an array of points, or a complex number."""
+    return x.value if isinstance(x, Jet) else x if isinstance(x, np.ndarray) else complex(x)
+
+
 def _sample(shape, k: int) -> str:
     """' (sample k)' for flat sample k of a stack of the given shape; '' for one."""
     if not shape:

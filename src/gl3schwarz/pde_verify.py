@@ -24,16 +24,11 @@ import numpy as np
 
 from .appell import F1Params, f1_series
 from .derivs import DerivQuad, MapJet2, deriv_quad
-from .jets import Jet, JetError, _refuse, jet_powq
+from .jets import Jet, JetError, _base, _refuse, jet_powq
 from .worst import worst_of
 
 # Sample points must keep this distance from the poles {0, 1, v_other}.
 BASE_MARGIN = 0.05
-
-
-def _base(x):
-    """The base point of x: a jet's value, an array of points, or a complex number."""
-    return x.value if isinstance(x, Jet) else x if isinstance(x, np.ndarray) else complex(x)
 
 
 def _coerce(x) -> complex:

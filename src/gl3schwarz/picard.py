@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivs import MapJet2, second_arg_transform
-from .jets import Jet, _any, _refuse, jet_powq
+from .jets import Jet, _any, _base, _refuse, jet_powq
 from .lft import denominator
-from .pde_verify import ParamTriple, _base, _pole_gap, field_quad, pole_quotient, pole_sum
+from .pde_verify import ParamTriple, _pole_gap, field_quad, pole_quotient, pole_sum
 from .worst import worst_of
 
 _TINY = 1e-12
