@@ -282,9 +282,9 @@ def _points(x, y):
     return (), [(complex(x), complex(y))]
 
 
-def _convolved(row_x: np.ndarray, row_y: np.ndarray, n: int) -> np.ndarray:
-    """The first n entries of conv(row_x[k], row_y[k]) for every shift k."""
-    return np.array([np.convolve(u[:n], v[:n])[:n] for u, v in zip(row_x, row_y)])
+def _convolved(row_x: np.ndarray, row_y: np.ndarray, i, j, n: int) -> np.ndarray:
+    """The first n entries of conv(row_x[i], row_y[j]) for every shift (i, j)."""
+    return np.array([np.convolve(row_x[a, :n], row_y[b, :n])[:n] for a, b in zip(i, j)])
 
 
 _OVERFLOW = "series terms overflow the float range for these parameters"
@@ -300,7 +300,8 @@ def _shifted_sums(p: F1Params, shifts, x, y, tol: float) -> np.ndarray:
     T(m, n) = A[m+n] B[m] C[n], with r = max(|x|, |y|),
         A[d] = (a+i+j)_d / (c+i+j)_d r^d,
         B[m] = (b+i)_m / m! (x/r)^m,    C[n] = (b'+j)_n / n! (y/r)^n,
-    three running products per shift and point.  B and C grow at most
+    running products per point, one row each for every value a shift takes
+    (A's row i + j, B's row i and C's row j).  B and C grow at most
     polynomially, the decay is all in A, and the sum of anti-diagonal d is
     A[d] * conv(B, C)[d]: one convolution per shift gives every diagonal.
 
@@ -319,8 +320,9 @@ def _shifted_sums(p: F1Params, shifts, x, y, tol: float) -> np.ndarray:
     its error with the point's index appended.
     """
     shape, points = _points(x, y)
-    i, j = np.asarray(shifts, dtype=float).T[:, :, None]
-    growth = max(0.0, (p.a + p.b + p.bprime - p.c).real - 1.0 + float(np.max(i + j)))
+    i, j = (list(c) for c in zip(*shifts))
+    ij = np.add(i, j)
+    growth = max(0.0, (p.a + p.b + p.bprime - p.c).real - 1.0 + float(ij.max()))
     # per point r, x / r and y / r in Python arithmetic (numpy's complex abs
     # and division round differently), then the point's budget
     per_point, budget = [], []
@@ -332,20 +334,23 @@ def _shifted_sums(p: F1Params, shifts, x, y, tol: float) -> np.ndarray:
     r, zx, zy, quiet_tol = np.array(per_point)[:, :, None, None].transpose(1, 0, 2, 3)
     r, quiet_tol = r.real, quiet_tol.real
     k = np.arange(max(budget))
-    diag = _running_products(p.a + (i + j) + k, p.c + (i + j) + k, r)
-    row_x = _running_products(p.b + i + k, k + 1, zx)
-    row_y = _running_products(p.bprime + j + k, k + 1, zy)
+    # one row per shift value e = 0 .. max(i + j): shifts (i, j) share them,
+    # A taking row i + j, B row i and C row j
+    e = np.arange(ij.max() + 1)[:, None]
+    diag = _running_products(p.a + e + k, p.c + e + k, r)
+    row_x = _running_products(p.b + e + k, k + 1, zx)
+    row_y = _running_products(p.bprime + e + k, k + 1, zy)
 
-    total = np.empty((len(budget), len(i)), dtype=np.complex128)
+    total = np.empty((len(budget), len(ij)), dtype=np.complex128)
     abs_total = np.empty(total.shape)
     todo, t = list(range(len(budget))), 0
     while todo:
         # round t: every point not settled yet sums up to diagonal
         # budget // 2 + t (budget // 4) of its own budget, or to the budget
         n = [min(budget[s] // 2 + t * (budget[s] // 4), budget[s]) + 1 for s in todo]
-        terms = np.zeros((len(todo), len(i), max(n)), dtype=np.complex128)
+        terms = np.zeros((len(todo), len(ij), max(n)), dtype=np.complex128)
         for row, s, m in zip(terms, todo, n):
-            row[:, :m] = diag[s, :, :m] * _convolved(row_x[s], row_y[s], m)
+            row[:, :m] = diag[s, ij, :m] * _convolved(row_x[s], row_y[s], i, j, m)
         sums = np.cumsum(terms, axis=-1)
         quiet = np.all(np.abs(terms) <= quiet_tol[todo] * np.abs(sums), axis=1)
         quiet[:, 0] = False  # diagonal 0 starts the sum; it does not add to it
@@ -358,8 +363,8 @@ def _shifted_sums(p: F1Params, shifts, x, y, tol: float) -> np.ndarray:
                 stop = int(ends[0]) + 2
                 upto = stop + 1
                 total[s] = sums[a, :, stop]
-                abs_conv = _convolved(np.abs(row_x[s, :, :upto]), np.abs(row_y[s, :, :upto]), upto)
-                abs_total[s] = math.sqrt(2.0) * np.sum(np.abs(diag[s, :, :upto]) * abs_conv, axis=1)
+                abs_conv = _convolved(np.abs(row_x[s, :, :upto]), np.abs(row_y[s, :, :upto]), i, j, upto)
+                abs_total[s] = math.sqrt(2.0) * np.sum(np.abs(diag[s, ij, :upto]) * abs_conv, axis=1)
             elif m > budget[s]:
                 where = _sample(shape, s)
                 _refuse(not np.isfinite(sums[a, :, m - 1]).all(), _OVERFLOW + where)
