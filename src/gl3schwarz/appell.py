@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .jets import Jet, _base, _col, _refuse, _sample, _wrap, compose, monomials
+from .jets import Jet, _any, _base, _col, _refuse, _sample, _wrap, compose, monomials
 
 # Most anti-diagonals a series may be budgeted; a point that needs more is a
 # domain error.  The budget reaches it at max(|x|, |y|) of about 0.986-0.991,
@@ -321,8 +321,8 @@ def _shifted_sums(p: F1Params, shifts, x, y, tol: float) -> np.ndarray:
     """
     shape, points = _points(x, y)
     i, j = (list(c) for c in zip(*shifts))
-    ij = np.add(i, j)
-    growth = max(0.0, (p.a + p.b + p.bprime - p.c).real - 1.0 + float(ij.max()))
+    ij = [a + b for a, b in zip(i, j)]
+    growth = max(0.0, (p.a + p.b + p.bprime - p.c).real - 1.0 + max(ij))
     # per point r, x / r and y / r in Python arithmetic (numpy's complex abs
     # and division round differently), then the point's budget
     per_point, budget = [], []
@@ -336,7 +336,7 @@ def _shifted_sums(p: F1Params, shifts, x, y, tol: float) -> np.ndarray:
     k = np.arange(max(budget))
     # one row per shift value e = 0 .. max(i + j): shifts (i, j) share them,
     # A taking row i + j, B row i and C row j
-    e = np.arange(ij.max() + 1)[:, None]
+    e = np.arange(max(ij) + 1)[:, None]
     diag = _running_products(p.a + e + k, p.c + e + k, r)
     row_x = _running_products(p.b + e + k, k + 1, zx)
     row_y = _running_products(p.bprime + e + k, k + 1, zy)
@@ -350,7 +350,7 @@ def _shifted_sums(p: F1Params, shifts, x, y, tol: float) -> np.ndarray:
         n = [min(budget[s] // 2 + t * (budget[s] // 4), budget[s]) + 1 for s in todo]
         terms = np.zeros((len(todo), len(ij), max(n)), dtype=np.complex128)
         for row, s, m in zip(terms, todo, n):
-            row[:, :m] = diag[s, ij, :m] * _convolved(row_x[s], row_y[s], i, j, m)
+            row[:, :m] = diag[s, :, :m].take(ij, 0) * _convolved(row_x[s], row_y[s], i, j, m)
         sums = np.cumsum(terms, axis=-1)
         quiet = np.all(np.abs(terms) <= quiet_tol[todo] * np.abs(sums), axis=1)
         quiet[:, 0] = False  # diagonal 0 starts the sum; it does not add to it
@@ -364,7 +364,7 @@ def _shifted_sums(p: F1Params, shifts, x, y, tol: float) -> np.ndarray:
                 upto = stop + 1
                 total[s] = sums[a, :, stop]
                 abs_conv = _convolved(np.abs(row_x[s, :, :upto]), np.abs(row_y[s, :, :upto]), i, j, upto)
-                abs_total[s] = math.sqrt(2.0) * np.sum(np.abs(diag[s, ij, :upto]) * abs_conv, axis=1)
+                abs_total[s] = math.sqrt(2.0) * np.sum(np.abs(diag[s, :, :upto].take(ij, 0)) * abs_conv, axis=1)
             elif m > budget[s]:
                 where = _sample(shape, s)
                 _refuse(not np.isfinite(sums[a, :, m - 1]).all(), _OVERFLOW + where)
@@ -464,11 +464,11 @@ def _require_off_cut(*moduli):
     arrays over a stack, whose first refused point is named.
     """
     for v in map(_base, moduli):
-        _refuse((v.imag == 0) & (v.real >= 1), "modulus on the cut [1, inf)")
-        _refuse(
-            1 + abs(v - 1) < _CUT_ELLIPSE * abs(v),
-            "modulus too near the cut [1, inf) for the quadrature rule",
-        )
+        on_cut = (v.imag == 0) & (v.real >= 1)
+        near = 1 + abs(v - 1) < _CUT_ELLIPSE * abs(v)
+        if _any(on_cut | near):
+            _refuse(on_cut, "modulus on the cut [1, inf)")
+            _refuse(near, "modulus too near the cut [1, inf) for the quadrature rule")
 
 
 def f1_euler(p: F1Params, x, y):
@@ -482,7 +482,7 @@ def f1_euler(p: F1Params, x, y):
     p.require_euler_ok()
     _require_off_cut(x, y)
     a, b, bp, c = p.a.real, p.b, p.bprime, p.c.real
-    x, y = (_col(_base(v)) for v in (x, y))
+    x, y = _col(x), _col(y)  # a stack's points before the nodes
 
     def g(t):
         return _ppow(1 - t * x, -b) * _ppow(1 - t * y, -bp)
@@ -548,7 +548,7 @@ def k_integral(ki, kj):
     Arrays of moduli give the integral for every pair of a stack.
     """
     _require_off_cut(ki, kj)
-    ki, kj = (_col(_base(v)) for v in (ki, kj))
+    ki, kj = _col(ki), _col(kj)
 
     def g(t):
         return _ppow(1 - ki * t, -1.0 / 3.0) * _ppow(1 - kj * t, -1.0 / 3.0)

@@ -608,8 +608,8 @@ def test_mt3_keeps_the_points_a_loop_keeps(monkeypatch, seed):
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
-def _two_points(bad):
-    """A stack of three points whose sample 1 is bad."""
+def _with_bad_middle(bad):
+    """A stack of three points (v1 array, v2 array) whose sample 1 is bad."""
     return tuple(np.array(v) for v in zip((0.3 + 0.1j, 0.2), bad, (0.6 - 0.1j, 0.4 + 0.2j)))
 
 
@@ -619,31 +619,31 @@ def _two_points(bad):
         (
             "pole hit",
             lambda: mt2_solution_residuals(PICARD, (0.3, 0.3)),
-            lambda: mt2_solution_residuals(PICARD, _two_points((0.3, 0.3))),
+            lambda: mt2_solution_residuals(PICARD, _with_bad_middle((0.3, 0.3))),
             ValueError,
         ),
         (
             "outside the first branch",
             lambda: mt2_solution_residuals(PICARD, (1.2 + 0.3j, 0.2)),
-            lambda: mt2_solution_residuals(PICARD, _two_points((1.2 + 0.3j, 0.2))),
+            lambda: mt2_solution_residuals(PICARD, _with_bad_middle((1.2 + 0.3j, 0.2))),
             ValueError,
         ),
         (
             "outside the second branch",
             lambda: mt2_field_recovery_gap(PICARD, (-0.1 + 0.3j, 0.5)),
-            lambda: mt2_field_recovery_gap(PICARD, _two_points((-0.1 + 0.3j, 0.5))),
+            lambda: mt2_field_recovery_gap(PICARD, _with_bad_middle((-0.1 + 0.3j, 0.5))),
             ValueError,
         ),
         (
             "vanishing denominator",
             lambda: order5_map(picard.TransformABG(0, 0, 1), 0.7, 0.0),
-            lambda: order5_map(picard.TransformABG(0, 0, 1), *_two_points((0.7, 0.0))),
+            lambda: order5_map(picard.TransformABG(0, 0, 1), *_with_bad_middle((0.7, 0.0))),
             ZeroDivisionError,
         ),
         (
             "radicand zero",
             lambda: pullback_identity_check((2, 3), (2, 3), (1.0, 1.3)),
-            lambda: pullback_identity_check((2, 3), (2, 3), _two_points((1.0, 1.3))),
+            lambda: pullback_identity_check((2, 3), (2, 3), _with_bad_middle((1.0, 1.3))),
             ValueError,
         ),
         (
