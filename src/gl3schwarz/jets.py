@@ -12,10 +12,12 @@ arithmetic is an error, never a silent truncation.
 A Jet's coefficient array may carry leading sample axes, shape (..., N):
 a stack of jets, one per sample, that arithmetic, powers, derivatives and
 `compose` carry through at once (the vector forward mode of Taylor
-arithmetic).  A single jet is the stack of shape ().  Numbers that vary by sample are arrays over the
-same leading axes: `value`, `coeff` and `partial` return such arrays for a
-stack and Python complex numbers for a single jet, and a jet times an
-array of shape (...) scales each sample by its own number.
+arithmetic).  A single jet is the stack of shape ().  Numbers that vary by
+sample are arrays over the same leading axes: `value`, `coeff` and
+`partial` return such arrays for a stack and Python complex numbers for a
+single jet, and a jet times an array of shape (...) scales each sample by
+its own number.  A refusal for one sample of a stack names its index
+(`_refuse`).
 
 Every product is one kernel, `_product`: a gather-multiply-`reduceat` over
 coefficient arrays, for one jet or a whole stack of them.  Inverses and
