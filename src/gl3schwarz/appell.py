@@ -455,17 +455,25 @@ def f1_series(p: F1Params, x, y, tol: float = 1e-12):
 _CUT_ELLIPSE = (1.1 + 1 / 1.1) / 2
 
 
+def _near_unit_interval(num, den=1.0):
+    """Whether num / den lies inside _CUT_ELLIPSE around [0, 1].
+
+    |t| + |t - 1| < E with t = num / den, multiplied through by |den|:
+    |num| + |num - den| < E |den|, which holds no division.
+    """
+    return abs(num) + abs(num - den) < _CUT_ELLIPSE * abs(den)
+
+
 def _require_off_cut(*moduli):
     """Refuse a modulus v on the cut [1, inf) or with 1/v inside _CUT_ELLIPSE.
 
     On the cut (1 - v t)^(-p) branches inside (0, 1); near it the rule is
-    imprecise.  |1/v| + |1/v - 1| < E, multiplied through by |v|, reads
-    1 + |v - 1| < E |v|, which holds no division by v.  Moduli may be
-    arrays over a stack, whose first refused point is named.
+    imprecise.  Moduli may be arrays over a stack, whose first refused
+    point is named.
     """
     for v in map(_base, moduli):
         on_cut = (v.imag == 0) & (v.real >= 1)
-        near = 1 + abs(v - 1) < _CUT_ELLIPSE * abs(v)
+        near = _near_unit_interval(1.0, v)
         if _any(on_cut | near):
             _refuse(on_cut, "modulus on the cut [1, inf)")
             _refuse(near, "modulus too near the cut [1, inf) for the quadrature rule")
@@ -519,12 +527,18 @@ def picard_integral(x, y) -> complex:
 
     On (0, 1) the factor (t-1)^{-1/3} contributes a constant phase
     exp(-i pi/3) times (1-t)^{-1/3}; endpoint exponents are (-1/3, -1/3).
+    (t - v)^{-1/3} branches at t = v, so a modulus on [0, 1] is refused, and
+    so is one inside _CUT_ELLIPSE around it, where the rule is imprecise.
+    Arrays of moduli give the integral for every pair of a stack, whose
+    first refused point is named.
     """
-    for v in (x, y):
-        v = complex(v)
-        if v.imag == 0 and 0 <= v.real <= 1:
-            raise ValueError("branch point on the contour: modulus in [0, 1]")
-
+    for v in map(_base, (x, y)):
+        on_contour = (v.imag == 0) & (v.real >= 0) & (v.real <= 1)
+        near = _near_unit_interval(v)
+        if _any(on_contour | near):
+            _refuse(on_contour, "branch point on the contour: modulus in [0, 1]")
+            _refuse(near, "modulus too near the contour [0, 1] for the quadrature rule")
+    x, y = _col(x), _col(y)
     phase = cmath.exp(-1j * cmath.pi / 3)
 
     def g(t):
@@ -534,11 +548,16 @@ def picard_integral(x, y) -> complex:
 
 
 def picard_f1_identity_rhs(x, y) -> complex:
-    """-Gamma(2/3)^2/Gamma(4/3) x^{-1/3} y^{-1/3} F1(2/3; 1/3, 1/3; 4/3; 1/x, 1/y)."""
+    """-Gamma(2/3)^2/Gamma(4/3) x^{-1/3} y^{-1/3} F1(2/3; 1/3, 1/3; 4/3; 1/x, 1/y).
+
+    Arrays of moduli give the value for every pair of a stack, from one
+    stacked series.
+    """
     pref = -gamma(Fraction(2, 3)) ** 2 / gamma(Fraction(4, 3))
     params = F1Params("2/3", "1/3", "1/3", "4/3")
-    xr = complex(_ppow(complex(x), -1.0 / 3.0))
-    yr = complex(_ppow(complex(y), -1.0 / 3.0))
+    x, y = _base(x), _base(y)
+    # a single point keeps Python complex arithmetic, and so its value to the last bit
+    xr, yr = (r if r.ndim else complex(r) for r in (_ppow(x, -1.0 / 3.0), _ppow(y, -1.0 / 3.0)))
     return pref * xr * yr * f1_series(params, 1 / x, 1 / y)
 
 

@@ -28,6 +28,7 @@ from .lft import (
     act,
     denominator,
     det_and_matrix,
+    generator_power,
     generators,
     word_product,
 )
@@ -38,7 +39,7 @@ _TINY = 1e-12
 #: defining matrices of the scaled variants: eta_i(Z) = eta(VARIANT[i] Z)
 D1 = EisMatrix.diag(3, 1 - OMEGA, 1)
 D2 = EisMatrix.diag(1, 1 - OMEGA, 3)
-M3 = D2 * _GEN["commutator"] ** -1
+M3 = D2 * generator_power("commutator", -1)
 M4 = D1 * word_product([("S", 3), ("commutator", -1), ("S", 3)])
 M5 = D2 * word_product(
     [("commutator", -1), ("S", 3), ("commutator", -1), ("S", 3)]
@@ -173,13 +174,13 @@ def _word_factor(word, base: EisMatrix):
     for name, exp in reversed(list(word)):
         if name in GENERATOR_PHASES:
             phase += exp * GENERATOR_PHASES[name]
-            m = _GEN[name] ** exp * m
+            m = generator_power(name, exp) * m
         elif name == "S":
             e = exp % 6
             if e % 2:
                 num.append(m.m[0])
                 den.append(m.m[2])
-            m = _GEN["S"] ** e * m
+            m = generator_power("S", e) * m
         else:
             raise ValueError(f"no factor rule for generator {name!r}")
     return AutomorphyFactor(phase, tuple(num), tuple(den)), m
@@ -211,7 +212,8 @@ class VariantRow:
     num: tuple = ()
     den: tuple = ()
 
-    def holds(self) -> bool:
+    def holds(self, verdicts=None) -> bool:
+        # verdicts goes unused: a variant row rests on no other row
         factor, matrix = _word_factor(self.word, VARIANTS[self.rhs])
         target = VARIANTS[self.lhs] * word_product(self.g_word)
         return matrix == target and factor.same_as(_claim(self))
@@ -224,7 +226,9 @@ class QuotientRow:
     Once both sub-rows hold, each word factor agrees with its claim under
     same_as.  same_as is a congruence under division and no table row is the
     zero form, so comparing the quotient of the claims with the claim here
-    also settles the quotient of the word factors.
+    also settles the quotient of the word factors.  The sub-rows' verdicts
+    come from verdicts, the _Verdicts of the table build this row is part
+    of, so a sub-row that is also a table row is decided once.
     """
 
     label: str
@@ -235,15 +239,28 @@ class QuotientRow:
     num: tuple = ()
     den: tuple = ()
 
-    def holds(self) -> bool:
+    def holds(self, verdicts=None) -> bool:
         top, bottom = self.num_row, self.den_row
+        verdicts = _Verdicts() if verdicts is None else verdicts
         return (
-            top.holds()
-            and bottom.holds()
+            verdicts[top]
+            and verdicts[bottom]
             and top.g_word == bottom.g_word
             and _PHI_NAMES.get((top.rhs, bottom.rhs)) == self.target
             and (_claim(top) / _claim(bottom)).same_as(_claim(self))
         )
+
+
+class _Verdicts(dict):
+    """row -> row.holds() for one build of the table, each row decided once.
+
+    Rows are keyed by value: a row replaced by an edited copy is a new key
+    and is decided afresh.
+    """
+
+    def __missing__(self, row):
+        self[row] = ok = row.holds(self)
+        return ok
 
 
 _PHI_NAMES = {
@@ -452,30 +469,32 @@ def _variant_matrix_forms() -> bool:
     )
 
 
-def _verdicts(*tables) -> dict[str, bool]:
-    return {row.label: row.holds() for table in tables for row in table.values()}
-
-
 @functools.cache
 def eta_variant_identities() -> dict[str, dict[str, bool]]:
     """Verify every variant identity exactly: {proposition: {label: verdict}}.
 
     Computed once per process: the table takes no input, and callers only
-    read it.
+    read it.  Within the build each row is decided once, also where a
+    quotient row reuses it.
     """
+    decided = _Verdicts()
+
+    def verdicts(*tables) -> dict[str, bool]:
+        return {row.label: decided[row] for table in tables for row in table.values()}
+
     return {
-        "P4.1": {"scalar and commutator bookkeeping": _scalar_bookkeeping(), **_verdicts(_R41)},
+        "P4.1": {"scalar and commutator bookkeeping": _scalar_bookkeeping(), **verdicts(_R41)},
         "P4.2": {
             "lattice generators decompose over T1, T2, S, U1, U2": _generator_decompositions(),
-            **_verdicts(_R42),
+            **verdicts(_R42),
         },
         "P4.3": {
             "explicit matrices of eta3, eta4, eta5": _variant_matrix_forms(),
-            **_verdicts(_R418, _R43),
+            **verdicts(_R418, _R43),
         },
-        "P4.4": _verdicts(_R44),
-        "P4.5": _verdicts(_R45),
-        "P4.6": _verdicts(_R46),
+        "P4.4": verdicts(_R44),
+        "P4.5": verdicts(_R45),
+        "P4.6": verdicts(_R46),
     }
 
 

@@ -16,7 +16,9 @@ omega = e^{2 pi i/3} = (-1+sqrt(-3))/2 throughout; conj(a+b*omega) =
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -198,14 +200,14 @@ class EisMatrix:
     def __pow__(self, n: int) -> "EisMatrix":
         if n < 0:
             return self.inv() ** (-n)
-        out = EisMatrix.identity()
-        base = self
+        out, base = None, self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:  # no square past the top bit
+                base = base * base
+        return EisMatrix.identity() if out is None else out
 
     def conj_transpose(self) -> "EisMatrix":
         return EisMatrix([[self.m[j][i].conj() for j in range(3)] for i in range(3)])
@@ -259,13 +261,21 @@ def generators() -> dict[str, EisMatrix]:
     return dict(_GENERATORS)
 
 
+@lru_cache(maxsize=1024)
+def generator_power(name: str, exp: int) -> EisMatrix:
+    """The named generator to the power exp, computed once per process.
+
+    Words repeat a few dozen powers many times over, and a negative power
+    inverts in Fraction arithmetic; EisMatrix is immutable, so callers share
+    the one matrix.
+    """
+    return _GENERATORS[name] ** exp
+
+
 def word_product(word) -> EisMatrix:
     """Product of (generator-name-or-EisMatrix, integer exponent) pairs."""
-    out = EisMatrix.identity()
-    for gen, exp in word:
-        g = _GENERATORS[gen] if isinstance(gen, str) else gen
-        out = out * g**exp
-    return out
+    factors = [generator_power(gen, exp) if isinstance(gen, str) else gen**exp for gen, exp in word]
+    return reduce(operator.mul, factors) if factors else EisMatrix.identity()
 
 
 #: The lattice generators as words in T1, T2, S, U1, U2; g4 is

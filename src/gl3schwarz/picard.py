@@ -5,6 +5,9 @@ degree-three modular equation between two moduli pairs, the order-five
 rational transform with its differential-form pullback identity (checked
 in cubed, branch-free shape), and the parameter-permutation table for
 the three-pole coefficient fields under the anharmonic actions.
+The invariants, the actions, the tables and the transform coefficients
+also take arrays over a stack of points, and name a refused point by its
+index (see `jets._refuse`).
 """
 
 from __future__ import annotations
@@ -29,16 +32,15 @@ def _degenerate(u1: complex, u2: complex) -> bool:
 
 @dataclass(frozen=True)
 class ModuliPair:
-    """A pair of cubed moduli; degenerate configurations are rejected."""
+    """A pair of cubed moduli, or arrays of them; degenerate pairs are rejected."""
 
     u1: complex
     u2: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "u1", complex(self.u1))
-        object.__setattr__(self, "u2", complex(self.u2))
-        if _degenerate(self.u1, self.u2):
-            raise ValueError("degenerate moduli: need u1, u2 off {0, 1} and distinct")
+        object.__setattr__(self, "u1", _base(self.u1))
+        object.__setattr__(self, "u2", _base(self.u2))
+        _refuse(_degenerate(self.u1, self.u2), "degenerate moduli: need u1, u2 off {0, 1} and distinct")
 
     def as_tuple(self) -> tuple[complex, complex]:
         return (self.u1, self.u2)
@@ -52,18 +54,27 @@ def _as_pair(u) -> ModuliPair:
 # absolute invariants
 
 
+# an overflow is refused below, by name
+@np.errstate(over="ignore", invalid="ignore")
 def j_invariants(l1, l2) -> tuple[complex, complex]:
-    """(J1, J2) of the branch configuration {0, 1, l1, l2, inf}."""
-    l1, l2 = complex(l1), complex(l2)
-    if _degenerate(l1, l2):
-        raise ValueError("degenerate moduli")
+    """(J1, J2) of the branch configuration {0, 1, l1, l2, inf}.
+
+    Arrays of moduli give the invariants of every pair of a stack.
+    """
+    l1, l2 = _base(l1), _base(l2)
+    _refuse(_degenerate(l1, l2), "degenerate moduli")
     # the squared brace shape: squaring l (l - 1) first would overflow from
     # moduli of about 1e77 on, where J itself is still finite
     j1 = pole_quotient(l1, l2) ** 2
     j2 = pole_quotient(l2, l1) ** 2
-    if not (cmath.isfinite(j1) and cmath.isfinite(j2)):
-        # complex division and squaring turn an overflowing part into NaN
-        raise OverflowError(f"J invariants overflow the float range at moduli ({l1}, {l2})")
+    # complex division and squaring turn an overflowing part into NaN
+    _refuse(
+        ~(np.isfinite(j1) & np.isfinite(j2)),
+        lambda k: "J invariants overflow the float range at moduli ({}, {})".format(
+            *(complex(np.ravel(v)[k]) for v in (l1, l2))
+        ),
+        OverflowError,
+    )
     return (j1, j2)
 
 
@@ -101,12 +112,14 @@ _S3_FORMS = {
 
 
 def s3_orbit(name: str, x, y) -> tuple[complex, complex]:
-    """Image of (x, y) under the named action, by the printed formula."""
+    """Image of (x, y) under the named action, by the printed formula.
+
+    Arrays of points give the image of each point.
+    """
     if name not in _S3_FORMS:
         raise ValueError(f"unknown action {name!r}")
-    x, y = complex(x), complex(y)
-    if abs(denominator(S3_MATRICES[name], (x, y))) < _TINY:
-        raise ZeroDivisionError("vanishing denominator")
+    x, y = _base(x), _base(y)
+    _refuse(abs(denominator(S3_MATRICES[name], (x, y))) < _TINY, "vanishing denominator", ZeroDivisionError)
     return _S3_FORMS[name](x, y)
 
 
@@ -115,7 +128,10 @@ def s3_orbit(name: str, x, y) -> tuple[complex, complex]:
 
 
 def f_sign_relations(x, y) -> float:
-    """Largest error in the ten sign identities of f1 and f2 on the orbit."""
+    """Largest error in the ten sign identities of f1 and f2 on the orbit.
+
+    Arrays of points give the error at each point.
+    """
     errs = []
     for name, sign in [("T", -1), ("S1", -1), ("S1T", 1), ("TS1", 1), ("S1TS1", -1)]:
         errs.append(abs(pole_quotient(*s3_orbit(name, x, y)) - sign * pole_quotient(x, y)))
@@ -126,7 +142,10 @@ def f_sign_relations(x, y) -> float:
 
 
 def p_transform_relations(a, b, g, x, y) -> float:
-    """Largest error in the ten prefactor-permutation identities of P1, P2."""
+    """Largest error in the ten prefactor-permutation identities of P1, P2.
+
+    Arrays of points give the error at each point.
+    """
     rows1 = [
         ("T", -1, (b, a, g)),
         ("S1", y, (a, g, b)),
@@ -198,7 +217,7 @@ class TransformABG:
         and cancel; their size, not the sum, sets the roundoff.
         """
         a, b, g = self.alpha, self.beta, self.gamma
-        scale = max(abs(a * g), abs(b * g), abs(g * g), 1.0)
+        scale = worst_of((abs(a * g), abs(b * g), abs(g * g), 1.0))
         return ((a + b + g) * g - 1) / scale
 
 
@@ -220,11 +239,11 @@ def transform_abg(u, v) -> TransformABG:
     """(alpha, beta, gamma) of the transform taking moduli u to v.
 
     Requires the modular equation to hold within 1e-10 of the form scale.
+    Pairs of arrays u, v give the coefficients of every pair of a stack.
     """
     pu, pv = _as_pair(u), _as_pair(v)
     ku, kv = modular_form_value(pu), modular_form_value(pv)
-    if abs(kv - ku) > 1e-10 * max(1.0, abs(ku), abs(kv)):
-        raise ValueError("modular equation violated")
+    _refuse(abs(kv - ku) > 1e-10 * worst_of((1.0, abs(ku), abs(kv))), "modular equation violated")
     return _abg_unchecked(pu, pv)
 
 
@@ -384,12 +403,13 @@ def param_table_check(row: int, p: ParamTriple, v) -> float:
     the row's claim: braces keep F(gamma), brackets take the permuted
     and shifted parameters.  Rows 2-5 claim the v1-components for the
     S1-family element and the v2-components for the S2-family element.
+    A pair of arrays v gives the error at each point of a stack.
     """
     if row not in _TABLE_ROWS:
         raise ValueError("row must be 1..5")
     name1, name2, perm = _TABLE_ROWS[row]
     a, b, g = p.alpha, p.beta, p.gamma
-    v1, v2 = complex(v[0]), complex(v[1])
+    v1, v2 = _base(v[0]), _base(v[1])
     pa, pb, pg = perm(a, b, g)
     got1 = _transported_quad(p, name1, (v1, v2))
     got2 = got1 if name2 == name1 else _transported_quad(p, name2, (v1, v2))

@@ -134,6 +134,11 @@ def _cpx(rng, radius=1.0):
 # samplers (margins match the frozen test suites)
 
 
+def _stack(draws):
+    """Draws of points (p1, p2, ...), taken in order, as one array per coordinate."""
+    return tuple(np.array(list(draws), dtype=np.complex128).T)
+
+
 def _safe_pair(rng, margin=0.1, box=2.0):
     while True:
         x, y = _cpx(rng, box), _cpx(rng, box)
@@ -209,10 +214,12 @@ def _order5_point(rng, u):
 # ---------------------------------------------------------------------------
 # check runners: (rng, samples) -> one residual per sample; _reduce gives
 # the check its (worst residual, samples used).  The derivs runners, MT1,
-# MT1-branch, the MT2 checks, F1-euler, F1-pde, F1-k3, MT4-galilean and
-# MT4-invariance draw every sample first, making each rejection as they
-# draw, and then evaluate them all in one stacked pass: one stack of jets,
-# one stacked F1 series per parameter set, one stacked quadrature.  MT3
+# MT1-branch, the MT2 checks, F1-euler, F1-pde, F1-picard-gamma, F1-k3,
+# MT3-constraint, J-orbit, param-table (one stack per table row),
+# sign-tables, MT4-galilean and MT4-invariance draw every sample first,
+# making each rejection as they draw, and then evaluate them all in one
+# stacked pass: one stack of jets or points, one stacked F1 series per
+# parameter set, one stacked quadrature.  MT3
 # rejects while it evaluates: it draws the shortfall of each moduli
 # instance's points, evaluates them as one stack, keeps those not refused,
 # in order, and draws again only for what is still missing.
@@ -351,7 +358,7 @@ def _check_mt1_branch(rng, n):
 
 def _mt2_points(rng, region, n):
     """n points of the region, drawn one after another, as (v1, v2) arrays."""
-    return tuple(np.array([_mt2_point(rng, region) for _ in range(n)]).T)
+    return _stack(_mt2_point(rng, region) for _ in range(n))
 
 
 def _mt2_branch_runner(which):
@@ -427,11 +434,10 @@ def _gamma_modulus(rng):
 def _check_f1_picard_gamma(rng, n):
     # cubed comparison: off the reals the principal branch drifts by a cube
     # root of unity, and cubing both sides removes it
-    for _ in range(n):
-        x, y = _gamma_modulus(rng), _gamma_modulus(rng)
-        lhs = picard_integral(x, y) ** 3
-        rhs = picard_f1_identity_rhs(x, y) ** 3
-        yield abs(lhs - rhs) / abs(rhs)
+    x, y = _stack((_gamma_modulus(rng), _gamma_modulus(rng)) for _ in range(n))
+    lhs = picard_integral(x, y) ** 3
+    rhs = picard_f1_identity_rhs(x, y) ** 3
+    yield from abs(lhs - rhs) / abs(rhs)
 
 
 def _check_f1_k3(rng, n):
@@ -464,34 +470,35 @@ def _check_mt3(rng, n):
 
 
 def _check_mt3_constraint(rng, n):
-    for _ in range(n):
-        u, v = _moduli_instance(rng)
-        yield abs(transform_abg(u, v).constraint_residual())
+    u, v = zip(*(_moduli_instance(rng) for _ in range(n)))
+    yield from abs(transform_abg(_stack(u), _stack(v)).constraint_residual())
+
+
+def _safe_pairs(rng, n):
+    """n points drawn by _safe_pair one after another, as (x, y) arrays."""
+    return _stack(_safe_pair(rng) for _ in range(n))
 
 
 def _check_j_orbit(rng, n):
     fam1 = ("T", "S1", "S1T", "TS1", "S1TS1")
     fam2 = ("T", "S2", "S2T", "TS2", "S2TS2")
-    for _ in range(n):
-        l1, l2 = _safe_pair(rng)
-        j1, j2 = j_invariants(l1, l2)
-        parts = [abs(j_invariants(*s3_orbit(name, l1, l2))[0] - j1) / abs(j1) for name in fam1]
-        parts += [abs(j_invariants(*s3_orbit(name, l1, l2))[1] - j2) / abs(j2) for name in fam2]
-        yield worst_of(parts)
+    l1, l2 = _safe_pairs(rng, n)
+    j1, j2 = j_invariants(l1, l2)
+    parts = [abs(j_invariants(*s3_orbit(name, l1, l2))[0] - j1) / abs(j1) for name in fam1]
+    parts += [abs(j_invariants(*s3_orbit(name, l1, l2))[1] - j2) / abs(j2) for name in fam2]
+    yield from worst_of(parts)
 
 
 def _check_param_table(rng, n):
     p = ParamTriple(0.3 + 0.1j, -0.8, 1.1)
     per_row = max(1, n // 5)
     for row in (1, 2, 3, 4, 5):
-        for _ in range(per_row):
-            yield param_table_check(row, p, _safe_pair(rng))
+        yield from param_table_check(row, p, _safe_pairs(rng, per_row))
 
 
 def _check_sign_tables(rng, n):
-    for _ in range(n):
-        x, y = _safe_pair(rng)
-        yield worst_of((f_sign_relations(x, y), p_transform_relations(0.3 + 0.1j, -0.8, 1.1, x, y)))
+    x, y = _safe_pairs(rng, n)
+    yield from worst_of((f_sign_relations(x, y), p_transform_relations(0.3 + 0.1j, -0.8, 1.1, x, y)))
 
 
 def _p4_runner(section):

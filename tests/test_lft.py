@@ -18,6 +18,7 @@ from gl3schwarz.lft import (
     HeisenbergElem,
     act,
     decompose_heisenberg,
+    generator_power,
     generators,
     jacobian_factor,
     word_product,
@@ -217,6 +218,19 @@ class TestWords:
             lower = EisMatrix([[1, 0, 0], [0, 1, 0], [k * (wb - w), 0, 1]])
             assert S3 * G["commutator"] ** k * S3 == lower
         assert S3 * G["T1"] ** -1 * S3 == EisMatrix([[1, 0, 0], [1, 1, 0], [-wb, 1, 1]])
+
+
+@pytest.mark.parametrize("name", sorted(G))
+def test_memoised_powers_match_repeated_products(name):
+    # covers EisMatrix.__pow__ too, which the memo calls once per power
+    g, g_inv = G[name], G[name].inv()
+    up = down = I3
+    for k in range(1, 10):
+        up, down = up * g, down * g_inv
+        assert generator_power(name, k) == g**k == up
+        assert generator_power(name, -k) == g**-k == down
+        assert generator_power(name, -k) * generator_power(name, k) == I3
+        assert generator_power(name, k) is generator_power(name, k)
 
 
 class TestAction:

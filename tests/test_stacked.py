@@ -1,25 +1,36 @@
 """The whole-sample checks against their one-sample-at-a-time references.
 
 The derivs runners, MT1, MT1-branch, MT2-first, MT2-second, MT2-picard,
-MT2-picard-modular, F1-euler, F1-pde, F1-k3, MT4-galilean and
+MT2-picard-modular, F1-euler, F1-pde, F1-picard-gamma, F1-k3,
+MT3-constraint, J-orbit, param-table, sign-tables, MT4-galilean and
 MT4-invariance draw all samples first and evaluate them in one stacked
-pass: one stack of jets, one stacked F1 series and one stacked quadrature
-per parameter set.  MT3 evaluates each moduli instance's points as one
-stack and draws again for the points it refuses.  The runners below are
-the loops they replaced: one map, one point, one series per sample.  They
-stay here as references only, and the stacked runners must match them
-sample by sample.
+pass: one stack of jets or points, one stacked F1 series and one stacked
+quadrature per parameter set (param-table: one stack per table row).  MT3
+evaluates each moduli instance's points as one stack and draws again for
+the points it refuses.  The runners below are the loops they replaced:
+one map, one point, one series per sample.  They stay here as references
+only, and the stacked runners must match them sample by sample.
 """
 
 import cmath
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gl3schwarz import appell, derivs, evolution, lft, pde_verify, picard, report
-from gl3schwarz.appell import F1Params, f1_euler, f1_pde_residual, f1_series, gamma, k_integral
+from gl3schwarz.appell import (
+    F1Params,
+    f1_euler,
+    f1_pde_residual,
+    f1_series,
+    gamma,
+    k_integral,
+    picard_f1_identity_rhs,
+    picard_integral,
+)
 from gl3schwarz.derivs import (
     DerivQuad,
     ExtendedTransport,
@@ -54,16 +65,29 @@ from gl3schwarz.pde_verify import (
     mt2_solution_residuals,
     picard_modular_form_residuals,
 )
-from gl3schwarz.picard import corollary52_check, order5_map, pullback_identity_check
+from gl3schwarz.pde_verify import ParamTriple
+from gl3schwarz.picard import (
+    corollary52_check,
+    f_sign_relations,
+    j_invariants,
+    order5_map,
+    p_transform_relations,
+    param_table_check,
+    pullback_identity_check,
+    s3_orbit,
+    transform_abg,
+)
 from gl3schwarz.report import (
     _F1_CHECK_PARAMS,
     _GEN_NAMES,
     _MT4_MATS,
     _cpx,
+    _gamma_modulus,
     _moduli_instance,
     _mt2_point,
     _order5_point,
     _safe_lft_point,
+    _safe_pair,
     run_suites,
 )
 from gl3schwarz.worst import worst_of
@@ -240,6 +264,45 @@ def _ref_mt3(rng, n):
             done += 1
 
 
+def _ref_f1_picard_gamma(rng, n):
+    for _ in range(n):
+        x, y = _gamma_modulus(rng), _gamma_modulus(rng)
+        lhs = picard_integral(x, y) ** 3
+        rhs = picard_f1_identity_rhs(x, y) ** 3
+        yield abs(lhs - rhs) / abs(rhs)
+
+
+def _ref_mt3_constraint(rng, n):
+    for _ in range(n):
+        u, v = _moduli_instance(rng)
+        yield abs(transform_abg(u, v).constraint_residual())
+
+
+def _ref_j_orbit(rng, n):
+    fam1 = ("T", "S1", "S1T", "TS1", "S1TS1")
+    fam2 = ("T", "S2", "S2T", "TS2", "S2TS2")
+    for _ in range(n):
+        l1, l2 = _safe_pair(rng)
+        j1, j2 = j_invariants(l1, l2)
+        parts = [abs(j_invariants(*s3_orbit(name, l1, l2))[0] - j1) / abs(j1) for name in fam1]
+        parts += [abs(j_invariants(*s3_orbit(name, l1, l2))[1] - j2) / abs(j2) for name in fam2]
+        yield worst_of(parts)
+
+
+def _ref_param_table(rng, n):
+    p = ParamTriple(0.3 + 0.1j, -0.8, 1.1)
+    per_row = max(1, n // 5)
+    for row in (1, 2, 3, 4, 5):
+        for _ in range(per_row):
+            yield param_table_check(row, p, _safe_pair(rng))
+
+
+def _ref_sign_tables(rng, n):
+    for _ in range(n):
+        x, y = _safe_pair(rng)
+        yield worst_of((f_sign_relations(x, y), p_transform_relations(0.3 + 0.1j, -0.8, 1.1, x, y)))
+
+
 def _random_evo_pair(rng, order=3):
     xs = Jet.variables(4, order, rng.uniform(-0.8, 0.8, 4))
 
@@ -288,8 +351,13 @@ REFERENCES = {
     "MT2-picard-modular": _ref_mt2_picard_modular,
     "F1-euler": _ref_f1_euler,
     "F1-pde": _ref_f1_pde,
+    "F1-picard-gamma": _ref_f1_picard_gamma,
     "F1-k3": _ref_f1_k3,
     "MT3": _ref_mt3,
+    "MT3-constraint": _ref_mt3_constraint,
+    "J-orbit": _ref_j_orbit,
+    "param-table": _ref_param_table,
+    "sign-tables": _ref_sign_tables,
     "MT4-invariance": _ref_mt4_invariance,
 }
 STACKED = {c.id: c for c in report.CHECKS if c.id in REFERENCES}
@@ -311,8 +379,13 @@ RUNNERS = {
     "MT2-picard-modular": report._check_mt2_picard_modular,
     "F1-euler": report._check_f1_euler,
     "F1-pde": report._check_f1_pde,
+    "F1-picard-gamma": report._check_f1_picard_gamma,
     "F1-k3": report._check_f1_k3,
     "MT3": report._check_mt3,
+    "MT3-constraint": report._check_mt3_constraint,
+    "J-orbit": report._check_j_orbit,
+    "param-table": report._check_param_table,
+    "sign-tables": report._check_sign_tables,
     "MT4-invariance": report._check_mt4_invariance,
 }
 
@@ -322,13 +395,25 @@ def _residuals(runner, seed, cid, n, rng=None):
     return [float(r) for r in runner(rng, n)]
 
 
-# residuals per sample: an MT3 sample is a moduli instance with ten points
-PER_SAMPLE = {"MT3": 10}
+def _count(cid, n):
+    """Residuals a run of n samples yields: an MT3 sample is a moduli
+    instance with ten points, and param-table takes max(1, n // 5) points
+    for each of its five rows."""
+    if cid == "MT3":
+        return 10 * n
+    if cid == "param-table":
+        return 5 * max(1, n // 5)
+    return n
 
 
 def test_every_stacked_check_has_a_reference():
     assert set(STACKED) == set(REFERENCES) == set(RUNNERS) == set(FAULTS)
-    assert set(MISALIGNED) == {c for c in STACKED if c[:3] in ("MT2", "F1-", "MT3")} | {"MT4-invariance"}
+    assert set(MISALIGNED) == {c for c in STACKED if c[:3] in ("MT2", "F1-", "MT3")} | {
+        "J-orbit",
+        "param-table",
+        "sign-tables",
+        "MT4-invariance",
+    }
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 42])
@@ -338,7 +423,7 @@ def test_stacked_residuals_match_the_per_sample_reference(cid, seed):
     rngs = [report._rng(seed, cid)[0] for _ in range(2)]
     got = _residuals(RUNNERS[cid], seed, cid, n, rngs[0])
     ref = _residuals(REFERENCES[cid], seed, cid, n, rngs[1])
-    assert len(got) == len(ref) == n * PER_SAMPLE.get(cid, 1)
+    assert len(got) == len(ref) == _count(cid, n)
     assert all(math.isfinite(g) for g in got)
     assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-13
     # both drew the same numbers: the stream ends in the same state
@@ -423,6 +508,25 @@ def _misweight_the_partials(monkeypatch):
     monkeypatch.setattr(appell, "_rising", lambda z, n: real(z, n) * (1 + 1e-3 * n))
 
 
+def _bend_the_pole_shapes(monkeypatch):
+    # picard's brace and bracket shapes only: the closed-form fields that
+    # param-table transports keep pde_verify's
+    for name in ("pole_quotient", "pole_sum"):
+        real = getattr(picard, name)
+        monkeypatch.setattr(picard, name, lambda *a, real=real: real(*a) * (1 + 1e-3 * a[-2]))
+
+
+def _bend_alpha(monkeypatch):
+    # (a + b + g) g - 1 then moves by 1e-3 a g
+    real = picard._abg_unchecked
+
+    def bent(pu, pv):
+        abg = real(pu, pv)
+        return replace(abg, alpha=abg.alpha * (1 + 1e-3))
+
+    monkeypatch.setattr(picard, "_abg_unchecked", bent)
+
+
 def _perturb_the_cube_root(monkeypatch):
     real = picard.jet_powq
     monkeypatch.setattr(picard, "jet_powq", lambda a, q: real(a, float(Fraction(q)) * (1 + 1e-4)))
@@ -446,8 +550,13 @@ FAULTS = {
     "MT2-picard-modular": _offset_by_z,
     "F1-euler": _bend_the_euler_exponents,
     "F1-pde": _misweight_the_partials,
+    "F1-picard-gamma": _bend_the_euler_exponents,
     "F1-k3": _bend_the_euler_exponents,
     "MT3": _perturb_the_cube_root,
+    "MT3-constraint": _bend_alpha,
+    "J-orbit": _bend_the_pole_shapes,
+    "param-table": _bend_the_pole_shapes,
+    "sign-tables": _bend_the_pole_shapes,
     "MT4-invariance": _bend_the_action,
 }
 
@@ -468,7 +577,7 @@ def test_a_stack_of_one_matches_the_reference(cid):
     # --samples 1: every stacked pass runs on arrays with one sample
     got = _residuals(RUNNERS[cid], 42, cid, 1)
     ref = _residuals(REFERENCES[cid], 42, cid, 1)
-    assert len(got) == len(ref) == PER_SAMPLE.get(cid, 1)
+    assert len(got) == len(ref) == _count(cid, 1)
     assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-13
 
 
@@ -476,7 +585,7 @@ def test_samples_one_report_passes():
     rep = run_suites(("derivs", "pde", "f1", "picard", "evolution"), seed=42, samples=1)
     by_id = {e["id"]: e for e in rep["checks"]}
     for cid in REFERENCES:
-        assert by_id[cid]["samples"] == PER_SAMPLE.get(cid, 1) and by_id[cid]["pass"], cid
+        assert by_id[cid]["samples"] == _count(cid, 1) and by_id[cid]["pass"], cid
     assert rep["summary"]["failed"] == 0
 
 
@@ -553,6 +662,17 @@ def _roll_results(module, name):
     return patch
 
 
+def _roll_gamma(monkeypatch):
+    # each pair's (a + b + g) g - 1 then takes its neighbour's g
+    real = picard._abg_unchecked
+
+    def rolled(pu, pv):
+        abg = real(pu, pv)
+        return replace(abg, gamma=_rolled(abg.gamma))
+
+    monkeypatch.setattr(picard, "_abg_unchecked", rolled)
+
+
 # negative controls for the checks stacked over series, quadrature and
 # refusals (the derivs checks have test_misaligned_samples_fail_the_report):
 # one side of each identity takes its neighbour sample's data
@@ -563,8 +683,13 @@ MISALIGNED = {
     "MT2-picard-modular": _roll_results(pde_verify, "field_quad"),
     "F1-euler": _roll_results(report, "f1_series"),
     "F1-pde": _roll_results(appell, "f1_series"),
+    "F1-picard-gamma": _roll_results(report, "picard_f1_identity_rhs"),
     "F1-k3": _roll_results(report, "f1_series"),
     "MT3": _roll_results(picard, "_radicand"),
+    "MT3-constraint": _roll_gamma,
+    "J-orbit": _roll_results(report, "s3_orbit"),
+    "param-table": _roll_results(picard, "s3_orbit"),
+    "sign-tables": _roll_results(picard, "s3_orbit"),
     "MT4-invariance": _roll_results(report, "transformed_pair"),
 }
 
@@ -644,6 +769,30 @@ def _with_bad_middle(bad):
             "radicand zero",
             lambda: pullback_identity_check((2, 3), (2, 3), (1.0, 1.3)),
             lambda: pullback_identity_check((2, 3), (2, 3), _with_bad_middle((1.0, 1.3))),
+            ValueError,
+        ),
+        (
+            "vanishing denominator of an anharmonic action",
+            lambda: s3_orbit("S1", 2.0, 0.0),
+            lambda: s3_orbit("S1", *_with_bad_middle((2.0, 0.0))),
+            ZeroDivisionError,
+        ),
+        (
+            "degenerate moduli",
+            lambda: j_invariants(2.0, 2.0),
+            lambda: j_invariants(*_with_bad_middle((2.0, 2.0))),
+            ValueError,
+        ),
+        (
+            "J invariants overflow, quoting the moduli",
+            lambda: j_invariants(1e200, 2.0),
+            lambda: j_invariants(*_with_bad_middle((1e200, 2.0))),
+            OverflowError,
+        ),
+        (
+            "period modulus near the contour",
+            lambda: picard_integral(0.5 + 0.01j, 3.0),
+            lambda: picard_integral(*_with_bad_middle((0.5 + 0.01j, 3.0))),
             ValueError,
         ),
         (
