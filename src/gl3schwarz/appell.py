@@ -158,18 +158,27 @@ class F1Params:
 def _jacobi_p(n: int, alpha: float, beta: float, x: np.ndarray):
     """P_n^(alpha, beta)(x) and its derivative, from one recurrence pass.
 
+    Each step is P_k = (r_k(x) P_{k-1} - c_k P_{k-2}) / d_k, with the
+    coefficients built as arrays over k and every r_k(x) taken from one
+    outer product over (k, x). Each operation rounds as in the per-term
+    loop (`tests/oracles.py`), so the values are that loop's bit for bit.
     The pass gives P_n and P_{n-1}; the derivative follows from
     (2n+alpha+beta)(1-x^2) P_n' = n[(alpha-beta) - (2n+alpha+beta)x] P_n
                                   + 2(n+alpha)(n+beta) P_{n-1}.
     """
     ab = alpha + beta
+    k = np.arange(2.0, n + 1.0)
+    s = 2.0 * k + ab
+    # r_k(x) = (s-1)[(s-2)s x + alpha^2 - beta^2] with s = 2k+alpha+beta
+    rows = np.multiply.outer((s - 2.0) * s, x)
+    rows += alpha * alpha
+    rows -= beta * beta
+    rows *= (s - 1.0)[:, None]
+    c = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * s
+    d = 2.0 * k * (k + ab) * (s - 2.0)
     prev, p = np.ones_like(x), ((alpha - beta) + (ab + 2.0) * x) / 2.0
-    for k in range(2, n + 1):
-        s = 2.0 * k + ab
-        prev, p = p, (
-            (s - 1.0) * ((s - 2.0) * s * x + alpha * alpha - beta * beta) * p
-            - 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * s * prev
-        ) / (2.0 * k * (k + ab) * (s - 2.0))
+    for row, ck, dk in zip(rows, c.tolist(), d.tolist()):
+        prev, p = p, (row * p - ck * prev) / dk
     s = 2.0 * n + ab
     dp = (n * ((alpha - beta) - s * x) * p + 2.0 * (n + alpha) * (n + beta) * prev) / (
         s * (1.0 - x) * (1.0 + x)

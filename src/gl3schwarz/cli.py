@@ -21,26 +21,9 @@ import time
 import click
 import numpy as np
 
-from . import report as _report
-from .appell import (
-    F1Params,
-    f1_euler,
-    f1_series,
-    k_integral,
-    k_integral_substituted,
-    picard_f1_identity_rhs,
-    picard_integral,
-)
-from .derivs import MapJet2, deriv_quad
+# Each command imports its own layer when it runs: a start that only parses
+# arguments, or runs one evaluator, does not load the verification suites.
 from .jets import BACKEND, Jet, _mul_table, monomials
-from .lft import Eis, HeisenbergElem, decompose_heisenberg
-from .picard import (
-    j_invariants,
-    modular_residual,
-    modular_solve,
-    order5_map,
-    transform_abg,
-)
 
 
 def _finite(z: complex) -> complex:
@@ -132,6 +115,8 @@ def main():
 )
 def verify(suites, seed, samples, tols, fmt):
     """Run verification suites (names or 'all'; default all)."""
+    from . import report
+
     overrides = {}
     for item in tols:
         name, sep, value = item.partition("=")
@@ -142,12 +127,12 @@ def verify(suites, seed, samples, tols, fmt):
         except ValueError:
             raise click.UsageError(f"--tol value {value!r} is not a number")
     try:
-        rep = _report.run_suites(
+        rep = report.run_suites(
             suites or ("all",), seed=seed, samples=samples, tol_overrides=overrides
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    sys.stdout.write(_report.render_report(rep, fmt))
+    sys.stdout.write(report.render_report(rep, fmt))
     if rep["summary"]["failed"]:
         sys.exit(1)
 
@@ -168,6 +153,8 @@ def verify(suites, seed, samples, tols, fmt):
 @_eval_errors
 def f1(a, b, bp, c, x, y, method):
     """Evaluate the two-variable hypergeometric function."""
+    from .appell import F1Params, f1_euler, f1_series
+
     try:
         params = F1Params(a, b, bp, c)
     except ValueError as exc:
@@ -211,6 +198,8 @@ def _poly_jet(coeffs: dict, base, order: int = 3) -> Jet:
 @_eval_errors
 def deriv(map_file, at):
     """Evaluate the four derivatives of a polynomial map at a point."""
+    from .derivs import MapJet2, deriv_quad
+
     with open(map_file, encoding="utf-8") as fh:
         try:
             spec = json.load(fh)
@@ -255,6 +244,8 @@ def picard():
 @_eval_errors
 def picard_j(moduli):
     """The two rational moduli invariants."""
+    from .picard import j_invariants
+
     j1, j2 = j_invariants(*moduli)
     _emit({"l": [_cj(moduli[0]), _cj(moduli[1])], "J1": _cj(j1), "J2": _cj(j2)})
 
@@ -265,6 +256,8 @@ def picard_j(moduli):
 @_eval_errors
 def picard_modular_solve(u, v2):
     """Both v1 roots pairing (v1, v2) with the source moduli."""
+    from .picard import modular_residual, modular_solve
+
     roots = modular_solve(u, v2)
     _emit(
         {
@@ -283,6 +276,8 @@ def picard_modular_solve(u, v2):
 @_eval_errors
 def picard_transform(u, v, t):
     """Transform coefficients for a moduli pair; optionally map a point."""
+    from .picard import order5_map, transform_abg
+
     abg = transform_abg(u, v)
     out = {
         "u": [_cj(u[0]), _cj(u[1])],
@@ -305,6 +300,8 @@ def picard_transform(u, v, t):
 @_eval_errors
 def picard_integral_cmd(x, y):
     """Period integral and its hypergeometric closed form."""
+    from .appell import picard_f1_identity_rhs, picard_integral
+
     value = picard_integral(x, y)
     rhs = picard_f1_identity_rhs(x, y)
     _emit(
@@ -324,6 +321,8 @@ def picard_integral_cmd(x, y):
 @_eval_errors
 def k(ki, kj):
     """Two-moduli period integral, direct and substituted routes."""
+    from .appell import k_integral, k_integral_substituted
+
     value = k_integral(ki, kj)
     sub = k_integral_substituted(ki, kj)
     _emit(
@@ -345,6 +344,8 @@ def k(ki, kj):
 @_eval_errors
 def heis(alpha, q):
     """Decompose a lattice translation into generator powers."""
+    from .lft import Eis, HeisenbergElem, decompose_heisenberg
+
     try:
         a, b = (int(p) for p in alpha.split(","))
     except ValueError:

@@ -41,3 +41,24 @@ def invert_map2(g1: Jet, g2: Jet) -> tuple[Jet, Jet]:
         h1 = B[0, 0] * r1 + B[0, 1] * r2
         h2 = B[1, 0] * r1 + B[1, 1] * r2
     return h1, h2
+
+
+def jacobi_p(n: int, alpha: float, beta: float, x: np.ndarray):
+    """P_n^(alpha, beta)(x) and its derivative, one recurrence term at a time.
+
+    The same recurrence and derivative formula as `appell._jacobi_p`, with
+    every coefficient formed inside the loop.
+    """
+    ab = alpha + beta
+    prev, p = np.ones_like(x), ((alpha - beta) + (ab + 2.0) * x) / 2.0
+    for k in range(2, n + 1):
+        s = 2.0 * k + ab
+        prev, p = p, (
+            (s - 1.0) * ((s - 2.0) * s * x + alpha * alpha - beta * beta) * p
+            - 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * s * prev
+        ) / (2.0 * k * (k + ab) * (s - 2.0))
+    s = 2.0 * n + ab
+    dp = (n * ((alpha - beta) - s * x) * p + 2.0 * (n + alpha) * (n + beta) * prev) / (
+        s * (1.0 - x) * (1.0 + x)
+    )
+    return p, dp

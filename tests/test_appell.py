@@ -12,6 +12,7 @@ from gl3schwarz import appell
 from gl3schwarz.appell import (
     F1Params,
     _diagonal_budget,
+    _jacobi_p,
     _jacobi_rule,
     _shifted_sums,
     f1_euler,
@@ -25,6 +26,7 @@ from gl3schwarz.appell import (
 )
 from gl3schwarz.jets import Jet, monomials
 from gl3schwarz.report import run_suites
+from oracles import jacobi_p as per_term_jacobi_p
 
 mpmath.mp.dps = 30
 
@@ -96,6 +98,32 @@ class TestJacobiRule:
         for k in range(2 * n):
             ref = float(mpmath.beta(mpmath.mpf(beta) + k + 1, mpmath.mpf(alpha) + 1))
             assert abs(np.sum(w * t**k) - ref) <= 1e-11 * ref, k
+
+
+class TestJacobiRecurrence:
+    """The coefficient-array recurrence against the per-term loop it replaced."""
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [
+            (-1 / 3, -2 / 3),
+            (-1 / 4, -3 / 4),
+            (-1 / 3, -1 / 3),
+            (30.0, 1 / 2),
+            (229.0, 169.0),
+            (1e14 - 4 / 3, -2 / 3),
+        ],
+    )
+    def test_matches_the_per_term_loop(self, alpha, beta):
+        # the same operations in the same order: equal bits, at the rule's
+        # nodes (where P_n' sets the weights) and between them (where P_n peaks)
+        n = appell.QUAD_NODES
+        x = 2.0 * _jacobi_rule(n, alpha, beta)[0] - 1.0
+        x = x[(-1.0 < x) & (x < 1.0)]
+        x = np.concatenate([x, (x[1:] + x[:-1]) / 2.0])
+        got, ref = _jacobi_p(n, alpha, beta, x), per_term_jacobi_p(n, alpha, beta, x)
+        assert np.all(np.isfinite(ref))
+        assert np.array_equal(got, ref)
 
 
 class TestRuleSharing:

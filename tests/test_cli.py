@@ -649,3 +649,44 @@ class TestNoScipy:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
+
+
+def _package_modules_after(args=None):
+    """The gl3schwarz modules a fresh interpreter holds after importing the
+    CLI and, with args, running that one command."""
+    code = (
+        "import json, sys\n"
+        "from gl3schwarz.cli import main\n"
+        f"args = {args!r}\n"
+        "if args is not None:\n"
+        "    try:\n"
+        "        main(args, standalone_mode=False)\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'gl3schwarz')),\n"
+        "      file=sys.stderr)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert out.returncode == 0, out.stderr
+    return set(json.loads(out.stderr.strip().splitlines()[-1]))
+
+
+class TestImportFootprint:
+    """Each command loads its own layer when it runs, not at CLI import."""
+
+    def test_cli_import_loads_only_the_jets(self):
+        assert _package_modules_after() == {"gl3schwarz", "gl3schwarz.jets", "gl3schwarz.cli"}
+
+    def test_numeric_suites_do_not_load_eta(self):
+        loaded = _package_modules_after(
+            ["verify", "--samples", "1", "derivs", "pde", "f1", "picard", "evolution"]
+        )
+        assert "gl3schwarz.report" in loaded
+        assert "gl3schwarz.eta" not in loaded
+
+    def test_heis_loads_neither_appell_nor_report(self):
+        loaded = _package_modules_after(["heis", "--alpha", "2,1", "--q", "3"])
+        assert "gl3schwarz.lft" in loaded
+        assert loaded.isdisjoint({"gl3schwarz.appell", "gl3schwarz.report"})

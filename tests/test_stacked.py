@@ -65,7 +65,7 @@ from gl3schwarz.pde_verify import (
     mt2_solution_residuals,
     picard_modular_form_residuals,
 )
-from gl3schwarz.pde_verify import ParamTriple
+from gl3schwarz.pde_verify import ParamTriple, _pole_gap
 from gl3schwarz.picard import (
     corollary52_check,
     f_sign_relations,
@@ -428,6 +428,54 @@ def test_stacked_residuals_match_the_per_sample_reference(cid, seed):
     assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-13
     # both drew the same numbers: the stream ends in the same state
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def _ref_safe_pair(rng, margin=0.1, box=2.0):
+    while True:
+        x, y = _cpx(rng, box), _cpx(rng, box)
+        if _pole_gap(x, y) >= margin:
+            return x, y
+
+
+def _ref_moduli_instance(rng):
+    while True:
+        u = (_cpx(rng, 2.0), _cpx(rng, 2.0))
+        v2 = _cpx(rng, 2.0)
+        if _pole_gap(*u) < 0.1:
+            continue
+        try:
+            roots = picard.modular_solve(u, v2)
+        except ValueError:
+            continue
+        for v1 in roots:
+            if min(abs(v1), abs(v1 - 1), abs(v1 - v2)) > 1e-3:
+                return u, (v1, v2)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 42])
+@pytest.mark.parametrize(
+    "drawn, ref", [(_safe_pair, _ref_safe_pair), (_moduli_instance, _ref_moduli_instance)]
+)
+def test_whole_candidate_draws_match_the_per_number_loop(drawn, ref, seed):
+    # one rng.uniform call per candidate draws the numbers of one _cpx call each
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    got = [drawn(rngs[0]) for _ in range(50)]
+    assert got == [ref(rngs[1]) for _ in range(50)]
+    numbers = [z for draw in got for part in draw for z in (part if type(part) is tuple else (part,))]
+    assert all(type(z) is complex for z in numbers)
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_a_moduli_candidate_builds_one_pair(monkeypatch):
+    built, solved = [], []
+    post_init = picard.ModuliPair.__post_init__
+    monkeypatch.setattr(picard.ModuliPair, "__post_init__", lambda p: built.append(post_init(p)))
+    real = report.modular_solve
+    monkeypatch.setattr(report, "modular_solve", lambda u, v2: solved.append(1) or real(u, v2))
+    rng = np.random.default_rng(42)
+    for _ in range(20):
+        _moduli_instance(rng)
+    assert len(solved) >= 20 and len(built) == len(solved)
 
 
 # The residuals of a sound check sit at roundoff, so matching them says
