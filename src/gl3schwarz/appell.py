@@ -66,40 +66,9 @@ MAX_EXPONENT = 1e14
 # weights overflow.
 MIN_EXPONENT_GAP = 1e-6
 
-
-# Lanczos approximation, g = 7 with 9 terms: about 1e-14 relative off the
-# real axis for Re z in [-5, 10], |Im z| <= 5
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma(z) -> complex:
-    """Complex gamma; rejects the poles explicitly.
-
-    Real arguments go to math.gamma, others to the Lanczos sum, with the
-    reflection formula for Re z < 1/2.
-    """
-    z = complex(z)
-    if z.imag == 0:
-        if z.real <= 0 and z.real == int(z.real):
-            raise ValueError(f"gamma pole at {z}")
-        return complex(math.gamma(z.real))
-    if z.real < 0.5:
-        return cmath.pi / (cmath.sin(cmath.pi * z) * gamma(1 - z))
-    z -= 1
-    s = _LANCZOS[0] + sum(c / (z + k) for k, c in enumerate(_LANCZOS[1:], 1))
-    t = z + _LANCZOS_G + 0.5
-    return cmath.sqrt(2 * cmath.pi) * t ** (z + 0.5) * cmath.exp(-t) * s
+# Relative tolerance every F1 series is summed to: the stopping rule and the
+# cancellation refusal of _shifted_sums both read it.
+SERIES_TOL = 1e-12
 
 
 def _parameter(v) -> complex:
@@ -419,7 +388,7 @@ def _rising(z: complex, n: int) -> complex:
     return out
 
 
-def f1_series(p: F1Params, x, y, tol: float = 1e-12):
+def f1_series(p: F1Params, x, y):
     """Double series sum_{m,n} (a)_{m+n} (b)_m (b')_n / ((c)_{m+n} m! n!) x^m y^n.
 
     x, y may be complex numbers or jets (one of each is fine) with
@@ -430,8 +399,8 @@ def f1_series(p: F1Params, x, y, tol: float = 1e-12):
     Arrays of points, or stacked jets, give F1 at every point of the stack
     in one pass.  Raises ValueError outside |x|, |y| < 1, where the series
     would need more than DIAGONAL_LIMIT anti-diagonals, and where its terms
-    cancel so far that roundoff exceeds tol; for a stack the error names
-    the first point refused.
+    cancel so far that roundoff exceeds SERIES_TOL; for a stack the error
+    names the first point refused.
     """
     p.require_series_ok()
     proto = x if isinstance(x, Jet) else y if isinstance(y, Jet) else None
@@ -443,7 +412,7 @@ def f1_series(p: F1Params, x, y, tol: float = 1e-12):
     inside = (abs(x0) < 1) & (abs(y0) < 1)  # False at NaN too
     _refuse(~np.asarray(inside), "series needs |x|, |y| < 1 at the base point")
     if proto is None:
-        sums = _shifted_sums(p, ((0, 0),), x0, y0, tol)[..., 0]
+        sums = _shifted_sums(p, ((0, 0),), x0, y0, SERIES_TOL)[..., 0]
         return sums if sums.ndim else complex(sums)
     shifts = monomials(2, proto.order)
     factors = np.array([
@@ -451,7 +420,7 @@ def f1_series(p: F1Params, x, y, tol: float = 1e-12):
         / (_rising(p.c, i + j) * math.factorial(i) * math.factorial(j))
         for i, j in shifts
     ])
-    taylor = _shifted_sums(p, shifts, x0, y0, tol) * factors
+    taylor = _shifted_sums(p, shifts, x0, y0, SERIES_TOL) * factors
     return compose(_wrap(2, proto.order, taylor), [x, y])
 
 
@@ -562,7 +531,7 @@ def picard_f1_identity_rhs(x, y) -> complex:
     Arrays of moduli give the value for every pair of a stack, from one
     stacked series.
     """
-    pref = -gamma(Fraction(2, 3)) ** 2 / gamma(Fraction(4, 3))
+    pref = -math.gamma(2 / 3) ** 2 / math.gamma(4 / 3)
     params = F1Params("2/3", "1/3", "1/3", "4/3")
     x, y = _base(x), _base(y)
     # a single point keeps Python complex arithmetic, and so its value to the last bit

@@ -69,14 +69,30 @@ def _cj(z) -> list:
 # StringIO is the stream itself, so every stream it ever wrote to (each
 # redirected in-process run) would stay alive for the life of the process.
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    """Print obj as strict JSON; an output out of the float range is a
+    ValueError naming that output."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        key = next(k for k, v in obj.items() if not _strict(v))
+        raise ValueError(f"output {key!r} overflows the float range") from None
+    sys.stdout.write(text + "\n")
+
+
+def _strict(value) -> bool:
+    """Whether value is strict JSON, with no NaN or infinity in it."""
+    try:
+        json.dumps(value, allow_nan=False)
+    except ValueError:
+        return False
+    return True
 
 
 def _eval_errors(fn):
     """Map domain errors of wrapped operations to exit code 1.
 
-    ValueError also covers a non-finite result that `_emit` refuses to
-    print, and an F1 series point too close to the unit circle.
+    ValueError also covers an output out of the float range, which `_emit`
+    names, and an F1 series point too close to the unit circle.
     """
 
     @functools.wraps(fn)
@@ -175,9 +191,10 @@ def _coefficient(val) -> complex:
     return complex(*parts)
 
 
-def _poly_jet(coeffs: dict, base, order: int = 3) -> Jet:
-    x, y = Jet.variables(2, order, base)
-    out = Jet.constant(2, order, 0.0)
+def _poly_jet(coeffs: dict, base) -> Jet:
+    """The polynomial of a map file's coefficient table, as an order-3 jet at base."""
+    x, y = Jet.variables(2, 3, base)
+    out = Jet.constant(2, 3, 0.0)
     for key in sorted(coeffs):
         e1, e2 = (int(p) for p in key.split(","))
         if e1 < 0 or e2 < 0:
@@ -304,13 +321,16 @@ def picard_integral_cmd(x, y):
 
     value = picard_integral(x, y)
     rhs = picard_f1_identity_rhs(x, y)
+    cube = rhs**3
+    if not cube:
+        raise ValueError("output 'cubed_relative_gap' is 0/0: the cubes underflow the float range")
     _emit(
         {
             "x": _cj(x),
             "y": _cj(y),
             "value": _cj(value),
             "f1_form": _cj(rhs),
-            "cubed_relative_gap": abs(value**3 - rhs**3) / abs(rhs**3),
+            "cubed_relative_gap": abs(value**3 - cube) / abs(cube),
         }
     )
 

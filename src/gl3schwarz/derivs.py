@@ -22,6 +22,7 @@ from .jets import (
     Jet,
     JetError,
     _any,
+    _base,
     _col,
     _compose_each,
     _deriv_table,
@@ -37,27 +38,22 @@ _TINY = 1e-14
 
 
 class MapJet2:
-    """Pair of jets acting in two active variables at a common base point."""
+    """Pair of jets acting in their first two variables at a common base point."""
 
-    __slots__ = ("u1", "u2", "ix", "iy")
+    __slots__ = ("u1", "u2")
 
-    def __init__(self, u1: Jet, u2: Jet, active=(0, 1)):
+    def __init__(self, u1: Jet, u2: Jet):
         if u1.dim != u2.dim or u1.order != u2.order or u1._c.shape != u2._c.shape:
             raise JetError("map components need matching dim, order and samples")
-        ix, iy = active
-        if ix == iy or not (0 <= ix < u1.dim and 0 <= iy < u1.dim):
-            raise JetError("active variables must be two distinct indices")
+        if u1.dim < 2:
+            raise JetError("a map acts in two variables: its jets need dim >= 2")
         self.u1 = u1
         self.u2 = u2
-        self.ix = ix
-        self.iy = iy
 
     def __getitem__(self, k) -> "MapJet2":
         """Sample(s) k of a stacked map."""
         u1, u2 = self.u1, self.u2
-        return MapJet2(
-            _wrap(u1.dim, u1.order, u1._c[k]), _wrap(u2.dim, u2.order, u2._c[k]), (self.ix, self.iy)
-        )
+        return MapJet2(_wrap(u1.dim, u1.order, u1._c[k]), _wrap(u2.dim, u2.order, u2._c[k]))
 
     @property
     def dim(self) -> int:
@@ -69,8 +65,8 @@ class MapJet2:
 
     def first_partials(self) -> tuple[complex, complex, complex, complex]:
         """(u1x, u1y, u2x, u2y) at the base point."""
-        ex = _unit(self.dim, self.ix)
-        ey = _unit(self.dim, self.iy)
+        ex = _unit(self.dim, 0)
+        ey = _unit(self.dim, 1)
         return (
             self.u1.partial(ex),
             self.u1.partial(ey),
@@ -84,10 +80,10 @@ class MapJet2:
 
     def jacobian_jet(self) -> Jet:
         """Jacobian determinant as a jet of order n-1."""
-        u1x = self.u1.deriv(self.ix)
-        u1y = self.u1.deriv(self.iy)
-        u2x = self.u2.deriv(self.ix)
-        u2y = self.u2.deriv(self.iy)
+        u1x = self.u1.deriv(0)
+        u1y = self.u1.deriv(1)
+        u2x = self.u2.deriv(0)
+        u2y = self.u2.deriv(1)
         return u1x * u2y - u2x * u1y
 
 
@@ -97,7 +93,6 @@ def stack_maps(maps) -> MapJet2:
     return MapJet2(
         _wrap(m.dim, m.order, np.stack([w.u1._c for w in maps])),
         _wrap(m.dim, m.order, np.stack([w.u2._c for w in maps])),
-        (m.ix, m.iy),
     )
 
 
@@ -107,13 +102,13 @@ def _unit(dim: int, var: int) -> tuple:
     return tuple(e)
 
 
-def lft_map(g, z, order: int = 3) -> MapJet2:
-    """Jets of the linear fractional action of g at the point z.
+def lft_map(g, z) -> MapJet2:
+    """Order-3 jets of the linear fractional action of g at the point z.
 
     A stack of matrices (3, 3, n) with points z = (z1, z2) of n entries each
     gives the stack of the n maps.
     """
-    return MapJet2(*act(g, Jet.variables(2, order, z)))
+    return MapJet2(*act(g, Jet.variables(2, 3, z)))
 
 
 class DerivQuad:
@@ -132,15 +127,11 @@ class DerivQuad:
 
     def values(self) -> tuple[complex, complex, complex, complex]:
         """The values: complex numbers, or arrays over a stack's samples."""
-        return tuple(
-            c.value if isinstance(c, Jet) else c if isinstance(c, np.ndarray) else complex(c)
-            for c in self.components()
-        )
+        return tuple(_base(c) for c in self.components())
 
     def vector(self) -> np.ndarray:
         """The four values, on the last axis of a stack: shape (..., 4)."""
-        v = np.array(self.values(), dtype=np.complex128)
-        return v if v.ndim == 1 else np.moveaxis(v, 0, -1)
+        return np.moveaxis(np.array(self.values(), dtype=np.complex128), 0, -1)
 
     def max_abs(self) -> float:
         """The largest |value|, NaN-sticky; per sample for a stacked quad."""
@@ -152,12 +143,12 @@ class DerivQuad:
 
 def _quad_of(vec: np.ndarray) -> DerivQuad:
     """The quad whose values are the last axis of vec."""
-    return DerivQuad(*(vec if vec.ndim == 1 else np.moveaxis(vec, -1, 0)))
+    return DerivQuad(*np.moveaxis(vec, -1, 0))
 
 
 def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Matrix times vector for every sample of (..., k, k) and (..., k)."""
-    return mat @ vec if vec.ndim == 1 else (mat @ vec[..., None])[..., 0]
+    return (mat @ vec[..., None])[..., 0]
 
 
 def _det2(p, q, r, s):
@@ -165,7 +156,7 @@ def _det2(p, q, r, s):
 
 
 @lru_cache(maxsize=None)
-def _partials_table(dim: int, order: int, ix: int, iy: int):
+def _partials_table(dim: int, order: int):
     """Gather of the partials x, y, xx, 2xy, -2xy, -yy of a map, at order - 2.
 
     Returns (src, f1, f2), each of shape (6, n): coefficient j of partial p
@@ -173,10 +164,10 @@ def _partials_table(dim: int, order: int, ix: int, iy: int):
     the two derivative steps applied in turn (f2 is 1 for first partials).
     """
     n = len(monomials(dim, order - 2))
-    sx, fx = _deriv_table(dim, order, ix)
-    sy, fy = _deriv_table(dim, order, iy)
-    tx, gx = _deriv_table(dim, order - 1, ix)
-    ty, gy = _deriv_table(dim, order - 1, iy)
+    sx, fx = _deriv_table(dim, order, 0)
+    sy, fy = _deriv_table(dim, order, 1)
+    tx, gx = _deriv_table(dim, order - 1, 0)
+    ty, gy = _deriv_table(dim, order - 1, 1)
     ones = np.ones(n)
     src = np.array([sx[:n], sy[:n], sx[tx], sx[ty], sx[ty], sy[ty]])
     f1 = np.array([fx[:n], fy[:n], fx[tx], fx[ty], fx[ty], fy[ty]])
@@ -206,7 +197,7 @@ def deriv_quad(m: MapJet2) -> DerivQuad:
     if m.order < 2:
         raise JetError("deriv_quad needs jets of order >= 2")
     dim, k = m.dim, m.order - 2
-    src, f1, f2 = _partials_table(dim, m.order, m.ix, m.iy)
+    src, f1, f2 = _partials_table(dim, m.order)
     # (component, ..., partial, coefficient)
     partials = np.array((m.u1._c, m.u2._c)).take(src, -1) * f1 * f2
     a, b = _DETS
@@ -239,7 +230,7 @@ def _transport_from_partials(w1x, w1y, w2x, w2y) -> np.ndarray:
         ],
         dtype=np.complex128,
     )
-    return m if m.ndim == 2 else np.moveaxis(m, (0, 1), (-2, -1))
+    return np.moveaxis(m, (0, 1), (-2, -1))
 
 
 def transport_matrix(w: MapJet2) -> np.ndarray:
@@ -293,7 +284,7 @@ def second_arg_transform(u_quad: DerivQuad, g, z) -> DerivQuad:
     (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = m
     x, y = z
     cz = denominator(m, z)
-    delta = np.linalg.det(m if m.ndim == 2 else np.moveaxis(m, (0, 1), (-2, -1)))
+    delta = np.linalg.det(np.moveaxis(m, (0, 1), (-2, -1)))
     if _any(abs(cz) < _TINY) or _any(abs(delta) < _TINY):
         raise ZeroDivisionError("vanishing denominator or determinant")
     A1 = (a1 * c2 - a2 * c1) * y + (a1 * c3 - a3 * c1)
@@ -390,27 +381,34 @@ def _jet_exp(a: Jet) -> Jet:
     return _wrap(a.dim, a.order, _series(a.dim, a.order, nil, inv_factorials) * _col(np.exp(a.value)))
 
 
-def exp_solution_map(pairs, base=(0.0, 0.0), order: int = 3) -> MapJet2:
-    """(z1/z3, z2/z3) for z_i = exp(lambda_i x + mu_i y), as jets at base.
+def exp_solution_map(pairs, base=(0.0, 0.0)) -> MapJet2:
+    """(z1/z3, z2/z3) for z_i = exp(lambda_i x + mu_i y), as order-3 jets at base.
 
     pairs has shape (3, 2), or (..., 3, 2) for a stacked map.
     """
-    x, y = Jet.variables(2, order, base)
+    x, y = Jet.variables(2, 3, base)
     pairs = np.moveaxis(np.asarray(pairs, dtype=np.complex128), (-2, -1), (0, 1))
     zs = [_jet_exp(lam * x + mu * y) for lam, mu in pairs]
     return MapJet2(zs[0] / zs[2], zs[1] / zs[2])
 
 
-def random_map(rng, order: int = 3, radius: float = 0.3, min_jac: float = 0.1, size=None) -> MapJet2:
+# random_map's draws: order-3 jets with coefficients in a disc of radius
+# MAP_RADIUS around the identity map, and |Jacobian| >= MAP_MIN_JAC at the
+# base point
+MAP_ORDER = 3
+MAP_RADIUS = 0.3
+MAP_MIN_JAC = 0.1
+
+
+def random_map(rng, size=None) -> MapJet2:
     """Polynomial map near the identity with a well-conditioned Jacobian.
 
-    Coefficients live in a disc of the given radius around the identity map;
-    a draw is repeated, up to 100 times, until |Jacobian| >= min_jac at the
-    base point.  size=n gives a stack of n maps, drawn from the stream as n
-    calls without size would draw them: each round draws the maps still
-    missing and keeps the good ones in order.
+    A draw is repeated, up to 100 times, until |Jacobian| >= MAP_MIN_JAC
+    at the base point.  size=n gives a stack of n maps, drawn from the
+    stream as n calls without size would draw them: each round draws the
+    maps still missing and keeps the good ones in order.
     """
-    monos = monomials(2, order)
+    monos = monomials(2, MAP_ORDER)
     ix, iy = monos.index((1, 0)), monos.index((0, 1))
     want = 1 if size is None else size
     kept, have, misses = [], 0, 0
@@ -418,9 +416,9 @@ def random_map(rng, order: int = 3, radius: float = 0.3, min_jac: float = 0.1, s
         # per map, component and monomial a modulus draw, then a phase draw:
         # the order of one scalar uniform() and one uniform(0, 2 pi) each
         u = rng.uniform(size=(want - have, 2, len(monos), 2))
-        c = radius * np.sqrt(u[..., 0]) * np.exp(1j * (2 * np.pi * u[..., 1]))
+        c = MAP_RADIUS * np.sqrt(u[..., 0]) * np.exp(1j * (2 * np.pi * u[..., 1]))
         c[:, (0, 1), (ix, iy)] += 1.0
-        ok = abs(c[:, 0, ix] * c[:, 1, iy] - c[:, 1, ix] * c[:, 0, iy]) >= min_jac
+        ok = abs(c[:, 0, ix] * c[:, 1, iy] - c[:, 1, ix] * c[:, 0, iy]) >= MAP_MIN_JAC
         for good in ok.tolist():
             misses = 0 if good else misses + 1
             if misses == 100:
@@ -428,7 +426,7 @@ def random_map(rng, order: int = 3, radius: float = 0.3, min_jac: float = 0.1, s
         kept.append(c[ok])
         have += len(kept[-1])
     c = kept[-1][0] if size is None else np.concatenate(kept)
-    return MapJet2(_wrap(2, order, c[..., 0, :].copy()), _wrap(2, order, c[..., 1, :].copy()))
+    return MapJet2(_wrap(2, MAP_ORDER, c[..., 0, :].copy()), _wrap(2, MAP_ORDER, c[..., 1, :].copy()))
 
 
 def compose_maps(u: MapJet2, w: MapJet2) -> MapJet2:

@@ -186,9 +186,9 @@ def _word_factor(word, base: EisMatrix):
     return AutomorphyFactor(phase, tuple(num), tuple(den)), m
 
 
-def word_factor(word, base=None) -> AutomorphyFactor:
-    """Exact automorphy multiplier of eta along a word, over an optional base."""
-    return _word_factor(word, base if base is not None else EisMatrix.identity())[0]
+def word_factor(word) -> AutomorphyFactor:
+    """Exact automorphy multiplier of eta along a word."""
+    return _word_factor(word, EisMatrix.identity())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -539,16 +539,16 @@ def eta36_transform_check(g, vmap, z) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
 
-def s_invariant_map(z, order: int = 1):
-    """(w1 + 1/w1, w2^2/w1): unchanged by S acting as (1/w1, -w2/w1)."""
-    w1, w2 = Jet.variables(2, order, z)
+def s_invariant_map(z):
+    """(w1 + 1/w1, w2^2/w1) as order-1 jets: unchanged by S acting as (1/w1, -w2/w1)."""
+    w1, w2 = Jet.variables(2, 1, z)
     if abs(z[0]) < _TINY:
         raise ValueError("map has a pole at w1 = 0")
     return w1 + 1 / w1, w2 * w2 / w1
 
 
-def translation_invariant_map(z, order: int = 1):
-    """(exp(2 pi i w1 / (3 (wbar - w))), w2): period cell of [T1,T2]^3."""
-    w1, w2 = Jet.variables(2, order, z)
+def translation_invariant_map(z):
+    """(exp(2 pi i w1 / (3 (wbar - w))), w2) as order-1 jets: period cell of [T1,T2]^3."""
+    w1, w2 = Jet.variables(2, 1, z)
     c = 2j * cmath.pi / (3 * (OMEGA_BAR - OMEGA).to_complex())
     return _jet_exp(c * w1), w2

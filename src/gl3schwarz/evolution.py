@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivs import MapJet2
-from .jets import Jet, JetError, _any, compose, monomials
+from .jets import Jet, JetError, _any, compose
 from .lft import _as_numpy, act, denominator
 from .worst import worst_of
 
-IX, IY, IT1, IT2 = range(4)
+IT1, IT2 = 2, 3  # indices of t1 and t2 in (x, y, t1, t2)
 _DX = (1, 0, 0, 0)
 _DY = (0, 1, 0, 0)
 _DT1 = (0, 0, 1, 0)
@@ -47,7 +47,7 @@ def evo_quotients(u, which: str):
     if which not in ("t1", "t2"):
         raise ValueError(f"time variable must be 't1' or 't2', got {which!r}")
     u1, u2 = u
-    jac = MapJet2(u1, u2, active=(IX, IY)).jacobian_value()
+    jac = MapJet2(u1, u2).jacobian_value()
     if _any(abs(jac) < 1e-14):
         raise ZeroDivisionError("spatial Jacobian vanishes")
     dt, den = (_DT1, -jac) if which == "t1" else (_DT2, jac)
@@ -72,35 +72,27 @@ class EvoFields:
                 raise JetError("fields must be order >= 1 jets in 4 variables")
 
     @classmethod
-    def constant(cls, c1, c2, c3, c4, order: int = 1) -> "EvoFields":
-        mk = lambda c: Jet.constant(4, order, c)
-        return cls(mk(c1), mk(c2), mk(c3), mk(c4))
+    def constant(cls, c1, c2, c3, c4) -> "EvoFields":
+        """Four constant fields, as order-1 jets: an exact solution."""
+        return cls(*(Jet.constant(4, 1, c) for c in (c1, c2, c3, c4)))
 
     @classmethod
-    def shear(cls, lam, c1, c2, order: int = 1) -> "EvoFields":
-        """v1 = c1, v2 = -lam t1, w1 = lam t2, w2 = c2: an exact solution."""
-        t1 = Jet.variable(4, order, IT1)
-        t2 = Jet.variable(4, order, IT2)
-        return cls(
-            Jet.constant(4, order, c1), -lam * t1, lam * t2, Jet.constant(4, order, c2)
-        )
+    def shear(cls, lam, c1, c2) -> "EvoFields":
+        """v1 = c1, v2 = -lam t1, w1 = lam t2, w2 = c2, as order-1 jets: an exact solution."""
+        t1 = Jet.variable(4, 1, IT1)
+        t2 = Jet.variable(4, 1, IT2)
+        return cls(Jet.constant(4, 1, c1), -lam * t1, lam * t2, Jet.constant(4, 1, c2))
 
     @classmethod
-    def random(cls, rng, order: int = 2, radius: float = 0.5) -> "EvoFields":
-        """Dense random polynomial fields; generically not a solution."""
-        return cls.from_uniform(rng.random(8 * len(monomials(4, order))), order, radius)
-
-    @classmethod
-    def from_uniform(cls, u, order: int = 2, radius: float = 0.5) -> "EvoFields":
-        """The fields `random` makes from the unit draws u, shape (..., 8 m).
+    def from_uniform(cls, u, order: int = 2) -> "EvoFields":
+        """Dense polynomial fields of the given order from unit draws u, shape (..., 8 m).
 
         m is the number of monomials.  Per field and monomial, the real and
-        the imaginary part are low + (high - low) u, as one
-        rng.uniform(-radius, radius, 2) makes them from the same draws;
-        leading axes of u give stacked fields.
+        the imaginary part are u - 0.5, as one rng.uniform(-0.5, 0.5, 2)
+        makes them from the same draws; leading axes of u give stacked
+        fields.  Such fields are generically not a solution.
         """
-        low, high = -radius, radius
-        parts = (low + (high - low) * np.asarray(u)).reshape(*np.shape(u)[:-1], 4, -1, 2)
+        parts = (np.asarray(u) - 0.5).reshape(*np.shape(u)[:-1], 4, -1, 2)
         coeffs = parts.view(np.complex128)[..., 0]
         return cls(*(Jet(4, order, coeffs[..., k, :]) for k in range(4)))
 

@@ -80,8 +80,7 @@ def _pole_gap(v1: complex, v2: complex) -> float:
 
     Arrays of points give the distance of each.
     """
-    gaps = (abs(v1), abs(v2), abs(v1 - 1), abs(v2 - 1), abs(v1 - v2))
-    return reduce(np.minimum, gaps) if isinstance(gaps[0], np.ndarray) else min(gaps)
+    return reduce(np.minimum, (abs(v1), abs(v2), abs(v1 - 1), abs(v2 - 1), abs(v1 - v2)))
 
 
 def _check_poles(v1, v2, margin: float):
@@ -186,9 +185,9 @@ def mt1_residuals(w, branch: int = 0) -> tuple[complex, complex, complex]:
     return z_system_residuals(*_mt1_system(w, branch))
 
 
-def mt1_relative_residual(w, branch: int = 0) -> float:
+def mt1_relative_residual(w) -> float:
     """max residual / max term, over the three equations."""
-    residuals, scale = _z_system(*_mt1_system(w, branch))
+    residuals, scale = _z_system(*_mt1_system(w, 0))
     return worst_of(abs(r) for r in residuals) / scale
 
 
@@ -311,18 +310,19 @@ def pfaffian_jet(p: ParamTriple, v, data) -> Jet:
     )
 
 
-def mt2_field_recovery_gap(p: ParamTriple, v, third=(1.0, -0.5, 0.9)) -> float:
+def mt2_field_recovery_gap(p: ParamTriple, v) -> float:
     """Cross-check: series solutions feed the map-side field extraction.
 
-    Takes the two series branches as s1, s2, completes the basis with a
-    prescribed-gradient jet s3, and compares the derivative quadruple of
-    (s1/s3, s2/s3) against the closed-form fields.  Needs a point where
-    both branches converge.  Arrays of points give the gap at each.
+    Takes the two series branches as s1, s2, completes the basis with the
+    solution jet s3 of value 1 and gradient (-0.5, 0.9), and compares the
+    derivative quadruple of (s1/s3, s2/s3) against the closed-form fields.
+    Needs a point where both branches converge.  Arrays of points give the
+    gap at each.
     """
     v, (V1, V2) = _series_point(v, ("first", "second"))
     s1 = _branch_solution(p, V1, V2, "first")
     s2 = _branch_solution(p, V1, V2, "second")
-    s3 = pfaffian_jet(p, v, third)
+    s3 = pfaffian_jet(p, v, (1.0, -0.5, 0.9))
     quad = deriv_quad(MapJet2(s1 / s3, s2 / s3))
     target = field_quad(p, v).values()
     return worst_of(abs(a - b) for a, b in zip(quad.values(), target))

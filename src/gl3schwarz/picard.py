@@ -352,9 +352,9 @@ def pullback_identity_check(u, v, t, check_modular: bool = True) -> float:
     return _checked(*pullback_gaps(u, v, t, check_modular))
 
 
-def corollary52_gaps(u, v, x, check_modular: bool = True):
+def corollary52_gaps(u, v, x):
     """corollary52_check at every point of x, refusing none; see pullback_gaps."""
-    pu, pv, abg = _transform(u, v, check_modular)
+    pu, pv, abg = _transform(u, v, True)
     x1, x2 = _stacked(x)
     X1, X2 = Jet.variables(2, 1, (x1, x2))
     w1, w2, refused = _order5(abg, X1 * X1 * X1, X2 * X2 * X2)
@@ -365,7 +365,7 @@ def corollary52_gaps(u, v, x, check_modular: bool = True):
     return _as_given(x, gap, zero, refused)
 
 
-def corollary52_check(u, v, x, check_modular: bool = True) -> float:
+def corollary52_check(u, v, x) -> float:
     """Relative residual of the cubed identity in the root coordinates.
 
     With t_i = x_i^3 and y_i = w_i^(1/3), checks
@@ -373,7 +373,7 @@ def corollary52_check(u, v, x, check_modular: bool = True) -> float:
     g_x = (1-x1^3)(1-u1 x1^3)(1-u2 x1^3), g_y the same in (v, y1^3).
     A pair of arrays x gives the residual at each point.
     """
-    return _checked(*corollary52_gaps(u, v, x, check_modular))
+    return _checked(*corollary52_gaps(u, v, x))
 
 
 # ---------------------------------------------------------------------------

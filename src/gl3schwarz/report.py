@@ -25,7 +25,6 @@ from .appell import (
     f1_euler,
     f1_pde_residual,
     f1_series,
-    gamma,
     k_integral,
     picard_f1_identity_rhs,
     picard_integral,
@@ -89,7 +88,7 @@ from .picard import (
     s3_orbit,
     transform_abg,
 )
-from .worst import Worst, worst_of
+from .worst import worst_of
 
 SCHEMA = "gl3schwarz-report/1"
 TOL_ENV = "GL3SCHWARZ_TOL"
@@ -132,11 +131,11 @@ def _stack(draws):
     return tuple(np.array(list(draws), dtype=np.complex128).T)
 
 
-def _safe_pair(rng, margin=0.1, box=2.0):
-    # each candidate's numbers in one draw: the stream of two _cpx calls
+def _safe_pair(rng):
+    # each candidate's numbers in one draw: the stream of two _cpx(rng, 2.0) calls
     while True:
-        x, y = rng.uniform(-box, box, 4).view(np.complex128).tolist()
-        if _pole_gap(x, y) >= margin:
+        x, y = rng.uniform(-2.0, 2.0, 4).view(np.complex128).tolist()
+        if _pole_gap(x, y) >= 0.1:
             return x, y
 
 
@@ -336,11 +335,11 @@ def _check_exp_oracle(rng, n):
 
 
 def _check_mt1(rng, n):
-    yield from mt1_relative_residual(random_map(rng, order=3, size=n))
+    yield from mt1_relative_residual(random_map(rng, size=n))
 
 
 def _check_mt1_branch(rng, n):
-    m = random_map(rng, order=3, size=n)
+    m = random_map(rng, size=n)
     r0 = mt1_residuals(m)
     parts = []
     for branch in (1, 2):
@@ -385,9 +384,9 @@ def _check_mt2_picard_modular(rng, n):
 _F1_CHECK_PARAMS = (("1/3", "1/3", "1/3", 1), ("1/4", "1/4", "1/4", 1), ("2/3", "1/3", "1/3", "4/3"))
 
 
-def _f1_points(rng, n, radius=0.45):
-    """n points (x, y), each drawn as _cpx(rng, radius) twice, as two arrays."""
-    return rng.uniform(-radius, radius, (n, 4)).view(np.complex128).T
+def _f1_points(rng, n):
+    """n points (x, y), each drawn as _cpx(rng, 0.45) twice, as two arrays."""
+    return rng.uniform(-0.45, 0.45, (n, 4)).view(np.complex128).T
 
 
 def _f1_groups(n):
@@ -435,7 +434,7 @@ def _check_f1_picard_gamma(rng, n):
 
 
 def _check_f1_k3(rng, n):
-    pref = gamma(1 / 3) * gamma(2 / 3)
+    pref = math.gamma(1 / 3) * math.gamma(2 / 3)
     p = F1Params("1/3", "1/3", "1/3", 1)
     ki, kj = _f1_points(rng, n)
     yield from abs(k_integral(ki, kj) - pref * f1_series(p, ki, kj))
@@ -542,8 +541,9 @@ def _check_mt4(rng, n):
 
 
 def _check_mt4_galilean(rng, n):
-    # per sample the draws of EvoFields.random(rng, order=3), then those of
-    # rng.uniform(-1.5, 1.5, 4) for the shift, all from one block
+    # per sample the unit draws of order-3 fields (two per field and
+    # monomial), then those of rng.uniform(-1.5, 1.5, 4) for the shift, all
+    # from one block
     fields = 8 * len(monomials(4, 3))
     u = rng.random((n, fields + 4))
     f = EvoFields.from_uniform(u[:, :fields], order=3)
@@ -559,8 +559,8 @@ _MT4_MATS = (
 )
 
 
-def _random_evo_pairs(rng, size, order=3):
-    """size random pairs (u1, u2) of jets in (x, y, t1, t2), as one stacked map.
+def _random_evo_pairs(rng, size):
+    """size random pairs (u1, u2) of order-3 jets in (x, y, t1, t2), as one stacked map.
 
     Per pair the base point, drawn as rng.uniform(-0.8, 0.8, 4), then the
     seven coefficients of u1's polynomial and the seven of u2's, each drawn
@@ -569,11 +569,11 @@ def _random_evo_pairs(rng, size, order=3):
     """
     u = rng.random((size, 32))
     (low, high), (clow, chigh) = (-0.8, 0.8), (-0.6, 0.6)
-    xs = Jet.variables(4, order, tuple((low + (high - low) * u[:, :4]).T))
+    xs = Jet.variables(4, 3, tuple((low + (high - low) * u[:, :4]).T))
     c = (clow + (chigh - clow) * u[:, 4:]).view(np.complex128).T
 
     def poly(c):
-        out = Jet.constant(4, order, c[0])
+        out = Jet.constant(4, 3, c[0])
         for v, ck in zip(xs, c[1:5]):
             out = out + ck * v
         return out + c[5] * xs[0] * xs[1] + c[6] * xs[1] * xs[3]
@@ -626,11 +626,8 @@ def _reduce(runner):
     """The check's run: the worst of the runner's residuals, and their number."""
 
     def run(rng, n):
-        worst, count = Worst(), 0
-        for residual in runner(rng, n):
-            worst.add(residual)
-            count += 1
-        return worst.value, count
+        residuals = np.fromiter(runner(rng, n), float)
+        return worst_of(residuals), residuals.size
 
     return run
 

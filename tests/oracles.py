@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from gl3schwarz.jets import Jet, JetError, _compose_each, _index
+from gl3schwarz.evolution import EvoFields
+from gl3schwarz.jets import Jet, JetError, _compose_each, _index, monomials
 
 
 def invert_map2(g1: Jet, g2: Jet) -> tuple[Jet, Jet]:
@@ -62,3 +63,8 @@ def jacobi_p(n: int, alpha: float, beta: float, x: np.ndarray):
         s * (1.0 - x) * (1.0 + x)
     )
     return p, dp
+
+
+def random_fields(rng, order: int = 2) -> EvoFields:
+    """Dense random polynomial fields of the given order; generically not a solution."""
+    return EvoFields.from_uniform(rng.random(8 * len(monomials(4, order))), order)

@@ -18,7 +18,6 @@ from gl3schwarz.appell import (
     f1_euler,
     f1_pde_residual,
     f1_series,
-    gamma,
     k_integral,
     k_integral_substituted,
     picard_f1_identity_rhs,
@@ -38,40 +37,26 @@ PARAM_SETS = [
 
 
 class TestGamma:
+    # the identities take Gamma from math.gamma, at 1/3, 2/3 and 4/3 only
     def test_basic_values(self):
-        assert abs(gamma(1) - 1) < 1e-14
-        assert abs(gamma(0.5) - math.sqrt(math.pi)) < 1e-14
+        assert abs(math.gamma(1) - 1) < 1e-14
+        assert abs(math.gamma(0.5) - math.sqrt(math.pi)) < 1e-14
 
     def test_reflection(self):
-        assert abs(gamma(1 / 3) * gamma(2 / 3) - 2 * math.pi / math.sqrt(3)) < 1e-12
+        assert abs(math.gamma(1 / 3) * math.gamma(2 / 3) - 2 * math.pi / math.sqrt(3)) < 1e-12
 
     def test_recurrence(self):
-        assert abs(gamma(4 / 3) - gamma(1 / 3) / 3) < 1e-12
+        assert abs(math.gamma(4 / 3) - math.gamma(1 / 3) / 3) < 1e-12
 
     def test_pole(self):
         with pytest.raises(ValueError):
-            gamma(-2)
-
-    def test_complex_strip(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            z = complex(rng.uniform(0.2, 3), rng.uniform(-2, 2))
-            ref = complex(mpmath.gamma(z))
-            assert abs(gamma(z) - ref) <= 1e-12 * abs(ref)
+            math.gamma(-2)
 
     def test_real_axis_matches_mpmath(self):
         # negative non-integers included: math.gamma takes them directly
         for x in np.linspace(-4.95, 9.95, 150):
             ref = float(mpmath.gamma(x))
-            assert abs(gamma(x) - ref) <= 1e-14 * abs(ref)
-
-    def test_off_axis_matches_mpmath(self):
-        # left of Re z = 1/2 the Lanczos sum goes through the reflection formula
-        for re in np.linspace(-5, 10, 31):
-            for im in (-5.0, -1.3, -0.01, 0.01, 0.7, 5.0):
-                z = complex(re, im)
-                ref = complex(mpmath.gamma(z))
-                assert abs(gamma(z) - ref) <= 1e-13 * abs(ref)
+            assert abs(math.gamma(x) - ref) <= 1e-14 * abs(ref)
 
 
 class TestJacobiRule:
@@ -675,7 +660,7 @@ class TestKIntegral:
 
     def test_f1_identity(self):
         lhs = k_integral(0.3, -0.2)
-        rhs = gamma(1 / 3) * gamma(2 / 3) * f1_series(F1Params("1/3", "1/3", "1/3", 1), 0.3, -0.2)
+        rhs = math.gamma(1 / 3) * math.gamma(2 / 3) * f1_series(F1Params("1/3", "1/3", "1/3", 1), 0.3, -0.2)
         assert abs(lhs - rhs) < 1e-6
 
     def test_substituted_form_agrees(self):

@@ -429,6 +429,29 @@ class TestDeriv:
         assert "Warning" not in out.stderr
         assert message in json.loads(out.stderr)["error"]
 
+    # the evaluators whose result leaves the float range: the same one
+    # error line, naming the output
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["picard", "modular-solve", "--u", "2,3", "--v2", "1e200"], "output 'roots' overflows"),
+            (["picard", "transform", "--u", "2,3", "--v", "1.24169426078821,4", "--t", "1e100,1"],
+             "output 'w' overflows"),
+            (["picard", "integral", "--x", "1e305", "--y", "1e305j"],
+             "output 'cubed_relative_gap' is 0/0"),
+        ],
+        ids=["modular-solve-roots", "transform-w", "integral-gap"],
+    )
+    def test_overflowing_output_is_one_json_error_and_no_warning(self, args, message):
+        out = subprocess.run(
+            [sys.executable, "-m", "gl3schwarz", *args],
+            capture_output=True, text=True, env=_child_env(),
+        )
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert "Warning" not in out.stderr
+        assert message in json.loads(out.stderr)["error"]
+
     def test_huge_exponent_is_quick(self, runner, tmp_path):
         path = tmp_path / "map.json"
         path.write_text(json.dumps({"u1": {"1,0": 1, "1000000000,0": 1}, "u2": {"0,1": 1}}))

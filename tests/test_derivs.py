@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gl3schwarz import derivs
 from gl3schwarz.derivs import (
     DerivQuad,
     ExtendedTransport,
@@ -54,6 +55,12 @@ class TestDerivQuad:
         u = Jet.variable(2, 3, 0)
         with pytest.raises(JetError):
             deriv_quad(MapJet2(u, 2 * u))
+
+    def test_one_variable_map_rejected(self):
+        # a map acts in its jets' first two variables
+        x = Jet.variable(1, 3, 0)
+        with pytest.raises(JetError):
+            MapJet2(x, 2 * x)
 
     def test_order_drop(self):
         m = random_map(np.random.default_rng(0))
@@ -273,25 +280,37 @@ def _scalar_draw_map(rng, order=3, radius=0.3, min_jac=0.1):
     raise RuntimeError("failed to sample a well-conditioned map")
 
 
-@pytest.mark.parametrize("order, radius, min_jac", [(3, 0.3, 0.1), (2, 0.3, 0.1), (3, 0.9, 0.5)])
-def test_random_map_draws_as_scalar_calls_did(order, radius, min_jac):
+# the module's draw constants, and a wider disc with a stricter Jacobian bound
+# that rejects many draws
+MAP_DRAWS = [(3, 0.3, 0.1), (3, 0.9, 0.5)]
+
+
+@pytest.fixture
+def map_draws(monkeypatch, order, radius, min_jac):
+    assert order == derivs.MAP_ORDER
+    monkeypatch.setattr(derivs, "MAP_RADIUS", radius)
+    monkeypatch.setattr(derivs, "MAP_MIN_JAC", min_jac)
+
+
+@pytest.mark.parametrize("order, radius, min_jac", MAP_DRAWS)
+def test_random_map_draws_as_scalar_calls_did(order, radius, min_jac, map_draws):
     # the last case redraws: the draws after a rejected map line up too
     for seed in range(1, 21):
         old = _scalar_draw_map(np.random.default_rng(seed), order, radius, min_jac)
-        new = random_map(np.random.default_rng(seed), order, radius, min_jac)
+        new = random_map(np.random.default_rng(seed))
         assert new.u1._c.tobytes() == old.u1._c.tobytes()
         assert new.u2._c.tobytes() == old.u2._c.tobytes()
 
 
-@pytest.mark.parametrize("order, radius, min_jac", [(3, 0.3, 0.1), (2, 0.3, 0.1), (3, 0.9, 0.5)])
+@pytest.mark.parametrize("order, radius, min_jac", MAP_DRAWS)
 @pytest.mark.parametrize("size", [1, 7, 40])
-def test_batched_random_maps_draw_as_scalar_calls_did(order, radius, min_jac, size):
+def test_batched_random_maps_draw_as_scalar_calls_did(order, radius, min_jac, size, map_draws):
     # one block of draws per round, the rejected maps redrawn in the next:
     # map k of the stack is the k-th of size sequential calls, bit for bit
     for seed in range(1, 21):
         rng_old, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
         old = [_scalar_draw_map(rng_old, order, radius, min_jac) for _ in range(size)]
-        new = random_map(rng_new, order, radius, min_jac, size=size)
+        new = random_map(rng_new, size=size)
         assert new.u1._c.shape == (size, len(monomials(2, order)))
         for k, m in enumerate(old):
             assert new.u1._c[k].tobytes() == m.u1._c.tobytes()

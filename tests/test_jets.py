@@ -401,10 +401,10 @@ def _ref_deriv_quad(m):
         return p * s - q * r
 
     k = m.order - 2
-    u1x, u1y = m.u1.deriv(m.ix), m.u1.deriv(m.iy)
-    u2x, u2y = m.u2.deriv(m.ix), m.u2.deriv(m.iy)
-    u1xx, u1xy, u1yy = u1x.deriv(m.ix), u1x.deriv(m.iy), u1y.deriv(m.iy)
-    u2xx, u2xy, u2yy = u2x.deriv(m.ix), u2x.deriv(m.iy), u2y.deriv(m.iy)
+    u1x, u1y = m.u1.deriv(0), m.u1.deriv(1)
+    u2x, u2y = m.u2.deriv(0), m.u2.deriv(1)
+    u1xx, u1xy, u1yy = u1x.deriv(0), u1x.deriv(1), u1y.deriv(1)
+    u2xx, u2xy, u2yy = u2x.deriv(0), u2x.deriv(1), u2y.deriv(1)
     u1x, u1y, u2x, u2y = (j.truncate(k) for j in (u1x, u1y, u2x, u2y))
     jac = det2(u1x, u2x, u1y, u2y)
     neg = -jac
@@ -471,11 +471,10 @@ class TestArrayKernelsMatchThePerTermReferences:
         import random
 
         rng = random.Random(400 + dim * 10 + order)
-        for active in ((0, 1), (1, 0), (dim - 1, 0)):
-            base = [Jet.variable(dim, order, v) for v in active]
-            m = MapJet2(*(v + 0.3 * rand_jet(rng, dim, order) for v in base), active=active)
-            for got, ref in zip(deriv_quad(m).components(), _ref_deriv_quad(m).components()):
-                assert_close(got, ref)
+        base = [Jet.variable(dim, order, v) for v in (0, 1)]
+        m = MapJet2(*(v + 0.3 * rand_jet(rng, dim, order) for v in base))
+        for got, ref in zip(deriv_quad(m).components(), _ref_deriv_quad(m).components()):
+            assert_close(got, ref)
 
 
 # Negative controls for the array kernels: each row plants one plausible

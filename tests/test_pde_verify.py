@@ -110,7 +110,7 @@ class TestMT1:
     @pytest.mark.parametrize("name", ["T1", "T2", "g1", "g4", "g5"])
     def test_lft_reduces_to_flat_cube_root(self, name):
         g = lft.generators()[name]
-        m = lft_map(g, (0.37 + 0.21j, -0.4 + 0.55j), order=3)
+        m = lft_map(g, (0.37 + 0.21j, -0.4 + 0.55j))
         assert max_abs(mt1_residuals(m)) < 1e-9
 
     def test_cubic_perturbation_at_spec_point(self):
@@ -126,13 +126,13 @@ class TestMT1:
     def test_random_maps_relative(self):
         rng = np.random.default_rng(2026)
         for _ in range(20):
-            m = random_map(rng, order=3)
+            m = random_map(rng)
             assert mt1_relative_residual(m) < 1e-8
 
     @pytest.mark.parametrize("branch", [1, 2])
     def test_branch_covariance(self, branch):
         rng = np.random.default_rng(5)
-        m = random_map(rng, order=3)
+        m = random_map(rng)
         r0 = mt1_residuals(m)
         rb = mt1_residuals(m, branch=branch)
         for a, b in zip(r0, rb):

@@ -1,4 +1,4 @@
-"""Every public name of the package has a caller in the program itself.
+"""Every public name and every defaulted parameter of the package has a caller.
 
 A public top-level function, class or constant of ``src/gl3schwarz`` must be
 read by name somewhere in ``src/`` or ``perfbench/`` outside its own
@@ -7,9 +7,19 @@ skipped.  The package ``__init__`` is the documented import surface, but
 re-exporting a name does not count as reading it: a re-exported function
 or class also needs a reader outside ``__init__``, and a re-exported
 constant must itself be read through the package.
+
+A defaulted parameter of a top-level function or of a method of a
+top-level class must be passed, by position or by keyword, by some call in
+``src/`` or ``perfbench/``; a parameter no caller sets is a constant.  A
+call does not set a parameter when it passes the default's own value (its
+literal, or module constants equal to it), forwards a parameter of its own
+function that nothing sets, or hands a class back attributes of its own
+instances.  Calls are matched by name, and a class is called for its
+``__init__``.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -21,6 +31,13 @@ ALLOWED = {
     "picard.pullback_identity_check": "the refusing form of pullback_gaps, for one "
     "point or a stack, that the tests hold the order-five transform to",
     "picard.corollary52_check": "the refusing form of corollary52_gaps, in the same role",
+}
+
+# unset defaulted parameters kept on purpose, one reason each
+ALLOWED_PARAMETERS = {
+    "picard.pullback_identity_check(check_modular)": "the negative control of the "
+    "acceptance gate (tests/test_acceptance.py) turns the modular-equation gate off",
+    "jets.Jet.allclose(tol)": "Jet is the package's exported API",
 }
 
 
@@ -112,3 +129,130 @@ def test_every_public_name_has_a_caller():
 def test_allowed_names_are_still_uncalled():
     # an entry whose name gained a caller, or went away, is stale
     assert set(ALLOWED) <= set(uncalled_names())
+
+
+def _defaulted(fn, skip: int):
+    """(name, position or None, default) of each defaulted parameter of fn.
+
+    skip is the number of leading parameters a call does not pass (self, cls).
+    """
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for k, (arg, default) in enumerate(zip(positional[first:], args.defaults), first - skip):
+        yield arg.arg, k, default
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None, default
+
+
+def _parameters(trees):
+    """Each defaulted parameter, as (key, callee name, def node, attributes its
+    class stores, parameter name, call position, default)."""
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not _is_command(node):
+                for name, pos, default in _defaulted(node, 0):
+                    yield f"{path.stem}.{node.name}({name})", node.name, node, set(), name, pos, default
+            elif isinstance(node, ast.ClassDef):
+                stored = {
+                    t.attr for t in ast.walk(node)
+                    if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+                }
+                for fn in node.body:
+                    if not isinstance(fn, ast.FunctionDef):
+                        continue
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                    callee = node.name if fn.name == "__init__" else fn.name
+                    for name, pos, default in _defaulted(fn, 0 if static else 1):
+                        key = f"{path.stem}.{node.name}.{fn.name}({name})"
+                        yield key, callee, fn, stored, name, pos, default
+
+
+def _calls(trees):
+    """(module, enclosing function or None, call) of every call by name."""
+    for path, tree in trees.items():
+        def walk(node, fn):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Call):
+                    yield path, fn, child
+                inner = child if isinstance(child, (ast.FunctionDef, ast.Lambda)) else fn
+                yield from walk(child, inner)
+
+        yield from walk(tree, None)
+
+
+def _passed(call, name, pos):
+    """The expression call passes for the parameter, or None."""
+    for kw in call.keywords:
+        if kw.arg == name:
+            return kw.value
+    given = 0
+    for arg in call.args:
+        if isinstance(arg, ast.Starred):
+            break
+        given += 1
+    return call.args[pos] if pos is not None and pos < given else None
+
+
+def _is_default(arg, default, namespace) -> bool:
+    """Whether arg is the default's own literal, or module constants equal to it."""
+    if ast.dump(arg) == ast.dump(default):
+        return True
+    nodes = list(ast.walk(arg))
+    names = {n.id for n in nodes if isinstance(n, ast.Name)}
+    if not names or not names <= namespace.keys():
+        return False
+    if not all(isinstance(n, (ast.Tuple, ast.Name, ast.Constant, ast.Load)) for n in nodes):
+        return False
+    try:
+        return bool(eval(ast.unparse(arg), dict(namespace)) == ast.literal_eval(default))
+    except ValueError:  # a default that is no literal, or an array compared
+        return False
+
+
+def unset_parameters() -> list[str]:
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in PROGRAM}
+    namespaces = {
+        path: vars(importlib.import_module(f"gl3schwarz.{path.stem}"))
+        for path in trees if path.parent == PACKAGE
+    }
+    params = list(_parameters(trees))
+    calls = list(_calls(trees))
+    # a setter is True, or the key of the calling function's own defaulted
+    # parameter that it forwards by name: that sets the callee's parameter
+    # once the forwarded one is set
+    own = {(fn, name): key for key, _, fn, _, name, _, _ in params}
+    setters = {}
+    for key, callee, fn, stored, name, pos, default in params:
+        setters[key] = []
+        for path, caller, call in calls:
+            func = call.func
+            if getattr(func, "id", getattr(func, "attr", None)) != callee or caller is fn:
+                continue
+            arg = _passed(call, name, pos)
+            if arg is None or _is_default(arg, default, namespaces.get(path, {})):
+                continue
+            leaves = arg.elts if isinstance(arg, ast.Tuple) else [arg]
+            if all(isinstance(a, ast.Attribute) and a.attr in stored for a in leaves):
+                continue  # a class's own state handed back to it
+            setters[key].append(isinstance(arg, ast.Name) and own.get((caller, arg.id)) or True)
+    # an allowed parameter counts as set for what it forwards
+    done = set()
+    while True:
+        live = done | set(ALLOWED_PARAMETERS)
+        more = {k for k, found in setters.items() if k not in done and any(s is True or s in live for s in found)}
+        if not more:
+            return sorted(set(setters) - done)
+        done |= more
+
+
+def test_every_defaulted_parameter_is_passed():
+    missing = [key for key in unset_parameters() if key not in ALLOWED_PARAMETERS]
+    assert not missing, f"defaulted parameters no call in src/ or perfbench/ passes: {missing}"
+
+
+def test_allowed_parameters_are_still_unset():
+    assert set(ALLOWED_PARAMETERS) <= set(unset_parameters())
