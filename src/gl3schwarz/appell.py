@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .jets import Jet, _any, _base, _col, _refuse, _sample, _wrap, compose, monomials
+from .jets import Jet, _base, _col, _refuse, _sample, _wrap, compose, monomials
 
 # Most anti-diagonals a series may be budgeted; a point that needs more is a
 # domain error.  The budget reaches it at max(|x|, |y|) of about 0.986-0.991,
@@ -452,9 +452,8 @@ def _require_off_cut(*moduli):
     for v in map(_base, moduli):
         on_cut = (v.imag == 0) & (v.real >= 1)
         near = _near_unit_interval(1.0, v)
-        if _any(on_cut | near):
-            _refuse(on_cut, "modulus on the cut [1, inf)")
-            _refuse(near, "modulus too near the cut [1, inf) for the quadrature rule")
+        _refuse(on_cut, "modulus on the cut [1, inf)")
+        _refuse(near, "modulus too near the cut [1, inf) for the quadrature rule")
 
 
 def f1_euler(p: F1Params, x, y):
@@ -513,9 +512,8 @@ def picard_integral(x, y) -> complex:
     for v in map(_base, (x, y)):
         on_contour = (v.imag == 0) & (v.real >= 0) & (v.real <= 1)
         near = _near_unit_interval(v)
-        if _any(on_contour | near):
-            _refuse(on_contour, "branch point on the contour: modulus in [0, 1]")
-            _refuse(near, "modulus too near the contour [0, 1] for the quadrature rule")
+        _refuse(on_contour, "branch point on the contour: modulus in [0, 1]")
+        _refuse(near, "modulus too near the contour [0, 1] for the quadrature rule")
     x, y = _col(x), _col(y)
     phase = cmath.exp(-1j * cmath.pi / 3)
 
@@ -528,12 +526,15 @@ def picard_integral(x, y) -> complex:
 def picard_f1_identity_rhs(x, y) -> complex:
     """-Gamma(2/3)^2/Gamma(4/3) x^{-1/3} y^{-1/3} F1(2/3; 1/3, 1/3; 4/3; 1/x, 1/y).
 
-    Arrays of moduli give the value for every pair of a stack, from one
-    stacked series.
+    It needs |x|, |y| > 1, where the series at (1/x, 1/y) converges.  Arrays
+    of moduli give the value for every pair of a stack, from one stacked
+    series.
     """
     pref = -math.gamma(2 / 3) ** 2 / math.gamma(4 / 3)
     params = F1Params("2/3", "1/3", "1/3", "4/3")
     x, y = _base(x), _base(y)
+    outside = (abs(x) > 1) & (abs(y) > 1)  # False at NaN too
+    _refuse(~np.asarray(outside), "the F1 closed form needs |x|, |y| > 1")
     # a single point keeps Python complex arithmetic, and so its value to the last bit
     xr, yr = (r if r.ndim else complex(r) for r in (_ppow(x, -1.0 / 3.0), _ppow(y, -1.0 / 3.0)))
     return pref * xr * yr * f1_series(params, 1 / x, 1 / y)

@@ -9,7 +9,8 @@ Every function here takes stacks of jets as well (see `jets`): a map whose
 jets stack n samples gives quads whose entries stack them, and transport
 matrices of shape (n, 4, 4).  Matrices acting by linear fractional maps
 stack their samples on the last axis, (3, 3, n), so that m[i, j] is entry
-(i, j) of every sample.
+(i, j) of every sample.  A refused sample of a stack (a zero Jacobian, a
+vanishing denominator or determinant) is named by its index (`jets._refuse`).
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ import numpy as np
 from .jets import (
     Jet,
     JetError,
-    _any,
     _base,
     _col,
     _compose_each,
     _deriv_table,
     _product,
+    _refuse,
     _series,
     _wrap,
     monomials,
@@ -204,8 +205,7 @@ def deriv_quad(m: MapJet2) -> DerivQuad:
     prods = _product(dim, k, partials[..., a, :], partials[::-1, ..., b, :])
     sums = np.add.reduceat(prods[0] - prods[1], _NUMERATORS, -2)
     jac = _wrap(dim, k, sums[..., 4, :])
-    if _any(abs(jac.value) < _TINY):
-        raise JetError("zero Jacobian at base point")
+    _refuse(abs(jac.value) < _TINY, "zero Jacobian at base point", JetError)
     quot = _product(dim, k, sums[..., :4, :], jac._inverse()._c[..., None, :])
     return DerivQuad(*(_wrap(dim, k, quot[..., i, :].copy()) for i in range(4)))
 
@@ -245,8 +245,7 @@ def chain_rule_rhs(u_quad: DerivQuad, w: MapJet2) -> DerivQuad:
     u_quad must be taken at the image point w(base).
     """
     jac = w.jacobian_value()
-    if _any(abs(jac) < _TINY):
-        raise JetError("zero Jacobian at base point")
+    _refuse(abs(jac) < _TINY, "zero Jacobian at base point", JetError)
     vec = _apply(transport_matrix(w), u_quad.vector()) / _col(jac) + deriv_quad(w).vector()
     return _quad_of(vec)
 
@@ -285,8 +284,8 @@ def second_arg_transform(u_quad: DerivQuad, g, z) -> DerivQuad:
     x, y = z
     cz = denominator(m, z)
     delta = np.linalg.det(np.moveaxis(m, (0, 1), (-2, -1)))
-    if _any(abs(cz) < _TINY) or _any(abs(delta) < _TINY):
-        raise ZeroDivisionError("vanishing denominator or determinant")
+    vanishing = (abs(cz) < _TINY) | (abs(delta) < _TINY)
+    _refuse(vanishing, "vanishing denominator or determinant", ZeroDivisionError)
     A1 = (a1 * c2 - a2 * c1) * y + (a1 * c3 - a3 * c1)
     A2 = (a2 * c1 - a1 * c2) * x + (a2 * c3 - a3 * c2)
     B1 = (b1 * c2 - b2 * c1) * y + (b1 * c3 - b3 * c1)
@@ -315,8 +314,7 @@ def jacobian_deformation(fhat1: Jet, fhat2: Jet, z: MapJet2) -> complex:
     z2_11, z2_12, z2_22 = z2.partial((2, 0)), z2.partial((1, 1)), z2.partial((0, 2))
 
     jac = z1w1 * z2w2 - z2w1 * z1w2
-    if _any(abs(jac) < _TINY):
-        raise JetError("zero Jacobian at base point")
+    _refuse(abs(jac) < _TINY, "zero Jacobian at base point", JetError)
 
     return (
         (f1_1 * f2_2 - f2_1 * f1_2)
@@ -353,8 +351,7 @@ def exponent_rows(pairs):
         raise ValueError("need exactly three exponent pairs")
     lam, mu = pairs[..., 0], pairs[..., 1]
     rows = np.stack([lam, mu, np.ones_like(lam)], -1)
-    if _any(abs(np.linalg.det(rows)) < 1e-12):
-        raise ValueError("degenerate exponent pairs: singular linear system")
+    _refuse(abs(np.linalg.det(rows)) < 1e-12, "degenerate exponent pairs: singular linear system")
     return lam, mu, rows
 
 

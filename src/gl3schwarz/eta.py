@@ -6,7 +6,9 @@ and transforms under the lattice with the factor det^(-1/9) (c1 w1 + c2 w2 + c3)
 Nothing numeric in this module ever picks a cube-root branch: all floating point
 runs on the 36th power (integral exponents only), and all multiplier bookkeeping
 is exact, with phases kept as Fractions under the convention 1**s = e^{2 pi i s}
-and affine form factors kept as rows over Q(omega).
+and affine form factors kept as rows over Q(omega).  The 36th-power law takes
+arrays over a stack of points, and a refused sample of a stack is named by its
+index (`jets._refuse`).
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .derivs import MapJet2, _jet_exp
-from .jets import Jet
+from .jets import Jet, _refuse
 from .lft import (
     DECOMPOSITION_WORDS,
     OMEGA,
@@ -32,6 +36,7 @@ from .lft import (
     generators,
     word_product,
 )
+from .worst import worst_of
 
 _GEN = generators()
 _TINY = 1e-12
@@ -148,16 +153,6 @@ class AutomorphyFactor:
         lhs = _rows_poly(self.num + other.den)
         rhs = _rows_poly(other.num + self.den)
         return _poly_eq(lhs, rhs)
-
-    def value36(self, z) -> complex:
-        """36th power of the factor at z: branch-free by construction."""
-        w1, w2 = z
-        out = cmath.exp(2j * cmath.pi * 36 * self.phase)
-        for c1, c2, c3 in self.num:
-            out *= (c1.to_complex() * w1 + c2.to_complex() * w2 + c3.to_complex()) ** 12
-        for c1, c2, c3 in self.den:
-            out /= (c1.to_complex() * w1 + c2.to_complex() * w2 + c3.to_complex()) ** 12
-        return out
 
 
 def _word_factor(word, base: EisMatrix):
@@ -511,8 +506,8 @@ def eta36(vmap, z) -> complex:
     v1, v2 = vmap(z)
     a, b = v1.value, v2.value
     jac = MapJet2(v1, v2).jacobian_value()
-    if min(abs(a), abs(b), abs(1 - a), abs(1 - b), abs(a - b), abs(jac)) < _TINY:
-        raise ValueError("eta36 hit a zero or pole of the defining product")
+    nearest = functools.reduce(np.minimum, map(abs, (a, b, 1 - a, 1 - b, a - b, jac)))
+    _refuse(nearest < _TINY, "eta36 hit a zero or pole of the defining product")
     return a**-3 * b**-3 * (1 - a) ** -2 * (1 - b) ** -2 * (a - b) ** -2 * jac**4
 
 
@@ -527,23 +522,23 @@ def eta36_transform_check(g, vmap, z) -> float:
 
     The map must actually be invariant under g; that is verified first at
     both z and g z and a ValueError names the offending map otherwise.
+    Arrays z = (z1, z2) over a stack give one residual per point.
     """
     gz = act(g, z)
     v_here = [j.value for j in vmap(z)]
     v_there = [j.value for j in vmap(gz)]
-    scale = max(1.0, *map(abs, v_here))
-    if max(abs(p - q) for p, q in zip(v_here, v_there)) > 1e-10 * scale:
-        raise ValueError("map is not invariant under g at this point")
+    scale = worst_of((1.0, *map(abs, v_here)))
+    moved = worst_of(abs(p - q) for p, q in zip(v_here, v_there))
+    _refuse(moved > 1e-10 * scale, "map is not invariant under g at this point")
     lhs = eta36(vmap, gz)
     rhs = eta36_factor(g, z) * eta36(vmap, z)
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+    return abs(lhs - rhs) / np.maximum(abs(lhs), abs(rhs))
 
 
 def s_invariant_map(z):
     """(w1 + 1/w1, w2^2/w1) as order-1 jets: unchanged by S acting as (1/w1, -w2/w1)."""
     w1, w2 = Jet.variables(2, 1, z)
-    if abs(z[0]) < _TINY:
-        raise ValueError("map has a pole at w1 = 0")
+    _refuse(abs(z[0]) < _TINY, "map has a pole at w1 = 0")
     return w1 + 1 / w1, w2 * w2 / w1
 
 

@@ -8,7 +8,8 @@ Galilean covariance of the equations, and the mixed-partial consistency
 identity behind them, all on truncated Taylor data.
 
 Variable order of every jet here is (x, y, t1, t2).  Fields may be stacks
-of jets (see `jets`); the residuals are then arrays over their samples.
+of jets (see `jets`); the residuals are then arrays over their samples, and
+a refused sample of a stack is named by its index (`jets._refuse`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivs import MapJet2
-from .jets import Jet, JetError, _any, compose
+from .jets import Jet, JetError, _refuse, compose
 from .lft import _as_numpy, act, denominator
 from .worst import worst_of
 
@@ -48,8 +49,7 @@ def evo_quotients(u, which: str):
         raise ValueError(f"time variable must be 't1' or 't2', got {which!r}")
     u1, u2 = u
     jac = MapJet2(u1, u2).jacobian_value()
-    if _any(abs(jac) < 1e-14):
-        raise ZeroDivisionError("spatial Jacobian vanishes")
+    _refuse(abs(jac) < 1e-14, "spatial Jacobian vanishes", ZeroDivisionError)
     dt, den = (_DT1, -jac) if which == "t1" else (_DT2, jac)
     ut = (u1.partial(dt), u2.partial(dt))
     ux = (u1.partial(_DX), u2.partial(_DX))
@@ -189,6 +189,6 @@ def consistency_residual(f: EvoFields, u: Jet) -> float:
 def transformed_pair(g, u):
     """Linear fractional image of the pair u under the matrix g, as jets."""
     m = _as_numpy(g)
-    if _any(abs(denominator(m, u).value) < 1e-10):
-        raise ZeroDivisionError("vanishing denominator at the base point")
+    vanishing = abs(denominator(m, u).value) < 1e-10
+    _refuse(vanishing, "vanishing denominator at the base point", ZeroDivisionError)
     return act(m, u)

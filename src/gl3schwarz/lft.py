@@ -5,7 +5,8 @@ products, and the Heisenberg-lattice decomposition; the numeric layer
 (act on numbers or jets, and its denominator) drives everything downstream
 that samples points.  jacobian_factor is the closed form of the action's
 Jacobian, Delta (c.z)^-3, which the tests hold the jet Jacobian to and
-MT4-invariance rejects its draws by.
+MT4-invariance rejects its draws by.  Both take stacks of points, and a
+vanishing denominator names the refused sample (`jets._refuse`).
 Exact parts are Python ints whenever they are integral, which covers every
 lattice element; a part is a Fraction only where the value really is
 rational (Heisenberg half-integers, inverses with a non-unit determinant).
@@ -22,7 +23,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .jets import Jet, _any
+from .jets import _base, _refuse
 
 OMEGA_C = complex(-0.5, 3**0.5 / 2)
 
@@ -315,8 +316,7 @@ def act(g, z):
     m = _as_numpy(g)
     z1, z2 = z
     den = denominator(m, z)
-    if _any((den.value if isinstance(den, Jet) else den) == 0):
-        raise ZeroDivisionError("linear fractional action: vanishing denominator")
+    _refuse(_base(den) == 0, "linear fractional action: vanishing denominator", ZeroDivisionError)
     return (
         (m[0, 0] * z1 + m[0, 1] * z2 + m[0, 2]) / den,
         (m[1, 0] * z1 + m[1, 1] * z2 + m[1, 2]) / den,
@@ -335,8 +335,7 @@ def jacobian_factor(g, z) -> complex:
     """det of the 2x2 Jacobian of the action at z: Delta * (c.z)^{-3}."""
     delta, m = det_and_matrix(g)
     den = denominator(m, z)
-    if den == 0:
-        raise ZeroDivisionError("vanishing denominator")
+    _refuse(den == 0, "vanishing denominator", ZeroDivisionError)
     return delta / den**3
 
 

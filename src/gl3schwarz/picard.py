@@ -188,17 +188,18 @@ def modular_solve(u, v2) -> tuple[complex, complex]:
     """Both roots v1 of (v1-1)(v2-1)(v1-v2) = (u1-1)(u2-1)(u1-u2).
 
     A double root is returned twice; callers filter by extra constraints.
+    Arrays u, v2 give both roots at every point of a stack.
     """
     p = _as_pair(u)
-    v2 = complex(v2)
-    if min(abs(v2), abs(v2 - 1)) < _TINY:
-        raise ValueError("v2 must avoid {0, 1}")
+    v2 = _base(v2)
+    _refuse(np.minimum(abs(v2), abs(v2 - 1)) < _TINY, "v2 must avoid {0, 1}")
     k = modular_form_value(p)
     # (v2-1) v1^2 - (1+v2)(v2-1) v1 + v2(v2-1) - k = 0
     a = v2 - 1
     b = -(1 + v2) * (v2 - 1)
     c = v2 * (v2 - 1) - k
-    disc = cmath.sqrt(b * b - 4 * a * c)
+    d = b * b - 4 * a * c
+    disc = np.sqrt(d) if isinstance(d, np.ndarray) else cmath.sqrt(d)
     return ((-b + disc) / (2 * a), (-b - disc) / (2 * a))
 
 

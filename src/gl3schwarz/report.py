@@ -209,10 +209,11 @@ def _order5_point(rng, u):
 # the check its (worst residual, samples used).  The derivs runners, MT1,
 # MT1-branch, the MT2 checks, F1-euler, F1-pde, F1-picard-gamma, F1-k3,
 # MT3-constraint, J-orbit, param-table (one stack per table row),
-# sign-tables, MT4-galilean and MT4-invariance draw every sample first,
-# making each rejection as they draw, and then evaluate them all in one
-# stacked pass: one stack of jets or points, one stacked F1 series per
-# parameter set, one stacked quadrature.  MT3
+# sign-tables, eta36, MT4-galilean and MT4-invariance draw every sample
+# first, making each rejection as they draw, and then evaluate them all in
+# one stacked pass: one stack of jets or points, one stacked F1 series per
+# parameter set, one stacked quadrature; a layer that refuses a sample of
+# the stack names its index.  MT3
 # rejects while it evaluates: it draws the shortfall of each moduli
 # instance's points, evaluates them as one stack, keeps those not refused,
 # in order, and draws again only for what is still missing.
@@ -517,16 +518,14 @@ def _check_eta_ledger(rng, n):
 def _check_eta36(rng, n):
     from .eta import eta36_transform_check, s_invariant_map, translation_invariant_map
 
-    gens = generators()
     cell = word_product((("commutator", 3),))
-    for _ in range(n):
-        z = _eta_domain_point(rng)
-        yield worst_of(
-            (
-                eta36_transform_check(gens["S"], s_invariant_map, z),
-                eta36_transform_check(cell, translation_invariant_map, z),
-            )
+    z = _stack(_eta_domain_point(rng) for _ in range(n))
+    yield from worst_of(
+        (
+            eta36_transform_check(generators()["S"], s_invariant_map, z),
+            eta36_transform_check(cell, translation_invariant_map, z),
         )
+    )
 
 
 def _check_mt4(rng, n):

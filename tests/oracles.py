@@ -1,5 +1,7 @@
 """Oracles the tests hold the package to; the program itself does not use them."""
 
+import cmath
+
 import numpy as np
 
 from gl3schwarz.evolution import EvoFields
@@ -68,3 +70,18 @@ def jacobi_p(n: int, alpha: float, beta: float, x: np.ndarray):
 def random_fields(rng, order: int = 2) -> EvoFields:
     """Dense random polynomial fields of the given order; generically not a solution."""
     return EvoFields.from_uniform(rng.random(8 * len(monomials(4, order))), order)
+
+
+def factor_value36(factor, z) -> complex:
+    """36th power of the exact multiplier `eta.AutomorphyFactor` at z.
+
+    Each affine row (c1, c2, c3) enters as (c1 w1 + c2 w2 + c3)^12, so the
+    value is branch-free by construction.
+    """
+    w1, w2 = z
+    out = cmath.exp(2j * cmath.pi * 36 * factor.phase)
+    for c1, c2, c3 in factor.num:
+        out *= (c1.to_complex() * w1 + c2.to_complex() * w2 + c3.to_complex()) ** 12
+    for c1, c2, c3 in factor.den:
+        out /= (c1.to_complex() * w1 + c2.to_complex() * w2 + c3.to_complex()) ** 12
+    return out

@@ -543,6 +543,15 @@ class TestPicard:
         out = json.loads(res.output)
         assert out["cubed_relative_gap"] < 1e-6
 
+    # these once reported the series' own condition, |x|, |y| < 1, which is
+    # the opposite of what the closed form asks of the user's moduli
+    @pytest.mark.parametrize("x", ["1e-2j", "0.5+0.5j"])
+    def test_integral_inside_the_unit_disc_names_the_closed_form_domain(self, runner, x):
+        res = invoke(runner, ["picard", "integral", "--x", x, "--y", "5"])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert json.loads(res.stderr) == {"error": "the F1 closed form needs |x|, |y| > 1"}
+
 
 class TestPointEvaluators:
     def test_k_at_origin_is_beta_value(self, runner):

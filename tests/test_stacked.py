@@ -2,14 +2,16 @@
 
 The derivs runners, MT1, MT1-branch, MT2-first, MT2-second, MT2-picard,
 MT2-picard-modular, F1-euler, F1-pde, F1-picard-gamma, F1-k3,
-MT3-constraint, J-orbit, param-table, sign-tables, MT4-galilean and
+MT3-constraint, J-orbit, param-table, sign-tables, eta36, MT4-galilean and
 MT4-invariance draw all samples first and evaluate them in one stacked
 pass: one stack of jets or points, one stacked F1 series and one stacked
 quadrature per parameter set (param-table: one stack per table row).  MT3
 evaluates each moduli instance's points as one stack and draws again for
 the points it refuses.  The runners below are the loops they replaced:
 one map, one point, one series per sample.  They stay here as references
-only, and the stacked runners must match them sample by sample.
+only, and the stacked runners must match them sample by sample.  A layer
+that refuses one sample of a stack names it: the message of a single
+point, followed by " (sample k)".
 """
 
 import cmath
@@ -20,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gl3schwarz import appell, derivs, evolution, lft, pde_verify, picard, report
+from gl3schwarz import appell, derivs, eta, evolution, lft, pde_verify, picard, report
 from gl3schwarz.appell import (
     F1Params,
     f1_euler,
@@ -39,12 +41,19 @@ from gl3schwarz.derivs import (
     deriv_quad,
     exp_solution_map,
     exp_system_oracle,
+    exponent_rows,
     jacobian_deformation,
     lft_map,
     random_map,
     second_arg_transform,
     transport_matrix,
     transported_pair,
+)
+from gl3schwarz.eta import (
+    eta36,
+    eta36_transform_check,
+    s_invariant_map,
+    translation_invariant_map,
 )
 from gl3schwarz.evolution import (
     consistency_residual,
@@ -53,7 +62,7 @@ from gl3schwarz.evolution import (
     transformed_pair,
 )
 from gl3schwarz.jets import Jet, JetError, _wrap, jet_powq
-from gl3schwarz.lft import act, denominator, generators
+from gl3schwarz.lft import act, denominator, generators, jacobian_factor, word_product
 from gl3schwarz.pde_verify import (
     PICARD,
     PICARD_MODULAR,
@@ -68,6 +77,7 @@ from gl3schwarz.picard import (
     corollary52_check,
     f_sign_relations,
     j_invariants,
+    modular_solve,
     order5_map,
     p_transform_relations,
     param_table_check,
@@ -80,6 +90,7 @@ from gl3schwarz.report import (
     _GEN_NAMES,
     _MT4_MATS,
     _cpx,
+    _eta_domain_point,
     _gamma_modulus,
     _moduli_instance,
     _mt2_point,
@@ -332,6 +343,18 @@ def _ref_mt4_invariance(rng, n):
         done += 1
 
 
+def _ref_eta36(rng, n):
+    cell = word_product((("commutator", 3),))
+    for _ in range(n):
+        z = _eta_domain_point(rng)
+        yield worst_of(
+            (
+                eta36_transform_check(generators()["S"], s_invariant_map, z),
+                eta36_transform_check(cell, translation_invariant_map, z),
+            )
+        )
+
+
 REFERENCES = {
     "invariance": _ref_invariance,
     "vanishing": _ref_vanishing,
@@ -357,6 +380,7 @@ REFERENCES = {
     "J-orbit": _ref_j_orbit,
     "param-table": _ref_param_table,
     "sign-tables": _ref_sign_tables,
+    "eta36": _ref_eta36,
     "MT4-invariance": _ref_mt4_invariance,
 }
 STACKED = {c.id: c for c in report.CHECKS if c.id in REFERENCES}
@@ -385,6 +409,7 @@ RUNNERS = {
     "J-orbit": report._check_j_orbit,
     "param-table": report._check_param_table,
     "sign-tables": report._check_sign_tables,
+    "eta36": report._check_eta36,
     "MT4-invariance": report._check_mt4_invariance,
 }
 
@@ -579,6 +604,12 @@ def _perturb_the_cube_root(monkeypatch):
     monkeypatch.setattr(picard, "jet_powq", lambda a, q: real(a, float(Fraction(q)) * (1 + 1e-4)))
 
 
+def _bend_the_eta_factor(monkeypatch):
+    # eta36_factor's (c.z)^12 only: the action on the point keeps lft's
+    real = eta.denominator
+    monkeypatch.setattr(eta, "denominator", lambda m, z: real(m, z) + 1e-3 * z[0] * z[0])
+
+
 FAULTS = {
     "invariance": _bend_the_action,
     "vanishing": _bend_the_action,
@@ -604,6 +635,7 @@ FAULTS = {
     "J-orbit": _bend_the_pole_shapes,
     "param-table": _bend_the_pole_shapes,
     "sign-tables": _bend_the_pole_shapes,
+    "eta36": _bend_the_eta_factor,
     "MT4-invariance": _bend_the_action,
 }
 
@@ -629,7 +661,7 @@ def test_a_stack_of_one_matches_the_reference(cid):
 
 
 def test_samples_one_report_passes():
-    rep = run_suites(("derivs", "pde", "f1", "picard", "evolution"), seed=42, samples=1)
+    rep = run_suites(("derivs", "pde", "f1", "picard", "eta", "evolution"), seed=42, samples=1)
     by_id = {e["id"]: e for e in rep["checks"]}
     for cid in REFERENCES:
         assert by_id[cid]["samples"] == _count(cid, 1) and by_id[cid]["pass"], cid
@@ -785,6 +817,63 @@ def _with_bad_middle(bad):
     return tuple(np.array(v) for v in zip((0.3 + 0.1j, 0.2), bad, (0.6 - 0.1j, 0.4 + 0.2j)))
 
 
+# the Jacobian of _with_jacobian for a stack of three maps whose map 1 is bad
+_JAC_BAD_MIDDLE = np.array([1.0, 0.0, 1.0])
+# c.z = z1: vanishes at the points z1 = 0
+_SWAP = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=np.complex128)
+
+
+def _with_jacobian(jac, dim=2, order=2):
+    """The map (x, jac y + x^2) as jets about (0.2, 0.1, ...): its Jacobian
+    is jac, one number, or an array for a stack of maps."""
+    x, y, *_ = Jet.variables(dim, order, [b + 0 * jac for b in (0.2, 0.1, 0.3, 0.4)[:dim]])
+    return x, y * jac + x * x
+
+
+def _chain_rule(jac):
+    return chain_rule_rhs(deriv_quad(MapJet2(*_with_jacobian(jac + 1))), MapJet2(*_with_jacobian(jac)))
+
+
+def _deformation(jac):
+    u = _with_jacobian(jac)
+    return jacobian_deformation(*u, MapJet2(*u))
+
+
+def _identity_map(z):
+    return Jet.variables(2, 1, z)
+
+
+# the message of each refusal for a single point; a stack adds " (sample 1)"
+MESSAGES = {
+    "pole hit": "pole hit: point within 0.05 of {0, 1, v_other}",
+    "outside the first branch": "first branch needs |v1|, |v2| < 1",
+    "outside the second branch": "second branch needs |1-v1|, |1-v2| < 1",
+    "vanishing denominator": "vanishing denominator",
+    "radicand zero": "radicand zero",
+    "vanishing denominator of an anharmonic action": "vanishing denominator",
+    "degenerate moduli": "degenerate moduli",
+    "J invariants overflow, quoting the moduli": (
+        "J invariants overflow the float range at moduli ((1e+200+0j), (2+0j))"
+    ),
+    "period modulus near the contour": "modulus too near the contour [0, 1] for the quadrature rule",
+    "zero constant term": "jet_powq requires nonzero constant term",
+    "zero Jacobian of the quad": "zero Jacobian at base point",
+    "zero Jacobian of the inner map of a chain rule": "zero Jacobian at base point",
+    "vanishing denominator of a second-argument transform": "vanishing denominator or determinant",
+    "zero Jacobian of a deformation": "zero Jacobian at base point",
+    "degenerate exponent pairs": "degenerate exponent pairs: singular linear system",
+    "zero spatial Jacobian of an evolution map": "spatial Jacobian vanishes",
+    "vanishing denominator of a transformed pair": "vanishing denominator at the base point",
+    "vanishing denominator of the action": "linear fractional action: vanishing denominator",
+    "vanishing denominator of the Jacobian factor": "vanishing denominator",
+    "a zero of the eta product": "eta36 hit a zero or pole of the defining product",
+    "a map not invariant under S": "map is not invariant under g at this point",
+    "a pole of the S-invariant map": "map has a pole at w1 = 0",
+    "a modular-equation modulus at 1": "v2 must avoid {0, 1}",
+    "a period modulus inside the unit disc": "the F1 closed form needs |x|, |y| > 1",
+}
+
+
 @pytest.mark.parametrize(
     "name, one, stack, error",
     [
@@ -848,6 +937,98 @@ def _with_bad_middle(bad):
             lambda: jet_powq(Jet.constant(2, 1, np.array([1.0, 0.0, 2.0])), "1/3"),
             JetError,
         ),
+        (
+            "zero Jacobian of the quad",
+            lambda: deriv_quad(MapJet2(*_with_jacobian(0.0))),
+            lambda: deriv_quad(MapJet2(*_with_jacobian(_JAC_BAD_MIDDLE))),
+            JetError,
+        ),
+        (
+            "zero Jacobian of the inner map of a chain rule",
+            lambda: _chain_rule(0.0),
+            lambda: _chain_rule(_JAC_BAD_MIDDLE),
+            JetError,
+        ),
+        (
+            "vanishing denominator of a second-argument transform",
+            lambda: second_arg_transform(deriv_quad(MapJet2(*_with_jacobian(1.0))), _SWAP, (0.0, 0.2)),
+            lambda: second_arg_transform(
+                deriv_quad(MapJet2(*_with_jacobian(1.0))), _SWAP, _with_bad_middle((0.0, 0.2))
+            ),
+            ZeroDivisionError,
+        ),
+        (
+            "zero Jacobian of a deformation",
+            lambda: _deformation(0.0),
+            lambda: _deformation(_JAC_BAD_MIDDLE),
+            JetError,
+        ),
+        (
+            "degenerate exponent pairs",
+            lambda: exponent_rows(((1, 0), (1, 0), (0, 1))),
+            lambda: exponent_rows(
+                (((1, 0), (0, 1), (1, 1)), ((1, 0), (1, 0), (0, 1)), ((1, 0), (0, 1), (1, 1)))
+            ),
+            ValueError,
+        ),
+        (
+            "zero spatial Jacobian of an evolution map",
+            lambda: evo_quotients(_with_jacobian(0.0, 4, 1), "t1"),
+            lambda: evo_quotients(_with_jacobian(_JAC_BAD_MIDDLE, 4, 1), "t1"),
+            ZeroDivisionError,
+        ),
+        (
+            "vanishing denominator of a transformed pair",
+            lambda: transformed_pair(_SWAP, Jet.variables(2, 1, (0.0, 0.2))),
+            lambda: transformed_pair(_SWAP, Jet.variables(2, 1, _with_bad_middle((0.0, 0.2)))),
+            ZeroDivisionError,
+        ),
+        (
+            "vanishing denominator of the action",
+            lambda: act(_SWAP, (0.0, 0.2)),
+            lambda: act(_SWAP, _with_bad_middle((0.0, 0.2))),
+            ZeroDivisionError,
+        ),
+        (
+            "vanishing denominator of the Jacobian factor",
+            lambda: jacobian_factor(_SWAP, (0.0, 0.2)),
+            lambda: jacobian_factor(_SWAP, _with_bad_middle((0.0, 0.2))),
+            ZeroDivisionError,
+        ),
+        (
+            "a zero of the eta product",
+            lambda: eta36(_identity_map, (0.0, 0.2)),
+            lambda: eta36(_identity_map, _with_bad_middle((0.0, 0.2))),
+            ValueError,
+        ),
+        (
+            # S fixes the points (-1, w2), and no other point of the stack
+            "a map not invariant under S",
+            lambda: eta36_transform_check(generators()["S"], _identity_map, (0.5, 0.3)),
+            lambda: eta36_transform_check(
+                generators()["S"], _identity_map, (np.array([-1, 0.5, -1]), np.array([0.3, 0.3, 0.2]))
+            ),
+            ValueError,
+        ),
+        (
+            "a pole of the S-invariant map",
+            lambda: s_invariant_map((0.0, 0.2)),
+            lambda: s_invariant_map(_with_bad_middle((0.0, 0.2))),
+            ValueError,
+        ),
+        (
+            "a modular-equation modulus at 1",
+            lambda: modular_solve((2, 3), 1.0),
+            lambda: modular_solve((2, 3), np.array([4.0, 1.0, 5.0])),
+            ValueError,
+        ),
+        (
+            # the domain of the closed form, not that of the series it sums
+            "a period modulus inside the unit disc",
+            lambda: picard_f1_identity_rhs(1e-2j, 5.0),
+            lambda: picard_f1_identity_rhs(np.array([2.0, 1e-2j, 3.0]), np.full(3, 5.0)),
+            ValueError,
+        ),
     ],
 )
 def test_a_refused_sample_in_a_stack_is_named(name, one, stack, error):
@@ -856,4 +1037,12 @@ def test_a_refused_sample_in_a_stack_is_named(name, one, stack, error):
     with pytest.raises(error) as stacked:
         stack()
     assert type(stacked.value) is type(single.value)
-    assert str(stacked.value) == f"{single.value} (sample 1)"
+    assert str(single.value) == MESSAGES[name]
+    assert str(stacked.value) == f"{MESSAGES[name]} (sample 1)"
+
+
+def test_modular_solve_on_a_stack_matches_point_by_point():
+    u, v2 = ((2.0, 3.0 + 1j), (0.5, -2.0)), np.array([4.0, 2.5 - 1j])
+    roots = modular_solve(tuple(np.array(c) for c in zip(*u)), v2)
+    for k in range(2):
+        assert np.abs(np.array(modular_solve(u[k], v2[k])) - [r[k] for r in roots]).max() <= 1e-14

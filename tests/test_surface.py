@@ -1,9 +1,11 @@
 """Every public name and every defaulted parameter of the package has a caller.
 
-A public top-level function, class or constant of ``src/gl3schwarz`` must be
-read by name somewhere in ``src/`` or ``perfbench/`` outside its own
-definition.  Click commands are reached through the command line and are
-skipped.  The package ``__init__`` is the documented import surface, but
+A public top-level function, class or constant of ``src/gl3schwarz``, and
+each method of a top-level class, must be read by name somewhere in
+``src/`` or ``perfbench/`` outside its own definition.  Click commands are
+reached through the command line and are skipped, and so are dunder methods
+and the ``convert`` of a click parameter type, which Python and click
+call.  The package ``__init__`` is the documented import surface, but
 re-exporting a name does not count as reading it: a re-exported function
 or class also needs a reader outside ``__init__``, and a re-exported
 constant must itself be read through the package.
@@ -31,6 +33,7 @@ ALLOWED = {
     "picard.pullback_identity_check": "the refusing form of pullback_gaps, for one "
     "point or a stack, that the tests hold the order-five transform to",
     "picard.corollary52_check": "the refusing form of corollary52_gaps, in the same role",
+    "jets.Jet.allclose": "Jet is the package's exported API; 22 test asserts compare jets with it",
 }
 
 # unset defaulted parameters kept on purpose, one reason each
@@ -49,9 +52,26 @@ def _is_command(node) -> bool:
     return False
 
 
+def _is_param_type(node) -> bool:
+    return any(isinstance(b, ast.Attribute) and b.attr == "ParamType" for b in node.bases)
+
+
+def _methods(node):
+    """(Class.method, method, def) of each method a caller must read by name."""
+    for fn in node.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        dunder = fn.name.startswith("__") and fn.name.endswith("__")
+        if not dunder and not (fn.name == "convert" and _is_param_type(node)):
+            yield f"{node.name}.{fn.name}", fn.name, fn
+
+
 def _definitions(tree):
-    """(name, node) of each public top-level def, class or constant."""
+    """(qualified name, name, node) of each public top-level def, class or
+    constant, and of each method of a top-level class."""
     for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from _methods(node)
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             targets = [] if _is_command(node) else [node.name]
         elif isinstance(node, ast.Assign):
@@ -62,7 +82,7 @@ def _definitions(tree):
             targets = []
         for name in targets:
             if not name.startswith("_"):
-                yield name, node
+                yield name, name, node
 
 
 def _loads(tree):
@@ -90,10 +110,10 @@ def _through_package(tree):
 def uncalled_names() -> list[str]:
     trees = {path: ast.parse(path.read_text(), str(path)) for path in PROGRAM}
     defs = {
-        (path.stem, name): node
+        (path.stem, qualified): (name, node)
         for path, tree in trees.items()
         if path.parent == PACKAGE and path.stem != "__init__"
-        for name, node in _definitions(tree)
+        for qualified, name, node in _definitions(tree)
     }
     reads: dict[str, list] = {}
     for path, tree in trees.items():
@@ -106,10 +126,10 @@ def uncalled_names() -> list[str]:
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             for alias in node.names:
                 key = (node.module, alias.name)
-                routine = isinstance(defs.get(key), (ast.FunctionDef, ast.ClassDef))
+                routine = isinstance(defs.get(key, (None, None))[1], (ast.FunctionDef, ast.ClassDef))
                 if not routine and alias.name not in via_package:
                     out.append(f"gl3schwarz.{alias.name}")
-    for (module, name), node in defs.items():
+    for (module, qualified), (name, node) in defs.items():
         own = PACKAGE / f"{module}.py"
         callers = [
             use for path, use in reads.get(name, [])
@@ -117,7 +137,7 @@ def uncalled_names() -> list[str]:
             and not (path == own and node.lineno <= use.lineno <= node.end_lineno)
         ]
         if not callers:
-            out.append(f"{module}.{name}")
+            out.append(f"{module}.{qualified}")
     return sorted(out)
 
 
