@@ -1,6 +1,6 @@
-"""`python -m gl3schwarz`: the same entry point as the `gl3schwarz` script."""
+"""`python -m gl3schwarz`: the entry point of the `gl3schwarz` script, `cli.run`."""
 
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    main(prog_name="gl3schwarz")
+    run()

@@ -6,13 +6,14 @@ parsed inputs back together with the computed values, complex numbers as
 [re, im] pairs throughout.
 
 Exit codes: 0 all good, 1 failed checks or a domain error in an evaluator,
-2 usage errors.
+2 usage errors.  A process enters at `run`; in-process callers call `main`.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import gc
 import json
 import math
 import sys
@@ -109,6 +110,15 @@ def _eval_errors(fn):
 @click.group()
 def main():
     """Derivative quads, F1 values, moduli transforms, identity suites."""
+
+
+def run() -> None:
+    """The script's entry point: `main`, then `gc.freeze()` as the process
+    exits, so that shutdown skips collecting the objects left alive."""
+    try:
+        main(prog_name="gl3schwarz")
+    finally:
+        gc.freeze()
 
 
 @main.command()
@@ -412,4 +422,4 @@ def bench(dim, order, reps):
 
 
 if __name__ == "__main__":
-    main()
+    run()

@@ -497,13 +497,13 @@ def eta_variant_identities() -> dict[str, dict[str, bool]]:
 # numeric checks on the 36th power
 
 
-def eta36(vmap, z) -> complex:
-    """36th power of the eta product for the map vmap at the point z.
+def eta36(v) -> complex:
+    """36th power of the eta product of a map, from its jets v = vmap(z).
 
-    vmap(z) must return order-1 jets of (v1, v2); every exponent in the 36th
-    power is integral, so the value needs no branch choice.
+    v holds the order-1 jets (v1, v2) of the map at a point; every exponent
+    in the 36th power is integral, so the value needs no branch choice.
     """
-    v1, v2 = vmap(z)
+    v1, v2 = v
     a, b = v1.value, v2.value
     jac = MapJet2(v1, v2).jacobian_value()
     nearest = functools.reduce(np.minimum, map(abs, (a, b, 1 - a, 1 - b, a - b, jac)))
@@ -524,14 +524,14 @@ def eta36_transform_check(g, vmap, z) -> float:
     both z and g z and a ValueError names the offending map otherwise.
     Arrays z = (z1, z2) over a stack give one residual per point.
     """
-    gz = act(g, z)
-    v_here = [j.value for j in vmap(z)]
-    v_there = [j.value for j in vmap(gz)]
+    here, there = vmap(z), vmap(act(g, z))
+    v_here = [j.value for j in here]
+    v_there = [j.value for j in there]
     scale = worst_of((1.0, *map(abs, v_here)))
     moved = worst_of(abs(p - q) for p, q in zip(v_here, v_there))
     _refuse(moved > 1e-10 * scale, "map is not invariant under g at this point")
-    lhs = eta36(vmap, gz)
-    rhs = eta36_factor(g, z) * eta36(vmap, z)
+    lhs = eta36(there)
+    rhs = eta36_factor(g, z) * eta36(here)
     return abs(lhs - rhs) / np.maximum(abs(lhs), abs(rhs))
 
 

@@ -324,15 +324,24 @@ def act(g, z):
 
 
 def det_and_matrix(g) -> tuple[complex, np.ndarray]:
-    """(det g, g as a numpy matrix); the det is exact for an EisMatrix."""
+    """(det g, g as a numpy matrix); the det is exact for an EisMatrix.
+
+    A stack of matrices (3, 3, ...), as in `denominator`, gives the det of
+    each over the sample axes.
+    """
     if isinstance(g, EisMatrix):
         return g.det().to_complex(), g.to_numpy()
     m = _as_numpy(g)
-    return complex(np.linalg.det(m)), m
+    if m.ndim == 2:
+        return complex(np.linalg.det(m)), m
+    return np.linalg.det(np.moveaxis(m, (0, 1), (-2, -1))), m
 
 
 def jacobian_factor(g, z) -> complex:
-    """det of the 2x2 Jacobian of the action at z: Delta * (c.z)^{-3}."""
+    """det of the 2x2 Jacobian of the action at z: Delta * (c.z)^{-3}.
+
+    A stack of matrices, or of points, gives the factor sample by sample.
+    """
     delta, m = det_and_matrix(g)
     den = denominator(m, z)
     _refuse(den == 0, "vanishing denominator", ZeroDivisionError)

@@ -250,8 +250,15 @@ def transform_abg(u, v) -> TransformABG:
 
 def _off_zero(z, refused):
     """z, moved to one at the refused samples: a stack then divides by it
-    without raising, and the refused samples' results are meaningless."""
-    return z + np.where(refused, 1 - _base(z), 0) if _any(refused) else z
+    without raising, and the refused samples' results are meaningless.
+
+    A single refused point stays a Python number, whose arithmetic on an
+    overflowed value gives NaN without a numpy warning.
+    """
+    if not _any(refused):
+        return z
+    shift = 1 - _base(z)
+    return z + (np.where(refused, shift, 0) if isinstance(refused, np.ndarray) else shift)
 
 
 def _order5(abg: TransformABG, t1, t2):

@@ -185,7 +185,8 @@ class TestF1:
     # series terms printed five RuntimeWarnings and "did not settle", and at
     # a = 1e308 "cannot convert float infinity to integer".  On the cut the
     # Euler rule printed 1.0762 - 0.3929i, where F1 is 1.0852 - 0.3945i, and
-    # at x = 2 + 0.01i, off the cut by 0.0025 in 1/x, 0.22% off mpmath
+    # at x = 2 + 0.01i, off the cut by 0.0025 in 1/x, 0.22% off mpmath;
+    # an Euler integrand past the float range printed three numpy warnings
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -209,10 +210,12 @@ class TestF1:
               "--method", "euler"], "modulus on the cut"),
             (["--a", "1/3", "--b", "1/3", "--bp", "1/3", "--c", "1", "--x", "2+0.01j", "--y", "0.1",
               "--method", "euler"], "modulus too near the cut"),
+            (["--a", "1", "--b", "1e10", "--bp", "1", "--c", "200", "--x", "0.35316555480030276",
+              "--y", "-0.6449458809952979", "--method", "euler"], "output 'euler' overflows"),
         ],
         ids=["cancellation", "huge-exponent", "tiny-a", "denormal-a", "tiny-c-minus-a",
              "overflow-a", "overflow-c", "overflow-budget", "euler-on-the-cut",
-             "euler-near-the-cut"],
+             "euler-near-the-cut", "euler-integrand-overflow"],
     )
     def test_refusal_is_one_json_error_and_no_warning(self, args, message):
         out = subprocess.run(
@@ -430,7 +433,9 @@ class TestDeriv:
         assert message in json.loads(out.stderr)["error"]
 
     # the evaluators whose result leaves the float range: the same one
-    # error line, naming the output
+    # error line, naming the output.  A refused transform point whose
+    # values overflow once printed "invalid value encountered in scalar
+    # divide" before its error
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -439,8 +444,13 @@ class TestDeriv:
              "output 'w' overflows"),
             (["picard", "integral", "--x", "1e305", "--y", "1e305j"],
              "output 'cubed_relative_gap' is 0/0"),
+            (["picard", "transform", "--u", "1e+16,1e+200-2j", "--v", "1e+300,-100000000.0-1.7e+308j",
+              "--t", "1e+200-1.000001j,-1e-300"], "vanishing denominator"),
+            (["picard", "transform", "--u", "2,3", "--v", "1.24169426078821,4", "--t", "1e308,1e-300"],
+             "vanishing denominator"),
         ],
-        ids=["modular-solve-roots", "transform-w", "integral-gap"],
+        ids=["modular-solve-roots", "transform-w", "integral-gap", "transform-refused-non-finite",
+             "transform-refused-overflow"],
     )
     def test_overflowing_output_is_one_json_error_and_no_warning(self, args, message):
         out = subprocess.run(
@@ -645,7 +655,7 @@ class TestConsoleScript:
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         project = tomllib.loads(pyproject.read_text())["project"]
         assert project["name"] == "gl3schwarz"
-        assert project["scripts"]["gl3schwarz"] == "gl3schwarz.cli:main"
+        assert project["scripts"]["gl3schwarz"] == "gl3schwarz.cli:run"
 
         script = shutil.which("gl3schwarz")
         cmd = [script] if script else [sys.executable, "-m", "gl3schwarz"]
@@ -655,6 +665,49 @@ class TestConsoleScript:
         )
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["J1"] == [pytest.approx(1 / 9), 0.0]
+
+
+class TestEntryPoint:
+    """`cli.run` freezes the GC on the way out of a one-shot process;
+    in-process callers reach `main` and never freeze."""
+
+    def test_one_shot_run_freezes_before_exit(self):
+        code = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+            "sys.argv = ['gl3schwarz', 'heis', '--alpha', '2,1', '--q', '3']\n"
+            "from gl3schwarz.cli import run\n"
+            "run()\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["word"][0] == ["T1", 2]
+        word, count = out.stderr.split()
+        assert word == "frozen" and int(count) > 0
+
+    def test_in_process_calls_do_not_freeze(self, runner):
+        assert gc.get_freeze_count() == 0
+        assert invoke(runner, ["heis", "--alpha", "2,1", "--q", "3"]).exit_code == 0
+        assert invoke(runner, ["verify", "--samples", "1", "group"]).exit_code == 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["picard", "j", "--l", "2,-1"], standalone_mode=False)
+            with pytest.raises(SystemExit):
+                main(["verify", "--seed", "6", "--samples", "1", "--tol", "MT3=0", "picard"],
+                     standalone_mode=False)
+        assert gc.get_freeze_count() == 0
+
+    def test_module_run_prints_the_in_process_report(self):
+        args = ["verify", "--seed", "42", "group", "eta"]
+        out = subprocess.run(
+            [sys.executable, "-m", "gl3schwarz", *args], capture_output=True, env=_child_env()
+        )
+        assert out.returncode == 0, out.stderr
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            main(args, standalone_mode=False)
+        assert out.stdout == buf.getvalue().encode()
 
 
 class TestNoScipy:

@@ -272,7 +272,7 @@ class TestEta36:
         expected = (
             z1**-3 * z2**-3 * (1 - z1) ** -2 * (1 - z2) ** -2 * (z1 - z2) ** -2
         )
-        assert eta36(vmap, (z1, z2)) == pytest.approx(expected)
+        assert eta36(vmap((z1, z2))) == pytest.approx(expected)
 
     def test_constant_rescaling(self):
         c = 2.0
@@ -284,10 +284,10 @@ class TestEta36:
 
         v1, v2 = [j.value for j in s_invariant_map(z)]
         ratio = ((1 - v1) * (1 - v2) / ((1 - c * v1) * (1 - c * v2))) ** 2
-        assert eta36(scaled, z) == pytest.approx(eta36(s_invariant_map, z) * ratio)
+        assert eta36(scaled(z)) == pytest.approx(eta36(s_invariant_map(z)) * ratio)
 
     def test_s_map_finite_at_spec_point(self):
-        value = eta36(s_invariant_map, (2 + 1j, 0.5))
+        value = eta36(s_invariant_map((2 + 1j, 0.5)))
         assert value == pytest.approx(-0.07475915771899114 - 0.04842857645244865j)
 
     def test_hand_recomputation(self):
@@ -298,13 +298,13 @@ class TestEta36:
         expected = (
             v1**-3 * v2**-3 * (1 - v1) ** -2 * (1 - v2) ** -2 * (v1 - v2) ** -2 * jac**4
         )
-        assert eta36(s_invariant_map, (z1, z2)) == pytest.approx(expected)
+        assert eta36(s_invariant_map((z1, z2))) == pytest.approx(expected)
 
     def test_pole_rejection(self):
         with pytest.raises(ValueError):
-            eta36(s_invariant_map, (2 + 1j, 0.0))  # Jacobian vanishes
+            eta36(s_invariant_map((2 + 1j, 0.0)))  # Jacobian vanishes
         with pytest.raises(ValueError):
-            eta36(s_invariant_map, (1.0, 2**0.5))  # v1 = v2
+            eta36(s_invariant_map((1.0, 2**0.5)))  # v1 = v2
 
 
 class TestTransformChecks:
@@ -330,6 +330,18 @@ class TestTransformChecks:
     def test_s_factor_is_w1_12(self):
         z = (2 + 1j, 0.5)
         assert eta36_factor(GENS["S"], z) == pytest.approx(z[0] ** 12)
+
+    def test_builds_each_maps_jets_once(self):
+        # the jets at z and at g z serve both the invariance refusal and eta36
+        calls = []
+
+        def counted(z):
+            calls.append(z)
+            return s_invariant_map(z)
+
+        z = (np.array([2 + 1j, 1.3 - 0.4j]), np.array([0.5, 0.6 + 0.2j]))
+        assert (eta36_transform_check(GENS["S"], counted, z) < 1e-9).all()
+        assert len(calls) == 2
 
     def test_non_invariant_map_rejected(self):
         with pytest.raises(ValueError):

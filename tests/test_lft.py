@@ -301,6 +301,27 @@ class TestJacobianFactor:
             rhs = jacobian_factor(g1, act(g2, z)) * jacobian_factor(g2, z)
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
+    # det over the matrix axes of a (3, 3, n) stack: n = 3 once raised
+    # TypeError and n = 4 LinAlgError, np.linalg.det reading the last two axes
+    @pytest.mark.parametrize("n", [1, 3, 4, 7])
+    def test_stack_matches_single_matrices_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        mats = [G[name].to_numpy() + 0.1 * rng.standard_normal((3, 3)) for name in G][:n]
+        mats += [np.eye(3) + 0.2 * rng.standard_normal((3, 3)) for _ in range(n - len(mats))]
+        z1 = 1 + rng.uniform(-0.3, 0.3, n) + 1j * rng.uniform(-0.3, 0.3, n)
+        z2 = rng.uniform(-0.3, 0.3, n) + 1j * rng.uniform(-0.3, 0.3, n)
+        got = jacobian_factor(np.stack(mats, -1), (z1, z2))
+        assert got.shape == (n,)
+        for k, m in enumerate(mats):
+            assert got[k] == jacobian_factor(m, (z1[k], z2[k]))
+
+    def test_stack_names_its_vanishing_denominator(self):
+        swap = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
+        mats = np.stack([np.eye(3), swap, swap, np.eye(3)], -1)
+        z1 = np.array([0.0, 0.5, 0.0, 0.0])
+        with pytest.raises(ZeroDivisionError, match=r"^vanishing denominator \(sample 2\)$"):
+            jacobian_factor(mats, (z1, np.full(4, 0.2)))
+
 
 class TestHeisenberg:
     def test_condition_enforced(self):

@@ -997,8 +997,8 @@ MESSAGES = {
         ),
         (
             "a zero of the eta product",
-            lambda: eta36(_identity_map, (0.0, 0.2)),
-            lambda: eta36(_identity_map, _with_bad_middle((0.0, 0.2))),
+            lambda: eta36(_identity_map((0.0, 0.2))),
+            lambda: eta36(_identity_map(_with_bad_middle((0.0, 0.2)))),
             ValueError,
         ),
         (
