@@ -32,7 +32,7 @@ from .jets import (
     _wrap,
     monomials,
 )
-from .lft import _as_numpy, act, denominator
+from .lft import act, denominator, det_and_matrix
 from .worst import worst_of
 
 _TINY = 1e-14
@@ -262,7 +262,7 @@ class ExtendedTransport:
         self.m = transport_matrix(w)
         self.jac = w.jacobian_value()
         self.quad = deriv_quad(w)
-        self.c = c if isinstance(c, np.ndarray) else complex(c)
+        self.c = _base(c)
 
     def matrix(self) -> np.ndarray:
         out = np.zeros(np.shape(self.jac) + (5, 5), dtype=np.complex128)
@@ -279,11 +279,10 @@ def second_arg_transform(u_quad: DerivQuad, g, z) -> DerivQuad:
     of g, A1 = (a1c2 - a2c1) y + (a1c3 - a3c1), A2 = (a2c1 - a1c2) x +
     (a2c3 - a3c2), similarly B from the b-row, each over (c.z)^2.
     """
-    m = _as_numpy(g)
+    delta, m = det_and_matrix(g)
     (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = m
     x, y = z
     cz = denominator(m, z)
-    delta = np.linalg.det(np.moveaxis(m, (0, 1), (-2, -1)))
     vanishing = (abs(cz) < _TINY) | (abs(delta) < _TINY)
     _refuse(vanishing, "vanishing denominator or determinant", ZeroDivisionError)
     A1 = (a1 * c2 - a2 * c1) * y + (a1 * c3 - a3 * c1)

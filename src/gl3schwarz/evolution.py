@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivs import MapJet2
+from .derivs import MapJet2, _det2
 from .jets import Jet, JetError, _refuse, compose
 from .lft import _as_numpy, act, denominator
 from .worst import worst_of
@@ -28,11 +28,6 @@ _DX = (1, 0, 0, 0)
 _DY = (0, 1, 0, 0)
 _DT1 = (0, 0, 1, 0)
 _DT2 = (0, 0, 0, 1)
-
-
-def _det(a, b):
-    """det of rows a = (a1, a2), b = (b1, b2)."""
-    return a[0] * b[1] - a[1] * b[0]
 
 
 def evo_quotients(u, which: str):
@@ -54,7 +49,7 @@ def evo_quotients(u, which: str):
     ut = (u1.partial(dt), u2.partial(dt))
     ux = (u1.partial(_DX), u2.partial(_DX))
     uy = (u1.partial(_DY), u2.partial(_DY))
-    return _det(ut, ux) / den, _det(ut, uy) / den
+    return _det2(*ut, *ux) / den, _det2(*ut, *uy) / den
 
 
 @dataclass(frozen=True)

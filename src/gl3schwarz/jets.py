@@ -14,8 +14,8 @@ a stack of jets, one per sample, that arithmetic, powers, derivatives and
 `compose` carry through at once (the vector forward mode of Taylor
 arithmetic).  A single jet is the stack of shape ().  Numbers that vary by
 sample are arrays over the same leading axes: `value`, `coeff` and
-`partial` return such arrays for a stack and Python complex numbers for a
-single jet, and a jet times an array of shape (...) scales each sample by
+`partial` return such arrays for a stack and complex scalars for a single
+jet, and a jet times an array of shape (...) scales each sample by
 its own number.  A refusal for one sample of a stack names its index
 (`_refuse`).
 
@@ -102,16 +102,19 @@ def _mul_table(dim: int, order: int):
 
 def _col(x):
     """x as a factor of coefficient arrays: a per-sample array gets an axis."""
+    # kept fork: x[..., None] on numbers too made evaluator commands 1.7% slower
     return x[..., None] if isinstance(x, np.ndarray) else x
 
 
 def _any(mask) -> bool:
     """Whether a per-sample test holds for any sample (or for the one)."""
+    # kept fork: np.any on a single point made evaluator commands 6% slower
     return bool(mask.any()) if isinstance(mask, np.ndarray) else mask
 
 
 def _base(x):
     """The base point of x: a jet's value, an array of points, or a complex number."""
+    # kept fork: numpy scalars here changed the last digits of MT3 and picard outputs
     return x.value if isinstance(x, Jet) else x if isinstance(x, np.ndarray) else complex(x)
 
 
@@ -139,6 +142,7 @@ def _refuse(bad, message, error=ValueError):
 
 def _constant(value, n: int) -> np.ndarray:
     """n coefficients of a constant: a number, or an array of them per sample."""
+    # kept fork: np.shape(value) for numbers too made evaluator commands 0.5-1.6% slower
     if isinstance(value, np.ndarray):
         c = np.zeros(value.shape + (n,), dtype=np.complex128)
         c[..., 0] = value
@@ -149,8 +153,8 @@ def _constant(value, n: int) -> np.ndarray:
 
 
 def _entry(c: np.ndarray, i: int):
-    """Coefficient i: a complex for one jet, an array over a stack's samples."""
-    return complex(c[i]) if c.ndim == 1 else c[..., i]
+    """Coefficient i: a complex scalar for one jet, an array over a stack's samples."""
+    return c[..., i][()]
 
 
 def _product(dim: int, order: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -418,10 +422,7 @@ def jet_powq(a: Jet, q) -> Jet:
     qf = q if isinstance(q, (float, complex)) else float(Fraction(q))
     # cmath for every sample: numpy's complex log and exp round differently,
     # and a stack's samples match the single jets bit for bit
-    if isinstance(c0, np.ndarray):
-        head = np.array([cmath.exp(qf * cmath.log(c)) for c in c0.ravel().tolist()]).reshape(c0.shape)
-    else:
-        head = cmath.exp(qf * cmath.log(c0))
+    head = np.reshape([cmath.exp(qf * cmath.log(c)) for c in np.ravel(c0).tolist()], np.shape(c0))
     binoms, binom = [], 1.0
     for k in range(1, a.order + 1):
         binom *= (qf - (k - 1)) / k

@@ -332,8 +332,6 @@ def det_and_matrix(g) -> tuple[complex, np.ndarray]:
     if isinstance(g, EisMatrix):
         return g.det().to_complex(), g.to_numpy()
     m = _as_numpy(g)
-    if m.ndim == 2:
-        return complex(np.linalg.det(m)), m
     return np.linalg.det(np.moveaxis(m, (0, 1), (-2, -1))), m
 
 

@@ -31,12 +31,6 @@ from .worst import worst_of
 BASE_MARGIN = 0.05
 
 
-def _coerce(x) -> complex:
-    if isinstance(x, Fraction):
-        return complex(float(x))
-    return complex(x)
-
-
 @dataclass(frozen=True)
 class ParamTriple:
     """Exponent triple (alpha, beta, gamma) of the three-pole fields."""
@@ -46,9 +40,9 @@ class ParamTriple:
     gamma: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _coerce(self.alpha))
-        object.__setattr__(self, "beta", _coerce(self.beta))
-        object.__setattr__(self, "gamma", _coerce(self.gamma))
+        object.__setattr__(self, "alpha", complex(self.alpha))
+        object.__setattr__(self, "beta", complex(self.beta))
+        object.__setattr__(self, "gamma", complex(self.gamma))
 
     def f1_params(self, which: str = "first") -> F1Params:
         """Appell parameters of the solution branch.
@@ -157,17 +151,12 @@ def z_system_residuals(z: Jet, fields) -> tuple[complex, complex, complex]:
     return _z_system(z, fields)[0]
 
 
-def _as_map(w) -> MapJet2:
-    return w if isinstance(w, MapJet2) else MapJet2(*w)
-
-
-def _mt1_system(w, branch: int):
+def _mt1_system(w: MapJet2, branch: int):
     """(1/det Dw)^(1/3), times a cube root of unity, and the quad of w."""
-    m = _as_map(w)
-    if m.order < 3:
+    if w.order < 3:
         raise JetError("map jets must have order >= 3")
-    quad = deriv_quad(m)
-    delta = 1 / m.jacobian_jet()
+    quad = deriv_quad(w)
+    delta = 1 / w.jacobian_jet()
     z = jet_powq(delta, Fraction(1, 3))
     if branch % 3:
         z = cmath.exp(2j * cmath.pi * (branch % 3) / 3) * z
@@ -177,7 +166,7 @@ def _mt1_system(w, branch: int):
 def mt1_residuals(w, branch: int = 0) -> tuple[complex, complex, complex]:
     """Residuals of the linear system satisfied by (1/det Dw)^(1/3).
 
-    ``w`` is a MapJet2 (or pair of jets) of order >= 3; the coefficient
+    ``w`` is a MapJet2 of order >= 3; the coefficient
     fields are its derivative quadruple.  ``branch`` multiplies z by a
     cube root of unity; residuals are invariant under that choice.  A
     stacked map gives residuals over its samples.

@@ -199,6 +199,7 @@ def modular_solve(u, v2) -> tuple[complex, complex]:
     b = -(1 + v2) * (v2 - 1)
     c = v2 * (v2 - 1) - k
     d = b * b - 4 * a * c
+    # kept fork: np.sqrt for a single point, too, changed picard output digits
     disc = np.sqrt(d) if isinstance(d, np.ndarray) else cmath.sqrt(d)
     return ((-b + disc) / (2 * a), (-b - disc) / (2 * a))
 
@@ -255,6 +256,7 @@ def _off_zero(z, refused):
     A single refused point stays a Python number, whose arithmetic on an
     overflowed value gives NaN without a numpy warning.
     """
+    # kept fork: np.where for a single point, too, changed picard output digits
     if not _any(refused):
         return z
     shift = 1 - _base(z)
@@ -324,6 +326,7 @@ def _stacked(point):
 
 def _as_given(point, *values):
     """values over the stack of _stacked(point), unstacked for a single point."""
+    # kept fork: numpy scalars for a single point changed MT3 and picard output digits
     if isinstance(point[0], np.ndarray) or isinstance(point[1], np.ndarray):
         return values
     return tuple(v[0].item() for v in values)

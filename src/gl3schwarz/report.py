@@ -209,14 +209,14 @@ def _order5_point(rng, u):
 # the check its (worst residual, samples used).  The derivs runners, MT1,
 # MT1-branch, the MT2 checks, F1-euler, F1-pde, F1-picard-gamma, F1-k3,
 # MT3-constraint, J-orbit, param-table (one stack per table row),
-# sign-tables, eta36, MT4-galilean and MT4-invariance draw every sample
-# first, making each rejection as they draw, and then evaluate them all in
-# one stacked pass: one stack of jets or points, one stacked F1 series per
-# parameter set, one stacked quadrature; a layer that refuses a sample of
-# the stack names its index.  MT3
-# rejects while it evaluates: it draws the shortfall of each moduli
-# instance's points, evaluates them as one stack, keeps those not refused,
-# in order, and draws again only for what is still missing.
+# sign-tables, eta36, MT4 (one stack per field family), MT4-galilean and
+# MT4-invariance draw every sample first, making each rejection as they
+# draw, and then evaluate them all in one stacked pass: one stack of jets or
+# points, one stacked F1 series per parameter set, one stacked quadrature; a
+# layer that refuses a sample of the stack names its index.  MT3 rejects
+# while it evaluates: it draws the shortfall of each moduli instance's
+# points, evaluates them as one stack, keeps those not refused, in order,
+# and draws again only for what is still missing.
 
 
 def _exact(ok: bool) -> float:
@@ -529,14 +529,14 @@ def _check_eta36(rng, n):
 
 
 def _check_mt4(rng, n):
+    # the first half of the samples are constant fields and the rest shears,
+    # each complex number from two unit draws as _cpx makes it
     half = max(1, n // 2)
-    for k in range(n):
-        if k < half:
-            f = EvoFields.constant(_cpx(rng), _cpx(rng), _cpx(rng), _cpx(rng))
-        else:
-            f = EvoFields.shear(_cpx(rng), _cpx(rng), _cpx(rng))
+    constant = rng.uniform(-1, 1, (half, 8)).view(np.complex128)
+    shear = rng.uniform(-1, 1, (n - half, 6)).view(np.complex128)
+    for f in (EvoFields.constant(*constant.T), EvoFields.shear(*shear.T)):
         r1, r2 = mt4_residuals(f)
-        yield worst_of((abs(r1), abs(r2)))
+        yield from worst_of((abs(r1), abs(r2)))
 
 
 def _check_mt4_galilean(rng, n):

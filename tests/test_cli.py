@@ -291,12 +291,16 @@ def assert_documented_outcome(res):
 
 
 _ANY = st.floats()  # nan and both infinities included
-_CPAIR = st.tuples(_ANY, _ANY).map(lambda p: f"{p[0]!r},{p[1]!r}")
+_COMPLEX = st.complex_numbers(allow_nan=True, allow_infinity=True)
+_CNUM = _COMPLEX.map(repr)
+_CPAIR = st.tuples(_COMPLEX, _COMPLEX).map(lambda p: f"{p[0]!r},{p[1]!r}")
+# moduli u and v that satisfy the modular equation, so that a point t is mapped
+_ON_SHELL = ("2,3", "1.24169426078821,4")
 _PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 
 
 class TestEvaluatorOutcomes:
-    """Any float input, nan and inf included, ends one of the documented ways.
+    """Any float or complex input, nan and inf included, ends one of the documented ways.
 
     In process: a leaked numpy warning is an error under the test settings,
     and an uncaught exception is not turned into an exit code.
@@ -322,23 +326,25 @@ class TestEvaluatorOutcomes:
         assert_documented_outcome(invoke(CliRunner(), ["picard", "j", "--l", l]))
 
     @_PROPERTY
-    @given(x=_ANY, y=_ANY)
+    @given(x=_CNUM, y=_CNUM)
     def test_picard_integral(self, x, y):
-        assert_documented_outcome(
-            invoke(CliRunner(), ["picard", "integral", "--x", repr(x), "--y", repr(y)])
-        )
+        assert_documented_outcome(invoke(CliRunner(), ["picard", "integral", "--x", x, "--y", y]))
 
     @_PROPERTY
-    @given(u=_CPAIR, v2=_ANY)
+    @given(u=_CPAIR, v2=_CNUM)
     def test_picard_modular_solve(self, u, v2):
-        assert_documented_outcome(
-            invoke(CliRunner(), ["picard", "modular-solve", "--u", u, "--v2", repr(v2)])
-        )
+        assert_documented_outcome(invoke(CliRunner(), ["picard", "modular-solve", "--u", u, "--v2", v2]))
 
     @_PROPERTY
-    @given(ki=_ANY, kj=_ANY)
+    @given(uv=st.tuples(_CPAIR, _CPAIR) | st.just(_ON_SHELL), t=st.none() | _CPAIR)
+    def test_picard_transform(self, uv, t):
+        args = ["picard", "transform", "--u", uv[0], "--v", uv[1]]
+        assert_documented_outcome(invoke(CliRunner(), args + ([] if t is None else ["--t", t])))
+
+    @_PROPERTY
+    @given(ki=_CNUM, kj=_CNUM)
     def test_k(self, ki, kj):
-        assert_documented_outcome(invoke(CliRunner(), ["k", "--ki", repr(ki), "--kj", repr(kj)]))
+        assert_documented_outcome(invoke(CliRunner(), ["k", "--ki", ki, "--kj", kj]))
 
 
 MAP_JSON = {

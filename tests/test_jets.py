@@ -142,6 +142,32 @@ class TestPowq:
         assert lhs.allclose(rhs, tol=1e-12)
 
 
+class TestStackOfOne:
+    # a single jet's numbers are complex scalars with the bits of sample 0 of
+    # the same jet as a stack of one
+    @pytest.mark.parametrize(
+        "number",
+        [
+            lambda j, alpha: j.value,
+            lambda j, alpha: j.partial(alpha),
+            lambda j, alpha: jet_powq(j, Fraction(1, 3)).value,
+            lambda j, alpha: jet_powq(j, Fraction(-2, 3)).partial(alpha),
+        ],
+        ids=["value", "partial", "jet_powq-value", "jet_powq-partial"],
+    )
+    @pytest.mark.parametrize("dim, order", [(1, 0), (2, 3), (4, 2)])
+    def test_a_stack_of_one_is_a_jet(self, number, dim, order):
+        import random
+
+        rng = random.Random(600 + 10 * dim + order)
+        one = rand_jet(rng, dim, order, const_floor=0.4)
+        stack = _wrap(dim, order, one._c[None].copy())
+        alpha = monomials(dim, order)[-1]
+        single, got = number(one, alpha), number(stack, alpha)
+        assert isinstance(single, complex) and got.shape == (1,)
+        assert np.complex128(single).tobytes() == got[0].tobytes()
+
+
 class TestCompose:
     def test_linear(self):
         w1 = Jet.variable(2, 2, 0)

@@ -18,6 +18,7 @@ from gl3schwarz.lft import (
     HeisenbergElem,
     act,
     decompose_heisenberg,
+    det_and_matrix,
     generator_power,
     generators,
     jacobian_factor,
@@ -311,9 +312,15 @@ class TestJacobianFactor:
         z1 = 1 + rng.uniform(-0.3, 0.3, n) + 1j * rng.uniform(-0.3, 0.3, n)
         z2 = rng.uniform(-0.3, 0.3, n) + 1j * rng.uniform(-0.3, 0.3, n)
         got = jacobian_factor(np.stack(mats, -1), (z1, z2))
-        assert got.shape == (n,)
+        dets = det_and_matrix(np.stack(mats, -1))[0]
+        assert got.shape == dets.shape == (n,)
+        # each matrix alone gives a complex scalar with the bits of its sample
         for k, m in enumerate(mats):
-            assert got[k] == jacobian_factor(m, (z1[k], z2[k]))
+            for one, stacked in (
+                (jacobian_factor(m, (complex(z1[k]), complex(z2[k]))), got[k]),
+                (det_and_matrix(m)[0], dets[k]),
+            ):
+                assert isinstance(one, complex) and np.complex128(one).tobytes() == stacked.tobytes()
 
     def test_stack_names_its_vanishing_denominator(self):
         swap = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)

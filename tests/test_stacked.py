@@ -2,10 +2,11 @@
 
 The derivs runners, MT1, MT1-branch, MT2-first, MT2-second, MT2-picard,
 MT2-picard-modular, F1-euler, F1-pde, F1-picard-gamma, F1-k3,
-MT3-constraint, J-orbit, param-table, sign-tables, eta36, MT4-galilean and
-MT4-invariance draw all samples first and evaluate them in one stacked
-pass: one stack of jets or points, one stacked F1 series and one stacked
-quadrature per parameter set (param-table: one stack per table row).  MT3
+MT3-constraint, J-orbit, param-table, sign-tables, eta36, MT4,
+MT4-galilean and MT4-invariance draw all samples first and evaluate them in
+one stacked pass: one stack of jets or points, one stacked F1 series and one
+stacked quadrature per parameter set (param-table: one stack per table row,
+MT4: one per field family).  MT3
 evaluates each moduli instance's points as one stack and draws again for
 the points it refuses.  The runners below are the loops they replaced:
 one map, one point, one series per sample.  They stay here as references
@@ -56,6 +57,7 @@ from gl3schwarz.eta import (
     translation_invariant_map,
 )
 from gl3schwarz.evolution import (
+    EvoFields,
     consistency_residual,
     evo_quotients,
     galilean_covariance_check,
@@ -200,6 +202,17 @@ def _ref_mt1_branch(rng, n):
             phase = cmath.exp(2j * cmath.pi * branch / 3)
             parts += [abs(b - phase * a) for a, b in zip(r0, rb)]
         yield worst_of(parts)
+
+
+def _ref_mt4(rng, n):
+    half = max(1, n // 2)
+    for k in range(n):
+        if k < half:
+            f = EvoFields.constant(_cpx(rng), _cpx(rng), _cpx(rng), _cpx(rng))
+        else:
+            f = EvoFields.shear(_cpx(rng), _cpx(rng), _cpx(rng))
+        r1, r2 = evolution.mt4_residuals(f)
+        yield worst_of((abs(r1), abs(r2)))
 
 
 def _ref_mt4_galilean(rng, n):
@@ -366,6 +379,7 @@ REFERENCES = {
     "exp-oracle": _ref_exp_oracle,
     "MT1": _ref_mt1,
     "MT1-branch": _ref_mt1_branch,
+    "MT4": _ref_mt4,
     "MT4-galilean": _ref_mt4_galilean,
     "MT2-first": _ref_mt2_branch("first"),
     "MT2-second": _ref_mt2_branch("second"),
@@ -395,6 +409,7 @@ RUNNERS = {
     "exp-oracle": report._check_exp_oracle,
     "MT1": report._check_mt1,
     "MT1-branch": report._check_mt1_branch,
+    "MT4": report._check_mt4,
     "MT4-galilean": report._check_mt4_galilean,
     "MT2-first": report._mt2_branch_runner("first"),
     "MT2-second": report._mt2_branch_runner("second"),
@@ -557,6 +572,19 @@ def _offset_r1(monkeypatch):
     monkeypatch.setattr(evolution, "mt4_residuals", offset)
 
 
+def _offset_r1_by_v1(monkeypatch):
+    # MT4's v1 is constant, so _offset_r1 shows nothing there: offset by its
+    # value, which each sample draws
+    real = evolution.mt4_residuals
+
+    def offset(f):
+        r1, r2 = real(f)
+        return r1 + 1e-3 * f.v1.value, r2
+
+    for module in (evolution, report):
+        monkeypatch.setattr(module, "mt4_residuals", offset)
+
+
 def _offset_by_z(monkeypatch):
     # an offset by z's value follows each sample's coefficient set
     real = pde_verify._z_system
@@ -621,6 +649,7 @@ FAULTS = {
     "exp-oracle": _swap_a_det_pair,
     "MT1": _swap_a_det_pair,
     "MT1-branch": _offset_the_z_system,
+    "MT4": _offset_r1_by_v1,
     "MT4-galilean": _offset_r1,
     "MT2-first": _offset_the_z_system,
     "MT2-second": _offset_the_z_system,
@@ -638,6 +667,16 @@ FAULTS = {
     "eta36": _bend_the_eta_factor,
     "MT4-invariance": _bend_the_action,
 }
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+@pytest.mark.parametrize("n", [2, 11])
+def test_mt4_splits_any_sample_count_as_the_loop_does(n, seed):
+    # max(1, n // 2) constant fields, the rest shears: odd n has one more shear
+    rngs = [report._rng(seed, "MT4")[0] for _ in range(2)]
+    got = _residuals(report._check_mt4, seed, "MT4", n, rngs[0])
+    assert got == _residuals(_ref_mt4, seed, "MT4", n, rngs[1])
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 @pytest.mark.parametrize("seed", [1, 42])
