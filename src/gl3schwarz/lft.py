@@ -274,8 +274,8 @@ def generator_power(name: str, exp: int) -> EisMatrix:
 
 
 def word_product(word) -> EisMatrix:
-    """Product of (generator-name-or-EisMatrix, integer exponent) pairs."""
-    factors = [generator_power(gen, exp) if isinstance(gen, str) else gen**exp for gen, exp in word]
+    """Product of (generator name, integer exponent) pairs."""
+    factors = [generator_power(gen, exp) for gen, exp in word]
     return reduce(operator.mul, factors) if factors else EisMatrix.identity()
 
 

@@ -296,95 +296,53 @@ def _radicand(p: ModuliPair, s):
     return (1 - s) * (1 - p.u1 * s) * (1 - p.u2 * s)
 
 
-def _transform(u, v, check_modular: bool):
-    """The moduli pairs and the transform coefficients, gated or not."""
-    pu, pv = _as_pair(u), _as_pair(v)
-    return pu, pv, transform_abg(pu, pv) if check_modular else _abg_unchecked(pu, pv)
-
-
 @np.errstate(divide="ignore", invalid="ignore")
-def _cubed_gap(jac, f_src, k, f_img):
-    """Relative residual of jac^3 f_src = k^3 f_img, and where a radicand vanishes."""
-    zero = (abs(f_src) < _TINY) | (abs(f_img) < _TINY)
+def _cubed_gap(jac, f_src, k, f_img, refused):
+    """Relative residual of jac^3 f_src = k^3 f_img, and the points refused:
+    those of the transform's mask, and those where a radicand vanishes."""
+    refused = refused | (abs(f_src) < _TINY) | (abs(f_img) < _TINY)
     lhs = jac**3 * f_src
     rhs = k**3 * f_img
-    return abs(lhs - rhs) / np.maximum(abs(lhs), abs(rhs)), zero
+    return abs(lhs - rhs) / np.maximum(abs(lhs), abs(rhs)), refused
 
 
-def _checked(gap, zero, refused):
-    """gap, unless a point was refused: a vanishing denominator of the
-    transform (ZeroDivisionError) or a vanishing radicand (ValueError)."""
-    _refuse(refused, "vanishing denominator", ZeroDivisionError)
-    _refuse(zero, "radicand zero")
-    return gap
+def pullback_gaps(u, v, t):
+    """Relative residual of the cubed differential-form identity, and the refused points.
 
-
-def _stacked(point):
-    """A point (p1, p2) as two arrays over a stack; a single point is a stack of one."""
-    return np.broadcast_arrays(*(np.atleast_1d(np.asarray(c, dtype=np.complex128)) for c in point))
-
-
-def _as_given(point, *values):
-    """values over the stack of _stacked(point), unstacked for a single point."""
-    # kept fork: numpy scalars for a single point changed MT3 and picard output digits
-    if isinstance(point[0], np.ndarray) or isinstance(point[1], np.ndarray):
-        return values
-    return tuple(v[0].item() for v in values)
-
-
-def pullback_gaps(u, v, t, check_modular: bool = True):
-    """pullback_identity_check at every point of t, refusing none.
-
-    t may be a pair of arrays over a stack of points; a single point is
-    evaluated as a stack of one, so that it rounds as it would in a stack.
-    Returns the residuals and the masks of the points the check refuses:
-    those where a radicand vanishes, and those where a denominator of the
-    transform does.  A refused point's residual is meaningless.
+    Jac^3 f_t(t1, t2) = (-5 t1/t2^2)^3 f_w(w1, w2), with Jac the jet
+    Jacobian of the order-five map, f_t, f_w the two quintic radicands.
+    Cubing removes every cube-root branch choice.  t is one point or a pair
+    of arrays over a stack.  Returns the residuals and one mask, refusing
+    none: a point is refused where a radicand or a denominator of the
+    transform vanishes, and its residual is meaningless.
     """
-    pu, pv, abg = _transform(u, v, check_modular)
-    t1, t2 = _stacked(t)
-    w1, w2, refused = _order5(abg, *Jet.variables(2, 1, (t1, t2)))
+    pu, pv = _as_pair(u), _as_pair(v)
+    t1, t2 = _base(t[0]), _base(t[1])
+    w1, w2, refused = _order5(transform_abg(pu, pv), *Jet.variables(2, 1, (t1, t2)))
     jac = MapJet2(w1, w2).jacobian_value()
     w1v, w2v = w1.value, w2.value
     ft = t1 * t1 * t2 * t2 * _radicand(pu, t1)
     fw = w1v * w1v * w2v * w2v * _radicand(pv, w1v)
     t2 = _off_zero(t2, refused)
-    return _as_given(t, *_cubed_gap(jac, ft, -5 * t1 / (t2 * t2), fw), refused)
-
-
-def pullback_identity_check(u, v, t, check_modular: bool = True) -> float:
-    """Relative residual of the cubed differential-form identity.
-
-    Jac^3 f_t(t1, t2) = (-5 t1/t2^2)^3 f_w(w1, w2), with Jac the jet
-    Jacobian of the order-five map, f_t, f_w the two quintic radicands.
-    Cubing removes every cube-root branch choice.  A pair of arrays t gives
-    the residual at each point, and a refused point is named.
-    """
-    return _checked(*pullback_gaps(u, v, t, check_modular))
+    return _cubed_gap(jac, ft, -5 * t1 / (t2 * t2), fw, refused)
 
 
 def corollary52_gaps(u, v, x):
-    """corollary52_check at every point of x, refusing none; see pullback_gaps."""
-    pu, pv, abg = _transform(u, v, True)
-    x1, x2 = _stacked(x)
-    X1, X2 = Jet.variables(2, 1, (x1, x2))
-    w1, w2, refused = _order5(abg, X1 * X1 * X1, X2 * X2 * X2)
-    jac = MapJet2(jet_powq(w1, "1/3"), jet_powq(w2, "1/3")).jacobian_value()
-    x1c = x1**3
-    x2 = _off_zero(x2, refused)
-    gap, zero = _cubed_gap(jac, _radicand(pu, x1c), -5 * x1c / x2**6, _radicand(pv, w1.value))
-    return _as_given(x, gap, zero, refused)
-
-
-def corollary52_check(u, v, x) -> float:
-    """Relative residual of the cubed identity in the root coordinates.
+    """Relative residual of the cubed identity in the root coordinates, and the refused points.
 
     With t_i = x_i^3 and y_i = w_i^(1/3), checks
     Jac_y^3 g_x = (-5 x1^3/x2^6)^3 g_y for the sextic-free radicands
     g_x = (1-x1^3)(1-u1 x1^3)(1-u2 x1^3), g_y the same in (v, y1^3).
-    A pair of arrays x gives the residual at each point.
+    x is one point or a pair of arrays; the mask is that of pullback_gaps.
     """
-    return _checked(*corollary52_gaps(u, v, x))
+    pu, pv = _as_pair(u), _as_pair(v)
+    x1, x2 = _base(x[0]), _base(x[1])
+    X1, X2 = Jet.variables(2, 1, (x1, x2))
+    w1, w2, refused = _order5(transform_abg(pu, pv), X1 * X1 * X1, X2 * X2 * X2)
+    jac = MapJet2(jet_powq(w1, "1/3"), jet_powq(w2, "1/3")).jacobian_value()
+    x1c = x1**3
+    x2 = _off_zero(x2, refused)
+    return _cubed_gap(jac, _radicand(pu, x1c), -5 * x1c / x2**6, _radicand(pv, w1.value), refused)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ from fractions import Fraction
 
 import pytest
 
+from gl3schwarz import picard
 from gl3schwarz.eta import ledger_multipliers
-from gl3schwarz.picard import modular_solve, pullback_identity_check
+from gl3schwarz.picard import modular_solve, pullback_gaps
 from gl3schwarz.report import render_report, run_suites
 
 SEED = 42
@@ -109,18 +110,21 @@ def test_c08_f1_stack(entries):
               "quartic-surface identity and the Beta special value all hold")
 
 
-def test_c09_mt3(entries):
+def test_c09_mt3(entries, monkeypatch):
     require(entries, "MT3", 1e-10, samples=100)
     require(entries, "MT3-constraint", 1e-12, samples=50)
     # identity moduli: exact by construction
-    assert pullback_identity_check((2, 3), (2, 3), (0.7, 1.1)) < 1e-14
+    gap, refused = pullback_gaps((2, 3), (2, 3), (0.7, 1.1))
+    assert not refused and gap < 1e-14
     # negative control: break the modular relation and the identity dies
     u = (2, 3)
     v_bad = (modular_solve(u, 4)[0] + 0.1, 4)
     with pytest.raises(ValueError):
-        pullback_identity_check(u, v_bad, (0.7, 1.1))
-    gap = pullback_identity_check(u, v_bad, (0.7, 1.1), check_modular=False)
-    assert gap > 1e-3
+        pullback_gaps(u, v_bad, (0.7, 1.1))
+    # with the modular-equation gate replaced by the bare coefficient formulas
+    monkeypatch.setattr(picard, "transform_abg", picard._abg_unchecked)
+    gap, refused = pullback_gaps(u, v_bad, (0.7, 1.1))
+    assert not refused and gap > 1e-3
     passed(9, "cubed pullback identity < 1e-10, parameter constraint < 1e-12, "
               "identity case exact, perturbed moduli rejected")
 

@@ -80,6 +80,14 @@ class TestVerify:
         assert res.stdout == ""
         assert "finite and >= 0" in res.stderr
 
+    @pytest.mark.parametrize("value", ["1", "0"])
+    def test_exact_check_takes_no_tolerance_flag(self, runner, value):
+        # group-algebra's residual is 0 or 1: tolerance 1 would pass a failed identity
+        res = invoke(runner, ["verify", "group", "--tol", f"group-algebra={value}"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "exact check(s): ['group-algebra']" in res.stderr
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_tolerance_env_must_be_finite_and_non_negative(self, runner, value):
         res = invoke(runner, ["verify", "f1"], env={"GL3SCHWARZ_TOL": value})

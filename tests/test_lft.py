@@ -201,11 +201,10 @@ class TestWords:
 
     def test_g4_g5(self):
         S3 = G["S"] ** 3
+        c = G["commutator"]
         tail = (G["S"] ** 4 * G["U2"]).inv()
-        word = [(S3, 1), ("commutator", 1), (S3, 1), (tail, 1), ("commutator", 1)]
-        assert word_product(word) == G["g4"]
-        word5 = [(S3, 1), ("U1", -4), ("T1", -1), ("T2", 1), (S3, 1)]
-        assert word_product(word5) == G["g5"]
+        assert S3 * c * S3 * tail * c == G["g4"]
+        assert S3 * word_product([("U1", -4), ("T1", -1), ("T2", 1)]) * S3 == G["g5"]
 
     def test_mismatch_is_false(self):
         assert word_product([("T2", 1)]) != G["T1"]

@@ -126,6 +126,11 @@ class TestOverrides:
         assert by_id["chain-rule"]["pass"]
         assert rep["summary"]["failed"] == 1
 
+    def test_exact_checks_refuse_a_tolerance_override(self):
+        with pytest.raises(ValueError, match=r"exact check\(s\): \['P4.1', 'group-algebra'\]"):
+            overrides = {"group-algebra": 1.0, "P4.1": 0.0, "eta36": 1e-6}
+            run_suites(("group",), seed=3, tol_overrides=overrides)
+
     def test_env_tolerance(self, monkeypatch):
         monkeypatch.setenv("GL3SCHWARZ_TOL", "1e-20")
         rep = run_suites(("eta",), seed=3, samples=2)

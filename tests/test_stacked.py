@@ -8,10 +8,12 @@ one stacked pass: one stack of jets or points, one stacked F1 series and one
 stacked quadrature per parameter set (param-table: one stack per table row,
 MT4: one per field family).  MT3
 evaluates each moduli instance's points as one stack and draws again for
-the points it refuses.  The runners below are the loops they replaced:
+the points it refuses: the two gaps functions raise for none, but return
+one mask each, of the points where a radicand or a denominator of the
+transform vanishes.  The runners below are the loops they replaced:
 one map, one point, one series per sample.  They stay here as references
-only, and the stacked runners must match them sample by sample.  A layer
-that refuses one sample of a stack names it: the message of a single
+only, and the stacked runners must match them sample by sample.  Any other
+layer that refuses one sample of a stack names it: the message of a single
 point, followed by " (sample k)".
 """
 
@@ -76,14 +78,14 @@ from gl3schwarz.pde_verify import (
 )
 from gl3schwarz.pde_verify import ParamTriple, _pole_gap
 from gl3schwarz.picard import (
-    corollary52_check,
+    corollary52_gaps,
     f_sign_relations,
     j_invariants,
     modular_solve,
     order5_map,
     p_transform_relations,
     param_table_check,
-    pullback_identity_check,
+    pullback_gaps,
     s3_orbit,
     transform_abg,
 )
@@ -279,11 +281,14 @@ def _ref_mt3(rng, n):
         while done < per_instance:
             t = _order5_point(rng, u)
             x = [ti ** (1 / 3) for ti in t]  # the same point in root coordinates
-            try:
-                res = worst_of((pullback_identity_check(u, v, t), corollary52_check(u, v, x)))
-            except (ValueError, ZeroDivisionError):
+            # each point a stack of one: a single point rounds in Python's
+            # complex arithmetic, and a residual that is all roundoff (about
+            # 1e-13 here) moves by its own size with the last bits
+            gap_t, refused_t = pullback_gaps(u, v, tuple(np.array([c]) for c in t))
+            gap_x, refused_x = corollary52_gaps(u, v, tuple(np.array([c]) for c in x))
+            if refused_t[0] or refused_x[0]:
                 continue
-            yield res
+            yield worst_of((gap_t[0], gap_x[0]))
             done += 1
 
 
@@ -825,11 +830,11 @@ def _refuse_small_radicands(monkeypatch, refused):
     # a refusal made while evaluating, for about a third of the points
     real = picard._cubed_gap
 
-    def stricter(jac, f_src, k, f_img):
-        gap, zero = real(jac, f_src, k, f_img)
+    def stricter(jac, f_src, k, f_img, mask):
+        gap, mask = real(jac, f_src, k, f_img, mask)
         small = abs(f_src) < 0.5
         refused.append(np.sum(small))
-        return gap, zero | small
+        return gap, mask | small
 
     monkeypatch.setattr(picard, "_cubed_gap", stricter)
 
@@ -888,7 +893,6 @@ MESSAGES = {
     "outside the first branch": "first branch needs |v1|, |v2| < 1",
     "outside the second branch": "second branch needs |1-v1|, |1-v2| < 1",
     "vanishing denominator": "vanishing denominator",
-    "radicand zero": "radicand zero",
     "vanishing denominator of an anharmonic action": "vanishing denominator",
     "degenerate moduli": "degenerate moduli",
     "J invariants overflow, quoting the moduli": (
@@ -939,12 +943,6 @@ MESSAGES = {
             lambda: order5_map(picard.TransformABG(0, 0, 1), 0.7, 0.0),
             lambda: order5_map(picard.TransformABG(0, 0, 1), *_with_bad_middle((0.7, 0.0))),
             ZeroDivisionError,
-        ),
-        (
-            "radicand zero",
-            lambda: pullback_identity_check((2, 3), (2, 3), (1.0, 1.3)),
-            lambda: pullback_identity_check((2, 3), (2, 3), _with_bad_middle((1.0, 1.3))),
-            ValueError,
         ),
         (
             "vanishing denominator of an anharmonic action",
@@ -1078,6 +1076,40 @@ def test_a_refused_sample_in_a_stack_is_named(name, one, stack, error):
     assert type(stacked.value) is type(single.value)
     assert str(single.value) == MESSAGES[name]
     assert str(stacked.value) == f"{MESSAGES[name]} (sample 1)"
+
+
+# the two forms of the order-five pullback identity, which mask a refused point
+GAPS = {f.__name__: f for f in (pullback_gaps, corollary52_gaps)}
+
+
+@pytest.mark.parametrize("gaps", GAPS.values(), ids=GAPS)
+def test_the_gaps_mask_a_refused_sample(gaps):
+    # t1 = x1 = 1 at sample 1 is a zero of the source radicand: masked, not
+    # raised, and the other samples are those of their stacks of one
+    u = (2, 3)
+    v = (modular_solve(u, 4)[0], 4)
+    stack = _with_bad_middle((1.0, 1.3))
+    gap, refused = gaps(u, v, stack)
+    assert refused.tolist() == [False, True, False]
+    for k in (0, 2):
+        one, one_refused = gaps(u, v, tuple(c[k : k + 1] for c in stack))
+        assert one_refused.tolist() == [False]
+        assert one[0] == gap[k]
+
+
+@pytest.mark.parametrize("gaps", GAPS.values(), ids=GAPS)
+@pytest.mark.parametrize("point", [(0.3 + 0.1j, 0.2), (0.6 - 0.1j, 0.4 + 0.2j), (1.0, 1.3)])
+def test_a_single_point_is_a_stack_of_one(gaps, point):
+    # one form for both: at these points a single point's residual is its
+    # stack of one's within a few ulps (a residual that is all roundoff
+    # moves by its own size, as _ref_mt3 notes)
+    u = (2, 3)
+    v = (modular_solve(u, 4)[0], 4)
+    gap, refused = gaps(u, v, point)
+    stack_gap, stack_refused = gaps(u, v, tuple(np.array([c]) for c in point))
+    assert refused == stack_refused[0]
+    if not refused:
+        assert abs(gap - stack_gap[0]) <= 4e-15
 
 
 def test_modular_solve_on_a_stack_matches_point_by_point():

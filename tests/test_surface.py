@@ -30,16 +30,11 @@ PROGRAM = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"
 
 # uncalled public names kept on purpose, one reason each
 ALLOWED = {
-    "picard.pullback_identity_check": "the refusing form of pullback_gaps, for one "
-    "point or a stack, that the tests hold the order-five transform to",
-    "picard.corollary52_check": "the refusing form of corollary52_gaps, in the same role",
     "jets.Jet.allclose": "Jet is the package's exported API; 22 test asserts compare jets with it",
 }
 
 # unset defaulted parameters kept on purpose, one reason each
 ALLOWED_PARAMETERS = {
-    "picard.pullback_identity_check(check_modular)": "the negative control of the "
-    "acceptance gate (tests/test_acceptance.py) turns the modular-equation gate off",
     "jets.Jet.allclose(tol)": "Jet is the package's exported API",
 }
 
