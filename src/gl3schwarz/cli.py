@@ -27,7 +27,9 @@ import numpy as np
 from .jets import BACKEND, Jet, _mul_table, monomials
 
 
-def _finite(z: complex) -> complex:
+def _complex(text: str) -> complex:
+    """A finite complex number, with spaces anywhere in the text ignored."""
+    z = complex(text.replace(" ", ""))
     if not cmath.isfinite(z):
         raise ValueError("not finite")
     return z
@@ -38,7 +40,7 @@ class ComplexParam(click.ParamType):
 
     def convert(self, value, param, ctx):
         try:
-            return _finite(complex(str(value).replace(" ", "")))
+            return _complex(str(value))
         except ValueError:
             self.fail(f"{value!r} is not a finite complex number", param, ctx)
 
@@ -51,7 +53,7 @@ class ComplexPairParam(click.ParamType):
         if len(parts) != 2:
             self.fail(f"{value!r} is not a comma-separated pair", param, ctx)
         try:
-            return tuple(_finite(complex(p.strip())) for p in parts)
+            return tuple(_complex(p) for p in parts)
         except ValueError:
             self.fail(f"{value!r} is not a pair of finite complex numbers", param, ctx)
 
@@ -206,7 +208,12 @@ def _poly_jet(coeffs: dict, base) -> Jet:
     x, y = Jet.variables(2, 3, base)
     out = Jet.constant(2, 3, 0.0)
     for key in sorted(coeffs):
-        e1, e2 = (int(p) for p in key.split(","))
+        try:
+            e1, e2 = (int(p) for p in key.split(","))
+        except ValueError:
+            raise ValueError(
+                f"malformed map file: exponent key {key!r} is not two integers 'e1,e2'"
+            ) from None
         if e1 < 0 or e2 < 0:
             raise ValueError(f"negative exponent in key {key!r}")
         out = out + _coefficient(coeffs[key]) * x**e1 * y**e2
@@ -245,8 +252,8 @@ def deriv(map_file, at):
         for name, u in (("u1", m.u1), ("u2", m.u2)):
             if not math.isfinite(u.max_abs()):
                 raise ValueError(f"map component {name} overflows at the point")
-        quad = deriv_quad(m).values()
-    if not all(cmath.isfinite(v) for v in quad):
+        quad = deriv_quad(m).value
+    if not np.isfinite(quad).all():
         raise ValueError("the derivatives overflow at the point")
     brace_x, brace_y, bracket_x, bracket_y = quad
     _emit(

@@ -1,12 +1,14 @@
 """The four GL(3) derivatives and their transport identities.
 
 A map is a pair of jets (u1, u2); the four derivatives are determinant
-ratios in its first and second partials. Composition transports the
-quadruple by a 4x4 matrix of cubic monomials in first partials, extended
-to a 5x5 cocycle with one free constant.
+ratios in its first and second partials.  The quadruple is one jet whose
+last sample axis holds the four derivatives, so its value has shape
+(..., 4).  Composition transports these values by a 4x4 matrix of cubic
+monomials in first partials, extended to a 5x5 cocycle with one free
+constant.
 
 Every function here takes stacks of jets as well (see `jets`): a map whose
-jets stack n samples gives quads whose entries stack them, and transport
+jets stack n samples gives a quad of sample shape (n, 4), and transport
 matrices of shape (n, 4, 4).  Matrices acting by linear fractional maps
 stack their samples on the last axis, (3, 3, n), so that m[i, j] is entry
 (i, j) of every sample.  A refused sample of a stack (a zero Jacobian, a
@@ -22,7 +24,6 @@ import numpy as np
 from .jets import (
     Jet,
     JetError,
-    _base,
     _col,
     _compose_each,
     _deriv_table,
@@ -33,7 +34,6 @@ from .jets import (
     monomials,
 )
 from .lft import act, denominator, det_and_matrix
-from .worst import worst_of
 
 _TINY = 1e-14
 
@@ -112,41 +112,6 @@ def lft_map(g, z) -> MapJet2:
     return MapJet2(*act(g, Jet.variables(2, 3, z)))
 
 
-class DerivQuad:
-    """The quadruple ({.}_x, {.}_y, [.]_x, [.]_y); entries complex or low-order jets."""
-
-    __slots__ = ("brace_x", "brace_y", "bracket_x", "bracket_y")
-
-    def __init__(self, brace_x, brace_y, bracket_x, bracket_y):
-        self.brace_x = brace_x
-        self.brace_y = brace_y
-        self.bracket_x = bracket_x
-        self.bracket_y = bracket_y
-
-    def components(self) -> tuple:
-        return (self.brace_x, self.brace_y, self.bracket_x, self.bracket_y)
-
-    def values(self) -> tuple[complex, complex, complex, complex]:
-        """The values: complex numbers, or arrays over a stack's samples."""
-        return tuple(_base(c) for c in self.components())
-
-    def vector(self) -> np.ndarray:
-        """The four values, on the last axis of a stack: shape (..., 4)."""
-        return np.moveaxis(np.array(self.values(), dtype=np.complex128), 0, -1)
-
-    def max_abs(self) -> float:
-        """The largest |value|, NaN-sticky; per sample for a stacked quad."""
-        return worst_of(abs(v) for v in self.values())
-
-    def __repr__(self):
-        return f"DerivQuad{self.values()!r}"
-
-
-def _quad_of(vec: np.ndarray) -> DerivQuad:
-    """The quad whose values are the last axis of vec."""
-    return DerivQuad(*np.moveaxis(vec, -1, 0))
-
-
 def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Matrix times vector for every sample of (..., k, k) and (..., k)."""
     return (mat @ vec[..., None])[..., 0]
@@ -185,8 +150,10 @@ _DETS = np.array([[0, 1, 1, 0, 0, 1, 0], [2, 5, 2, 3, 5, 4, 1]])
 _NUMERATORS = np.array([0, 1, 2, 4, 6])
 
 
-def deriv_quad(m: MapJet2) -> DerivQuad:
-    """Four derivatives of the map; jets of order (input order - 2).
+def deriv_quad(m: MapJet2) -> Jet:
+    """The quad ({.}_x, {.}_y, [.]_x, [.]_y) of the map as one jet of order
+    (input order - 2) whose last sample axis holds the four derivatives, so
+    its value has shape (..., 4).
 
     brace_x = |u_x; u_xx| / J, brace_y = |u_y; u_yy| / (-J),
     bracket_x = (|u_y; u_xx| + 2|u_x; u_xy|) / J and the y-mirror,
@@ -206,8 +173,7 @@ def deriv_quad(m: MapJet2) -> DerivQuad:
     sums = np.add.reduceat(prods[0] - prods[1], _NUMERATORS, -2)
     jac = _wrap(dim, k, sums[..., 4, :])
     _refuse(abs(jac.value) < _TINY, "zero Jacobian at base point", JetError)
-    quot = _product(dim, k, sums[..., :4, :], jac._inverse()._c[..., None, :])
-    return DerivQuad(*(_wrap(dim, k, quot[..., i, :].copy()) for i in range(4)))
+    return _wrap(dim, k, _product(dim, k, sums[..., :4, :], jac._inverse()._c[..., None, :]))
 
 
 def _transport_from_partials(w1x, w1y, w2x, w2y) -> np.ndarray:
@@ -239,41 +205,33 @@ def transport_matrix(w: MapJet2) -> np.ndarray:
     return _transport_from_partials(w1x, w1y, w2x, w2y)
 
 
-def chain_rule_rhs(u_quad: DerivQuad, w: MapJet2) -> DerivQuad:
-    """Quad of the composite u(w(x, y)): M(w)/J_w applied to u's quad, plus w's quad.
+def chain_rule_rhs(u_quad: np.ndarray, w: MapJet2) -> np.ndarray:
+    """Quad values (..., 4) of the composite u(w(x, y)): M(w)/J_w applied to
+    u's quad values, plus w's.
 
     u_quad must be taken at the image point w(base).
     """
     jac = w.jacobian_value()
     _refuse(abs(jac) < _TINY, "zero Jacobian at base point", JetError)
-    vec = _apply(transport_matrix(w), u_quad.vector()) / _col(jac) + deriv_quad(w).vector()
-    return _quad_of(vec)
+    return _apply(transport_matrix(w), u_quad) / _col(jac) + deriv_quad(w).value
 
 
-class ExtendedTransport:
-    """5x5 block cocycle: |M  c*J*quad; 0  J| for a free constant c.
+def extended_transport(w: MapJet2, c) -> np.ndarray:
+    """5x5 block cocycle |M  c*J*quad; 0  J| for a free constant c.
 
     For a stacked map c may be an array with one constant per sample.
     """
-
-    __slots__ = ("m", "jac", "quad", "c")
-
-    def __init__(self, w: MapJet2, c=0.0):
-        self.m = transport_matrix(w)
-        self.jac = w.jacobian_value()
-        self.quad = deriv_quad(w)
-        self.c = _base(c)
-
-    def matrix(self) -> np.ndarray:
-        out = np.zeros(np.shape(self.jac) + (5, 5), dtype=np.complex128)
-        out[..., :4, :4] = self.m
-        out[..., :4, 4] = _col(self.c * self.jac) * self.quad.vector()
-        out[..., 4, 4] = self.jac
-        return out
+    jac = w.jacobian_value()
+    out = np.zeros(np.shape(jac) + (5, 5), dtype=np.complex128)
+    out[..., :4, :4] = transport_matrix(w)
+    out[..., :4, 4] = _col(c * jac) * deriv_quad(w).value
+    out[..., 4, 4] = jac
+    return out
 
 
-def second_arg_transform(u_quad: DerivQuad, g, z) -> DerivQuad:
-    """Quad of u composed with the action of g, from u's quad at g(z).
+def second_arg_transform(u_quad: np.ndarray, g, z) -> np.ndarray:
+    """Quad values (..., 4) of u composed with the action of g, from u's quad
+    values at g(z).
 
     Uses the closed-form first partials of the action: with rows (a; b; c)
     of g, A1 = (a1c2 - a2c1) y + (a1c3 - a3c1), A2 = (a2c1 - a1c2) x +
@@ -291,7 +249,7 @@ def second_arg_transform(u_quad: DerivQuad, g, z) -> DerivQuad:
     B2 = (b2 * c1 - b1 * c2) * x + (b2 * c3 - b3 * c2)
     mat = _transport_from_partials(A1 / cz**2, A2 / cz**2, B1 / cz**2, B2 / cz**2)
     jac = delta / cz**3
-    return _quad_of(_apply(mat, u_quad.vector()) / _col(jac))
+    return _apply(mat, u_quad) / _col(jac)
 
 
 def jacobian_deformation(fhat1: Jet, fhat2: Jet, z: MapJet2) -> complex:
@@ -355,18 +313,18 @@ def exponent_rows(pairs):
 
 
 def exp_system_oracle(pairs):
-    """Constant-coefficient system solved by three exponentials, and its quad.
+    """Constant-coefficient system solved by three exponentials, and its quad values.
 
     Each (lambda, mu) pair gives z = exp(lambda x + mu y); the linear solves
     impose z_xx = a.(z_x, z_y, z), z_xy = b.(...), z_yy = c.(...). The map
     (z1/z3, z2/z3) then has quad (a2, c1, 2 b2 - a1, 2 b1 - c2).  A stack
-    of triples (..., 3, 2) gives a, b, c of shape (..., 3) and a stacked quad.
+    of triples (..., 3, 2) gives a, b, c of shape (..., 3) and quad values
+    of shape (..., 4).
     """
     lam, mu, rows = exponent_rows(pairs)
     a, b, c = (np.linalg.solve(rows, rhs[..., None])[..., 0] for rhs in (lam**2, lam * mu, mu**2))
     (a0, a1, _), (b0, b1, _), (c0, c1, _) = (np.moveaxis(v, -1, 0) for v in (a, b, c))
-    quad = DerivQuad(a1, c0, 2 * b1 - a0, 2 * b0 - c1)
-    return a, b, c, quad
+    return a, b, c, np.stack((a1, c0, 2 * b1 - a0, 2 * b0 - c1), -1)
 
 
 def _jet_exp(a: Jet) -> Jet:

@@ -23,8 +23,8 @@ from functools import reduce
 import numpy as np
 
 from .appell import F1Params, f1_series
-from .derivs import DerivQuad, MapJet2, deriv_quad
-from .jets import Jet, JetError, _base, _refuse, jet_powq
+from .derivs import MapJet2, deriv_quad
+from .jets import Jet, JetError, _base, _refuse, _wrap, jet_powq
 from .worst import worst_of
 
 # Sample points must keep this distance from the poles {0, 1, v_other}.
@@ -92,23 +92,28 @@ def pole_sum(a, b, g, x, y):
     return a / x + b / (x - 1) + g / (x - y)
 
 
-def field_quad(p: ParamTriple, v) -> DerivQuad:
-    """Closed-form coefficient fields as a quad; v entries may be numbers or jets."""
+def field_quad(p: ParamTriple, v):
+    """Closed-form coefficient fields, shaped as deriv_quad's quad.
+
+    Entries of v that are jets give one jet whose last sample axis holds
+    the four fields; numbers give their values, of shape (..., 4).
+    """
     v1, v2 = v
     _check_poles(v1, v2, 1e-12)
     a, b, g = p.alpha, p.beta, p.gamma
     f1, f2 = -g * pole_quotient(v1, v2), -g * pole_quotient(v2, v1)
-    return DerivQuad(f1, f2, pole_sum(a, b, g, v1, v2), pole_sum(a, b, g, v2, v1))
+    quad = (f1, f2, pole_sum(a, b, g, v1, v2), pole_sum(a, b, g, v2, v1))
+    if isinstance(f1, Jet):
+        return _wrap(f1.dim, f1.order, np.stack([f._c for f in quad], -2))
+    return np.stack(quad, -1)
 
 
 def _field_data(fields):
-    """Values and first partials of the four fields (jets of order >= 1)."""
-    out = []
-    for f in fields.components():
-        if not isinstance(f, Jet):
-            raise JetError("fields must be jets of order >= 1")
-        out.append((f.value, f.partial((1, 0)), f.partial((0, 1))))
-    return out
+    """Values and first partials of the four fields, a quad jet of order >= 1."""
+    if not isinstance(fields, Jet):
+        raise JetError("fields must be jets of order >= 1")
+    data = (fields.value, fields.partial((1, 0)), fields.partial((0, 1)))
+    return zip(*(np.moveaxis(d, -1, 0) for d in data))
 
 
 def _z_system(z: Jet, fields):
@@ -144,7 +149,7 @@ def _z_system(z: Jet, fields):
 def z_system_residuals(z: Jet, fields) -> tuple[complex, complex, complex]:
     """Three equation residuals for a candidate z (jet of order >= 2).
 
-    ``fields`` is a DerivQuad of jets; their first partials enter the
+    ``fields`` is a quad jet (see ``deriv_quad``); its first partials enter the
     zeroth-order coefficients.  Each equation is homogeneous in z, so the
     branch constant of a cube root drops out.
     """
@@ -312,9 +317,8 @@ def mt2_field_recovery_gap(p: ParamTriple, v) -> float:
     s1 = _branch_solution(p, V1, V2, "first")
     s2 = _branch_solution(p, V1, V2, "second")
     s3 = pfaffian_jet(p, v, (1.0, -0.5, 0.9))
-    quad = deriv_quad(MapJet2(s1 / s3, s2 / s3))
-    target = field_quad(p, v).values()
-    return worst_of(abs(a - b) for a, b in zip(quad.values(), target))
+    quad = deriv_quad(MapJet2(s1 / s3, s2 / s3)).value
+    return np.abs(quad - field_quad(p, v)).max(-1)
 
 
 def picard_modular_form_residuals(v, coeffs=(1.0, 1.0)) -> tuple:

@@ -358,10 +358,11 @@ _TABLE_ROWS = {
 }
 
 
-def _transported_quad(p: ParamTriple, name: str, v) -> tuple:
-    """Quad of the composite (fields at g(v), carried back through g)."""
+def _transported_quad(p: ParamTriple, name: str, v) -> np.ndarray:
+    """The four quad values of the composite (fields at g(v), carried back
+    through g), on the first axis."""
     quad = field_quad(p, s3_orbit(name, *v))
-    return second_arg_transform(quad, S3_MATRICES[name], v).values()
+    return np.moveaxis(second_arg_transform(quad, S3_MATRICES[name], v), -1, 0)
 
 
 def param_table_check(row: int, p: ParamTriple, v) -> float:

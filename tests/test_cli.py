@@ -382,7 +382,7 @@ class TestDeriv:
 
         u1 = poly_jet(MAP_JSON["u1"], (0.2, -0.1))
         u2 = poly_jet(MAP_JSON["u2"], (0.2, -0.1))
-        want = deriv_quad(MapJet2(u1, u2)).values()
+        want = deriv_quad(MapJet2(u1, u2)).value
         for key, w in zip(("brace_x", "brace_y", "bracket_x", "bracket_y"), want):
             assert out[key] == pytest.approx([w.real, w.imag], abs=1e-12)
         assert out["at"] == [[0.2, 0.0], [-0.1, 0.0]]
@@ -422,6 +422,18 @@ class TestDeriv:
         assert res.exit_code == 1
         assert res.stdout == ""
         assert json.loads(res.stderr)["error"].startswith("malformed map file")
+
+    # each of these once gave the unpacking or int() message, with no key
+    @pytest.mark.parametrize("key", ["1,0,0", "a,0", "1", "1;0", ""])
+    def test_malformed_exponent_key_is_named(self, runner, tmp_path, key):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"dim": 2, "u1": {key: 1, "1,0": 1}, "u2": {"0,1": 1}}))
+        res = invoke(runner, ["deriv", "--map", str(path), "--at", "0.1,0.2"])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert json.loads(res.stderr) == {
+            "error": f"malformed map file: exponent key {key!r} is not two integers 'e1,e2'"
+        }
 
     # the first once printed four numpy RuntimeWarnings and then "Out of
     # range float values are not JSON compliant: nan"
@@ -535,6 +547,25 @@ class TestPicard:
         out = json.loads(res.stdout)
         assert out["J2"][0] == pytest.approx(2.5e199, rel=1e-12)
         assert out["J2"][1] == 0.0
+
+    # one parser for a number and for each number of a pair: a pair once
+    # kept the spaces inside its numbers and refused them
+    @pytest.mark.parametrize(
+        "spaced, plain",
+        [
+            (["picard", "j", "--l", "2 + 1j,3"], ["picard", "j", "--l", "2+1j,3"]),
+            (["picard", "j", "--l", " 2 + 1j , 3 - 1j "], ["picard", "j", "--l", "2+1j,3-1j"]),
+            (["picard", "modular-solve", "--u", "2,3 + 0.5j", "--v2", "4 - 1j"],
+             ["picard", "modular-solve", "--u", "2,3+0.5j", "--v2", "4-1j"]),
+            (["picard", "integral", "--x", "2 + 1j", "--y", "3 - 1j"],
+             ["picard", "integral", "--x", "2+1j", "--y", "3-1j"]),
+        ],
+        ids=["pair", "pair-padded", "pair-and-number", "numbers"],
+    )
+    def test_spaces_inside_a_complex_number_are_ignored(self, runner, spaced, plain):
+        res = invoke(runner, spaced)
+        assert res.exit_code == 0, res.output
+        assert res.stdout == invoke(runner, plain).stdout
 
     def test_modular_solve_roots(self, runner):
         res = invoke(runner, ["picard", "modular-solve", "--u", "2,3", "--v2", "4"])
