@@ -22,13 +22,17 @@ tolerance.
 The quadrature route integrates the Euler representation with Gauss-Jacobi
 rules whose endpoint exponents match the integrand exactly; exponents above
 MAX_EXPONENT, and a or c - a below MIN_EXPONENT_GAP, are refused with
-ValueError.  A rule is built
-with numpy alone: Golub-Welsch nodes (eigenvalues of the Jacobi matrix),
-each polished by one Newton step on P_n^(alpha, beta), and weights from
-P_n' at the polished nodes rather than from eigenvector squares, which
-Hale & Townsend (SIAM J. Sci. Comput. 35, 2013) show to be more accurate.
-Rules are cached per exponent pair, and exponents that are roundings of one
-small-denominator rational share its rule.
+ValueError.  A rule needs no linear algebra: its nodes are the roots of
+P_n^(alpha, beta), found all at once by Aberth-Ehrlich iteration from the
+phase of the polynomial's WKB approximation, each pass one three-term
+recurrence in ratios P_k / P_{k-1}, and its weights come from P_n' at the
+nodes, as Hale & Townsend (SIAM J. Sci. Comput. 35, 2013) recommend.  A
+node is kept as its distance from the nearer endpoint, so the rules stay
+exact where their nodes crowd into t = 0.  A rule whose iteration does not
+converge is refused with ValueError; with n = 160 that is when both a and
+c - a are below about 1e-5.  Rules are cached per exponent pair, and
+exponents that are roundings of one small-denominator rational share its
+rule.
 
 Both routes take stacks: arrays of points, or jets with leading sample
 axes (see `jets`).  The series runs all points through one set of
@@ -55,8 +59,9 @@ from .jets import Jet, _base, _col, _refuse, _sample, _wrap, compose, monomials
 DIAGONAL_LIMIT = 6000
 
 # Nodes of every Gauss-Jacobi rule, and the largest endpoint exponent a rule
-# takes: from about 1e16 on its nodes crowd into t = 0 closer than double
-# precision resolves, and at 1e14 it is still exact.
+# takes: at 1e14 the nodes lie within 1e-11 of t = 0, every one positive with
+# a positive weight, and from about 1e16 on the iteration no longer resolves
+# them and the rule is refused.
 QUAD_NODES = 160
 MAX_EXPONENT = 1e14
 
@@ -124,67 +129,167 @@ class F1Params:
         return f"F1Params(a={self.a}, b={self.b}, bprime={self.bprime}, c={self.c})"
 
 
-def _jacobi_p(n: int, alpha: float, beta: float, x: np.ndarray):
-    """P_n^(alpha, beta)(x) and its derivative, from one recurrence pass.
+def _jacobi_ratios(n: int, a1: float, b1: float, w: np.ndarray, m: int):
+    """Ratios rho_k = P_k / P_{k-1}, k = 1..n, from one recurrence pass, and its e_k.
 
-    Each step is P_k = (r_k(x) P_{k-1} - c_k P_{k-2}) / d_k, with the
-    coefficients built as arrays over k and every r_k(x) taken from one
-    outer product over (k, x). Each operation rounds as in the per-term
-    loop (`tests/oracles.py`), so the values are that loop's bit for bit.
-    The pass gives P_n and P_{n-1}; the derivative follows from
-    (2n+alpha+beta)(1-x^2) P_n' = n[(alpha-beta) - (2n+alpha+beta)x] P_n
-                                  + 2(n+alpha)(n+beta) P_{n-1}.
+    The polynomials are P_k^(a1-1, b1-1)(w - 1) in the first m columns of w
+    and their mirror P_k^(b1-1, a1-1)(w - 1) in the others, so that w is a
+    node's distance u = 1 + x from its nearer endpoint and keeps its relative
+    precision there.  In u, with g = a1 + b1 = alpha + beta + 2, s = 2k - 2 + g
+    and d_k = 2k(k - 2 + g)(s - 2), each step is
+        rho_k = (s-1)s/(2k(k-2+g)) u + (s-1) q_k / d_k - e_k / rho_{k-1},
+        q_k = -4(k-1)(k-2) - 4 a1 (k-1) - 4 b1 (k-2) - 2 b1 g,
+        e_k = 2(k-2+a1)(k-2+b1) s / d_k,
+    from rho_1 = P_1 = g u/2 - b1: the three-term recurrence divided by
+    P_{k-1}, with no term that cancels as alpha or beta nears -1 or grows
+    large.  A ratio cannot overflow where P_k would (at alpha = 1e14), and an
+    exact zero of P_{k-1} makes rho_k infinite, which the next step absorbs.
+    The rows are built as arrays over k and each operation rounds as in the
+    per-term loop (`tests/oracles.py`), so the values are that loop's bit for
+    bit.
     """
-    ab = alpha + beta
+    g = a1 + b1
     k = np.arange(2.0, n + 1.0)
-    s = 2.0 * k + ab
-    # r_k(x) = (s-1)[(s-2)s x + alpha^2 - beta^2] with s = 2k+alpha+beta
-    rows = np.multiply.outer((s - 2.0) * s, x)
-    rows += alpha * alpha
-    rows -= beta * beta
-    rows *= (s - 1.0)[:, None]
-    c = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * s
-    d = 2.0 * k * (k + ab) * (s - 2.0)
-    prev, p = np.ones_like(x), ((alpha - beta) + (ab + 2.0) * x) / 2.0
-    for row, ck, dk in zip(rows, c.tolist(), d.tolist()):
-        prev, p = p, (row * p - ck * prev) / dk
-    s = 2.0 * n + ab
-    dp = (n * ((alpha - beta) - s * x) * p + 2.0 * (n + alpha) * (n + beta) * prev) / (
-        s * (1.0 - x) * (1.0 + x)
+    s = 2.0 * k - 2.0 + g
+    d = 2.0 * k * (k - 2.0 + g) * (s - 2.0)
+    rho = np.empty((n, w.size))
+    np.multiply.outer((s - 1.0) * s / (2.0 * k * (k - 2.0 + g)), w, out=rho[1:])
+    for cols, near, far in ((slice(None, m), b1, a1), (slice(m, None), a1, b1)):
+        rho[0, cols] = g * w[cols] / 2.0 - near
+        q = -4.0 * (k - 1.0) * (k - 2.0) - 4.0 * far * (k - 1.0) - 4.0 * near * (k - 2.0) - 2.0 * near * g
+        rho[1:, cols] += ((s - 1.0) * q / d)[:, None]
+    e = 2.0 * (k - 2.0 + a1) * (k - 2.0 + b1) * s / d
+    prev = rho[0]
+    for row, ek in zip(rho[1:], e.tolist()):
+        row -= ek / prev
+        prev = row
+    return rho, e
+
+
+def _rule_start(n: int, alpha: float, beta: float):
+    """Starting nodes of the rule, as distances w from the nearer endpoint in
+    u = 1 + x, and the count m of nodes nearer u = 0.
+
+    With Langer's modification, the Liouville-Green phase of P_n^(alpha,
+    beta) grows at the rate N sqrt((u - p)(q - u)) / (u (2 - u)), with
+    N = n + (alpha + beta + 1)/2, between turning points p and q whose product
+    is beta^2 / N^2 (the equilibrium density of Moak, Saff & Varga, J. Approx.
+    Theory 25 (1979), with n + 1/2 for n).  On u = p + (q - p) sin^2(phi/2)
+    it is
+        Phi(phi) = N phi - |beta| atan(sqrt(q/p) tan(phi/2))
+                   - |alpha| atan(sqrt((2-q)/(2-p)) tan(phi/2)),
+    and node j sits where Phi = (j - 1/4 + min(beta, 0)) pi: McMahon's
+    phase for the Bessel zeros at a hard edge, Airy's at a soft one.
+    p and 2 - q are written as 4 e^2 / (...) to spare them the cancellation
+    of the quadratic formula.
+    """
+    big_n = n + (alpha + beta + 1.0) / 2.0
+    root = math.sqrt((2 * n + 1.0) * (2 * n + 2 * alpha + 1.0)) * math.sqrt(
+        (2 * n + 2 * beta + 1.0) * (2 * n + 2 * alpha + 2 * beta + 1.0)
     )
-    return p, dp
+    lo, hi = (
+        4.0 * e * e / ((2 * n + e + 1.0) * (2 * n + 2 * f + e + 1.0) + e * e + root)
+        for e, f in ((beta, alpha), (alpha, beta))
+    )
+    phi = np.linspace(0.0, math.pi, 4 * n + 1)
+    cos, sin = np.cos(phi / 2.0), np.sin(phi / 2.0)
+    phase = (
+        big_n * phi
+        - abs(beta) * np.arctan2(math.sqrt(2.0 - hi) * sin, math.sqrt(lo) * cos)
+        - abs(alpha) * np.arctan2(math.sqrt(hi) * sin, math.sqrt(2.0 - lo) * cos)
+    )
+    half = np.interp(math.pi * (np.arange(1.0, n + 1.0) - 0.25 + min(beta, 0.0)), phase, phi) / 2.0
+    width = 2.0 - lo - hi
+    u, v = lo + width * np.sin(half) ** 2, hi + width * np.cos(half) ** 2
+    m = int(np.count_nonzero(u < 1.0))
+    return np.concatenate([u[:m], v[m:]]), m
+
+
+# A rule has converged once a Newton step moves no node by more than
+# _RULE_TOL of its distance from its nearer endpoint: three passes for the
+# rules a report builds, four at the exponent bounds.
+_RULE_TOL = 1e-8
+_RULE_STEPS = 20
 
 
 @lru_cache(maxsize=64)
 def _jacobi_rule(n: int, alpha: float, beta: float):
     """Gauss-Jacobi nodes on (0,1) and weights for t^beta (1-t)^alpha.
 
-    Golub-Welsch nodes on (-1, 1), one Newton step each, then weights
-    proportional to 1/((1-x^2) P_n'(x)^2), scaled to sum to
-    B(alpha+1, beta+1), the integral of the weight over (0, 1).
+    The nodes are the roots of P_n^(alpha, beta), found by Aberth-Ehrlich
+    iteration (Aberth, Math. Comp. 27 (1973)) on all of them at once from
+    `_rule_start`, each pass one `_jacobi_ratios` recurrence.  A node is
+    kept as its distance from the nearer endpoint, so one near t = 0 or
+    t = 1 keeps its relative precision.  The pass that finds every step
+    below _RULE_TOL also gives P_n' there: the weights are proportional to
+    1/((1-x^2) P_n'(x)^2) (Hale & Townsend, SIAM J. Sci. Comput. 35
+    (2013)), P_n' taken one Newton step on to first order in that step and
+    scaled to sum to B(alpha+1, beta+1), the integral of the weight over
+    (0, 1).  A rule that has not converged in _RULE_STEPS passes, or whose
+    weights come out non-finite or negative or nodes out of order, is
+    refused with ValueError.
     """
-    ab = alpha + beta
-    k = np.arange(1.0, n)
-    s = 2.0 * k + ab
-    # the k = 0 diagonal and k = 1 off-diagonal in closed form: the generic
-    # expressions are 0/0 at alpha + beta = 0 and alpha + beta = -1
-    diag = np.empty(n)
-    diag[0] = (beta - alpha) / (ab + 2.0)
-    diag[1:] = (beta * beta - alpha * alpha) / (s * (s + 2.0))
-    off = np.empty(n - 1)
-    off[0] = 2.0 / (ab + 2.0) * math.sqrt((1.0 + alpha) * (1.0 + beta) / (ab + 3.0))
-    k, s = k[1:], s[1:]
-    off[1:] = 2.0 / s * np.sqrt(k * (k + alpha) * (k + beta) * (k + ab) / ((s - 1.0) * (s + 1.0)))
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    p, dp = _jacobi_p(n, alpha, beta, x)
-    x = x - p / dp
-    _, dp = _jacobi_p(n, alpha, beta, x)
-    # P_n' can pass 1e100 at large alpha: square mantissas only, and shift
-    # the binary exponents so the largest weight is of order one
-    mant, expo = np.frexp(dp)
-    w = np.ldexp(1.0 / ((1.0 - x) * (1.0 + x) * mant * mant), 2 * (expo.min() - expo))
-    mass = math.exp(math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(ab + 2.0))
-    return (1.0 + x) / 2.0, w * (mass / w.sum())
+    a1, b1 = alpha + 1.0, beta + 1.0
+    g = a1 + b1
+    s = 2.0 * n - 2.0 + g
+    w, m = _rule_start(n, alpha, beta)
+    lower = np.arange(n) < m
+    near, far = np.where(lower, b1, a1), np.where(lower, a1, b1)
+    # non-finite values are refused below, not warned about per pass
+    with np.errstate(all="ignore"):
+        for _ in range(_RULE_STEPS):
+            rho, e = _jacobi_ratios(n, a1, b1, w, m)
+            # P_n / P_n' from P_n / P_{n-1} and the derivative identity
+            # s (2-u) u P_n' = n (2 alpha + 2n - s u) P_n + 2 (n+alpha)(n+beta) P_{n-1}
+            newton = s * (2.0 - w) * w / (
+                n * (2.0 * far + 2.0 * n - 2.0 - s * w) + 2.0 * (n - 1.0 + a1) * (n - 1.0 + b1) / rho[-1]
+            )
+            if np.all(np.abs(newton) <= _RULE_TOL * w):
+                break
+            del rho
+            # Aberth: each Newton step repelled by the other nodes, in u
+            y = np.where(lower, w, -w)
+            gaps = np.subtract.outer(y, y)
+            gaps[:m, m:] -= 2.0
+            gaps[m:, :m] += 2.0
+            np.fill_diagonal(gaps, np.inf)
+            pull = np.reciprocal(gaps, out=gaps).sum(1)
+            del gaps
+            pull[m:] *= -1.0
+            w = w - newton / (1.0 - newton * pull)
+        else:
+            raise _no_rule(alpha, beta, f"the nodes did not converge in {_RULE_STEPS} passes")
+        # P_{n-1} = rho_1 ... rho_{n-1} as a product of mantissas times a power
+        # of two; an exact zero rho_j makes rho_{j+1} infinite, and their
+        # product is P_{j+1} / P_{j-1} = -e_{j+1}
+        head = rho[:-1]
+        j, i = np.nonzero(head[:-1] == 0.0)
+        head[j, i] = 1.0
+        head[j + 1, i] = -e[j]
+        expo = np.empty(head.shape, dtype=np.intc)
+        np.frexp(head, out=(head, expo))
+        dp = np.multiply.reduce(head, axis=0) * (
+            n * (2.0 * far + 2.0 * n - 2.0 - s * w) * rho[-1] + 2.0 * (n - 1.0 + a1) * (n - 1.0 + b1)
+        ) / (s * (2.0 - w) * w)
+        # P_n' one Newton step on, from P_n'' / P_n' of Jacobi's equation
+        dp *= 1.0 + newton * (2.0 * near - g * w + n * (n + g - 1.0) * newton) / ((2.0 - w) * w)
+        w = w - newton
+        # P_n' can pass the float range at large alpha: square mantissas only,
+        # and shift the binary exponents so the largest weight is of order one
+        mant, shift = np.frexp(dp)
+        shift += expo.sum(axis=0)
+        weight = np.ldexp(1.0 / ((2.0 - w) * w * mant * mant), 2 * (shift.min() - shift))
+        t = np.where(lower, w / 2.0, 1.0 - w / 2.0)
+        weight *= math.exp(math.lgamma(a1) + math.lgamma(b1) - math.lgamma(g)) / weight.sum()
+    # a node within an ulp of t = 1 rounds to 1, and a weight past the float
+    # range of its largest rounds to 0: both cost the integral nothing
+    if not (np.all(weight >= 0.0) and np.all(weight < np.inf) and np.all(np.diff(t) >= 0.0)):
+        raise _no_rule(alpha, beta, "its weights came out non-finite or its nodes out of order")
+    return t, weight
+
+
+def _no_rule(alpha: float, beta: float, why: str) -> ValueError:
+    return ValueError(f"no Gauss-Jacobi rule for the exponents ({alpha:g}, {beta:g}): {why}")
 
 
 # An endpoint exponent within _SNAP_ULPS units in the last place of a

@@ -298,31 +298,39 @@ def transported_pair(fhat1: Jet, fhat2: Jet, z: MapJet2) -> tuple[Jet, Jet]:
 
 
 def exponent_rows(pairs):
-    """(lambda, mu, rows) of three exponent pairs, rows = (lambda_i, mu_i, 1).
+    """(lambda, mu, cofactors, det) of the rows r_i = (lambda_i, mu_i, 1) of three exponent pairs.
 
-    pairs has shape (3, 2), or (..., 3, 2) for a stack of triples; a
-    singular row matrix, in any sample, is a ValueError.
+    pairs has shape (3, 2), or (..., 3, 2) for a stack of triples.  Row i of
+    the cofactors (shape (..., 3, 3)) is r_j x r_k for (i, j, k) a cyclic
+    order of (0, 1, 2), so column i of the inverse of the row matrix is
+    cofactors[..., i, :] / det, and det = r_0 . (r_1 x r_2).  A singular
+    row matrix, in any sample, is a ValueError.
     """
     pairs = np.asarray(pairs, dtype=np.complex128)
     if pairs.shape[-2:] != (3, 2):
         raise ValueError("need exactly three exponent pairs")
     lam, mu = pairs[..., 0], pairs[..., 1]
-    rows = np.stack([lam, mu, np.ones_like(lam)], -1)
-    _refuse(abs(np.linalg.det(rows)) < 1e-12, "degenerate exponent pairs: singular linear system")
-    return lam, mu, rows
+    (lj, mj), (lk, mk) = ((np.roll(lam, -i, -1), np.roll(mu, -i, -1)) for i in (1, 2))
+    cof = np.stack([mj - mk, lk - lj, lj * mk - mj * lk], -1)
+    det = lam[..., 0] * cof[..., 0, 0] + mu[..., 0] * cof[..., 0, 1] + cof[..., 0, 2]
+    _refuse(abs(det) < 1e-12, "degenerate exponent pairs: singular linear system")
+    return lam, mu, cof, det
 
 
 def exp_system_oracle(pairs):
     """Constant-coefficient system solved by three exponentials, and its quad values.
 
     Each (lambda, mu) pair gives z = exp(lambda x + mu y); the linear solves
-    impose z_xx = a.(z_x, z_y, z), z_xy = b.(...), z_yy = c.(...). The map
-    (z1/z3, z2/z3) then has quad (a2, c1, 2 b2 - a1, 2 b1 - c2).  A stack
+    impose z_xx = a.(z_x, z_y, z), z_xy = b.(...), z_yy = c.(...), each
+    solution sum_i rhs_i cofactors_i / det for its right-hand side rhs.  The
+    map (z1/z3, z2/z3) then has quad (a2, c1, 2 b2 - a1, 2 b1 - c2).  A stack
     of triples (..., 3, 2) gives a, b, c of shape (..., 3) and quad values
     of shape (..., 4).
     """
-    lam, mu, rows = exponent_rows(pairs)
-    a, b, c = (np.linalg.solve(rows, rhs[..., None])[..., 0] for rhs in (lam**2, lam * mu, mu**2))
+    lam, mu, cof, det = exponent_rows(pairs)
+    a, b, c = (
+        (rhs[..., :, None] * cof).sum(-2) / det[..., None] for rhs in (lam**2, lam * mu, mu**2)
+    )
     (a0, a1, _), (b0, b1, _), (c0, c1, _) = (np.moveaxis(v, -1, 0) for v in (a, b, c))
     return a, b, c, np.stack((a1, c0, 2 * b1 - a0, 2 * b0 - c1), -1)
 

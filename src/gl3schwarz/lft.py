@@ -327,12 +327,17 @@ def det_and_matrix(g) -> tuple[complex, np.ndarray]:
     """(det g, g as a numpy matrix); the det is exact for an EisMatrix.
 
     A stack of matrices (3, 3, ...), as in `denominator`, gives the det of
-    each over the sample axes.
+    each over the sample axes, by cofactors along the first row.  A single
+    matrix is taken as a stack of one: numpy rounds a complex product of
+    scalars differently from one of arrays, and so its det has the bits of
+    the same matrix in a stack.
     """
     if isinstance(g, EisMatrix):
         return g.det().to_complex(), g.to_numpy()
     m = _as_numpy(g)
-    return np.linalg.det(np.moveaxis(m, (0, 1), (-2, -1))), m
+    (a, b, c), (d, e, f), (p, q, r) = m if m.ndim > 2 else m[..., None]
+    det = a * (e * r - f * q) - b * (d * r - f * p) + c * (d * q - e * p)
+    return (det if m.ndim > 2 else det[0]), m
 
 
 def jacobian_factor(g, z) -> complex:

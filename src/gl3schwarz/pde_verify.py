@@ -168,15 +168,28 @@ def _mt1_system(w: MapJet2, branch: int):
     return z, quad
 
 
-def mt1_residuals(w, branch: int = 0) -> tuple[complex, complex, complex]:
+def mt1_residuals(w) -> tuple[complex, complex, complex]:
     """Residuals of the linear system satisfied by (1/det Dw)^(1/3).
 
     ``w`` is a MapJet2 of order >= 3; the coefficient
-    fields are its derivative quadruple.  ``branch`` multiplies z by a
-    cube root of unity; residuals are invariant under that choice.  A
-    stacked map gives residuals over its samples.
+    fields are its derivative quadruple.  A stacked map gives residuals
+    over its samples.
     """
-    return z_system_residuals(*_mt1_system(w, branch))
+    return z_system_residuals(*_mt1_system(w, 0))
+
+
+def mt1_branch_residuals(w, branch: int):
+    """The residuals for z on another branch, and how far z^3 det Dw is from 1.
+
+    ``branch`` multiplies z by a cube root of unity.  The residuals are
+    homogeneous in z, so they scale by that root, and so they would by any
+    other constant; the second part, the worst coefficient of the order-1
+    jet z^3 det Dw - 1, vanishes only for a cube root of unity.  A stacked
+    map gives both over its samples.
+    """
+    z, quad = _mt1_system(w, branch)
+    cube = (z**3 * w.jacobian_jet()).truncate(1) - 1.0
+    return z_system_residuals(z, quad), np.abs(cube._c).max(-1)
 
 
 def mt1_relative_residual(w) -> float:

@@ -70,6 +70,7 @@ from .pde_verify import (
     PICARD_MODULAR,
     ParamTriple,
     _pole_gap,
+    mt1_branch_residuals,
     mt1_residuals,
     mt1_relative_residual,
     mt2_field_recovery_gap,
@@ -344,9 +345,9 @@ def _check_mt1_branch(rng, n):
     r0 = mt1_residuals(m)
     parts = []
     for branch in (1, 2):
-        rb = mt1_residuals(m, branch=branch)
+        rb, cube = mt1_branch_residuals(m, branch)
         phase = cmath.exp(2j * cmath.pi * branch / 3)
-        parts += [abs(b - phase * a) for a, b in zip(r0, rb)]
+        parts += [abs(b - phase * a) for a, b in zip(r0, rb)] + [cube]
     yield from worst_of(parts)
 
 

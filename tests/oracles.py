@@ -46,25 +46,22 @@ def invert_map2(g1: Jet, g2: Jet) -> tuple[Jet, Jet]:
     return h1, h2
 
 
-def jacobi_p(n: int, alpha: float, beta: float, x: np.ndarray):
-    """P_n^(alpha, beta)(x) and its derivative, one recurrence term at a time.
+def jacobi_ratios(n: int, alpha: float, beta: float, u: np.ndarray):
+    """rho_k = P_k / P_{k-1} of P_k^(alpha, beta)(u - 1), k = 1..n, one recurrence term at a time.
 
-    The same recurrence and derivative formula as `appell._jacobi_p`, with
-    every coefficient formed inside the loop.
+    The same recurrence as `appell._jacobi_ratios`, with every coefficient
+    formed inside the loop.
     """
-    ab = alpha + beta
-    prev, p = np.ones_like(x), ((alpha - beta) + (ab + 2.0) * x) / 2.0
+    a1, b1 = alpha + 1.0, beta + 1.0
+    g = a1 + b1
+    rho = [g * u / 2.0 - b1]
     for k in range(2, n + 1):
-        s = 2.0 * k + ab
-        prev, p = p, (
-            (s - 1.0) * ((s - 2.0) * s * x + alpha * alpha - beta * beta) * p
-            - 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * s * prev
-        ) / (2.0 * k * (k + ab) * (s - 2.0))
-    s = 2.0 * n + ab
-    dp = (n * ((alpha - beta) - s * x) * p + 2.0 * (n + alpha) * (n + beta) * prev) / (
-        s * (1.0 - x) * (1.0 + x)
-    )
-    return p, dp
+        s = 2.0 * k - 2.0 + g
+        d = 2.0 * k * (k - 2.0 + g) * (s - 2.0)
+        q = -4.0 * (k - 1.0) * (k - 2.0) - 4.0 * a1 * (k - 1.0) - 4.0 * b1 * (k - 2.0) - 2.0 * b1 * g
+        e = 2.0 * (k - 2.0 + a1) * (k - 2.0 + b1) * s / d
+        rho.append((s - 1.0) * s / (2.0 * k * (k - 2.0 + g)) * u + (s - 1.0) * q / d - e / rho[-1])
+    return np.array(rho)
 
 
 def random_fields(rng, order: int = 2) -> EvoFields:

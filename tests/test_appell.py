@@ -12,7 +12,7 @@ from gl3schwarz import appell
 from gl3schwarz.appell import (
     F1Params,
     _diagonal_budget,
-    _jacobi_p,
+    _jacobi_ratios,
     _jacobi_rule,
     _shifted_sums,
     f1_euler,
@@ -25,7 +25,7 @@ from gl3schwarz.appell import (
 )
 from gl3schwarz.jets import Jet, monomials
 from gl3schwarz.report import run_suites
-from oracles import jacobi_p as per_term_jacobi_p
+from oracles import jacobi_ratios as per_term_jacobi_ratios
 
 mpmath.mp.dps = 30
 
@@ -85,6 +85,39 @@ class TestJacobiRule:
             assert abs(np.sum(w * t**k) - ref) <= 1e-11 * ref, k
 
 
+class TestJacobiNodes:
+    # (1e14 - 4/3, -2/3) is the rule behind f1_euler at a = 1/3, c = 1e14,
+    # the largest exponent taken: its smallest node was once -5.55e-16,
+    # with weight -3.03e-10
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [(1e14 - 4 / 3, -2 / 3), (1e8, -2 / 3), (-1 / 3, -2 / 3), (198 + 2 / 3, -2 / 3), (1 / 2, -1 / 2)],
+    )
+    def test_inside_ascending_and_positive(self, alpha, beta):
+        t, w = _jacobi_rule(appell.QUAD_NODES, alpha, beta)
+        assert 0 < t[0] and t[-1] < 1 and np.all(np.diff(t) > 0)
+        assert np.all(w > 0)
+
+    @pytest.mark.parametrize("alpha, beta", [(-1 / 3, -2 / 3), (-1 / 4, -3 / 4), (-1 / 3, -1 / 3)])
+    def test_a_report_rule_takes_three_passes(self, monkeypatch, alpha, beta):
+        passes = []
+        real = appell._jacobi_ratios
+        monkeypatch.setattr(appell, "_jacobi_ratios", lambda *args: passes.append(1) or real(*args))
+        _jacobi_rule.__wrapped__(appell.QUAD_NODES, alpha, beta)
+        assert len(passes) == 3
+
+    def test_a_rule_that_does_not_converge_is_refused(self):
+        # both exponents within 1e-6 of -1: the recurrence places the end
+        # nodes to about 1e-6 of their size only, short of the step the
+        # iteration must reach
+        with pytest.raises(
+            ValueError,
+            match=r"^no Gauss-Jacobi rule for the exponents \(-0\.999999, -0\.999999\): "
+            r"the nodes did not converge in 20 passes$",
+        ):
+            _jacobi_rule(appell.QUAD_NODES, -0.999999, -0.999999)
+
+
 class TestJacobiRecurrence:
     """The coefficient-array recurrence against the per-term loop it replaced."""
 
@@ -101,14 +134,17 @@ class TestJacobiRecurrence:
     )
     def test_matches_the_per_term_loop(self, alpha, beta):
         # the same operations in the same order: equal bits, at the rule's
-        # nodes (where P_n' sets the weights) and between them (where P_n peaks)
+        # nodes (where P_n' sets the weights) and between them (where P_n
+        # peaks; a third of the way, as the midpoint of a symmetric rule is
+        # a root of P_1), measured from t = 0 and, for the mirror, from t = 1
         n = appell.QUAD_NODES
-        x = 2.0 * _jacobi_rule(n, alpha, beta)[0] - 1.0
-        x = x[(-1.0 < x) & (x < 1.0)]
-        x = np.concatenate([x, (x[1:] + x[:-1]) / 2.0])
-        got, ref = _jacobi_p(n, alpha, beta, x), per_term_jacobi_p(n, alpha, beta, x)
-        assert np.all(np.isfinite(ref))
-        assert np.array_equal(got, ref)
+        t = _jacobi_rule(n, alpha, beta)[0]
+        t = np.concatenate([t, t[:-1] + (t[1:] - t[:-1]) / 3.0])
+        for u, m, exponents in ((2.0 * t, t.size, (alpha, beta)), (2.0 - 2.0 * t, 0, (beta, alpha))):
+            got = _jacobi_ratios(n, alpha + 1.0, beta + 1.0, u, m)[0]
+            ref = per_term_jacobi_ratios(n, *exponents, u)
+            assert np.all(np.isfinite(ref))
+            assert np.array_equal(got, ref)
 
 
 class TestRuleSharing:

@@ -14,6 +14,7 @@ import weakref
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
@@ -24,10 +25,12 @@ except ModuleNotFoundError:  # Python 3.10: pytest depends on the backport
     import tomli as tomllib
 
 import gl3schwarz
+from gl3schwarz import appell
 from gl3schwarz.appell import F1Params, f1_series
 from gl3schwarz.cli import main
 from gl3schwarz.derivs import MapJet2, deriv_quad
 from gl3schwarz.jets import Jet
+from gl3schwarz.report import run_suites
 
 
 @pytest.fixture()
@@ -779,6 +782,45 @@ class TestNoScipy:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
+
+
+class TestNoLinearAlgebra:
+    """A report and the quadrature commands run with numpy.linalg refused.
+
+    The Gauss-Jacobi rules come from a recurrence and the 3x3 determinants
+    and solves are closed forms, so no LAPACK routine runs and no BLAS
+    threads start for them.
+    """
+
+    @pytest.fixture()
+    def no_linalg(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("numpy.linalg was called")
+
+        for name in ("eigvalsh", "eigh", "eigvals", "det", "solve", "inv"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        # every rule is built afresh under the refusal
+        appell._jacobi_rule.cache_clear()
+        yield
+        appell._jacobi_rule.cache_clear()
+
+    def test_a_report_passes(self, no_linalg):
+        assert run_suites(seed=42)["summary"] == {"total": 36, "passed": 36, "failed": 0}
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["f1", "--a", "1/3", "--b", "1/3", "--bp", "1/3", "--c", "1", "--x", "0.2", "--y", "0.1",
+             "--method", "euler"],
+            ["k", "--ki", "0.3", "--kj", "0.2"],
+            ["picard", "integral", "--x", "2+1j", "--y", "3-1j"],
+        ],
+        ids=["f1-euler", "k", "picard-integral"],
+    )
+    def test_the_quadrature_commands_run(self, runner, no_linalg, args):
+        res = invoke(runner, args)
+        assert res.exit_code == 0, res.output
+        assert appell._jacobi_rule.cache_info().currsize > 0
 
 
 def _package_modules_after(args=None):

@@ -14,6 +14,7 @@ from gl3schwarz.derivs import (
     deriv_quad,
     exp_solution_map,
     exp_system_oracle,
+    exponent_rows,
     extended_transport,
     jacobian_deformation,
     lft_map,
@@ -119,8 +120,20 @@ class TestExpSystemOracle:
         assert np.allclose(deriv_quad(m).value, predicted, atol=1e-10)
 
     def test_degenerate_pairs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^degenerate exponent pairs: singular linear system$"):
             exp_system_oracle([(1, 0), (2, 0), (3, 0)])
+
+    def test_closed_forms_match_numpy_linalg(self):
+        # the cofactor determinant and the three adjugate solves, on random
+        # exponent triples, against LAPACK's LU
+        rng = np.random.default_rng(33)
+        pairs = rng.uniform(-1, 1, (200, 3, 2)) + 1j * rng.uniform(-1, 1, (200, 3, 2))
+        lam, mu, _, det = exponent_rows(pairs)
+        rows = np.stack([lam, mu, np.ones_like(lam)], -1)
+        assert np.all(np.abs(det - np.linalg.det(rows)) <= 1e-13 * np.abs(det))
+        for got, rhs in zip(exp_system_oracle(pairs), (lam**2, lam * mu, mu**2)):
+            ref = np.linalg.solve(rows, rhs[..., None])[..., 0]
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
 
     def test_random_triples(self):
         rng = np.random.default_rng(21)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from gl3schwarz import derivs, jets
+from gl3schwarz import derivs, jets, pde_verify
 from gl3schwarz.derivs import MapJet2, deriv_quad
 from gl3schwarz.jets import (
     Jet,
@@ -560,10 +560,27 @@ def _fault_det_pair_swap(monkeypatch):
     monkeypatch.setattr(derivs, "_DETS", dets)
 
 
+def _fault_branch_phase(monkeypatch):
+    # exp(2i / pi * b / 3) in place of exp(2i pi * b / 3): not a cube root of unity
+    real = pde_verify._mt1_system
+
+    def off_phase(w, branch):
+        z, quad = real(w, 0)
+        return (cmath.exp(2j / cmath.pi * (branch % 3) / 3) * z if branch % 3 else z), quad
+
+    monkeypatch.setattr(pde_verify, "_mt1_system", off_phase)
+
+
 @pytest.mark.parametrize(
     "fault",
-    [_fault_inverse_sign, _fault_powq_binomial, _fault_power_table_swap, _fault_det_pair_swap],
-    ids=["inverse-sign", "powq-binomial", "power-table-swap", "det-pair-swap"],
+    [
+        _fault_inverse_sign,
+        _fault_powq_binomial,
+        _fault_power_table_swap,
+        _fault_det_pair_swap,
+        _fault_branch_phase,
+    ],
+    ids=["inverse-sign", "powq-binomial", "power-table-swap", "det-pair-swap", "branch-phase"],
 )
 def test_a_kernel_fault_fails_the_report(monkeypatch, fault):
     fault(monkeypatch)

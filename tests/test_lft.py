@@ -266,6 +266,23 @@ class TestAction:
             act(G["S"], (0.0, 0.5))
 
 
+class TestDetAndMatrix:
+    @pytest.mark.parametrize("n", [1, 4, 200])
+    def test_stack_matches_numpy_linalg(self, n):
+        rng = np.random.default_rng(300 + n)
+        m = rng.standard_normal((3, 3, n)) + 1j * rng.standard_normal((3, 3, n))
+        got = det_and_matrix(m)[0]
+        ref = np.linalg.det(np.moveaxis(m, -1, 0))
+        assert got.shape == (n,)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+    def test_one_matrix_matches_numpy_linalg(self):
+        m = np.array([[2, 1j, 0.5], [0.3, 1, -1], [1 - 1j, 0.2, 3]])
+        got = det_and_matrix(m)[0]
+        assert isinstance(got, complex)
+        assert abs(got - np.linalg.det(m)) <= 1e-13 * abs(got)
+
+
 class TestJacobianFactor:
     def test_identity(self):
         assert jacobian_factor(np.eye(3), (0.4, 0.1j)) == 1

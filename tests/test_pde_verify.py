@@ -13,6 +13,7 @@ from gl3schwarz.pde_verify import (
     PICARD_MODULAR,
     ParamTriple,
     field_quad,
+    mt1_branch_residuals,
     mt1_relative_residual,
     mt1_residuals,
     mt2_field_recovery_gap,
@@ -134,12 +135,31 @@ class TestMT1:
         rng = np.random.default_rng(5)
         m = random_map(rng)
         r0 = mt1_residuals(m)
-        rb = mt1_residuals(m, branch=branch)
+        rb, cube = mt1_branch_residuals(m, branch)
         for a, b in zip(r0, rb):
             assert abs(a) == pytest.approx(abs(b), abs=1e-12)
         phase = cmath.exp(2j * cmath.pi * branch / 3)
         for a, b in zip(r0, rb):
             assert abs(b - phase * a) < 1e-12
+        assert cube < 1e-13
+
+    @pytest.mark.parametrize("branch", [1, 2])
+    def test_a_phase_off_the_cube_roots_shows_only_in_the_cube(self, monkeypatch, branch):
+        # the system is homogeneous in z: a phase 2i/pi in place of 2i pi
+        # keeps the residuals covariant, and only z^3 det Dw - 1 sees it
+        real = pde_verify._mt1_system
+
+        def off_phase(w, b):
+            z, quad = real(w, 0)
+            return (cmath.exp(2j / cmath.pi * (b % 3) / 3) * z if b % 3 else z), quad
+
+        monkeypatch.setattr(pde_verify, "_mt1_system", off_phase)
+        m = random_map(np.random.default_rng(5))
+        r0 = mt1_residuals(m)
+        rb, cube = mt1_branch_residuals(m, branch)
+        phase = cmath.exp(2j / cmath.pi * branch / 3)
+        assert max(abs(b - phase * a) for a, b in zip(r0, rb)) < 1e-12
+        assert cube > 0.1
 
     def test_order_too_low(self):
         with pytest.raises(JetError):

@@ -69,6 +69,7 @@ from gl3schwarz.lft import act, denominator, generators, jacobian_factor, word_p
 from gl3schwarz.pde_verify import (
     PICARD,
     PICARD_MODULAR,
+    mt1_branch_residuals,
     mt1_relative_residual,
     mt1_residuals,
     mt2_field_recovery_gap,
@@ -199,9 +200,9 @@ def _ref_mt1_branch(rng, n):
         r0 = mt1_residuals(m)
         parts = []
         for branch in (1, 2):
-            rb = mt1_residuals(m, branch=branch)
+            rb, cube = mt1_branch_residuals(m, branch)
             phase = cmath.exp(2j * cmath.pi * branch / 3)
-            parts += [abs(b - phase * a) for a, b in zip(r0, rb)]
+            parts += [abs(b - phase * a) for a, b in zip(r0, rb)] + [cube]
         yield worst_of(parts)
 
 

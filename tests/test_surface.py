@@ -271,3 +271,9 @@ def test_every_defaulted_parameter_is_passed():
 
 def test_allowed_parameters_are_still_unset():
     assert set(ALLOWED_PARAMETERS) <= set(unset_parameters())
+
+
+def test_no_module_names_linalg():
+    # the rules are recurrences and the 3x3 determinants and solves closed
+    # forms: no LAPACK routine, whose bits depend on the library build
+    assert [p.name for p in sorted(PACKAGE.glob("*.py")) if "linalg" in p.read_text()] == []
