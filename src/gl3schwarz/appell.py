@@ -35,11 +35,11 @@ exponents that are roundings of one small-denominator rational share its
 rule.
 
 Both routes take stacks: arrays of points, or jets with leading sample
-axes (see `jets`).  The series runs all points through one set of
-convolution rows, each point with its own budget, stop and refusals; the
-quadrature evaluates its integrand on one (points, nodes) array.  A single
-point is a stack of one, and a refused point of a stack is named by its
-index in the error.
+axes (see `jets`).  The series builds its ratio rows once per call and sums
+the points one after another, each with its own rows, budget, stop and
+refusals; the quadrature evaluates its integrand on one (points, nodes)
+array.  A single point is a stack of one, and a refused point of a stack is
+named by its index in the error.
 """
 
 from __future__ import annotations
@@ -345,17 +345,6 @@ def _diagonal_budget(r: float, growth: float, tol: float, sample: str = "") -> i
     return budget
 
 
-def _running_products(num: np.ndarray, den, z) -> np.ndarray:
-    """Rows 1, q_0, q_0 q_1, ... of the ratios q_k = num[..., k] / den[k] * z.
-
-    z may carry leading sample axes, which the rows then carry too.
-    """
-    q = num / den * z
-    out = np.ones(q.shape[:-1] + (q.shape[-1] + 1,), dtype=np.complex128)
-    np.cumprod(q, axis=-1, out=out[..., 1:])
-    return out
-
-
 def _points(x, y):
     """The stack shape of x and y, and their points as pairs of Python complex numbers."""
     # kept fork: broadcasting single points as arrays made f1_series 3.4% slower
@@ -383,8 +372,8 @@ def _shifted_sums(p: F1Params, shifts, x, y, tol: float) -> np.ndarray:
     T(m, n) = A[m+n] B[m] C[n], with r = max(|x|, |y|),
         A[d] = (a+i+j)_d / (c+i+j)_d r^d,
         B[m] = (b+i)_m / m! (x/r)^m,    C[n] = (b'+j)_n / n! (y/r)^n,
-    running products per point, one row each for every value a shift takes
-    (A's row i + j, B's row i and C's row j).  B and C grow at most
+    running products of ratio rows, one row each for every value a shift
+    takes (A's row i + j, B's row i and C's row j).  B and C grow at most
     polynomially, the decay is all in A, and the sum of anti-diagonal d is
     A[d] * conv(B, C)[d]: one convolution per shift gives every diagonal.
 
@@ -397,64 +386,58 @@ def _shifted_sums(p: F1Params, shifts, x, y, tol: float) -> np.ndarray:
     sqrt(2) |A[d]| conv(|B|, |C|)[d] bounds each diagonal's sum of
     |Re T| + |Im T|.
 
-    Every point keeps its own budget, stopping diagonal and refusals: the
-    rows run to the largest budget in the stack, a point's diagonals past
-    its own budget are masked out, and a refused point of a stack raises
-    its error with the point's index appended.
+    The points of a stack are summed one after another, each with rows to
+    its own budget only; the ratio rows, which do not depend on the point,
+    are built once, to the largest budget.  A refused point of a stack
+    raises its error with the point's index appended.  Every budget is taken
+    before any sum, so the error names the lowest-index point whose budget
+    is refused, else the lowest-index point that does not settle, else the
+    lowest-index point whose sums _conditioned refuses.
     """
     shape, points = _points(x, y)
     i, j = (list(c) for c in zip(*shifts))
     ij = [a + b for a, b in zip(i, j)]
     growth = max(0.0, (p.a + p.b + p.bprime - p.c).real - 1.0 + max(ij))
-    # per point r, x / r and y / r in Python arithmetic (numpy's complex abs
-    # and division round differently), then the point's budget
-    per_point, budget = [], []
-    for s, (xs, ys) in enumerate(points):
-        r = max(abs(xs), abs(ys))
-        budget.append(_diagonal_budget(r, growth, tol, _sample(shape, s)))
-        per_point.append((r, xs / (r or 1.0), ys / (r or 1.0), tol * (1.0 - r)))
-    # axes (point, shift, diagonal)
-    r, zx, zy, quiet_tol = np.array(per_point)[:, :, None, None].transpose(1, 0, 2, 3)
-    r, quiet_tol = r.real, quiet_tol.real
+    # r and every budget in Python arithmetic (numpy's complex abs and
+    # division round differently), before any point is summed
+    radii = [max(abs(xs), abs(ys)) for xs, ys in points]
+    budget = [_diagonal_budget(r, growth, tol, _sample(shape, s)) for s, r in enumerate(radii)]
+    # ratio rows (a+e+k)/(c+e+k), (b+e+k)/(k+1) and (b'+e+k)/(k+1) for every
+    # shift value e = 0 .. max(i + j); a point's running products of them
+    # times (r, x/r, y/r) are the rows of A, B and C
     k = np.arange(max(budget))
-    # one row per shift value e = 0 .. max(i + j): shifts (i, j) share them,
-    # A taking row i + j, B row i and C row j
     e = np.arange(max(ij) + 1)[:, None]
-    diag = _running_products(p.a + e + k, p.c + e + k, r)
-    row_x = _running_products(p.b + e + k, k + 1, zx)
-    row_y = _running_products(p.bprime + e + k, k + 1, zy)
+    ratios = np.array([(p.a + e + k) / (p.c + e + k), (p.b + e + k) / (k + 1), (p.bprime + e + k) / (k + 1)])
 
-    total = np.empty((len(budget), len(ij)), dtype=np.complex128)
+    total = np.empty((len(points), len(ij)), dtype=np.complex128)
     abs_total = np.empty(total.shape)
-    todo, t = list(range(len(budget))), 0
-    while todo:
-        # round t: every point not settled yet sums up to diagonal
-        # budget // 2 + t (budget // 4) of its own budget, or to the budget
-        n = [min(budget[s] // 2 + t * (budget[s] // 4), budget[s]) + 1 for s in todo]
-        terms = np.zeros((len(todo), len(ij), max(n)), dtype=np.complex128)
-        for row, s, m in zip(terms, todo, n):
-            row[:, :m] = diag[s, :, :m].take(ij, 0) * _convolved(row_x[s], row_y[s], i, j, m)
-        sums = np.cumsum(terms, axis=-1)
-        quiet = np.all(np.abs(terms) <= quiet_tol[todo] * np.abs(sums), axis=1)
-        quiet[:, 0] = False  # diagonal 0 starts the sum; it does not add to it
-        run = quiet[:, :-2] & quiet[:, 1:-1] & quiet[:, 2:]
-        left = []
-        for a, (s, m) in enumerate(zip(todo, n)):
-            # runs of three quiet diagonals inside the point's own window
-            ends = np.flatnonzero(run[a, : m - 2])
+    for s, ((xs, ys), r, b) in enumerate(zip(points, radii, budget)):
+        z = np.array([r, xs / (r or 1.0), ys / (r or 1.0)])[:, None, None]
+        products = np.ones((3, len(e), b + 1), dtype=np.complex128)
+        (ratios[..., :b] * z).cumprod(axis=-1, out=products[..., 1:])
+        diag, row_x, row_y = products[0].take(ij, 0), products[1], products[2]
+        quiet_tol = tol * (1.0 - r)
+        # sum to diagonal b // 2, then b // 2 + b // 4, ... up to the budget
+        n = b // 2
+        while True:
+            m = min(n, b) + 1
+            terms = diag[:, :m] * _convolved(row_x, row_y, i, j, m)
+            sums = terms.cumsum(axis=-1)
+            quiet = (np.abs(terms) <= quiet_tol * np.abs(sums)).all(axis=0)
+            quiet[0] = False  # diagonal 0 starts the sum; it does not add to it
+            ends = (quiet[:-2] & quiet[1:-1] & quiet[2:]).nonzero()[0]
             if ends.size:
-                stop = int(ends[0]) + 2
-                upto = stop + 1
-                total[s] = sums[a, :, stop]
-                abs_conv = _convolved(np.abs(row_x[s, :, :upto]), np.abs(row_y[s, :, :upto]), i, j, upto)
-                abs_total[s] = math.sqrt(2.0) * np.sum(np.abs(diag[s, :, :upto].take(ij, 0)) * abs_conv, axis=1)
-            elif m > budget[s]:
+                break
+            if m > b:
                 where = _sample(shape, s)
-                _refuse(not np.isfinite(sums[a, :, m - 1]).all(), _OVERFLOW + where)
-                raise ValueError(f"series did not settle within {budget[s]} anti-diagonals{where}")
-            else:
-                left.append(s)
-        todo, t = left, t + 1
+                _refuse(not np.isfinite(sums[:, -1]).all(), _OVERFLOW + where)
+                raise ValueError(f"series did not settle within {b} anti-diagonals{where}")
+            n += b // 4
+        stop = int(ends[0]) + 2  # the last of the three quiet diagonals
+        total[s] = sums[:, stop]
+        upto = stop + 1
+        abs_conv = _convolved(np.abs(row_x[:, :upto]), np.abs(row_y[:, :upto]), i, j, upto)
+        abs_total[s] = math.sqrt(2.0) * (np.abs(diag[:, :upto]) * abs_conv).sum(axis=1)
     rows = shape + total.shape[-1:]
     return _conditioned(total.reshape(rows), abs_total.reshape(rows), tol)
 
@@ -504,8 +487,9 @@ def f1_series(p: F1Params, x, y):
     Arrays of points, or stacked jets, give F1 at every point of the stack
     in one pass.  Raises ValueError outside |x|, |y| < 1, where the series
     would need more than DIAGONAL_LIMIT anti-diagonals, and where its terms
-    cancel so far that roundoff exceeds SERIES_TOL; for a stack the error
-    names the first point refused.
+    cancel so far that roundoff exceeds SERIES_TOL.  For a stack the error
+    names the lowest-index point refused by the first of these tests to
+    refuse one: the budget, then settling within it, then cancellation.
     """
     p.require_series_ok()
     proto = x if isinstance(x, Jet) else y if isinstance(y, Jet) else None

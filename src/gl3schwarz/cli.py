@@ -126,7 +126,7 @@ def run() -> None:
 @main.command()
 @click.argument("suites", nargs=-1)
 @click.option("--seed", default=42, show_default=True, type=int, help="suite seed")
-@click.option("--samples", type=int, default=None, help="per-check sample override")
+@click.option("--samples", type=click.IntRange(1), default=None, help="per-check sample override")
 @click.option(
     "--tol",
     "tols",

@@ -700,6 +700,8 @@ def run_suites(suites=("all",), seed: int = 42, samples=None, tol_overrides=None
                 )
             chosen.update(SUITES[s])
 
+    if samples is not None and int(samples) < 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
     env_tol = os.environ.get(TOL_ENV)
     env_tol = _tolerance(env_tol, TOL_ENV) if env_tol else None
     overrides = {k: _tolerance(v, k) for k, v in (tol_overrides or {}).items()}
@@ -727,7 +729,7 @@ def run_suites(suites=("all",), seed: int = 42, samples=None, tol_overrides=None
             tol = overrides[c.id]
         n = c.samples
         if samples is not None and c.tolerance > 0:
-            n = max(1, int(samples))
+            n = int(samples)
         rng, sub = _rng(seed, c.id)
         residual, used = c.run(rng, n)
         residual = float(residual)

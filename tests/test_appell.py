@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -382,6 +383,24 @@ class TestStacks:
         with pytest.raises(ValueError) as stack:
             _shifted_sums(p, shifts, np.array([0.2, x]), np.array([0.1, y]), 1e-12)
         assert str(stack.value) == f"{one.value} (sample 1)"
+
+    # each point's rows run to its own budget: one point near the unit circle
+    # once made every point of its stack carry rows to that point's budget
+    def test_series_memory_does_not_follow_the_farthest_point(self):
+        p = F1Params(*PARAM_SETS[0])
+
+        def peak(n):
+            x, y = np.full(n, 0.1 + 0j), np.full(n, 0.05j)
+            x[0] = 0.95
+            jets = Jet.variables(2, 2, (x, y))
+            tracemalloc.start()
+            try:
+                f1_series(p, *jets)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(400) <= 2 * peak(10)
 
     def test_stacks_with_more_axes_name_the_index(self):
         x = np.array([[0.1, 0.2], [0.3, 1.5]])

@@ -76,6 +76,14 @@ class TestVerify:
         rep = json.loads(res.output)
         assert rep["summary"]["failed"] == 1
 
+    # a count below 1 once ran every sampled check on one sample and passed
+    @pytest.mark.parametrize("args", [["--samples", "0", "derivs"], ["--samples", "-4", "f1"]])
+    def test_samples_below_one_is_usage_error(self, runner, args):
+        res = invoke(runner, ["verify", *args])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "--samples" in res.stderr
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_tolerance_flag_must_be_finite_and_non_negative(self, runner, value):
         res = invoke(runner, ["verify", "group", "--tol", f"group-algebra={value}"])

@@ -119,6 +119,11 @@ class TestOverrides:
         assert by_id["P4.2"]["samples"] == 11
         assert by_id["eta-ledger"]["samples"] == 9
 
+    @pytest.mark.parametrize("samples", [0, -4])
+    def test_samples_below_one_are_refused(self, samples):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            run_suites(("derivs",), seed=3, samples=samples)
+
     def test_tolerance_override_fails_check(self):
         rep = run_suites(("derivs",), seed=3, samples=2, tol_overrides={"cocycle": 0.0})
         by_id = {e["id"]: e for e in rep["checks"]}
