@@ -20,7 +20,6 @@ import numpy as np
 
 from .derivs import MapJet2, _det2
 from .jets import Jet, JetError, _refuse, compose
-from .lft import _as_numpy, act, denominator
 from .worst import worst_of
 
 IT1, IT2 = 2, 3  # indices of t1 and t2 in (x, y, t1, t2)
@@ -180,10 +179,3 @@ def consistency_residual(f: EvoFields, u: Jet) -> float:
     r1, r2 = mt4_residuals(f)
     return abs(a - b + r1 * ux - r2 * uy)
 
-
-def transformed_pair(g, u):
-    """Linear fractional image of the pair u under the matrix g, as jets."""
-    m = _as_numpy(g)
-    vanishing = abs(denominator(m, u).value) < 1e-10
-    _refuse(vanishing, "vanishing denominator at the base point", ZeroDivisionError)
-    return act(m, u)

@@ -5,9 +5,10 @@ degree-three modular equation between two moduli pairs, the order-five
 rational transform with its differential-form pullback identity (checked
 in cubed, branch-free shape), and the parameter-permutation table for
 the three-pole coefficient fields under the anharmonic actions.
-The invariants, the actions, the tables and the transform coefficients
-also take arrays over a stack of points, and name a refused point by its
-index (see `jets._refuse`).
+The anharmonic actions are `lft.act` of their matrices.  The invariants,
+the actions, the tables, the transform and the pullback residuals also
+take arrays over a stack of points.  Each refuses a point by raising, and
+a stack's refusal names the point by its index (see `jets._refuse`).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivs import MapJet2, second_arg_transform
-from .jets import Jet, _any, _base, _refuse, jet_powq
-from .lft import denominator
+from .jets import Jet, _base, _refuse, jet_powq
+from .lft import act, denominator
 from .pde_verify import ParamTriple, _pole_gap, field_quad, pole_quotient, pole_sum
 from .worst import worst_of
 
@@ -97,30 +98,16 @@ S3_MATRICES = {
     "S2TS2": _S2 @ _T @ _S2,
 }
 
-# printed coordinate forms of the same actions
-_S3_FORMS = {
-    "T": lambda x, y: (1 - x, 1 - y),
-    "S1": lambda x, y: (x / y, 1 / y),
-    "S1T": lambda x, y: ((1 - x) / (1 - y), 1 / (1 - y)),
-    "TS1": lambda x, y: ((y - x) / y, (y - 1) / y),
-    "S1TS1": lambda x, y: ((y - x) / (y - 1), y / (y - 1)),
-    "S2": lambda x, y: (1 / x, y / x),
-    "S2T": lambda x, y: (1 / (1 - x), (1 - y) / (1 - x)),
-    "TS2": lambda x, y: ((x - 1) / x, (x - y) / x),
-    "S2TS2": lambda x, y: (x / (x - 1), (x - y) / (x - 1)),
-}
-
-
 def s3_orbit(name: str, x, y) -> tuple[complex, complex]:
-    """Image of (x, y) under the named action, by the printed formula.
+    """Image of (x, y) under the named action: `act` of its matrix.
 
     Arrays of points give the image of each point.
     """
-    if name not in _S3_FORMS:
+    if name not in S3_MATRICES:
         raise ValueError(f"unknown action {name!r}")
     x, y = _base(x), _base(y)
     _refuse(abs(denominator(S3_MATRICES[name], (x, y))) < _TINY, "vanishing denominator", ZeroDivisionError)
-    return _S3_FORMS[name](x, y)
+    return act(S3_MATRICES[name], (x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -249,46 +236,22 @@ def transform_abg(u, v) -> TransformABG:
     return _abg_unchecked(pu, pv)
 
 
-def _off_zero(z, refused):
-    """z, moved to one at the refused samples: a stack then divides by it
-    without raising, and the refused samples' results are meaningless.
-
-    A single refused point stays a Python number, whose arithmetic on an
-    overflowed value gives NaN without a numpy warning.
-    """
-    # kept fork: np.where for a single point, too, changed picard output digits
-    if not _any(refused):
-        return z
-    shift = 1 - _base(z)
-    return z + (np.where(refused, shift, 0) if isinstance(refused, np.ndarray) else shift)
-
-
-def _order5(abg: TransformABG, t1, t2):
-    """(w1, w2) of order5_map, and the samples it refuses, without raising.
-
-    A sample is refused where b t1 + (a + g) or t2 is below _TINY; its
-    denominators are moved off zero (see _off_zero).
-    """
-    a, b, g = abg.alpha, abg.beta, abg.gamma
-    num = (b + g) * t1 + a
-    den = b * t1 + (a + g)
-    refused = (abs(_base(den)) < _TINY) | (abs(_base(t2)) < _TINY)
-    den, t2 = _off_zero(den, refused), _off_zero(t2, refused)
-    t2_5 = t2 * t2 * t2 * t2 * t2
-    return num / den, t1 * num * num * den / t2_5, refused
-
-
 def order5_map(abg: TransformABG, t1, t2) -> tuple:
     """(w1, w2) of the order-five transform; t1, t2 may be jets.
 
     w1 = ((b+g) t1 + a)/(b t1 + (a+g)),
     w2 = t1 ((b+g) t1 + a)^2 (b t1 + (a+g)) / t2^5.
-    Arrays of points, or stacked jets, give the map at each point; a
-    vanishing denominator is a ZeroDivisionError naming the first such point.
+    Arrays of points, or stacked jets, give the map at each point.  Where
+    b t1 + (a+g) or t2 is below _TINY it refuses before it divides: a
+    ZeroDivisionError naming the first such point.
     """
-    w1, w2, refused = _order5(abg, t1, t2)
-    _refuse(refused, "vanishing denominator", ZeroDivisionError)
-    return (w1, w2)
+    a, b, g = abg.alpha, abg.beta, abg.gamma
+    num = (b + g) * t1 + a
+    den = b * t1 + (a + g)
+    vanishing = (abs(_base(den)) < _TINY) | (abs(_base(t2)) < _TINY)
+    _refuse(vanishing, "vanishing denominator", ZeroDivisionError)
+    t2_5 = t2 * t2 * t2 * t2 * t2
+    return num / den, t1 * num * num * den / t2_5
 
 
 def _radicand(p: ModuliPair, s):
@@ -296,53 +259,55 @@ def _radicand(p: ModuliPair, s):
     return (1 - s) * (1 - p.u1 * s) * (1 - p.u2 * s)
 
 
-@np.errstate(divide="ignore", invalid="ignore")
-def _cubed_gap(jac, f_src, k, f_img, refused):
-    """Relative residual of jac^3 f_src = k^3 f_img, and the points refused:
-    those of the transform's mask, and those where a radicand vanishes."""
-    refused = refused | (abs(f_src) < _TINY) | (abs(f_img) < _TINY)
+def _cubed_gap(jac, f_src, k, f_img):
+    """Relative residual of jac^3 f_src = k^3 f_img.
+
+    Where both sides vanish the relative residual is undefined: a
+    ZeroDivisionError naming the first such point.
+    """
     lhs = jac**3 * f_src
     rhs = k**3 * f_img
-    return abs(lhs - rhs) / np.maximum(abs(lhs), abs(rhs)), refused
+    scale = np.maximum(abs(lhs), abs(rhs))
+    _refuse(scale == 0, "both sides of the cubed identity vanish", ZeroDivisionError)
+    return abs(lhs - rhs) / scale
 
 
 def pullback_gaps(u, v, t):
-    """Relative residual of the cubed differential-form identity, and the refused points.
+    """Relative residual of the cubed differential-form identity.
 
     Jac^3 f_t(t1, t2) = (-5 t1/t2^2)^3 f_w(w1, w2), with Jac the jet
     Jacobian of the order-five map, f_t, f_w the two quintic radicands.
     Cubing removes every cube-root branch choice.  t is one point or a pair
-    of arrays over a stack.  Returns the residuals and one mask, refusing
-    none: a point is refused where a radicand or a denominator of the
-    transform vanishes, and its residual is meaningless.
+    of arrays over a stack.  A point where a denominator of the transform
+    vanishes (see order5_map), or where both sides vanish, is a
+    ZeroDivisionError naming it.
     """
     pu, pv = _as_pair(u), _as_pair(v)
     t1, t2 = _base(t[0]), _base(t[1])
-    w1, w2, refused = _order5(transform_abg(pu, pv), *Jet.variables(2, 1, (t1, t2)))
+    w1, w2 = order5_map(transform_abg(pu, pv), *Jet.variables(2, 1, (t1, t2)))
     jac = MapJet2(w1, w2).jacobian_value()
     w1v, w2v = w1.value, w2.value
     ft = t1 * t1 * t2 * t2 * _radicand(pu, t1)
     fw = w1v * w1v * w2v * w2v * _radicand(pv, w1v)
-    t2 = _off_zero(t2, refused)
-    return _cubed_gap(jac, ft, -5 * t1 / (t2 * t2), fw, refused)
+    return _cubed_gap(jac, ft, -5 * t1 / (t2 * t2), fw)
 
 
 def corollary52_gaps(u, v, x):
-    """Relative residual of the cubed identity in the root coordinates, and the refused points.
+    """Relative residual of the cubed identity in the root coordinates.
 
     With t_i = x_i^3 and y_i = w_i^(1/3), checks
     Jac_y^3 g_x = (-5 x1^3/x2^6)^3 g_y for the sextic-free radicands
     g_x = (1-x1^3)(1-u1 x1^3)(1-u2 x1^3), g_y the same in (v, y1^3).
-    x is one point or a pair of arrays; the mask is that of pullback_gaps.
+    x is one point or a pair of arrays; a point is refused as in
+    pullback_gaps.
     """
     pu, pv = _as_pair(u), _as_pair(v)
     x1, x2 = _base(x[0]), _base(x[1])
     X1, X2 = Jet.variables(2, 1, (x1, x2))
-    w1, w2, refused = _order5(transform_abg(pu, pv), X1 * X1 * X1, X2 * X2 * X2)
+    w1, w2 = order5_map(transform_abg(pu, pv), X1 * X1 * X1, X2 * X2 * X2)
     jac = MapJet2(jet_powq(w1, "1/3"), jet_powq(w2, "1/3")).jacobian_value()
     x1c = x1**3
-    x2 = _off_zero(x2, refused)
-    return _cubed_gap(jac, _radicand(pu, x1c), -5 * x1c / x2**6, _radicand(pv, w1.value), refused)
+    return _cubed_gap(jac, _radicand(pu, x1c), -5 * x1c / x2**6, _radicand(pv, w1.value))
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ from .evolution import (
     evo_quotients,
     galilean_covariance_check,
     mt4_residuals,
-    transformed_pair,
 )
 from .jets import Jet, monomials
 from .lft import (
@@ -213,11 +212,10 @@ def _order5_point(rng, u):
 # MT4-invariance draw every sample first, making each rejection as they
 # draw, and then evaluate them all in one stacked pass: one stack of jets or
 # points, one stacked F1 series per parameter set, one stacked quadrature; a
-# layer that refuses a sample of the stack names its index.  MT3 rejects
-# while it evaluates: it draws the shortfall of each moduli instance's
-# points, evaluates them as one stack, keeps those that neither gaps
-# function's mask refuses (a vanishing radicand or transform denominator),
-# in order, and draws again only for what is still missing.
+# layer that refuses a sample of the stack names its index.  MT3 draws each
+# moduli instance's ten points and evaluates them as one stack.  No runner
+# rejects while it evaluates: a refusal raised by a layer is the check's
+# failure, which run_suites records with the layer's message.
 
 
 def _exact(ok: bool) -> float:
@@ -450,18 +448,11 @@ def _check_mt3(rng, n):
     per_instance = 10
     for _ in range(n):
         u, v = _moduli_instance(rng)
-        kept = []
-        # draw the shortfall, evaluate it as one stack and keep the points
-        # neither check refuses, in order: no draw depends on an evaluation,
-        # so the kept points are those a point-by-point loop keeps
-        while len(kept) < per_instance:
-            t = [_order5_point(rng, u) for _ in range(per_instance - len(kept))]
-            x = [[ti ** (1 / 3) for ti in p] for p in t]  # the same points in root coordinates
-            gap_t, refused_t = pullback_gaps(u, v, tuple(np.array(t).T))
-            gap_x, refused_x = corollary52_gaps(u, v, tuple(np.array(x).T))
-            refused = refused_t | refused_x
-            kept += worst_of((gap_t, gap_x))[~refused].tolist()
-        yield from kept
+        t = [_order5_point(rng, u) for _ in range(per_instance)]
+        x = [[ti ** (1 / 3) for ti in p] for p in t]  # the same points in root coordinates
+        gap_t = pullback_gaps(u, v, tuple(np.array(t).T))
+        gap_x = corollary52_gaps(u, v, tuple(np.array(x).T))
+        yield from worst_of((gap_t, gap_x))
 
 
 def _check_mt3_constraint(rng, n):
@@ -598,7 +589,7 @@ def _check_mt4_invariance(rng, n):
             kept.append(pairs[k])
             mats.append(m)
     u = stack_maps(kept)
-    ut = transformed_pair(np.stack(mats, -1), (u.u1, u.u2))
+    ut = act(np.stack(mats, -1), (u.u1, u.u2))
     parts = []
     for which in ("t1", "t2"):
         qa, qb = evo_quotients((u.u1, u.u2), which), evo_quotients(ut, which)
@@ -687,7 +678,12 @@ def _tolerance(value, source: str) -> float:
 
 
 def run_suites(suites=("all",), seed: int = 42, samples=None, tol_overrides=None) -> dict:
-    """Run the selected suites and assemble the deterministic report."""
+    """Run the selected suites and assemble the deterministic report.
+
+    A bad argument is a ValueError before any check runs.  A check whose
+    run raises ValueError, ZeroDivisionError or OverflowError fails with
+    the message under "error"; the other checks still run.
+    """
     names = list(suites) if suites else ["all"]
     if "all" in names:
         chosen = {c.id for c in CHECKS}
@@ -731,7 +727,12 @@ def run_suites(suites=("all",), seed: int = 42, samples=None, tol_overrides=None
         if samples is not None and c.tolerance > 0:
             n = int(samples)
         rng, sub = _rng(seed, c.id)
-        residual, used = c.run(rng, n)
+        error = {}
+        try:
+            residual, used = c.run(rng, n)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            # a layer that refuses a drawn point fails this check, and only it
+            residual, used, error = math.nan, n, {"error": str(exc)}
         residual = float(residual)
         finite = math.isfinite(residual)
         entries.append(
@@ -744,6 +745,7 @@ def run_suites(suites=("all",), seed: int = 42, samples=None, tol_overrides=None
                 "pass": finite and residual <= tol,
                 "samples": int(used),
                 "seed": sub,
+                **error,
             }
         )
 
@@ -770,9 +772,10 @@ def render_report(report: dict, fmt: str = "json") -> str:
     for e in report["checks"]:
         status = "PASS" if e["pass"] else "FAIL"
         residual = "non-finite" if e["residual"] is None else f"{e['residual']:.3e}"
+        error = f"  error: {e['error']}" if "error" in e else ""
         lines.append(
             f"{status}  {e['id']:<20} residual {residual}  "
-            f"tol {e['tolerance']:.1e}  n={e['samples']}"
+            f"tol {e['tolerance']:.1e}  n={e['samples']}{error}"
         )
     s = report["summary"]
     lines.append(f"{s['passed']}/{s['total']} checks passed (seed {report['seed']})")

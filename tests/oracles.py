@@ -64,6 +64,20 @@ def jacobi_ratios(n: int, alpha: float, beta: float, u: np.ndarray):
     return np.array(rho)
 
 
+# the anharmonic actions of `picard.S3_MATRICES` in their printed coordinate forms
+S3_FORMS = {
+    "T": lambda x, y: (1 - x, 1 - y),
+    "S1": lambda x, y: (x / y, 1 / y),
+    "S1T": lambda x, y: ((1 - x) / (1 - y), 1 / (1 - y)),
+    "TS1": lambda x, y: ((y - x) / y, (y - 1) / y),
+    "S1TS1": lambda x, y: ((y - x) / (y - 1), y / (y - 1)),
+    "S2": lambda x, y: (1 / x, y / x),
+    "S2T": lambda x, y: (1 / (1 - x), (1 - y) / (1 - x)),
+    "TS2": lambda x, y: ((x - 1) / x, (x - y) / x),
+    "S2TS2": lambda x, y: (x / (x - 1), (x - y) / (x - 1)),
+}
+
+
 def random_fields(rng, order: int = 2) -> EvoFields:
     """Dense random polynomial fields of the given order; generically not a solution."""
     return EvoFields.from_uniform(rng.random(8 * len(monomials(4, order))), order)

@@ -114,8 +114,7 @@ def test_c09_mt3(entries, monkeypatch):
     require(entries, "MT3", 1e-10, samples=100)
     require(entries, "MT3-constraint", 1e-12, samples=50)
     # identity moduli: exact by construction
-    gap, refused = pullback_gaps((2, 3), (2, 3), (0.7, 1.1))
-    assert not refused and gap < 1e-14
+    assert pullback_gaps((2, 3), (2, 3), (0.7, 1.1)) < 1e-14
     # negative control: break the modular relation and the identity dies
     u = (2, 3)
     v_bad = (modular_solve(u, 4)[0] + 0.1, 4)
@@ -123,8 +122,7 @@ def test_c09_mt3(entries, monkeypatch):
         pullback_gaps(u, v_bad, (0.7, 1.1))
     # with the modular-equation gate replaced by the bare coefficient formulas
     monkeypatch.setattr(picard, "transform_abg", picard._abg_unchecked)
-    gap, refused = pullback_gaps(u, v_bad, (0.7, 1.1))
-    assert not refused and gap > 1e-3
+    assert pullback_gaps(u, v_bad, (0.7, 1.1)) > 1e-3
     passed(9, "cubed pullback identity < 1e-10, parameter constraint < 1e-12, "
               "identity case exact, perturbed moduli rejected")
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -25,7 +26,7 @@ except ModuleNotFoundError:  # Python 3.10: pytest depends on the backport
     import tomli as tomllib
 
 import gl3schwarz
-from gl3schwarz import appell
+from gl3schwarz import appell, report
 from gl3schwarz.appell import F1Params, f1_series
 from gl3schwarz.cli import main
 from gl3schwarz.derivs import MapJet2, deriv_quad
@@ -75,6 +76,27 @@ class TestVerify:
         assert res.exit_code == 1
         rep = json.loads(res.output)
         assert rep["summary"]["failed"] == 1
+
+    # a refusal inside a check once ended verify as a usage error (ValueError)
+    # or in a traceback (ZeroDivisionError)
+    @pytest.mark.parametrize(
+        "error", [ValueError("zero Jacobian at base point (sample 3)"), ZeroDivisionError("vanishing denominator")]
+    )
+    def test_a_refusal_in_a_check_fails_the_check(self, runner, monkeypatch, error):
+        def run(rng, n):
+            raise error
+
+        checks = tuple(replace(c, run=run) if c.id == "vanishing" else c for c in report.CHECKS)
+        monkeypatch.setattr(report, "CHECKS", checks)
+        res = invoke(runner, ["verify", "derivs", "--samples", "2"])
+        assert res.exit_code == 1
+        rep = json.loads(res.stdout)
+        (failed,) = [e for e in rep["checks"] if not e["pass"]]
+        assert failed["id"] == "vanishing" and failed["error"] == str(error)
+        assert rep["summary"] == {"total": 8, "passed": 7, "failed": 1}
+        res = invoke(runner, ["verify", "derivs", "--samples", "2", "--format", "text"])
+        assert res.exit_code == 1
+        assert f"error: {error}" in res.stdout
 
     # a count below 1 once ran every sampled check on one sample and passed
     @pytest.mark.parametrize("args", [["--samples", "0", "derivs"], ["--samples", "-4", "f1"]])

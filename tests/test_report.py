@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -169,6 +170,40 @@ def _run_samples(monkeypatch, samples):
     monkeypatch.setattr(report, "CHECKS", CHECKS + (fake,))
     monkeypatch.setitem(report.SUITES, "fake", [fake.id])
     return run_suites(("fake",), seed=42)
+
+
+def _refusing(check_id, error):
+    """CHECKS with the named check's run raising error."""
+
+    def run(rng, n):
+        raise error
+
+    return tuple(replace(c, run=run) if c.id == check_id else c for c in CHECKS)
+
+
+class TestRefusedCheck:
+    # a refusal raised inside one check fails that check, with its message,
+    # and the rest of the report still runs
+    @pytest.mark.parametrize(
+        "error",
+        [
+            ValueError("zero Jacobian at base point (sample 3)"),
+            ZeroDivisionError("vanishing denominator (sample 0)"),
+            OverflowError("J invariants overflow"),
+        ],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_a_raising_check_fails_with_its_message(self, monkeypatch, error):
+        monkeypatch.setattr(report, "CHECKS", _refusing("cocycle", error))
+        rep = run_suites(("derivs",), seed=42, samples=3)
+        by_id = {e["id"]: e for e in rep["checks"]}
+        entry = by_id.pop("cocycle")
+        assert entry["residual"] is None and entry["pass"] is False
+        assert entry["samples"] == 3 and entry["error"] == str(error)
+        assert all(e["pass"] and "error" not in e for e in by_id.values())
+        assert rep["summary"] == {"total": 8, "passed": 7, "failed": 1}
+        assert json.loads(render_report(rep), parse_constant=_reject_constant) == rep
+        assert f"n=3  error: {error}" in render_report(rep, "text")
 
 
 # Sample counts of every check at seed 42 with the default budgets; each is

@@ -6,11 +6,8 @@ MT3-constraint, J-orbit, param-table, sign-tables, eta36, MT4,
 MT4-galilean and MT4-invariance draw all samples first and evaluate them in
 one stacked pass: one stack of jets or points, one stacked F1 series and one
 stacked quadrature per parameter set (param-table: one stack per table row,
-MT4: one per field family).  MT3
-evaluates each moduli instance's points as one stack and draws again for
-the points it refuses: the two gaps functions raise for none, but return
-one mask each, of the points where a radicand or a denominator of the
-transform vanishes.  The runners below are the loops they replaced:
+MT4: one per field family); MT3 evaluates each moduli instance's ten
+points as one stack.  The runners below are the loops they replaced:
 one map, one point, one series per sample.  They stay here as references
 only, and the stacked runners must match them sample by sample.  Any other
 layer that refuses one sample of a stack names it: the message of a single
@@ -62,7 +59,6 @@ from gl3schwarz.evolution import (
     consistency_residual,
     evo_quotients,
     galilean_covariance_check,
-    transformed_pair,
 )
 from gl3schwarz.jets import Jet, JetError, _wrap, jet_powq
 from gl3schwarz.lft import act, denominator, generators, jacobian_factor, word_product
@@ -277,19 +273,15 @@ def _ref_mt3(rng, n):
     per_instance = 10
     for _ in range(n):
         u, v = _moduli_instance(rng)
-        done = 0
-        while done < per_instance:
+        for _ in range(per_instance):
             t = _order5_point(rng, u)
             x = [ti ** (1 / 3) for ti in t]  # the same point in root coordinates
             # each point a stack of one: a single point rounds in Python's
             # complex arithmetic, and a residual that is all roundoff (about
             # 1e-13 here) moves by its own size with the last bits
-            gap_t, refused_t = pullback_gaps(u, v, tuple(np.array([c]) for c in t))
-            gap_x, refused_x = corollary52_gaps(u, v, tuple(np.array([c]) for c in x))
-            if refused_t[0] or refused_x[0]:
-                continue
+            gap_t = pullback_gaps(u, v, tuple(np.array([c]) for c in t))
+            gap_x = corollary52_gaps(u, v, tuple(np.array([c]) for c in x))
             yield worst_of((gap_t[0], gap_x[0]))
-            done += 1
 
 
 def _ref_f1_picard_gamma(rng, n):
@@ -347,8 +339,11 @@ def _ref_mt4_invariance(rng, n):
     done = 0
     while done < n:
         u = _random_evo_pair(rng)
+        m = _MT4_MATS[done % 2]
+        if abs(denominator(m, (u[0].value, u[1].value))) < 1e-10:
+            continue
         try:
-            ut = transformed_pair(_MT4_MATS[done % 2], u)
+            ut = act(m, u)
             parts = []
             for which in ("t1", "t2"):
                 qa, qb = evo_quotients(u, which), evo_quotients(ut, which)
@@ -811,7 +806,7 @@ MISALIGNED = {
     "J-orbit": _roll_results(report, "s3_orbit"),
     "param-table": _roll_results(picard, "s3_orbit"),
     "sign-tables": _roll_results(picard, "s3_orbit"),
-    "MT4-invariance": _roll_results(report, "transformed_pair"),
+    "MT4-invariance": _roll_results(report, "act"),
 }
 
 
@@ -822,36 +817,6 @@ def test_a_misaligned_stack_fails_its_check(monkeypatch, cid):
     with np.errstate(all="ignore"):
         residual, _ = check.run(report._rng(42, cid)[0], check.samples)
     assert not residual <= check.tolerance
-
-
-def _refuse_small_radicands(monkeypatch, refused):
-    # a refusal made while evaluating, for about a third of the points
-    real = picard._cubed_gap
-
-    def stricter(jac, f_src, k, f_img, mask):
-        gap, mask = real(jac, f_src, k, f_img, mask)
-        small = abs(f_src) < 0.5
-        refused.append(np.sum(small))
-        return gap, mask | small
-
-    monkeypatch.setattr(picard, "_cubed_gap", stricter)
-
-
-@pytest.mark.parametrize("seed", [1, 42])
-def test_mt3_keeps_the_points_a_loop_keeps(monkeypatch, seed):
-    # under a refusal made in evaluation, and a fault that makes each
-    # residual a function of its own point, the stacked runner keeps the
-    # points the loop keeps, in order, from the same draws
-    refused = []
-    _refuse_small_radicands(monkeypatch, refused)
-    _perturb_the_cube_root(monkeypatch)
-    rngs = [report._rng(seed, "MT3")[0] for _ in range(2)]
-    got = np.array(_residuals(report._check_mt3, seed, "MT3", 10, rngs[0]))
-    assert sum(refused) > 20
-    ref = np.array(_residuals(_ref_mt3, seed, "MT3", 10, rngs[1]))
-    assert len(got) == len(ref) == 100 and ref.min() > 1e-8
-    assert np.abs(got - ref).max() <= 1e-9 * ref.max()
-    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 def _with_bad_middle(bad):
@@ -904,7 +869,8 @@ MESSAGES = {
     "zero Jacobian of a deformation": "zero Jacobian at base point",
     "degenerate exponent pairs": "degenerate exponent pairs: singular linear system",
     "zero spatial Jacobian of an evolution map": "spatial Jacobian vanishes",
-    "vanishing denominator of a transformed pair": "vanishing denominator at the base point",
+    "both sides of the pullback identity vanish": "both sides of the cubed identity vanish",
+    "both sides of the root-coordinate identity vanish": "both sides of the cubed identity vanish",
     "vanishing denominator of the action": "linear fractional action: vanishing denominator",
     "vanishing denominator of the Jacobian factor": "vanishing denominator",
     "a zero of the eta product": "eta36 hit a zero or pole of the defining product",
@@ -1013,9 +979,16 @@ MESSAGES = {
             ZeroDivisionError,
         ),
         (
-            "vanishing denominator of a transformed pair",
-            lambda: transformed_pair(_SWAP, Jet.variables(2, 1, (0.0, 0.2))),
-            lambda: transformed_pair(_SWAP, Jet.variables(2, 1, _with_bad_middle((0.0, 0.2)))),
+            # t1 = 1 under the identity transform zeroes both radicands
+            "both sides of the pullback identity vanish",
+            lambda: pullback_gaps((2, 3), (2, 3), (1.0, 1.3)),
+            lambda: pullback_gaps((2, 3), (2, 3), _with_bad_middle((1.0, 1.3))),
+            ZeroDivisionError,
+        ),
+        (
+            "both sides of the root-coordinate identity vanish",
+            lambda: corollary52_gaps((2, 3), (2, 3), (1.0, 1.3)),
+            lambda: corollary52_gaps((2, 3), (2, 3), _with_bad_middle((1.0, 1.3))),
             ZeroDivisionError,
         ),
         (
@@ -1076,38 +1049,21 @@ def test_a_refused_sample_in_a_stack_is_named(name, one, stack, error):
     assert str(stacked.value) == f"{MESSAGES[name]} (sample 1)"
 
 
-# the two forms of the order-five pullback identity, which mask a refused point
+# the two forms of the order-five pullback identity
 GAPS = {f.__name__: f for f in (pullback_gaps, corollary52_gaps)}
 
 
 @pytest.mark.parametrize("gaps", GAPS.values(), ids=GAPS)
-def test_the_gaps_mask_a_refused_sample(gaps):
-    # t1 = x1 = 1 at sample 1 is a zero of the source radicand: masked, not
-    # raised, and the other samples are those of their stacks of one
-    u = (2, 3)
-    v = (modular_solve(u, 4)[0], 4)
-    stack = _with_bad_middle((1.0, 1.3))
-    gap, refused = gaps(u, v, stack)
-    assert refused.tolist() == [False, True, False]
-    for k in (0, 2):
-        one, one_refused = gaps(u, v, tuple(c[k : k + 1] for c in stack))
-        assert one_refused.tolist() == [False]
-        assert one[0] == gap[k]
-
-
-@pytest.mark.parametrize("gaps", GAPS.values(), ids=GAPS)
-@pytest.mark.parametrize("point", [(0.3 + 0.1j, 0.2), (0.6 - 0.1j, 0.4 + 0.2j), (1.0, 1.3)])
+@pytest.mark.parametrize("point", [(0.3 + 0.1j, 0.2), (0.6 - 0.1j, 0.4 + 0.2j), (1.2, 0.9 + 0.4j)])
 def test_a_single_point_is_a_stack_of_one(gaps, point):
     # one form for both: at these points a single point's residual is its
     # stack of one's within a few ulps (a residual that is all roundoff
     # moves by its own size, as _ref_mt3 notes)
     u = (2, 3)
     v = (modular_solve(u, 4)[0], 4)
-    gap, refused = gaps(u, v, point)
-    stack_gap, stack_refused = gaps(u, v, tuple(np.array([c]) for c in point))
-    assert refused == stack_refused[0]
-    if not refused:
-        assert abs(gap - stack_gap[0]) <= 4e-15
+    gap = gaps(u, v, point)
+    stack_gap = gaps(u, v, tuple(np.array([c]) for c in point))
+    assert abs(gap - stack_gap[0]) <= 4e-15
 
 
 def test_modular_solve_on_a_stack_matches_point_by_point():
