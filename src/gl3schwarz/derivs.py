@@ -114,7 +114,7 @@ def lft_map(g, z) -> MapJet2:
 
 def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Matrix times vector for every sample of (..., k, k) and (..., k)."""
-    return (mat @ vec[..., None])[..., 0]
+    return np.einsum("...ij,...j->...i", mat, vec)
 
 
 def _det2(p, q, r, s):

@@ -457,7 +457,7 @@ def _compose_each(hs, gs: "list[Jet]") -> "list[Jet]":
         rows[..., u, 1:] = g._c[..., 1:]
     for lo, hi, parents, factors in levels:
         rows[..., lo:hi, :] = _product(dim, order, rows.take(parents, -2), rows.take(factors, -2))
-    return [_wrap(dim, order, (h._c[..., None, :m] @ rows)[..., 0, :]) for h in hs]
+    return [_wrap(dim, order, np.einsum("...j,...jk->...k", h._c[..., :m], rows)) for h in hs]
 
 
 def compose(h: Jet, gs: "list[Jet]") -> Jet:

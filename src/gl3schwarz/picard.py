@@ -90,12 +90,12 @@ S3_MATRICES = {
     "T": _T,
     "S1": _S1,
     "S2": _S2,
-    "S1T": _S1 @ _T,
-    "TS1": _T @ _S1,
-    "S1TS1": _S1 @ _T @ _S1,
-    "S2T": _S2 @ _T,
-    "TS2": _T @ _S2,
-    "S2TS2": _S2 @ _T @ _S2,
+    "S1T": np.einsum("ij,jk->ik", _S1, _T),
+    "TS1": np.einsum("ij,jk->ik", _T, _S1),
+    "S1TS1": np.einsum("ij,jk,kl->il", _S1, _T, _S1),
+    "S2T": np.einsum("ij,jk->ik", _S2, _T),
+    "TS2": np.einsum("ij,jk->ik", _T, _S2),
+    "S2TS2": np.einsum("ij,jk,kl->il", _S2, _T, _S2),
 }
 
 def s3_orbit(name: str, x, y) -> tuple[complex, complex]:

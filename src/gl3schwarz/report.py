@@ -2,18 +2,19 @@
 
 Every identity the package implements is re-checked here as a named check
 with a fixed tolerance and sample budget.  All randomness derives from one
-64-bit seed: each check owns a SHA-256-split subseed, so reports are
-byte-identical for identical (suites, seed, samples, tolerance) inputs and
-suites can run in any order or in parallel without changing the output.
+64-bit seed: each check owns a SHA-256-split subseed, which seeds its own
+stdlib Mersenne Twister (`random.Random`), so reports are byte-identical for
+identical (suites, seed, samples, tolerance) inputs and suites can run in any
+order or in parallel without changing the output.
 """
 
 from __future__ import annotations
 
 import cmath
-import hashlib
 import json
 import math
 import os
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -106,15 +107,54 @@ _LEDGER_EXPECTED = {
 }
 
 
+try:  # the interpreter's own SHA-256: hashlib would load OpenSSL for it
+    from _sha2 import sha256  # CPython 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
+
 def split_seed(seed: int, label: str) -> int:
     """Counted splitting: an independent 64-bit stream id per check."""
-    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
+    digest = sha256(f"{seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+class _Draws:
+    """The draws the runners make, from one stdlib Mersenne Twister.
+
+    A double is (u64 >> 11) 2^-53, u64 a getrandbits(64) for one number
+    and read little-endian from randbytes(8 n) for an array of n, which
+    takes the same words: a stacked draw of n numbers equals n single ones.
+    uniform is low + (high - low) times such a double.
+    """
+
+    __slots__ = ("generator",)
+
+    def __init__(self, generator: random.Random):
+        self.generator = generator
+
+    def random(self, size=None):
+        """A double in [0, 1), or an array of them of shape size."""
+        if size is None:
+            return (self.generator.getrandbits(64) >> 11) * 2.0**-53
+        count = math.prod((size,) if isinstance(size, int) else size)
+        words = np.frombuffer(self.generator.randbytes(8 * count), "<u8")
+        return ((words >> 11) * 2.0**-53).reshape(size)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return low + (high - low) * self.random(size)
+
+    def integers(self, n: int) -> int:
+        """An integer in [0, n)."""
+        return self.generator.randrange(n)
 
 
 def _rng(seed: int, label: str):
     sub = split_seed(seed, label)
-    return np.random.default_rng(sub), sub
+    return _Draws(random.Random(sub)), sub
 
 
 def _cpx(rng, radius=1.0):
@@ -207,15 +247,15 @@ def _order5_point(rng, u):
 # check runners: (rng, samples) -> one residual per sample; _reduce gives
 # the check its (worst residual, samples used).  The derivs runners, MT1,
 # MT1-branch, the MT2 checks, F1-euler, F1-pde, F1-picard-gamma, F1-k3,
-# MT3-constraint, J-orbit, param-table (one stack per table row),
-# sign-tables, eta36, MT4 (one stack per field family), MT4-galilean and
-# MT4-invariance draw every sample first, making each rejection as they
-# draw, and then evaluate them all in one stacked pass: one stack of jets or
-# points, one stacked F1 series per parameter set, one stacked quadrature; a
-# layer that refuses a sample of the stack names its index.  MT3 draws each
-# moduli instance's ten points and evaluates them as one stack.  No runner
-# rejects while it evaluates: a refusal raised by a layer is the check's
-# failure, which run_suites records with the layer's message.
+# MT3 (ten points per moduli instance), MT3-constraint, J-orbit,
+# param-table (one stack per table row), sign-tables, eta36, MT4 (one stack
+# per field family), MT4-galilean and MT4-invariance draw every sample
+# first, making each rejection as they draw, and then evaluate them all in
+# one stacked pass: one stack of jets or points, one stacked F1 series per
+# parameter set, one stacked quadrature; a layer that refuses a sample of
+# the stack names its index.  No runner rejects while it evaluates: a
+# refusal raised by a layer is the check's failure, which run_suites
+# records with the layer's message.
 
 
 def _exact(ok: bool) -> float:
@@ -292,14 +332,14 @@ def _check_chain_rule(rng, n):
 
 def _check_cocycle(rng, n):
     w, u = _map_pairs(rng, n)
-    lhs = transport_matrix(w) @ transport_matrix(u)
+    lhs = np.einsum("...ij,...jk->...ik", transport_matrix(w), transport_matrix(u))
     yield from np.abs(lhs - transport_matrix(compose_maps(u, w))).max((-2, -1))
 
 
 def _check_cocycle_u(rng, n):
     c = np.array((0.0, 1.0, 2.5))[np.arange(n) % 3]
     w, u = _map_pairs(rng, n)
-    lhs = extended_transport(w, c) @ extended_transport(u, c)
+    lhs = np.einsum("...ij,...jk->...ik", extended_transport(w, c), extended_transport(u, c))
     rhs = extended_transport(compose_maps(u, w), c)
     yield from np.abs(lhs - rhs).max((-2, -1))
 
@@ -445,14 +485,19 @@ def _check_f1_beta(rng, n):
 
 
 def _check_mt3(rng, n):
+    # per moduli instance (u, v), then its ten points; all the points in one
+    # stacked pass, with each point's moduli as arrays
     per_instance = 10
+    moduli, t = [], []
     for _ in range(n):
         u, v = _moduli_instance(rng)
-        t = [_order5_point(rng, u) for _ in range(per_instance)]
-        x = [[ti ** (1 / 3) for ti in p] for p in t]  # the same points in root coordinates
-        gap_t = pullback_gaps(u, v, tuple(np.array(t).T))
-        gap_x = corollary52_gaps(u, v, tuple(np.array(x).T))
-        yield from worst_of((gap_t, gap_x))
+        moduli += [(*u, *v)] * per_instance
+        t += [_order5_point(rng, u) for _ in range(per_instance)]
+    u1, u2, v1, v2 = _stack(moduli)
+    x = [[ti ** (1 / 3) for ti in p] for p in t]  # the same points in root coordinates
+    gap_t = pullback_gaps((u1, u2), (v1, v2), _stack(t))
+    gap_x = corollary52_gaps((u1, u2), (v1, v2), _stack(x))
+    yield from worst_of((gap_t, gap_x))
 
 
 def _check_mt3_constraint(rng, n):

@@ -853,9 +853,9 @@ class TestNoLinearAlgebra:
         assert appell._jacobi_rule.cache_info().currsize > 0
 
 
-def _package_modules_after(args=None):
-    """The gl3schwarz modules a fresh interpreter holds after importing the
-    CLI and, with args, running that one command."""
+def _modules_after(args=None):
+    """The modules a fresh interpreter holds after importing the CLI and,
+    with args, running that one command."""
     code = (
         "import json, sys\n"
         "from gl3schwarz.cli import main\n"
@@ -865,14 +865,17 @@ def _package_modules_after(args=None):
         "        main(args, standalone_mode=False)\n"
         "    except SystemExit:\n"
         "        pass\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'gl3schwarz')),\n"
-        "      file=sys.stderr)\n"
+        "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
     )
     assert out.returncode == 0, out.stderr
     return set(json.loads(out.stderr.strip().splitlines()[-1]))
+
+
+def _package_modules_after(args=None):
+    return {m for m in _modules_after(args) if m.split(".")[0] == "gl3schwarz"}
 
 
 class TestImportFootprint:
@@ -892,3 +895,10 @@ class TestImportFootprint:
         loaded = _package_modules_after(["heis", "--alpha", "2,1", "--q", "3"])
         assert "gl3schwarz.lft" in loaded
         assert loaded.isdisjoint({"gl3schwarz.appell", "gl3schwarz.report"})
+
+    def test_a_report_loads_neither_numpy_random_nor_openssl(self):
+        # a report draws from random.Random and hashes its seeds with the
+        # interpreter's own SHA-256, so its peak memory holds neither
+        loaded = _modules_after(["verify", "--seed", "42"])
+        assert {"gl3schwarz.report", "gl3schwarz.eta"} <= loaded
+        assert loaded.isdisjoint({"numpy.random", "hashlib", "_hashlib", "secrets"})

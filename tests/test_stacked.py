@@ -276,11 +276,12 @@ def _ref_mt3(rng, n):
         for _ in range(per_instance):
             t = _order5_point(rng, u)
             x = [ti ** (1 / 3) for ti in t]  # the same point in root coordinates
-            # each point a stack of one: a single point rounds in Python's
-            # complex arithmetic, and a residual that is all roundoff (about
-            # 1e-13 here) moves by its own size with the last bits
-            gap_t = pullback_gaps(u, v, tuple(np.array([c]) for c in t))
-            gap_x = corollary52_gaps(u, v, tuple(np.array([c]) for c in x))
+            # each point and its moduli a stack of one: a single point rounds
+            # in Python's complex arithmetic, and a residual that is all
+            # roundoff (about 1e-13 here) moves by its own size with the last bits
+            uv = [tuple(np.array([c]) for c in pair) for pair in (u, v)]
+            gap_t = pullback_gaps(*uv, tuple(np.array([c]) for c in t))
+            gap_x = corollary52_gaps(*uv, tuple(np.array([c]) for c in x))
             yield worst_of((gap_t[0], gap_x[0]))
 
 
@@ -466,7 +467,7 @@ def test_stacked_residuals_match_the_per_sample_reference(cid, seed):
     assert all(math.isfinite(g) for g in got)
     assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-13
     # both drew the same numbers: the stream ends in the same state
-    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    assert rngs[0].generator.getstate() == rngs[1].generator.getstate()
 
 
 def _ref_safe_pair(rng, margin=0.1, box=2.0):
@@ -491,18 +492,27 @@ def _ref_moduli_instance(rng):
                 return u, (v1, v2)
 
 
+# (a source of draws for a seed, its state): the report's and numpy's
+SOURCES = {
+    "report": (lambda seed: report._rng(seed, "candidates")[0], lambda rng: rng.generator.getstate()),
+    "numpy": (np.random.default_rng, lambda rng: rng.bit_generator.state),
+}
+
+
+@pytest.mark.parametrize("source", sorted(SOURCES))
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 42])
 @pytest.mark.parametrize(
     "drawn, ref", [(_safe_pair, _ref_safe_pair), (_moduli_instance, _ref_moduli_instance)]
 )
-def test_whole_candidate_draws_match_the_per_number_loop(drawn, ref, seed):
+def test_whole_candidate_draws_match_the_per_number_loop(drawn, ref, seed, source):
     # one rng.uniform call per candidate draws the numbers of one _cpx call each
-    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    make, state = SOURCES[source]
+    rngs = [make(seed) for _ in range(2)]
     got = [drawn(rngs[0]) for _ in range(50)]
     assert got == [ref(rngs[1]) for _ in range(50)]
     numbers = [z for draw in got for part in draw for z in (part if type(part) is tuple else (part,))]
     assert all(type(z) is complex for z in numbers)
-    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    assert state(rngs[0]) == state(rngs[1])
 
 
 def test_a_moduli_candidate_builds_one_pair(monkeypatch):
@@ -676,7 +686,7 @@ def test_mt4_splits_any_sample_count_as_the_loop_does(n, seed):
     rngs = [report._rng(seed, "MT4")[0] for _ in range(2)]
     got = _residuals(report._check_mt4, seed, "MT4", n, rngs[0])
     assert got == _residuals(_ref_mt4, seed, "MT4", n, rngs[1])
-    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    assert rngs[0].generator.getstate() == rngs[1].generator.getstate()
 
 
 @pytest.mark.parametrize("seed", [1, 42])

@@ -277,3 +277,50 @@ def test_no_module_names_linalg():
     # the rules are recurrences and the 3x3 determinants and solves closed
     # forms: no LAPACK routine, whose bits depend on the library build
     assert [p.name for p in sorted(PACKAGE.glob("*.py")) if "linalg" in p.read_text()] == []
+
+
+def _in_import_error_handler(tree):
+    """The ids of the nodes inside an `except ImportError` handler."""
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and getattr(node.type, "id", None) == "ImportError":
+            inside |= {id(n) for stmt in node.body for n in ast.walk(stmt)}
+    return inside
+
+
+def test_no_module_draws_from_numpy_random_or_hashes_with_openssl():
+    # a report draws from the stdlib Mersenne Twister and hashes its seeds
+    # with the interpreter's own SHA-256; hashlib is only the fallback of an
+    # interpreter built without it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        fallback = _in_import_error_handler(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in ("np", "numpy"):
+                names = [f"numpy.{node.attr}"]
+            else:
+                continue
+            for name in names:
+                root = name.split(".")[0]
+                if name.startswith("numpy.random") or root == "secrets" or (
+                    root == "hashlib" and id(node) not in fallback
+                ):
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_no_module_multiplies_with_matmul():
+    # numpy hands `@` on blasable operands to BLAS, whose last bits depend on
+    # the library build; einsum and explicit sums run numpy's own loops
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
+    assert found == []
