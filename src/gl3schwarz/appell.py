@@ -609,7 +609,9 @@ def picard_integral(x, y) -> complex:
     phase = cmath.exp(-1j * cmath.pi / 3)
 
     def g(t):
-        return phase * _ppow(t - x, -1.0 / 3.0) * _ppow(t - y, -1.0 / 3.0)
+        # not phase * ...: numpy reuses a temporary of 256 KiB or more in place, swapping
+        # the factors, and its complex product rounds them differently in that order
+        return np.multiply(phase, _ppow(t - x, -1.0 / 3.0)) * _ppow(t - y, -1.0 / 3.0)
 
     return _quad(g, -1.0 / 3.0, -1.0 / 3.0)
 

@@ -58,7 +58,6 @@ from .lft import (
     DECOMPOSITION_WORDS,
     OMEGA,
     EisMatrix,
-    _as_numpy,
     act,
     denominator,
     generators,
@@ -125,9 +124,9 @@ def split_seed(seed: int, label: str) -> int:
 class _Draws:
     """The draws the runners make, from one stdlib Mersenne Twister.
 
-    A double is (u64 >> 11) 2^-53, u64 a getrandbits(64) for one number
-    and read little-endian from randbytes(8 n) for an array of n, which
-    takes the same words: a stacked draw of n numbers equals n single ones.
+    A double is (u64 >> 11) 2^-53, u64 a getrandbits(64) for one number and
+    read little-endian from randbytes, CHUNK rows a call, for an array: the
+    same words, so a stacked draw of n numbers equals n single ones.
     uniform is low + (high - low) times such a double.
     """
 
@@ -137,12 +136,14 @@ class _Draws:
         self.generator = generator
 
     def random(self, size=None):
-        """A double in [0, 1), or an array of them of shape size."""
+        """A double in [0, 1), or an array of them of shape size, CHUNK rows at a time."""
         if size is None:
             return (self.generator.getrandbits(64) >> 11) * 2.0**-53
-        count = math.prod((size,) if isinstance(size, int) else size)
-        words = np.frombuffer(self.generator.randbytes(8 * count), "<u8")
-        return ((words >> 11) * 2.0**-53).reshape(size)
+        out = np.empty(size)
+        for rows in (out[k : k + CHUNK] for k in range(0, len(out), CHUNK)):
+            words = np.frombuffer(self.generator.randbytes(8 * rows.size), "<u8").reshape(rows.shape)
+            rows[...] = (words >> 11) * 2.0**-53
+        return out
 
     def uniform(self, low=0.0, high=1.0, size=None):
         return low + (high - low) * self.random(size)
@@ -168,6 +169,11 @@ def _cpx(rng, radius=1.0):
 def _stack(draws):
     """Draws of points (p1, p2, ...), taken in order, as one array per coordinate."""
     return tuple(np.array(list(draws), dtype=np.complex128).T)
+
+
+def _points(sampler):
+    """The draw of n points, each sampler(rng) in turn, as one array per coordinate."""
+    return lambda rng, n: _stack(sampler(rng) for _ in range(n))
 
 
 def _safe_pair(rng):
@@ -210,8 +216,7 @@ def _eta_domain_point(rng):
             return z1, z2
 
 
-def _safe_lft_point(rng, g):
-    m = _as_numpy(g)
+def _safe_lft_point(rng, m):
     while True:
         z = (complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5)), _cpx(rng, 0.5))
         if abs(denominator(m, z)) > 0.2:
@@ -244,18 +249,14 @@ def _order5_point(rng, u):
 
 
 # ---------------------------------------------------------------------------
-# check runners: (rng, samples) -> one residual per sample; _reduce gives
-# the check its (worst residual, samples used).  The derivs runners, MT1,
-# MT1-branch, the MT2 checks, F1-euler, F1-pde, F1-picard-gamma, F1-k3,
-# MT3 (ten points per moduli instance), MT3-constraint, J-orbit,
-# param-table (one stack per table row), sign-tables, eta36, MT4 (one stack
-# per field family), MT4-galilean and MT4-invariance draw every sample
-# first, making each rejection as they draw, and then evaluate them all in
-# one stacked pass: one stack of jets or points, one stacked F1 series per
-# parameter set, one stacked quadrature; a layer that refuses a sample of
-# the stack names its index.  No runner rejects while it evaluates: a
-# refusal raised by a layer is the check's failure, which run_suites
-# records with the layer's message.
+# check runners.  A drawing check's draw(rng, n) makes all its draws and
+# rejections and returns its inputs: arrays and stacked maps with one row per
+# residual first, each choice made per sample (generator, parameter row,
+# coefficient set, field family, matrix) among them.  evaluate(*inputs)
+# returns one residual per row and never touches the rng; _reduce calls it
+# on CHUNK rows at a time, and row k replays as evaluate(*(x[k:k + 1] for x
+# in inputs)).  A layer's refusal fails the check, with the layer's message.
+# The exact checks and F1-beta draw nothing and yield their residuals.
 
 
 def _exact(ok: bool) -> float:
@@ -277,179 +278,185 @@ def _check_group_algebra(rng, n):
         yield _exact(word_product(w) == g[name])
 
 
-def _lft_draws(rng, n, with_map=False):
-    """The n (generator, point[, map]) draws of the lft checks, stacked.
-
-    Generators cycle through _GEN_NAMES; each point is drawn off the pole of
-    its generator, then (with_map) a random map.  Returns the matrices as
-    (3, 3, n), the point as (z1, z2) of n entries each, and the maps.
-    """
-    gens = generators()
-    mats, points, maps = [], [], []
-    for k in range(n):
-        g = gens[_GEN_NAMES[k % len(_GEN_NAMES)]]
-        points.append(_safe_lft_point(rng, g))
-        if with_map:
-            maps.append(random_map(rng))
-        mats.append(g.to_numpy())
-    z = tuple(np.array(points).T)
-    return np.stack(mats, -1), z, stack_maps(maps) if with_map else None
+_GEN_MATS = np.stack([generators()[name].to_numpy() for name in _GEN_NAMES], -1)
 
 
-def _check_invariance(rng, n):
-    gens = generators()
-    maps, mats = [], []
+def _scaled_gap(gap, reference):
+    """Per sample k, the largest |gap[k]| over max(1, the largest |reference[k]|)."""
+    return np.abs(gap).reshape(len(gap), -1).max(-1) / np.maximum(1.0, np.abs(reference).max(-1))
+
+
+def _draw_invariance(rng, n):
+    maps, gen = [], []
     while len(maps) < n:
         u = random_map(rng)
-        m = gens[_GEN_NAMES[rng.integers(len(_GEN_NAMES))]].to_numpy()
-        if abs(denominator(m, (u.u1, u.u2)).value) < 0.2:
-            continue
-        maps.append(u)
-        mats.append(m)
-    u = stack_maps(maps)
+        k = rng.integers(len(_GEN_NAMES))
+        if abs(denominator(_GEN_MATS[..., k], (u.u1, u.u2)).value) >= 0.2:
+            maps.append(u)
+            gen.append(k)
+    return stack_maps(maps), np.array(gen)
+
+
+def _check_invariance(u, gen):
     base = deriv_quad(u).value
-    diff = np.abs(deriv_quad(MapJet2(*act(np.stack(mats, -1), (u.u1, u.u2)))).value - base)
-    yield from diff.max(-1) / np.maximum(1.0, np.abs(base).max(-1))
+    moved = deriv_quad(MapJet2(*act(_GEN_MATS[..., gen].copy(), (u.u1, u.u2)))).value
+    return _scaled_gap(moved - base, base)
 
 
-def _check_vanishing(rng, n):
-    m, z, _ = _lft_draws(rng, n)
-    yield from np.abs(deriv_quad(lft_map(m, z)).value).max(-1)
+def _lft_draws(with_map):
+    """The lft checks' draw: generators cycle through _GEN_NAMES, and each
+    sample draws a point off its generator's pole, then (with_map) a map."""
+
+    def draw(rng, n):
+        gen = np.arange(n) % len(_GEN_NAMES)
+        points, maps = [], []
+        for k in gen:
+            points.append(_safe_lft_point(rng, _GEN_MATS[..., k]))
+            if with_map:
+                maps.append(random_map(rng))
+        return (gen, *_stack(points), *([stack_maps(maps)] if with_map else ()))
+
+    return draw
 
 
-def _map_pairs(rng, n):
-    """n pairs (w, u) of random maps, drawn w then u, as two stacks."""
-    maps = random_map(rng, size=2 * n)
-    return maps[0::2], maps[1::2]
+def _check_vanishing(gen, z1, z2):
+    # every coefficient of the order-1 quad jet, not its values alone
+    quad = deriv_quad(lft_map(_GEN_MATS[..., gen].copy(), (z1, z2)))
+    return np.abs(quad._c).max((-2, -1))
 
 
-def _check_chain_rule(rng, n):
-    w, u = _map_pairs(rng, n)
+def _map_draws(per_sample):
+    """The draw of n samples of per_sample random maps each, as per_sample stacks."""
+
+    def draw(rng, n):
+        maps = random_map(rng, size=per_sample * n)
+        return tuple(maps[k::per_sample] for k in range(per_sample))
+
+    return draw
+
+
+def _check_chain_rule(w, u):
     lhs = deriv_quad(compose_maps(u, w)).value
-    rhs = chain_rule_rhs(deriv_quad(u).value, w)
-    yield from np.abs(lhs - rhs).max(-1)
+    return np.abs(lhs - chain_rule_rhs(deriv_quad(u).value, w)).max(-1)
 
 
-def _check_cocycle(rng, n):
-    w, u = _map_pairs(rng, n)
+def _check_cocycle(w, u):
     lhs = np.einsum("...ij,...jk->...ik", transport_matrix(w), transport_matrix(u))
-    yield from np.abs(lhs - transport_matrix(compose_maps(u, w))).max((-2, -1))
+    return np.abs(lhs - transport_matrix(compose_maps(u, w))).max((-2, -1))
 
 
-def _check_cocycle_u(rng, n):
-    c = np.array((0.0, 1.0, 2.5))[np.arange(n) % 3]
-    w, u = _map_pairs(rng, n)
+def _draw_cocycle_u(rng, n):
+    return (np.array((0.0, 1.0, 2.5))[np.arange(n) % 3], *_map_draws(2)(rng, n))
+
+
+def _check_cocycle_u(c, w, u):
     lhs = np.einsum("...ij,...jk->...ik", extended_transport(w, c), extended_transport(u, c))
-    rhs = extended_transport(compose_maps(u, w), c)
-    yield from np.abs(lhs - rhs).max((-2, -1))
+    return np.abs(lhs - extended_transport(compose_maps(u, w), c)).max((-2, -1))
 
 
-def _check_second_argument(rng, n):
-    m, z, u = _lft_draws(rng, n, with_map=True)
-    lhs = deriv_quad(compose_maps(u, lft_map(m, z))).value
-    rhs = second_arg_transform(deriv_quad(u).value, m, z)
-    yield from np.abs(lhs - rhs).max(-1)
+def _check_second_argument(gen, z1, z2, u):
+    m = _GEN_MATS[..., gen].copy()
+    lhs = deriv_quad(compose_maps(u, lft_map(m, (z1, z2)))).value
+    return np.abs(lhs - second_arg_transform(deriv_quad(u).value, m, (z1, z2))).max(-1)
 
 
-def _check_jacobian_deformation(rng, n):
-    maps = random_map(rng, size=3 * n)
-    zm, f1h, f2h = maps[0::3], maps[1::3].u1, maps[2::3].u2
+def _check_jacobian_deformation(zm, f1, f2):
+    f1h, f2h = f1.u1, f2.u2
     lhs = jacobian_deformation(f1h, f2h, zm)
-    rhs = MapJet2(*transported_pair(f1h, f2h, zm)).jacobian_value() / zm.jacobian_value()
-    yield from abs(lhs - rhs)
+    return abs(lhs - MapJet2(*transported_pair(f1h, f2h, zm)).jacobian_value() / zm.jacobian_value())
 
 
-def _check_exp_oracle(rng, n):
-    draws = []
-    while len(draws) < n:
+def _draw_exp_oracle(rng, n):
+    pairs = []
+    while len(pairs) < n:
         pts = rng.uniform(-1, 1, size=(3, 2)) + 1j * rng.uniform(-1, 1, size=(3, 2))
         try:
             exponent_rows(pts)
         except ValueError:
             continue
-        draws.append(pts)
-    pairs = np.array(draws)
-    _, _, _, predicted = exp_system_oracle(pairs)
-    m = exp_solution_map(pairs, base=(0.05, -0.03))
-    yield from np.abs(deriv_quad(m).value - predicted).max(-1)
+        pairs.append(pts)
+    return (np.array(pairs),)
 
 
-def _check_mt1(rng, n):
-    yield from mt1_relative_residual(random_map(rng, size=n))
+def _check_exp_oracle(pairs):
+    # the family's quad is constant: its whole order-1 jet against the prediction, relative to its size
+    predicted = exp_system_oracle(pairs)[3]
+    quad = deriv_quad(exp_solution_map(pairs, base=(0.05, -0.03)))
+    return _scaled_gap((quad - Jet.constant(quad.dim, quad.order, predicted))._c, predicted)
 
 
-def _check_mt1_branch(rng, n):
-    m = random_map(rng, size=n)
+def _check_mt1_branch(m):
     r0 = mt1_residuals(m)
     parts = []
     for branch in (1, 2):
         rb, cube = mt1_branch_residuals(m, branch)
         phase = cmath.exp(2j * cmath.pi * branch / 3)
         parts += [abs(b - phase * a) for a, b in zip(r0, rb)] + [cube]
-    yield from worst_of(parts)
+    return worst_of(parts)
 
 
-def _mt2_points(rng, region, n):
-    """n points of the region, drawn one after another, as (v1, v2) arrays."""
-    return _stack(_mt2_point(rng, region) for _ in range(n))
+def _mt2_draw(region):
+    return _points(lambda rng: _mt2_point(rng, region))
 
 
-def _mt2_branch_runner(which):
-    def run(rng, n):
-        v = _mt2_points(rng, which, n)
+def _mt2_branch_check(which):
+    def evaluate(v1, v2):
         parts = []
         for p in (PICARD, PICARD_MODULAR):
-            wr, zr = mt2_solution_residuals(p, v, which)
+            wr, zr = mt2_solution_residuals(p, (v1, v2), which)
             parts += [abs(r) for r in (*wr, *zr)]
-        yield from worst_of(parts)
+        return worst_of(parts)
 
-    return run
+    return evaluate
 
 
-def _check_mt2_picard(rng, n):
-    v = _mt2_points(rng, "lens", n)
-    yield from worst_of(mt2_field_recovery_gap(p, v) for p in (PICARD, PICARD_MODULAR))
+def _check_mt2_picard(v1, v2):
+    return worst_of(mt2_field_recovery_gap(p, (v1, v2)) for p in (PICARD, PICARD_MODULAR))
 
 
 _MT2_COEFF_SETS = np.array(((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (2.0, -0.7 + 0.3j)))
 
 
-def _check_mt2_picard_modular(rng, n):
+def _draw_mt2_picard_modular(rng, n):
     # sample k takes coefficient set k mod 4
-    coeffs = _MT2_COEFF_SETS[np.arange(n) % len(_MT2_COEFF_SETS)].T
-    res = picard_modular_form_residuals(_mt2_points(rng, "lens", n), coeffs)
-    yield from worst_of(abs(r) for r in res)
+    return (*_mt2_draw("lens")(rng, n), _MT2_COEFF_SETS[np.arange(n) % len(_MT2_COEFF_SETS)])
 
 
-_F1_CHECK_PARAMS = (("1/3", "1/3", "1/3", 1), ("1/4", "1/4", "1/4", 1), ("2/3", "1/3", "1/3", "4/3"))
+def _check_mt2_picard_modular(v1, v2, coeffs):
+    return worst_of(abs(r) for r in picard_modular_form_residuals((v1, v2), coeffs.T))
 
 
-def _f1_points(rng, n):
+def _per_choice(choice, residuals):
+    """One residual per sample: residuals(c, k) gives those of the samples k that chose c."""
+    out = np.empty(len(choice))
+    for c in sorted(set(choice.tolist())):  # np.unique would import numpy.ma, 1.1 MB
+        k = choice == c
+        out[k] = residuals(c, k)
+    return out
+
+
+_F1_CHECK_PARAMS = tuple(
+    F1Params(*p) for p in (("1/3", "1/3", "1/3", 1), ("1/4", "1/4", "1/4", 1), ("2/3", "1/3", "1/3", "4/3"))
+)
+
+
+def _draw_f1_points(rng, n):
     """n points (x, y), each drawn as _cpx(rng, 0.45) twice, as two arrays."""
-    return rng.uniform(-0.45, 0.45, (n, 4)).view(np.complex128).T
+    return tuple(rng.uniform(-0.45, 0.45, (n, 4)).view(np.complex128).T)
 
 
-def _f1_groups(n):
-    """(parameters, samples) for each row of _F1_CHECK_PARAMS: sample k takes row k mod 3."""
-    rows = len(_F1_CHECK_PARAMS)
-    return [(F1Params(*_F1_CHECK_PARAMS[row]), slice(row, n, rows)) for row in range(min(n, rows))]
+def _draw_f1_rows(rng, n):
+    """_draw_f1_points, sample k taking row k mod 3 of _F1_CHECK_PARAMS."""
+    return (np.arange(n) % len(_F1_CHECK_PARAMS), *_draw_f1_points(rng, n))
 
 
-def _check_f1_euler(rng, n):
-    x, y = _f1_points(rng, n)
-    res = np.empty(n)
-    for p, k in _f1_groups(n):
-        res[k] = abs(f1_series(p, x[k], y[k]) - f1_euler(p, x[k], y[k]))
-    yield from res
+def _check_f1_euler(row, x, y):
+    p = _F1_CHECK_PARAMS
+    return _per_choice(row, lambda r, k: abs(f1_series(p[r], x[k], y[k]) - f1_euler(p[r], x[k], y[k])))
 
 
-def _check_f1_pde(rng, n):
-    x, y = _f1_points(rng, n)
-    res = np.empty(n)
-    for p, k in _f1_groups(n):
-        r1, r2 = f1_pde_residual(p, x[k], y[k])
-        res[k] = worst_of((abs(r1), abs(r2)))
-    yield from res
+def _check_f1_pde(row, x, y):
+    return _per_choice(row, lambda r, k: worst_of(map(abs, f1_pde_residual(_F1_CHECK_PARAMS[r], x[k], y[k]))))
 
 
 def _gamma_modulus(rng):
@@ -464,72 +471,71 @@ def _gamma_modulus(rng):
             return x
 
 
-def _check_f1_picard_gamma(rng, n):
+_draw_gamma_moduli = _points(lambda rng: (_gamma_modulus(rng), _gamma_modulus(rng)))
+
+
+def _check_f1_picard_gamma(x, y):
     # cubed comparison: off the reals the principal branch drifts by a cube
     # root of unity, and cubing both sides removes it
-    x, y = _stack((_gamma_modulus(rng), _gamma_modulus(rng)) for _ in range(n))
     lhs = picard_integral(x, y) ** 3
     rhs = picard_f1_identity_rhs(x, y) ** 3
-    yield from abs(lhs - rhs) / abs(rhs)
+    return abs(lhs - rhs) / abs(rhs)
 
 
-def _check_f1_k3(rng, n):
+def _check_f1_k3(ki, kj):
     pref = math.gamma(1 / 3) * math.gamma(2 / 3)
-    p = F1Params("1/3", "1/3", "1/3", 1)
-    ki, kj = _f1_points(rng, n)
-    yield from abs(k_integral(ki, kj) - pref * f1_series(p, ki, kj))
+    return abs(k_integral(ki, kj) - pref * f1_series(F1Params("1/3", "1/3", "1/3", 1), ki, kj))
 
 
 def _check_f1_beta(rng, n):
     yield abs(k_integral(0.0, 0.0) - 2 * math.pi / math.sqrt(3))
 
 
-def _check_mt3(rng, n):
-    # per moduli instance (u, v), then its ten points; all the points in one
-    # stacked pass, with each point's moduli as arrays
-    per_instance = 10
-    moduli, t = [], []
+def _draw_mt3(rng, n):
+    # per moduli instance (u, v), then its ten points: a row per point, with
+    # its instance's moduli
+    rows = []
     for _ in range(n):
         u, v = _moduli_instance(rng)
-        moduli += [(*u, *v)] * per_instance
-        t += [_order5_point(rng, u) for _ in range(per_instance)]
-    u1, u2, v1, v2 = _stack(moduli)
-    x = [[ti ** (1 / 3) for ti in p] for p in t]  # the same points in root coordinates
-    gap_t = pullback_gaps((u1, u2), (v1, v2), _stack(t))
-    gap_x = corollary52_gaps((u1, u2), (v1, v2), _stack(x))
-    yield from worst_of((gap_t, gap_x))
+        rows += [(*u, *v, *_order5_point(rng, u)) for _ in range(10)]
+    return _stack(rows)
 
 
-def _check_mt3_constraint(rng, n):
-    u, v = zip(*(_moduli_instance(rng) for _ in range(n)))
-    yield from abs(transform_abg(_stack(u), _stack(v)).constraint_residual())
+def _check_mt3(u1, u2, v1, v2, t1, t2):
+    # the same points in root coordinates, by Python's complex power
+    x = _stack((a ** (1 / 3), b ** (1 / 3)) for a, b in zip(t1.tolist(), t2.tolist()))
+    return worst_of((pullback_gaps((u1, u2), (v1, v2), (t1, t2)), corollary52_gaps((u1, u2), (v1, v2), x)))
 
 
-def _safe_pairs(rng, n):
-    """n points drawn by _safe_pair one after another, as (x, y) arrays."""
-    return _stack(_safe_pair(rng) for _ in range(n))
+_draw_moduli = _points(lambda rng: sum(_moduli_instance(rng), ()))  # rows (u1, u2, v1, v2)
 
 
-def _check_j_orbit(rng, n):
+def _check_mt3_constraint(u1, u2, v1, v2):
+    return abs(transform_abg((u1, u2), (v1, v2)).constraint_residual())
+
+
+def _check_j_orbit(l1, l2):
     fam1 = ("T", "S1", "S1T", "TS1", "S1TS1")
     fam2 = ("T", "S2", "S2T", "TS2", "S2TS2")
-    l1, l2 = _safe_pairs(rng, n)
     j1, j2 = j_invariants(l1, l2)
     parts = [abs(j_invariants(*s3_orbit(name, l1, l2))[0] - j1) / abs(j1) for name in fam1]
     parts += [abs(j_invariants(*s3_orbit(name, l1, l2))[1] - j2) / abs(j2) for name in fam2]
-    yield from worst_of(parts)
+    return worst_of(parts)
 
 
-def _check_param_table(rng, n):
-    p = ParamTriple(0.3 + 0.1j, -0.8, 1.1)
+def _draw_param_table(rng, n):
+    # max(1, n // 5) points for each of the five table rows, row after row
     per_row = max(1, n // 5)
-    for row in (1, 2, 3, 4, 5):
-        yield from param_table_check(row, p, _safe_pairs(rng, per_row))
+    return (np.repeat(np.arange(1, 6), per_row), *_points(_safe_pair)(rng, 5 * per_row))
 
 
-def _check_sign_tables(rng, n):
-    x, y = _safe_pairs(rng, n)
-    yield from worst_of((f_sign_relations(x, y), p_transform_relations(0.3 + 0.1j, -0.8, 1.1, x, y)))
+def _check_param_table(row, x, y):
+    p = ParamTriple(0.3 + 0.1j, -0.8, 1.1)
+    return _per_choice(row, lambda r, k: param_table_check(r, p, (x[k], y[k])))
+
+
+def _check_sign_tables(x, y):
+    return worst_of((f_sign_relations(x, y), p_transform_relations(0.3 + 0.1j, -0.8, 1.1, x, y)))
 
 
 # The eta checks import the exact eta layer when they run, so a report
@@ -552,58 +558,65 @@ def _check_eta_ledger(rng, n):
         yield _exact(got.get(key) == _LEDGER_EXPECTED.get(key))
 
 
-def _check_eta36(rng, n):
+def _check_eta36(z1, z2):
     from .eta import eta36_transform_check, s_invariant_map, translation_invariant_map
 
     cell = word_product((("commutator", 3),))
-    z = _stack(_eta_domain_point(rng) for _ in range(n))
-    yield from worst_of(
+    return worst_of(
         (
-            eta36_transform_check(generators()["S"], s_invariant_map, z),
-            eta36_transform_check(cell, translation_invariant_map, z),
+            eta36_transform_check(generators()["S"], s_invariant_map, (z1, z2)),
+            eta36_transform_check(cell, translation_invariant_map, (z1, z2)),
         )
     )
 
 
-def _check_mt4(rng, n):
-    # the first half of the samples are constant fields and the rest shears,
-    # each complex number from two unit draws as _cpx makes it
+def _draw_mt4(rng, n):
+    # the first half of the samples are constant fields and the rest shears (three
+    # numbers of the four), each complex number from two unit draws as _cpx makes it
     half = max(1, n // 2)
-    constant = rng.uniform(-1, 1, (half, 8)).view(np.complex128)
-    shear = rng.uniform(-1, 1, (n - half, 6)).view(np.complex128)
-    for f in (EvoFields.constant(*constant.T), EvoFields.shear(*shear.T)):
+    c = np.zeros((n, 4), np.complex128)
+    c[:half] = rng.uniform(-1, 1, (half, 8)).view(np.complex128)
+    c[half:, :3] = rng.uniform(-1, 1, (n - half, 6)).view(np.complex128)
+    return np.arange(n) >= half, c
+
+
+def _check_mt4(shear, c):
+    def worst(is_shear, k):
+        f = EvoFields.shear(*c[k, :3].T) if is_shear else EvoFields.constant(*c[k].T)
         r1, r2 = mt4_residuals(f)
-        yield from worst_of((abs(r1), abs(r2)))
+        return worst_of((abs(r1), abs(r2)))
+
+    return _per_choice(shear, worst)
 
 
-def _check_mt4_galilean(rng, n):
+def _draw_mt4_galilean(rng, n):
     # per sample the unit draws of order-3 fields (two per field and
     # monomial), then those of rng.uniform(-1.5, 1.5, 4) for the shift, all
     # from one block
-    fields = 8 * len(monomials(4, 3))
-    u = rng.random((n, fields + 4))
-    f = EvoFields.from_uniform(u[:, :fields], order=3)
+    return (rng.random((n, 8 * len(monomials(4, 3)) + 4)),)
+
+
+def _check_mt4_galilean(u):
+    f = EvoFields.from_uniform(u[:, :-4], order=3)
     low, high = -1.5, 1.5
-    shift = low + (high - low) * u[:, fields:]
+    shift = low + (high - low) * u[:, -4:]
     # the mixed-partial identity holds for any order >= 2 u: f.v1 draws nothing
-    yield from worst_of((galilean_covariance_check(f, *shift.T), consistency_residual(f, f.v1)))
+    return worst_of((galilean_covariance_check(f, *shift.T), consistency_residual(f, f.v1)))
 
 
-_MT4_MATS = (
-    np.array([[2, 1, 0], [1, 1, 1], [1, 0, 3]], dtype=np.complex128),
-    np.array([[1, 0, 1j], [0.5, 2, 0], [0, 0.3, 2]], dtype=np.complex128),
+_MT4_MATS = np.stack(
+    ([[2, 1, 0], [1, 1, 1], [1, 0, 3]], [[1, 0, 1j], [0.5, 2, 0], [0, 0.3, 2]]), -1, dtype=np.complex128
 )
 
 
-def _random_evo_pairs(rng, size):
-    """size random pairs (u1, u2) of order-3 jets in (x, y, t1, t2), as one stacked map.
+def _evo_pairs(u):
+    """The pairs (u1, u2) of order-3 jets in (x, y, t1, t2) of unit rows u (n, 32), as one map.
 
-    Per pair the base point, drawn as rng.uniform(-0.8, 0.8, 4), then the
-    seven coefficients of u1's polynomial and the seven of u2's, each drawn
-    as _cpx(rng, 0.6): u_i = x_i + 0.3 (c0 + c1 x + c2 y + c3 t1 + c4 t2
+    Per pair the base point, as rng.uniform(-0.8, 0.8, 4) draws it, then the
+    seven coefficients of u1's polynomial and the seven of u2's, each as
+    _cpx(rng, 0.6) draws it: u_i = x_i + 0.3 (c0 + c1 x + c2 y + c3 t1 + c4 t2
     + c5 x y + c6 y t2).
     """
-    u = rng.random((size, 32))
     (low, high), (clow, chigh) = (-0.8, 0.8), (-0.6, 0.6)
     xs = Jet.variables(4, 3, tuple((low + (high - low) * u[:, :4]).T))
     c = (clow + (chigh - clow) * u[:, 4:]).view(np.complex128).T
@@ -617,30 +630,37 @@ def _random_evo_pairs(rng, size):
     return MapJet2(xs[0] + 0.3 * poly(c[:7]), xs[1] + 0.3 * poly(c[7:]))
 
 
-def _check_mt4_invariance(rng, n):
+def _draw_mt4_invariance(rng, n):
     # the pair's spatial Jacobian and the action's denominator and Jacobian
     # factor at the base point are drawn values: rejected at draw time, in
-    # order, each sample taking matrix k mod 2 by its place k among the kept
+    # order, each sample taking matrix k mod 2 by its place k among the kept.
+    # A round of at most CHUNK candidates, and no more than are missing, ends
+    # by its last kept one; only the kept candidates' unit rows stay
     kept, mats = [], []
     while len(kept) < n:
-        pairs = _random_evo_pairs(rng, n - len(kept))
-        base = tuple(zip(pairs.u1.value.tolist(), pairs.u2.value.tolist()))
-        for k, jac in enumerate(pairs.jacobian_value().tolist()):
-            m = _MT4_MATS[len(kept) % 2]
-            if abs(denominator(m, base[k])) < 1e-10 or abs(jac) < 1e-14:
+        rows = rng.random((min(n - len(kept), CHUNK), 32))
+        pairs = _evo_pairs(rows)
+        base = zip(pairs.u1.value.tolist(), pairs.u2.value.tolist())
+        for row, z, jac in zip(rows, base, pairs.jacobian_value().tolist()):
+            k = len(kept) % 2
+            if abs(denominator(_MT4_MATS[..., k], z)) < 1e-10 or abs(jac) < 1e-14:
                 continue
-            if abs(jacobian_factor(m, base[k]) * jac) < 1e-14:
+            if abs(jacobian_factor(_MT4_MATS[..., k], z) * jac) < 1e-14:
                 continue
-            kept.append(pairs[k])
-            mats.append(m)
-    u = stack_maps(kept)
-    ut = act(np.stack(mats, -1), (u.u1, u.u2))
+            kept.append(row)
+            mats.append(k)
+    return np.array(kept), np.array(mats)
+
+
+def _check_mt4_invariance(rows, mat):
+    u = _evo_pairs(rows)
+    ut = act(_MT4_MATS[..., mat].copy(), (u.u1, u.u2))
     parts = []
     for which in ("t1", "t2"):
         qa, qb = evo_quotients((u.u1, u.u2), which), evo_quotients(ut, which)
         parts += [abs(qa[0] - qb[0]), abs(qa[1] - qb[1])]
     quads = np.abs(deriv_quad(u).value - deriv_quad(MapJet2(*ut)).value)
-    yield from worst_of(parts + [quads.max(-1)])
+    return worst_of(parts + [quads.max(-1)])
 
 
 # ---------------------------------------------------------------------------
@@ -657,57 +677,75 @@ class CheckDef:
     run: object  # (rng, samples) -> (worst residual, samples used)
 
 
-def _reduce(runner):
-    """The check's run: the worst of the runner's residuals, and their number."""
+CHUNK = 1000  # rows per evaluate call: at least 100, so a default report evaluates each check once
+
+
+def _evaluate(evaluate, inputs, start):
+    """evaluate on the CHUNK rows of inputs from start; a refusal past the first chunk says where it starts."""
+    try:
+        return evaluate(*(x[start : start + CHUNK] for x in inputs))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise type(exc)(f"{exc}, in the chunk from sample {start}") if start else exc
+
+
+def _reduce(draw, evaluate):
+    """The check's run: the worst of its residuals, and their number.
+
+    With evaluate None, draw is a runner that yields the residuals.
+    """
 
     def run(rng, n):
-        residuals = np.fromiter(runner(rng, n), float)
+        if evaluate is None:
+            residuals = np.fromiter(draw(rng, n), float)
+        else:
+            inputs = draw(rng, n)
+            first = inputs[0].u1._c if isinstance(inputs[0], MapJet2) else inputs[0]
+            residuals = np.concatenate([_evaluate(evaluate, inputs, k) for k in range(0, len(first), CHUNK)])
         return worst_of(residuals), residuals.size
 
     return run
 
 
-CHECKS = tuple(
-    CheckDef(cid, suite, anchor, tol, samples, _reduce(runner))
-    for cid, suite, anchor, tol, samples, runner in (
-        ("group-algebra", "group", "generator word and unitarity identities", 0.0, 0, _check_group_algebra),
-        ("invariance", "derivs", "quad invariance under linear fractional maps", 1e-10, 50, _check_invariance),
-        ("vanishing", "derivs", "quad vanishes on linear fractional pairs", 1e-10, 50, _check_vanishing),
-        ("chain-rule", "derivs", "composition chain rule for the quad", 1e-9, 20, _check_chain_rule),
-        ("cocycle", "derivs", "transport matrix multiplicativity", 1e-9, 20, _check_cocycle),
-        ("cocycle-u", "derivs", "extended transport multiplicativity", 1e-9, 20, _check_cocycle_u),
-        ("second-argument", "derivs", "base-change transform of the quad", 1e-9, 20, _check_second_argument),
-        ("jacobian-deformation", "derivs", "determinant transport of pair fields", 1e-9, 20, _check_jacobian_deformation),
-        ("exp-oracle", "derivs", "exponential solution family oracle", 1e-10, 10, _check_exp_oracle),
-        ("MT1", "pde", "cube-root-of-Jacobian linear system", 1e-8, 20, _check_mt1),
-        ("MT1-branch", "pde", "branch covariance of the residuals", 1e-12, 5, _check_mt1_branch),
-        ("MT2-first", "pde", "first-branch closed-form solutions", 1e-8, 10, _mt2_branch_runner("first")),
-        ("MT2-second", "pde", "second-branch closed-form solutions", 1e-8, 10, _mt2_branch_runner("second")),
-        ("MT2-picard", "pde", "field recovery from solution gradients", 1e-7, 5, _check_mt2_picard),
-        ("MT2-picard-modular", "pde", "power-product form rebuilt from F1", 1e-8, 5, _check_mt2_picard_modular),
-        ("F1-euler", "f1", "double series vs Euler integral", 1e-8, 50, _check_f1_euler),
-        ("F1-pde", "f1", "hypergeometric system residuals", 1e-8, 20, _check_f1_pde),
-        ("F1-picard-gamma", "f1", "period integral Gamma-factor identity", 1e-6, 10, _check_f1_picard_gamma),
-        ("F1-k3", "f1", "K-integral as an F1 value", 1e-6, 10, _check_f1_k3),
-        ("F1-beta", "f1", "Beta special value 2*pi/sqrt(3)", 1e-10, 1, _check_f1_beta),
-        ("MT3", "picard", "order-5 pullback identity, cubed form", 1e-10, 10, _check_mt3),
-        ("MT3-constraint", "picard", "coefficient normalization constraint", 1e-12, 50, _check_mt3_constraint),
-        ("J-orbit", "picard", "moduli invariants constant on orbits", 1e-10, 50, _check_j_orbit),
-        ("param-table", "picard", "parameter rows under moduli swaps", 1e-10, 50, _check_param_table),
-        ("sign-tables", "picard", "sign and prefactor relations", 1e-12, 100, _check_sign_tables),
-        ("P4.1", "eta", "variant identities: translations", 0.0, 0, _p4_runner("P4.1")),
-        ("P4.2", "eta", "variant identities: lattice generators", 0.0, 0, _p4_runner("P4.2")),
-        ("P4.3", "eta", "variant identities: scaled conjugates", 0.0, 0, _p4_runner("P4.3")),
-        ("P4.4", "eta", "quotient transformation laws", 0.0, 0, _p4_runner("P4.4")),
-        ("P4.5", "eta", "quotient translation laws", 0.0, 0, _p4_runner("P4.5")),
-        ("P4.6", "eta", "quotient cube laws", 0.0, 0, _p4_runner("P4.6")),
-        ("eta-ledger", "eta", "phase multiplier table as exact rationals", 0.0, 0, _check_eta_ledger),
-        ("eta36", "eta", "transformation law of the 36th power", 1e-9, 10, _check_eta36),
-        ("MT4", "evolution", "field equations on solution families", 1e-12, 10, _check_mt4),
-        ("MT4-galilean", "evolution", "drift covariance on arbitrary fields", 1e-10, 10, _check_mt4_galilean),
-        ("MT4-invariance", "evolution", "quotients invariant under the group", 1e-10, 10, _check_mt4_invariance),
-    )
+# (id, suite, anchor, tolerance, samples, draw, evaluate or None for a runner)
+_TABLE = (
+    ("group-algebra", "group", "generator word and unitarity identities", 0.0, 0, _check_group_algebra, None),
+    ("invariance", "derivs", "quad invariance under linear fractional maps", 1e-10, 50, _draw_invariance, _check_invariance),
+    ("vanishing", "derivs", "quad vanishes on linear fractional pairs", 1e-10, 50, _lft_draws(False), _check_vanishing),
+    ("chain-rule", "derivs", "composition chain rule for the quad", 1e-9, 20, _map_draws(2), _check_chain_rule),
+    ("cocycle", "derivs", "transport matrix multiplicativity", 1e-9, 20, _map_draws(2), _check_cocycle),
+    ("cocycle-u", "derivs", "extended transport multiplicativity", 1e-9, 20, _draw_cocycle_u, _check_cocycle_u),
+    ("second-argument", "derivs", "base-change transform of the quad", 1e-9, 20, _lft_draws(True), _check_second_argument),
+    ("jacobian-deformation", "derivs", "determinant transport of pair fields", 1e-9, 20, _map_draws(3), _check_jacobian_deformation),
+    ("exp-oracle", "derivs", "exponential solution family oracle", 1e-10, 10, _draw_exp_oracle, _check_exp_oracle),
+    ("MT1", "pde", "cube-root-of-Jacobian linear system", 1e-8, 20, _map_draws(1), mt1_relative_residual),
+    ("MT1-branch", "pde", "branch covariance of the residuals", 1e-12, 5, _map_draws(1), _check_mt1_branch),
+    ("MT2-first", "pde", "first-branch closed-form solutions", 1e-8, 10, _mt2_draw("first"), _mt2_branch_check("first")),
+    ("MT2-second", "pde", "second-branch closed-form solutions", 1e-8, 10, _mt2_draw("second"), _mt2_branch_check("second")),
+    ("MT2-picard", "pde", "field recovery from solution gradients", 1e-7, 5, _mt2_draw("lens"), _check_mt2_picard),
+    ("MT2-picard-modular", "pde", "power-product form rebuilt from F1", 1e-8, 5, _draw_mt2_picard_modular, _check_mt2_picard_modular),
+    ("F1-euler", "f1", "double series vs Euler integral", 1e-8, 50, _draw_f1_rows, _check_f1_euler),
+    ("F1-pde", "f1", "hypergeometric system residuals", 1e-8, 20, _draw_f1_rows, _check_f1_pde),
+    ("F1-picard-gamma", "f1", "period integral Gamma-factor identity", 1e-6, 10, _draw_gamma_moduli, _check_f1_picard_gamma),
+    ("F1-k3", "f1", "K-integral as an F1 value", 1e-6, 10, _draw_f1_points, _check_f1_k3),
+    ("F1-beta", "f1", "Beta special value 2*pi/sqrt(3)", 1e-10, 1, _check_f1_beta, None),
+    ("MT3", "picard", "order-5 pullback identity, cubed form", 1e-10, 10, _draw_mt3, _check_mt3),
+    ("MT3-constraint", "picard", "coefficient normalization constraint", 1e-12, 50, _draw_moduli, _check_mt3_constraint),
+    ("J-orbit", "picard", "moduli invariants constant on orbits", 1e-10, 50, _points(_safe_pair), _check_j_orbit),
+    ("param-table", "picard", "parameter rows under moduli swaps", 1e-10, 50, _draw_param_table, _check_param_table),
+    ("sign-tables", "picard", "sign and prefactor relations", 1e-12, 100, _points(_safe_pair), _check_sign_tables),
+    ("P4.1", "eta", "variant identities: translations", 0.0, 0, _p4_runner("P4.1"), None),
+    ("P4.2", "eta", "variant identities: lattice generators", 0.0, 0, _p4_runner("P4.2"), None),
+    ("P4.3", "eta", "variant identities: scaled conjugates", 0.0, 0, _p4_runner("P4.3"), None),
+    ("P4.4", "eta", "quotient transformation laws", 0.0, 0, _p4_runner("P4.4"), None),
+    ("P4.5", "eta", "quotient translation laws", 0.0, 0, _p4_runner("P4.5"), None),
+    ("P4.6", "eta", "quotient cube laws", 0.0, 0, _p4_runner("P4.6"), None),
+    ("eta-ledger", "eta", "phase multiplier table as exact rationals", 0.0, 0, _check_eta_ledger, None),
+    ("eta36", "eta", "transformation law of the 36th power", 1e-9, 10, _points(_eta_domain_point), _check_eta36),
+    ("MT4", "evolution", "field equations on solution families", 1e-12, 10, _draw_mt4, _check_mt4),
+    ("MT4-galilean", "evolution", "drift covariance on arbitrary fields", 1e-10, 10, _draw_mt4_galilean, _check_mt4_galilean),
+    ("MT4-invariance", "evolution", "quotients invariant under the group", 1e-10, 10, _draw_mt4_invariance, _check_mt4_invariance),
 )
+CHECKS = tuple(CheckDef(*row[:5], _reduce(*row[5:])) for row in _TABLE)
 
 SUITES = {}
 for _c in CHECKS:

@@ -95,7 +95,7 @@ class TestDerivQuad:
             return q
 
         monkeypatch.setattr(report, "deriv_quad", poisoned)
-        got = list(report._check_vanishing(report._rng(42, "vanishing")[0], 4))
+        got = list(report._check_vanishing(*report._lft_draws(False)(report._rng(42, "vanishing")[0], 4)))
         assert [k for k, r in enumerate(got) if math.isnan(r)] == [2]
 
 
@@ -148,6 +148,26 @@ class TestExpSystemOracle:
             m = exp_solution_map(pairs, base=(0.05, -0.03))
             assert np.allclose(deriv_quad(m).value, predicted, atol=1e-10)
             done += 1
+
+
+    def test_the_worst_of_fifty_thousand_seed_4_samples_passes_alone(self):
+        # exp-oracle's worst sample of `verify derivs --seed 4 --samples 50000`:
+        # its rows' |det| is 6.1e-4 and its prediction reaches 2.3e3, so both
+        # sides carry float error of that size.  The gap in the values alone
+        # is 5.4e-10, over the 1e-10 tolerance; relative to max(1, |predicted|)
+        # the whole order-1 jet's gap is 2.5e-13.
+        pairs = np.array(
+            [
+                [-0.020623739534209484 - 0.1342281210783487j, 0.3511323499986114 - 0.9549719850021876j],
+                [0.2727312293689286 + 0.32991892128721423j, 0.7252326468007544 + 0.4273590879321796j],
+                [-0.011852321921221654 + 0.31440242705017996j, 0.027558889075173232 + 0.16877561822785103j],
+            ]
+        )
+        predicted = exp_system_oracle(pairs)[3]
+        quad = deriv_quad(exp_solution_map(pairs, base=(0.05, -0.03)))
+        assert np.abs(quad.value - predicted).max() > 5e-10
+        (residual,) = report._check_exp_oracle(pairs[None])
+        assert residual < 1e-12
 
 
 class TestTransportMatrix:

@@ -571,6 +571,29 @@ def _fault_branch_phase(monkeypatch):
     monkeypatch.setattr(pde_verify, "_mt1_system", off_phase)
 
 
+def _fault_jet_exp_sixth(monkeypatch):
+    # 6 in place of 1/6: only the third partials of exp(jet) move
+    def sixth(a):
+        nil = a._c.copy()
+        nil[..., 0] = 0.0
+        series = _series(a.dim, a.order, nil, (1.0, 1 / 2, 6.0)[: a.order])
+        return _wrap(a.dim, a.order, series * jets._col(np.exp(a.value)))
+
+    monkeypatch.setattr(derivs, "_jet_exp", sixth)
+
+
+def _fault_series_cube(monkeypatch):
+    # the cube coefficient of every power series doubled: the values stay,
+    # the third-order coefficients move
+    def doubled(dim, order, nil, coeffs):
+        return _series(dim, order, nil, [2 * c if k == 2 else c for k, c in enumerate(coeffs)])
+
+    # every module that imported it by name
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("gl3schwarz") and getattr(mod, "_series", None) is _series:
+            monkeypatch.setattr(mod, "_series", doubled)
+
+
 @pytest.mark.parametrize(
     "fault",
     [
@@ -579,8 +602,18 @@ def _fault_branch_phase(monkeypatch):
         _fault_power_table_swap,
         _fault_det_pair_swap,
         _fault_branch_phase,
+        _fault_jet_exp_sixth,
+        _fault_series_cube,
     ],
-    ids=["inverse-sign", "powq-binomial", "power-table-swap", "det-pair-swap", "branch-phase"],
+    ids=[
+        "inverse-sign",
+        "powq-binomial",
+        "power-table-swap",
+        "det-pair-swap",
+        "branch-phase",
+        "jet-exp-sixth",
+        "series-cube",
+    ],
 )
 def test_a_kernel_fault_fails_the_report(monkeypatch, fault):
     fault(monkeypatch)

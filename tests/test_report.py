@@ -189,7 +189,7 @@ def _run_samples(monkeypatch, samples):
     def runner(rng, n):
         yield from samples
 
-    run = report._reduce(runner)
+    run = report._reduce(runner, None)
     fake = report.CheckDef("fake-check", "fake", "synthetic samples", 1e-10, len(samples), run)
     monkeypatch.setattr(report, "CHECKS", CHECKS + (fake,))
     monkeypatch.setitem(report.SUITES, "fake", [fake.id])
@@ -257,9 +257,12 @@ class TestSampleCounts:
 # PCG64 streams, which the report drew from before random.Random.  The pde,
 # picard and f1 rows were measured on the row-by-row series engine before
 # the factored convolution; the derivs, evolution and eta36 rows on the
-# per-term jet algorithms before the whole-array kernels.  On the report's
-# Mersenne Twister streams no check's worst over seeds 1-50 exceeds 6% of
-# its ceiling (eta36 5.7%, exp-oracle 2.6%, the others 2.0% or less).  The
+# per-term jet algorithms before the whole-array kernels.  The exp-oracle
+# row was measured again on the report's Mersenne Twister streams once its
+# residual became the whole order-1 jet's gap over max(1, |predicted|).  On
+# those streams no check's worst over seeds 1-50 exceeds 7% of its ceiling
+# (vanishing, over its whole order-1 jet, 6.7%; eta36 5.7%; the others 2.0%
+# or less).  The
 # report's tolerances stay the contract; they are 1 (MT3) to 1e7 (F1-k3)
 # times looser than these ceilings, so a precision regression fails here
 # long before it fails there.
@@ -269,7 +272,7 @@ CEILINGS = {
     "MT2-first": 4.9e-11, "MT2-picard": 4.4e-11, "MT2-picard-modular": 9.1e-12,
     "MT2-second": 9.9e-12, "MT3": 1.1e-10, "MT3-constraint": 1.4e-13,
     "param-table": 7.1e-12, "sign-tables": 6.1e-12,
-    "chain-rule": 1.0e-13, "cocycle": 2.7e-13, "cocycle-u": 3.0e-13, "exp-oracle": 2.0e-11,
+    "chain-rule": 1.0e-13, "cocycle": 2.7e-13, "cocycle-u": 3.0e-13, "exp-oracle": 8.2e-13,
     "invariance": 4.5e-12, "jacobian-deformation": 9.0e-14, "second-argument": 3.4e-13,
     "vanishing": 2.9e-13, "eta36": 1.3e-12, "MT4-galilean": 6.7e-14, "MT4-invariance": 8.6e-14,
     # exactly 0.0 on every seed: both MT4 field families have zero spatial
@@ -331,7 +334,7 @@ class TestNonFinite:
         (entry,) = rep["checks"]
         assert entry["samples"] == 3
         assert entry["residual"] is None and entry["pass"] is False
-        residual, used = report._reduce(lambda rng, n: iter([0.0, float("nan"), 0.0]))(None, 0)
+        residual, used = report._reduce(lambda rng, n: iter([0.0, float("nan"), 0.0]), None)(None, 0)
         assert math.isnan(residual) and used == 3
 
     def test_finite_samples_keep_their_maximum(self, monkeypatch):

@@ -1,20 +1,24 @@
-"""The whole-sample checks against their one-sample-at-a-time references.
+"""Every sampled check is a draw and an evaluate, and a stack is its samples.
 
-The derivs runners, MT1, MT1-branch, MT2-first, MT2-second, MT2-picard,
-MT2-picard-modular, F1-euler, F1-pde, F1-picard-gamma, F1-k3,
-MT3-constraint, J-orbit, param-table, sign-tables, eta36, MT4,
-MT4-galilean and MT4-invariance draw all samples first and evaluate them in
-one stacked pass: one stack of jets or points, one stacked F1 series and one
-stacked quadrature per parameter set (param-table: one stack per table row,
-MT4: one per field family); MT3 evaluates each moduli instance's ten
-points as one stack.  The runners below are the loops they replaced:
-one map, one point, one series per sample.  They stay here as references
-only, and the stacked runners must match them sample by sample.  Any other
-layer that refuses one sample of a stack names it: the message of a single
-point, followed by " (sample k)".
+A drawing check's draw(rng, n) makes all of its draws and rejections and
+returns its inputs, one row per residual along their first axis, each
+choice made per sample among them; evaluate(*inputs) gives one residual
+per row and never touches the rng, and the report evaluates in chunks of
+report.CHUNK rows.  The tests here hold that:
+- each row evaluated alone, as a stack of one, is bit-equal to its row of
+  the whole stack, for sound layers and under a planted fault per check,
+  so a row carries every input of its sample;
+- chunks of three rows give the whole stack's residuals, bit for bit;
+- each draw leaves its stream where pinned values say, so no draw's count
+  or order moves;
+- the whole-candidate draws take the numbers of the per-number loops;
+- a NaN in one sample stays in that sample, a misaligned stack fails its
+  check, and a layer that refuses one sample of a stack names it: the
+  message of a single point, followed by " (sample k)";
+- a layer given a single point (a Python complex, a single jet or map)
+  agrees with the same point as a stack of one.
 """
 
-import cmath
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -23,56 +27,35 @@ import numpy as np
 import pytest
 
 from gl3schwarz import appell, derivs, eta, evolution, lft, pde_verify, picard, report
-from gl3schwarz.appell import (
-    F1Params,
-    f1_euler,
-    f1_pde_residual,
-    f1_series,
-    k_integral,
-    picard_f1_identity_rhs,
-    picard_integral,
-)
+from gl3schwarz.appell import picard_f1_identity_rhs, picard_integral
 from gl3schwarz.derivs import (
     MapJet2,
     chain_rule_rhs,
-    compose_maps,
     deriv_quad,
-    exp_solution_map,
     exp_system_oracle,
     exponent_rows,
     extended_transport,
     jacobian_deformation,
-    lft_map,
     random_map,
     second_arg_transform,
+    stack_maps,
     transport_matrix,
-    transported_pair,
 )
-from gl3schwarz.eta import (
-    eta36,
-    eta36_transform_check,
-    s_invariant_map,
-    translation_invariant_map,
-)
-from gl3schwarz.evolution import (
-    EvoFields,
-    consistency_residual,
-    evo_quotients,
-    galilean_covariance_check,
-)
+from gl3schwarz.eta import eta36, eta36_transform_check, s_invariant_map, translation_invariant_map
+from gl3schwarz.evolution import EvoFields, evo_quotients, galilean_covariance_check
 from gl3schwarz.jets import Jet, JetError, _wrap, jet_powq
-from gl3schwarz.lft import act, denominator, generators, jacobian_factor, word_product
+from gl3schwarz.lft import act, generators, jacobian_factor, word_product
 from gl3schwarz.pde_verify import (
     PICARD,
     PICARD_MODULAR,
+    ParamTriple,
+    _pole_gap,
     mt1_branch_residuals,
     mt1_relative_residual,
-    mt1_residuals,
     mt2_field_recovery_gap,
     mt2_solution_residuals,
     picard_modular_form_residuals,
 )
-from gl3schwarz.pde_verify import ParamTriple, _pole_gap
 from gl3schwarz.picard import (
     corollary52_gaps,
     f_sign_relations,
@@ -85,370 +68,30 @@ from gl3schwarz.picard import (
     s3_orbit,
     transform_abg,
 )
-from gl3schwarz.report import (
-    _F1_CHECK_PARAMS,
-    _GEN_NAMES,
-    _MT4_MATS,
-    _cpx,
-    _eta_domain_point,
-    _gamma_modulus,
-    _moduli_instance,
-    _mt2_point,
-    _order5_point,
-    _safe_lft_point,
-    _safe_pair,
-    run_suites,
-)
-from gl3schwarz.worst import worst_of
-from oracles import random_fields
+from gl3schwarz.report import _cpx, _moduli_instance, _safe_pair, run_suites
 
+# each drawing check's (draw, evaluate), and its entry
+SAMPLED = {row[0]: row[5:] for row in report._TABLE if row[6] is not None}
+STACKED = {c.id: c for c in report.CHECKS if c.id in SAMPLED}
 
-def _ref_invariance(rng, n):
-    gens = generators()
-    done = 0
-    while done < n:
-        u = random_map(rng)
-        m = gens[_GEN_NAMES[rng.integers(len(_GEN_NAMES))]].to_numpy()
-        z = (u.u1, u.u2)
-        if abs(denominator(m, z).value) < 0.2:
-            continue
-        base = deriv_quad(u).value
-        diff = np.abs(deriv_quad(MapJet2(*act(m, z))).value - base).max()
-        yield diff / max(1.0, np.abs(base).max())
-        done += 1
 
+def _drawn(cid, seed):
+    """The check's inputs at its default count, and its residuals over the whole stack."""
+    draw, evaluate = SAMPLED[cid]
+    inputs = draw(report._rng(seed, cid)[0], STACKED[cid].samples)
+    return inputs, evaluate(*inputs)
 
-def _ref_vanishing(rng, n):
-    gens = generators()
-    for k in range(n):
-        g = gens[_GEN_NAMES[k % len(_GEN_NAMES)]]
-        z = _safe_lft_point(rng, g)
-        yield worst_of(np.abs(deriv_quad(lft_map(g, z)).value))
 
+def _alone(cid, inputs):
+    """The residual of each row of inputs, evaluated as a stack of one."""
+    evaluate = SAMPLED[cid][1]
+    rows = len(inputs[0].u1._c if isinstance(inputs[0], MapJet2) else inputs[0])
+    return np.concatenate([evaluate(*(x[k : k + 1] for x in inputs)) for k in range(rows)])
 
-def _ref_chain_rule(rng, n):
-    for _ in range(n):
-        w, u = random_map(rng), random_map(rng)
-        lhs = deriv_quad(compose_maps(u, w)).value
-        rhs = chain_rule_rhs(deriv_quad(u).value, w)
-        yield np.abs(lhs - rhs).max()
 
-
-def _ref_cocycle(rng, n):
-    for _ in range(n):
-        w, u = random_map(rng), random_map(rng)
-        lhs = transport_matrix(w) @ transport_matrix(u)
-        yield np.abs(lhs - transport_matrix(compose_maps(u, w))).max()
-
-
-def _ref_cocycle_u(rng, n):
-    cs = (0.0, 1.0, 2.5)
-    for k in range(n):
-        c = cs[k % 3]
-        w, u = random_map(rng), random_map(rng)
-        lhs = extended_transport(w, c) @ extended_transport(u, c)
-        rhs = extended_transport(compose_maps(u, w), c)
-        yield np.abs(lhs - rhs).max()
-
-
-def _ref_second_argument(rng, n):
-    gens = generators()
-    for k in range(n):
-        g = gens[_GEN_NAMES[k % len(_GEN_NAMES)]]
-        z = _safe_lft_point(rng, g)
-        u = random_map(rng)
-        lhs = deriv_quad(compose_maps(u, lft_map(g, z))).value
-        rhs = second_arg_transform(deriv_quad(u).value, g, z)
-        yield np.abs(lhs - rhs).max()
-
-
-def _ref_jacobian_deformation(rng, n):
-    for _ in range(n):
-        zm = random_map(rng)
-        f1h, f2h = random_map(rng).u1, random_map(rng).u2
-        lhs = jacobian_deformation(f1h, f2h, zm)
-        rhs = MapJet2(*transported_pair(f1h, f2h, zm)).jacobian_value() / zm.jacobian_value()
-        yield abs(lhs - rhs)
-
-
-def _ref_exp_oracle(rng, n):
-    done = 0
-    while done < n:
-        pts = rng.uniform(-1, 1, size=(3, 2)) + 1j * rng.uniform(-1, 1, size=(3, 2))
-        pairs = [tuple(row) for row in pts]
-        try:
-            _, _, _, predicted = exp_system_oracle(pairs)
-        except ValueError:
-            continue
-        m = exp_solution_map(pairs, base=(0.05, -0.03))
-        yield np.abs(deriv_quad(m).value - predicted).max()
-        done += 1
-
-
-def _ref_mt1(rng, n):
-    for _ in range(n):
-        yield mt1_relative_residual(random_map(rng))
-
-
-def _ref_mt1_branch(rng, n):
-    for _ in range(n):
-        m = random_map(rng)
-        r0 = mt1_residuals(m)
-        parts = []
-        for branch in (1, 2):
-            rb, cube = mt1_branch_residuals(m, branch)
-            phase = cmath.exp(2j * cmath.pi * branch / 3)
-            parts += [abs(b - phase * a) for a, b in zip(r0, rb)] + [cube]
-        yield worst_of(parts)
-
-
-def _ref_mt4(rng, n):
-    half = max(1, n // 2)
-    for k in range(n):
-        if k < half:
-            f = EvoFields.constant(_cpx(rng), _cpx(rng), _cpx(rng), _cpx(rng))
-        else:
-            f = EvoFields.shear(_cpx(rng), _cpx(rng), _cpx(rng))
-        r1, r2 = evolution.mt4_residuals(f)
-        yield worst_of((abs(r1), abs(r2)))
-
-
-def _ref_mt4_galilean(rng, n):
-    for _ in range(n):
-        f = random_fields(rng, order=3)
-        shift = rng.uniform(-1.5, 1.5, 4)
-        yield worst_of((galilean_covariance_check(f, *shift), consistency_residual(f, f.v1)))
-
-
-def _ref_mt2_branch(which):
-    def run(rng, n):
-        for _ in range(n):
-            v = _mt2_point(rng, which)
-            parts = []
-            for p in (PICARD, PICARD_MODULAR):
-                wr, zr = mt2_solution_residuals(p, v, which)
-                parts += [abs(r) for r in (*wr, *zr)]
-            yield worst_of(parts)
-
-    return run
-
-
-def _ref_mt2_picard(rng, n):
-    for _ in range(n):
-        v = _mt2_point(rng, "lens")
-        yield worst_of(mt2_field_recovery_gap(p, v) for p in (PICARD, PICARD_MODULAR))
-
-
-def _ref_mt2_picard_modular(rng, n):
-    coeff_sets = ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (2.0, -0.7 + 0.3j))
-    for k in range(n):
-        v = _mt2_point(rng, "lens")
-        res = picard_modular_form_residuals(v, coeff_sets[k % len(coeff_sets)])
-        yield worst_of(abs(r) for r in res)
-
-
-def _ref_f1_euler(rng, n):
-    for k in range(n):
-        p = F1Params(*_F1_CHECK_PARAMS[k % len(_F1_CHECK_PARAMS)])
-        x, y = _cpx(rng, 0.45), _cpx(rng, 0.45)
-        yield abs(f1_series(p, x, y) - f1_euler(p, x, y))
-
-
-def _ref_f1_pde(rng, n):
-    for k in range(n):
-        p = F1Params(*_F1_CHECK_PARAMS[k % len(_F1_CHECK_PARAMS)])
-        r1, r2 = f1_pde_residual(p, _cpx(rng, 0.45), _cpx(rng, 0.45))
-        yield worst_of((abs(r1), abs(r2)))
-
-
-def _ref_f1_k3(rng, n):
-    pref = math.gamma(1 / 3) * math.gamma(2 / 3)
-    p = F1Params("1/3", "1/3", "1/3", 1)
-    for _ in range(n):
-        ki, kj = _cpx(rng, 0.45), _cpx(rng, 0.45)
-        yield abs(k_integral(ki, kj) - pref * f1_series(p, ki, kj))
-
-
-def _ref_mt3(rng, n):
-    per_instance = 10
-    for _ in range(n):
-        u, v = _moduli_instance(rng)
-        for _ in range(per_instance):
-            t = _order5_point(rng, u)
-            x = [ti ** (1 / 3) for ti in t]  # the same point in root coordinates
-            # each point and its moduli a stack of one: a single point rounds
-            # in Python's complex arithmetic, and a residual that is all
-            # roundoff (about 1e-13 here) moves by its own size with the last bits
-            uv = [tuple(np.array([c]) for c in pair) for pair in (u, v)]
-            gap_t = pullback_gaps(*uv, tuple(np.array([c]) for c in t))
-            gap_x = corollary52_gaps(*uv, tuple(np.array([c]) for c in x))
-            yield worst_of((gap_t[0], gap_x[0]))
-
-
-def _ref_f1_picard_gamma(rng, n):
-    for _ in range(n):
-        x, y = _gamma_modulus(rng), _gamma_modulus(rng)
-        lhs = picard_integral(x, y) ** 3
-        rhs = picard_f1_identity_rhs(x, y) ** 3
-        yield abs(lhs - rhs) / abs(rhs)
-
-
-def _ref_mt3_constraint(rng, n):
-    for _ in range(n):
-        u, v = _moduli_instance(rng)
-        yield abs(transform_abg(u, v).constraint_residual())
-
-
-def _ref_j_orbit(rng, n):
-    fam1 = ("T", "S1", "S1T", "TS1", "S1TS1")
-    fam2 = ("T", "S2", "S2T", "TS2", "S2TS2")
-    for _ in range(n):
-        l1, l2 = _safe_pair(rng)
-        j1, j2 = j_invariants(l1, l2)
-        parts = [abs(j_invariants(*s3_orbit(name, l1, l2))[0] - j1) / abs(j1) for name in fam1]
-        parts += [abs(j_invariants(*s3_orbit(name, l1, l2))[1] - j2) / abs(j2) for name in fam2]
-        yield worst_of(parts)
-
-
-def _ref_param_table(rng, n):
-    p = ParamTriple(0.3 + 0.1j, -0.8, 1.1)
-    per_row = max(1, n // 5)
-    for row in (1, 2, 3, 4, 5):
-        for _ in range(per_row):
-            yield param_table_check(row, p, _safe_pair(rng))
-
-
-def _ref_sign_tables(rng, n):
-    for _ in range(n):
-        x, y = _safe_pair(rng)
-        yield worst_of((f_sign_relations(x, y), p_transform_relations(0.3 + 0.1j, -0.8, 1.1, x, y)))
-
-
-def _random_evo_pair(rng, order=3):
-    xs = Jet.variables(4, order, rng.uniform(-0.8, 0.8, 4))
-
-    def poly():
-        out = Jet.constant(4, order, _cpx(rng, 0.6))
-        for v in xs:
-            out = out + _cpx(rng, 0.6) * v
-        return out + _cpx(rng, 0.6) * xs[0] * xs[1] + _cpx(rng, 0.6) * xs[1] * xs[3]
-
-    return (xs[0] + 0.3 * poly(), xs[1] + 0.3 * poly())
-
-
-def _ref_mt4_invariance(rng, n):
-    done = 0
-    while done < n:
-        u = _random_evo_pair(rng)
-        m = _MT4_MATS[done % 2]
-        if abs(denominator(m, (u[0].value, u[1].value))) < 1e-10:
-            continue
-        try:
-            ut = act(m, u)
-            parts = []
-            for which in ("t1", "t2"):
-                qa, qb = evo_quotients(u, which), evo_quotients(ut, which)
-                parts += [abs(qa[0] - qb[0]), abs(qa[1] - qb[1])]
-            va = deriv_quad(MapJet2(u[0], u[1])).value
-            vb = deriv_quad(MapJet2(ut[0], ut[1])).value
-        except ZeroDivisionError:
-            continue
-        yield worst_of(parts + list(np.abs(va - vb)))
-        done += 1
-
-
-def _ref_eta36(rng, n):
-    cell = word_product((("commutator", 3),))
-    for _ in range(n):
-        z = _eta_domain_point(rng)
-        yield worst_of(
-            (
-                eta36_transform_check(generators()["S"], s_invariant_map, z),
-                eta36_transform_check(cell, translation_invariant_map, z),
-            )
-        )
-
-
-REFERENCES = {
-    "invariance": _ref_invariance,
-    "vanishing": _ref_vanishing,
-    "chain-rule": _ref_chain_rule,
-    "cocycle": _ref_cocycle,
-    "cocycle-u": _ref_cocycle_u,
-    "second-argument": _ref_second_argument,
-    "jacobian-deformation": _ref_jacobian_deformation,
-    "exp-oracle": _ref_exp_oracle,
-    "MT1": _ref_mt1,
-    "MT1-branch": _ref_mt1_branch,
-    "MT4": _ref_mt4,
-    "MT4-galilean": _ref_mt4_galilean,
-    "MT2-first": _ref_mt2_branch("first"),
-    "MT2-second": _ref_mt2_branch("second"),
-    "MT2-picard": _ref_mt2_picard,
-    "MT2-picard-modular": _ref_mt2_picard_modular,
-    "F1-euler": _ref_f1_euler,
-    "F1-pde": _ref_f1_pde,
-    "F1-picard-gamma": _ref_f1_picard_gamma,
-    "F1-k3": _ref_f1_k3,
-    "MT3": _ref_mt3,
-    "MT3-constraint": _ref_mt3_constraint,
-    "J-orbit": _ref_j_orbit,
-    "param-table": _ref_param_table,
-    "sign-tables": _ref_sign_tables,
-    "eta36": _ref_eta36,
-    "MT4-invariance": _ref_mt4_invariance,
-}
-STACKED = {c.id: c for c in report.CHECKS if c.id in REFERENCES}
-RUNNERS = {
-    "invariance": report._check_invariance,
-    "vanishing": report._check_vanishing,
-    "chain-rule": report._check_chain_rule,
-    "cocycle": report._check_cocycle,
-    "cocycle-u": report._check_cocycle_u,
-    "second-argument": report._check_second_argument,
-    "jacobian-deformation": report._check_jacobian_deformation,
-    "exp-oracle": report._check_exp_oracle,
-    "MT1": report._check_mt1,
-    "MT1-branch": report._check_mt1_branch,
-    "MT4": report._check_mt4,
-    "MT4-galilean": report._check_mt4_galilean,
-    "MT2-first": report._mt2_branch_runner("first"),
-    "MT2-second": report._mt2_branch_runner("second"),
-    "MT2-picard": report._check_mt2_picard,
-    "MT2-picard-modular": report._check_mt2_picard_modular,
-    "F1-euler": report._check_f1_euler,
-    "F1-pde": report._check_f1_pde,
-    "F1-picard-gamma": report._check_f1_picard_gamma,
-    "F1-k3": report._check_f1_k3,
-    "MT3": report._check_mt3,
-    "MT3-constraint": report._check_mt3_constraint,
-    "J-orbit": report._check_j_orbit,
-    "param-table": report._check_param_table,
-    "sign-tables": report._check_sign_tables,
-    "eta36": report._check_eta36,
-    "MT4-invariance": report._check_mt4_invariance,
-}
-
-
-def _residuals(runner, seed, cid, n, rng=None):
-    rng = report._rng(seed, cid)[0] if rng is None else rng
-    return [float(r) for r in runner(rng, n)]
-
-
-def _count(cid, n):
-    """Residuals a run of n samples yields: an MT3 sample is a moduli
-    instance with ten points, and param-table takes max(1, n // 5) points
-    for each of its five rows."""
-    if cid == "MT3":
-        return 10 * n
-    if cid == "param-table":
-        return 5 * max(1, n // 5)
-    return n
-
-
-def test_every_stacked_check_has_a_reference():
-    assert set(STACKED) == set(REFERENCES) == set(RUNNERS) == set(FAULTS)
-    assert set(MISALIGNED) == {c for c in STACKED if c[:3] in ("MT2", "F1-", "MT3")} | {
+def test_every_drawing_check_has_a_fault_and_the_stacked_ones_a_misalignment():
+    assert len(SAMPLED) == 27 and set(SAMPLED) == set(FAULTS)
+    assert set(MISALIGNED) == {c for c in SAMPLED if c[:3] in ("MT2", "F1-", "MT3")} | {
         "J-orbit",
         "param-table",
         "sign-tables",
@@ -456,81 +99,21 @@ def test_every_stacked_check_has_a_reference():
     }
 
 
+# the per-sample reference of a row is its evaluate on that row alone
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 42])
-@pytest.mark.parametrize("cid", sorted(REFERENCES))
+@pytest.mark.parametrize("cid", sorted(SAMPLED))
 def test_stacked_residuals_match_the_per_sample_reference(cid, seed):
-    n = STACKED[cid].samples
-    rngs = [report._rng(seed, cid)[0] for _ in range(2)]
-    got = _residuals(RUNNERS[cid], seed, cid, n, rngs[0])
-    ref = _residuals(REFERENCES[cid], seed, cid, n, rngs[1])
-    assert len(got) == len(ref) == _count(cid, n)
-    assert all(math.isfinite(g) for g in got)
-    assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-13
-    # both drew the same numbers: the stream ends in the same state
-    assert rngs[0].generator.getstate() == rngs[1].generator.getstate()
+    inputs, whole = _drawn(cid, seed)
+    # an MT3 sample is a moduli instance with ten points, one row each
+    assert whole.shape == (STACKED[cid].samples * {"MT3": 10}.get(cid, 1),)
+    assert np.isfinite(whole).all()
+    assert _alone(cid, inputs).tolist() == whole.tolist()
 
 
-def _ref_safe_pair(rng, margin=0.1, box=2.0):
-    while True:
-        x, y = _cpx(rng, box), _cpx(rng, box)
-        if _pole_gap(x, y) >= margin:
-            return x, y
-
-
-def _ref_moduli_instance(rng):
-    while True:
-        u = (_cpx(rng, 2.0), _cpx(rng, 2.0))
-        v2 = _cpx(rng, 2.0)
-        if _pole_gap(*u) < 0.1:
-            continue
-        try:
-            roots = picard.modular_solve(u, v2)
-        except ValueError:
-            continue
-        for v1 in roots:
-            if min(abs(v1), abs(v1 - 1), abs(v1 - v2)) > 1e-3:
-                return u, (v1, v2)
-
-
-# (a source of draws for a seed, its state): the report's and numpy's
-SOURCES = {
-    "report": (lambda seed: report._rng(seed, "candidates")[0], lambda rng: rng.generator.getstate()),
-    "numpy": (np.random.default_rng, lambda rng: rng.bit_generator.state),
-}
-
-
-@pytest.mark.parametrize("source", sorted(SOURCES))
-@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 42])
-@pytest.mark.parametrize(
-    "drawn, ref", [(_safe_pair, _ref_safe_pair), (_moduli_instance, _ref_moduli_instance)]
-)
-def test_whole_candidate_draws_match_the_per_number_loop(drawn, ref, seed, source):
-    # one rng.uniform call per candidate draws the numbers of one _cpx call each
-    make, state = SOURCES[source]
-    rngs = [make(seed) for _ in range(2)]
-    got = [drawn(rngs[0]) for _ in range(50)]
-    assert got == [ref(rngs[1]) for _ in range(50)]
-    numbers = [z for draw in got for part in draw for z in (part if type(part) is tuple else (part,))]
-    assert all(type(z) is complex for z in numbers)
-    assert state(rngs[0]) == state(rngs[1])
-
-
-def test_a_moduli_candidate_builds_one_pair(monkeypatch):
-    built, solved = [], []
-    post_init = picard.ModuliPair.__post_init__
-    monkeypatch.setattr(picard.ModuliPair, "__post_init__", lambda p: built.append(post_init(p)))
-    real = report.modular_solve
-    monkeypatch.setattr(report, "modular_solve", lambda u, v2: solved.append(1) or real(u, v2))
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        _moduli_instance(rng)
-    assert len(solved) >= 20 and len(built) == len(solved)
-
-
-# The residuals of a sound check sit at roundoff, so matching them says
-# little about which samples were paired.  Under a planted fault each check's
-# residual becomes a sizable function of its own sample: matching it then
-# shows that the stack draws the same samples, in the same order and pairing.
+# Under a planted fault each check's residual becomes a sizable function of
+# its own sample, so a stack of one that keeps its row's bits shows that the
+# row carries every input of its sample: its generator, parameter row,
+# coefficient set, field family or matrix as well as its numbers.
 
 
 def _swap_a_det_pair(monkeypatch):
@@ -680,41 +263,177 @@ FAULTS = {
 
 
 @pytest.mark.parametrize("seed", [1, 42])
-@pytest.mark.parametrize("n", [2, 11])
-def test_mt4_splits_any_sample_count_as_the_loop_does(n, seed):
-    # max(1, n // 2) constant fields, the rest shears: odd n has one more shear
-    rngs = [report._rng(seed, "MT4")[0] for _ in range(2)]
-    got = _residuals(report._check_mt4, seed, "MT4", n, rngs[0])
-    assert got == _residuals(_ref_mt4, seed, "MT4", n, rngs[1])
-    assert rngs[0].generator.getstate() == rngs[1].generator.getstate()
-
-
-@pytest.mark.parametrize("seed", [1, 42])
 @pytest.mark.parametrize("cid", sorted(FAULTS))
 def test_faulted_residuals_match_sample_by_sample(monkeypatch, cid, seed):
     FAULTS[cid](monkeypatch)
-    n = STACKED[cid].samples
-    got = np.array(_residuals(RUNNERS[cid], seed, cid, n))
-    ref = np.array(_residuals(REFERENCES[cid], seed, cid, n))
-    assert ref.max() > 1e-5, "the fault must show in the residuals"
-    assert len(got) == len(ref) and np.abs(got - ref).max() <= 1e-9 * ref.max()
+    inputs, whole = _drawn(cid, seed)
+    assert whole.max() > 1e-5, "the fault must show in the residuals"
+    assert _alone(cid, inputs).tolist() == whole.tolist()
 
 
-@pytest.mark.parametrize("cid", sorted(REFERENCES))
+@pytest.mark.parametrize("seed", [1, 42])
+@pytest.mark.parametrize("cid", sorted(SAMPLED))
+def test_chunks_of_three_rows_are_the_whole_stack(monkeypatch, cid, seed):
+    _, whole = _drawn(cid, seed)
+    draw, evaluate = SAMPLED[cid]
+    chunks = []
+
+    def recorded(*rows):
+        chunks.append(evaluate(*rows))
+        return chunks[-1]
+
+    monkeypatch.setattr(report, "CHUNK", 3)
+    rng = report._rng(seed, cid)[0]
+    worst, used = report._reduce(draw, recorded)(rng, STACKED[cid].samples)
+    assert all(len(c) == 3 for c in chunks[:-1]) and 1 <= len(chunks[-1]) <= 3
+    assert np.concatenate(chunks).tolist() == whole.tolist()
+    assert (worst, used) == (whole.max(), len(whole))
+    # the draws, three rows at a time, took the same numbers
+    assert rng.generator.getrandbits(64) == NEXT_BITS[cid][(1, 42).index(seed)]
+
+
+# The next 64 bits of each check's stream after its draw at seeds 1 and 42,
+# pinned: a draw that takes one number more or fewer, or rejects its
+# candidates in another order, moves them.
+NEXT_BITS = {
+    "F1-euler": (0x2f6d809ce1160e76, 0x17ee0a7c92e7ea3a),
+    "F1-k3": (0xdb13fcfba3fa7a32, 0x3fe44af46ec3c768),
+    "F1-pde": (0xe5447813a252ee02, 0xd09bb02e6dc719b4),
+    "F1-picard-gamma": (0x476a46b20141c0b2, 0x46176a51cab0b870),
+    "J-orbit": (0x8966b9b3121874ce, 0xb10b306b72e2de01),
+    "MT1": (0x99fc03be9a746146, 0x29c8a9e17e2702ef),
+    "MT1-branch": (0xb7a725b2e73d1b36, 0x70d6e5c0e7ae3dd0),
+    "MT2-first": (0x5d23adc763da9b5f, 0xafba116ed34445ed),
+    "MT2-picard": (0xd51b4b8f0edf37a0, 0x39983cf4d27d059a),
+    "MT2-picard-modular": (0x5b3a1a810d48befa, 0xae56b0605cda5033),
+    "MT2-second": (0x57e1e746e94fa96e, 0x3994b24754df1f77),
+    "MT3": (0xe8f3c0aa65ae98ff, 0x5559b3877f079b02),
+    "MT3-constraint": (0x7b76cae2a16d79d9, 0xe153674ea7ef07de),
+    "MT4": (0x0758cdd91fdeba88, 0x9c9994d1830c4b2e),
+    "MT4-galilean": (0x3b4894e4e589d320, 0xf84a5f3accb2a2fb),
+    "MT4-invariance": (0xb5f365b0d4537650, 0xb443a0784536beb7),
+    "chain-rule": (0x4e31552e341551a0, 0xc69eb53a3307e8d0),
+    "cocycle": (0x9a243228e34b15ed, 0x71eedbdb5583d972),
+    "cocycle-u": (0x47693f99620aa442, 0xcfb1d1553616eb3b),
+    "eta36": (0x6f6dab1a0cb011ad, 0xcf6f80c53ef000d6),
+    "exp-oracle": (0x361ae3322e0f4575, 0xae0087c7e6e5590d),
+    "invariance": (0xa2b2fa8c36fa3719, 0xdb48cfa76f410fb8),
+    "jacobian-deformation": (0x85c94b87ecb8afd5, 0x4f3d09e7b3f1ab82),
+    "param-table": (0xf3edf415d7907207, 0x04738d7840d25061),
+    "second-argument": (0xf2a627f9aca1aafc, 0x1cb414bb87f83466),
+    "sign-tables": (0x11f06459c51df8a9, 0x8ac6039fde0a211a),
+    "vanishing": (0x525e9a9713bae626, 0xfb0be1488ed554c0),
+}
+
+
+@pytest.mark.parametrize("cid", sorted(SAMPLED))
+def test_each_draw_leaves_its_stream_at_the_pinned_place(cid):
+    got = []
+    for seed in (1, 42):
+        rng = report._rng(seed, cid)[0]
+        SAMPLED[cid][0](rng, STACKED[cid].samples)
+        got.append(rng.generator.getrandbits(64))
+    assert tuple(got) == NEXT_BITS[cid]
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+@pytest.mark.parametrize("n", [1, 2, 11])
+def test_mt4_splits_any_sample_count_as_the_loop_does(n, seed):
+    # max(1, n // 2) constant fields of four numbers, then shears of three
+    shear, c = SAMPLED["MT4"][0](report._rng(seed, "MT4")[0], n)
+    half = max(1, n // 2)
+    assert shear.tolist() == [False] * half + [True] * (n - half)
+    loop = report._rng(seed, "MT4")[0]
+    numbers = [[_cpx(loop) for _ in range(4)] for _ in range(half)]
+    numbers += [[_cpx(loop) for _ in range(3)] + [0j] for _ in range(n - half)]
+    assert c.tolist() == numbers
+
+
+def _listed(x):
+    return (x.u1._c.tolist(), x.u2._c.tolist()) if isinstance(x, MapJet2) else x.tolist()
+
+
+@pytest.mark.parametrize("cid", sorted(SAMPLED))
 def test_a_stack_of_one_matches_the_reference(cid):
-    # --samples 1: every stacked pass runs on arrays with one sample
-    got = _residuals(RUNNERS[cid], 42, cid, 1)
-    ref = _residuals(REFERENCES[cid], 42, cid, 1)
-    assert len(got) == len(ref) == _count(cid, 1)
-    assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-13
+    # --samples 1: the draw of one sample takes the first numbers of the
+    # default draw, the reference here, and evaluates as a stack of one;
+    # param-table then takes one point for each table row
+    draw, evaluate = SAMPLED[cid]
+    one = draw(report._rng(42, cid)[0], 1)
+    rows = {"MT3": 10, "param-table": 5}.get(cid, 1)
+    ref = [x[:rows] for x in draw(report._rng(42, cid)[0], STACKED[cid].samples)]
+    if cid == "param-table":
+        ref[0] = np.arange(1, 6)
+    assert [_listed(x) for x in one] == [_listed(x) for x in ref]
+    assert evaluate(*one).tolist() == evaluate(*ref).tolist()
 
 
 def test_samples_one_report_passes():
     rep = run_suites(("derivs", "pde", "f1", "picard", "eta", "evolution"), seed=42, samples=1)
     by_id = {e["id"]: e for e in rep["checks"]}
-    for cid in REFERENCES:
-        assert by_id[cid]["samples"] == _count(cid, 1) and by_id[cid]["pass"], cid
+    # an MT3 sample is a moduli instance with ten points, and param-table
+    # takes one point for each of its five rows
+    for cid in SAMPLED:
+        assert by_id[cid]["samples"] == {"MT3": 10, "param-table": 5}.get(cid, 1), cid
+        assert by_id[cid]["pass"], cid
     assert rep["summary"]["failed"] == 0
+
+
+def _ref_safe_pair(rng, margin=0.1, box=2.0):
+    while True:
+        x, y = _cpx(rng, box), _cpx(rng, box)
+        if _pole_gap(x, y) >= margin:
+            return x, y
+
+
+def _ref_moduli_instance(rng):
+    while True:
+        u = (_cpx(rng, 2.0), _cpx(rng, 2.0))
+        v2 = _cpx(rng, 2.0)
+        if _pole_gap(*u) < 0.1:
+            continue
+        try:
+            roots = picard.modular_solve(u, v2)
+        except ValueError:
+            continue
+        for v1 in roots:
+            if min(abs(v1), abs(v1 - 1), abs(v1 - v2)) > 1e-3:
+                return u, (v1, v2)
+
+
+# (a source of draws for a seed, its state): the report's and numpy's
+SOURCES = {
+    "report": (lambda seed: report._rng(seed, "candidates")[0], lambda rng: rng.generator.getstate()),
+    "numpy": (np.random.default_rng, lambda rng: rng.bit_generator.state),
+}
+
+
+@pytest.mark.parametrize("source", sorted(SOURCES))
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 42])
+@pytest.mark.parametrize(
+    "drawn, ref", [(_safe_pair, _ref_safe_pair), (_moduli_instance, _ref_moduli_instance)]
+)
+def test_whole_candidate_draws_match_the_per_number_loop(drawn, ref, seed, source):
+    # one rng.uniform call per candidate draws the numbers of one _cpx call each
+    make, state = SOURCES[source]
+    rngs = [make(seed) for _ in range(2)]
+    got = [drawn(rngs[0]) for _ in range(50)]
+    assert got == [ref(rngs[1]) for _ in range(50)]
+    numbers = [z for draw in got for part in draw for z in (part if type(part) is tuple else (part,))]
+    assert all(type(z) is complex for z in numbers)
+    assert state(rngs[0]) == state(rngs[1])
+
+
+def test_a_moduli_candidate_builds_one_pair(monkeypatch):
+    built, solved = [], []
+    post_init = picard.ModuliPair.__post_init__
+    monkeypatch.setattr(picard.ModuliPair, "__post_init__", lambda p: built.append(post_init(p)))
+    real = report.modular_solve
+    monkeypatch.setattr(report, "modular_solve", lambda u, v2: solved.append(1) or real(u, v2))
+    rng = np.random.default_rng(42)
+    for _ in range(20):
+        _moduli_instance(rng)
+    assert len(solved) >= 20 and len(built) == len(solved)
 
 
 def _poison_one_draw(monkeypatch, index):
@@ -747,7 +466,7 @@ def test_a_nan_in_one_sample_fails_its_check(monkeypatch, cid, index, sample):
     # numpy's complex division flags a NaN divisor as an invalid operation;
     # what is tested here is where the NaN ends up
     with np.errstate(invalid="ignore"):
-        got = _residuals(RUNNERS[cid], 42, cid, n)
+        got = _drawn(cid, 42)[1].tolist()
         # through _reduce, as run_suites calls it: a NaN worst, which fails
         residual, used = STACKED[cid].run(report._rng(42, cid)[0], n)
     assert len(got) == n
@@ -1068,12 +787,105 @@ GAPS = {f.__name__: f for f in (pullback_gaps, corollary52_gaps)}
 def test_a_single_point_is_a_stack_of_one(gaps, point):
     # one form for both: at these points a single point's residual is its
     # stack of one's within a few ulps (a residual that is all roundoff
-    # moves by its own size, as _ref_mt3 notes)
+    # moves by its own size with the last bits of the numbers it cancels)
     u = (2, 3)
     v = (modular_solve(u, 4)[0], 4)
     gap = gaps(u, v, point)
     stack_gap = gaps(u, v, tuple(np.array([c]) for c in point))
     assert abs(gap - stack_gap[0]) <= 4e-15
+
+
+def _one(x):
+    """x as a stack of one: a number or an array gains a sample axis, and so
+    does a jet or a map."""
+    if isinstance(x, tuple):
+        return tuple(map(_one, x))
+    if isinstance(x, MapJet2):
+        return stack_maps([x])
+    if isinstance(x, Jet):
+        return _wrap(x.dim, x.order, x._c[None])
+    return np.array([x])
+
+
+def _numbers(out):
+    """A layer's result as a flat list of arrays."""
+    if isinstance(out, (tuple, list)):
+        return [a for part in out for a in _numbers(part)]
+    return [out._c if isinstance(out, Jet) else np.asarray(out)]
+
+
+_RNG = report._rng(0, "single points")[0]
+_MAPS = [random_map(_RNG) for _ in range(3)]
+_EVO = report._evo_pairs(_RNG.random((1, 32)))[0]
+_FIELDS = _RNG.random(8 * 35)
+_EXPONENTS = _RNG.uniform(-1, 1, (3, 2)) + 1j * _RNG.uniform(-1, 1, (3, 2))
+_MODULI = _moduli_instance(_RNG)
+_PAIR = _safe_pair(_RNG)
+_TRIPLE = ParamTriple(0.3 + 0.1j, -0.8, 1.1)
+
+# Layers on one point, a Python complex number or a single jet or map, which
+# takes the number forks (jets._base, _col and _constant, appell._points,
+# modular_solve's cmath.sqrt), and on the same point as a stack of one, given
+# `s`, which stacks its argument or passes it through.  Layers with a test of
+# their own elsewhere: deriv_quad (bit for bit, above), extended_transport
+# and chain_rule_rhs (through transport_matrix, here), the F1 series, Euler
+# integral, k_integral and picard_integral (bit for bit, test_appell.py),
+# picard_f1_identity_rhs (within 4 ulps there), the jet kernels (bit for
+# bit, test_jets.py), pullback_gaps and corollary52_gaps (above).  Known
+# last-bit gaps: transport_matrix (a single map's complex products round as
+# numpy scalars), picard_f1_identity_rhs (Python complex division) and the
+# pullback residuals.
+LAYERS = {
+    "mt1_relative_residual": lambda s: mt1_relative_residual(s(_MAPS[0])),
+    "mt1_branch_residuals": lambda s: mt1_branch_residuals(s(_MAPS[0]), 2),
+    "mt2_solution_residuals first": lambda s: mt2_solution_residuals(PICARD, s((0.3 + 0.1j, 0.2 - 0.1j)), "first"),
+    "mt2_solution_residuals second": lambda s: mt2_solution_residuals(
+        PICARD_MODULAR, s((0.75 + 0.05j, 0.6 - 0.1j)), "second"
+    ),
+    "mt2_field_recovery_gap": lambda s: mt2_field_recovery_gap(PICARD, s((0.55 + 0.05j, 0.4 - 0.04j))),
+    "picard_modular_form_residuals": lambda s: picard_modular_form_residuals(
+        s((0.55 + 0.05j, 0.4 - 0.04j)), s((2.0, -0.7 + 0.3j))
+    ),
+    "s3_orbit": lambda s: s3_orbit("S1TS1", *s(_PAIR)),
+    "j_invariants": lambda s: j_invariants(*s(_PAIR)),
+    "param_table_check": lambda s: [param_table_check(row, _TRIPLE, s(_PAIR)) for row in (1, 2, 3, 4, 5)],
+    "f_sign_relations": lambda s: f_sign_relations(*s(_PAIR)),
+    "p_transform_relations": lambda s: p_transform_relations(0.3 + 0.1j, -0.8, 1.1, *s(_PAIR)),
+    "eta36_transform_check": lambda s: [
+        eta36_transform_check(g, vmap, s((1.5 + 0.2j, 0.3 - 0.2j)))
+        for g, vmap in (
+            (generators()["S"], s_invariant_map),
+            (word_product((("commutator", 3),)), translation_invariant_map),
+        )
+    ],
+    "evo_quotients": lambda s: [evo_quotients(s((_EVO.u1, _EVO.u2)), which) for which in ("t1", "t2")],
+    "galilean_covariance_check": lambda s: galilean_covariance_check(
+        EvoFields.from_uniform(s(_FIELDS), order=3), *s((0.5, -0.3, 0.2, 0.7))
+    ),
+    "jacobian_deformation": lambda s: jacobian_deformation(s(_MAPS[1].u1), s(_MAPS[2].u2), s(_MAPS[0])),
+    "exp_system_oracle": lambda s: exp_system_oracle(s(_EXPONENTS)),
+    "constraint_residual": lambda s: transform_abg(*s(_MODULI)).constraint_residual(),
+    "transport_matrix": lambda s: transport_matrix(s(_MAPS[1])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYERS))
+def test_a_layer_on_a_single_point_is_its_stack_of_one(name):
+    single = _numbers(LAYERS[name](lambda x: x))
+    stack = _numbers(LAYERS[name](_one))
+    assert len(single) == len(stack)
+    for a, b in zip(single, stack):
+        assert b.shape == (1, *a.shape)
+        assert np.abs(b[0] - a).max() <= 1e-13 * max(1.0, np.abs(a).max())
+
+
+def test_a_quadrature_stack_past_numpys_temporary_reuse_keeps_each_points_bits():
+    # 110 moduli pairs on 160 nodes: numpy reuses temporaries of 256 KiB
+    # (16,384 complex numbers) or more in place, and a product it reorders
+    # there rounds differently from the same product on a smaller stack
+    x, y = SAMPLED["F1-picard-gamma"][0](report._rng(42, "F1-picard-gamma")[0], 110)
+    alone = [picard_integral(x[k : k + 1], y[k : k + 1])[0] for k in range(110)]
+    assert picard_integral(x, y).tolist() == alone
 
 
 def test_modular_solve_on_a_stack_matches_point_by_point():
