@@ -88,15 +88,6 @@ class MapJet2:
         return u1x * u2y - u2x * u1y
 
 
-def stack_maps(maps) -> MapJet2:
-    """One map whose jets stack the given maps' jets along a new first axis."""
-    m = maps[0]
-    return MapJet2(
-        _wrap(m.dim, m.order, np.stack([w.u1._c for w in maps])),
-        _wrap(m.dim, m.order, np.stack([w.u2._c for w in maps])),
-    )
-
-
 def _unit(dim: int, var: int) -> tuple:
     e = [0] * dim
     e[var] = 1
@@ -303,8 +294,7 @@ def exponent_rows(pairs):
     pairs has shape (3, 2), or (..., 3, 2) for a stack of triples.  Row i of
     the cofactors (shape (..., 3, 3)) is r_j x r_k for (i, j, k) a cyclic
     order of (0, 1, 2), so column i of the inverse of the row matrix is
-    cofactors[..., i, :] / det, and det = r_0 . (r_1 x r_2).  A singular
-    row matrix, in any sample, is a ValueError.
+    cofactors[..., i, :] / det, and det = r_0 . (r_1 x r_2).
     """
     pairs = np.asarray(pairs, dtype=np.complex128)
     if pairs.shape[-2:] != (3, 2):
@@ -313,8 +303,10 @@ def exponent_rows(pairs):
     (lj, mj), (lk, mk) = ((np.roll(lam, -i, -1), np.roll(mu, -i, -1)) for i in (1, 2))
     cof = np.stack([mj - mk, lk - lj, lj * mk - mj * lk], -1)
     det = lam[..., 0] * cof[..., 0, 0] + mu[..., 0] * cof[..., 0, 1] + cof[..., 0, 2]
-    _refuse(abs(det) < 1e-12, "degenerate exponent pairs: singular linear system")
     return lam, mu, cof, det
+
+
+EXP_MIN_DET = 1e-12  # exponent pairs with a smaller |det| are degenerate
 
 
 def exp_system_oracle(pairs):
@@ -325,9 +317,10 @@ def exp_system_oracle(pairs):
     solution sum_i rhs_i cofactors_i / det for its right-hand side rhs.  The
     map (z1/z3, z2/z3) then has quad (a2, c1, 2 b2 - a1, 2 b1 - c2).  A stack
     of triples (..., 3, 2) gives a, b, c of shape (..., 3) and quad values
-    of shape (..., 4).
+    of shape (..., 4).  Degenerate pairs, in any sample, are a ValueError.
     """
     lam, mu, cof, det = exponent_rows(pairs)
+    _refuse(abs(det) < EXP_MIN_DET, "degenerate exponent pairs: singular linear system")
     a, b, c = (
         (rhs[..., :, None] * cof).sum(-2) / det[..., None] for rhs in (lam**2, lam * mu, mu**2)
     )
@@ -354,41 +347,83 @@ def exp_solution_map(pairs, base=(0.0, 0.0)) -> MapJet2:
     return MapJet2(zs[0] / zs[2], zs[1] / zs[2])
 
 
+# rows per round of candidates, and per evaluate call of a report: at least
+# 100, so a default report draws and evaluates each check in one
+CHUNK = 1000
+
+
+def kept(rng, n, width, candidates):
+    """The inputs of the first n accepted candidate rows, as a loop drawing sample after sample keeps them.
+
+    Rounds draw min(missing, CHUNK) rows of width unit draws, so none draws
+    past the n-th kept row.  candidates(rows, k) returns the rows' acceptance
+    mask and a tuple of arrays built from them, row i taken as sample k[i].
+    As k follows the outcomes before it, a call guesses them (all kept, at
+    first) and settles the rows up to the first outcome off its guess; the
+    rest keep the new outcomes as their guess, and the next call looks at
+    twice as many rows as this one settled.  100 rejections in a row are a
+    RuntimeError.
+    """
+    out, have, misses = None, 0, 0
+    while have < n:
+        rows = rng.random((min(n - have, CHUNK), width))
+        guess, look = np.ones(len(rows), bool), len(rows)
+        while len(rows):
+            g = guess[:look]
+            ok, inputs = candidates(rows[:look], have + np.cumsum(g) - g)
+            wrong = np.flatnonzero(ok != g)
+            done = wrong[0] + 1 if len(wrong) else look
+            settled = ok[:done]
+            for good in settled.tolist():
+                misses = 0 if good else misses + 1
+                if misses == 100:
+                    raise RuntimeError("100 candidate draws in a row were rejected")
+            if out is None:
+                out = tuple(np.empty((n, *x.shape[1:]), x.dtype) for x in inputs)
+            count = int(settled.sum())
+            for o, x in zip(out, inputs):
+                o[have : have + count] = x[:done][settled]
+            have += count
+            guess = np.concatenate((ok[done:], guess[look:]))
+            rows, look = rows[done:], min(len(rows) - done, 2 * done)
+    return out
+
+
 # random_map's draws: order-3 jets with coefficients in a disc of radius
 # MAP_RADIUS around the identity map, and |Jacobian| >= MAP_MIN_JAC at the
-# base point
+# base point; a candidate map takes MAP_WIDTH unit draws
 MAP_ORDER = 3
 MAP_RADIUS = 0.3
 MAP_MIN_JAC = 0.1
+MAP_WIDTH = 4 * len(monomials(2, MAP_ORDER))
 
 
-def random_map(rng, size=None) -> MapJet2:
-    """Polynomial map near the identity with a well-conditioned Jacobian.
+def map_candidates(rows, k):
+    """`kept`'s candidate maps: |Jacobian| >= MAP_MIN_JAC, and (u1's coefficients, u2's).
 
-    A draw is repeated, up to 100 times, until |Jacobian| >= MAP_MIN_JAC
-    at the base point.  size=n gives a stack of n maps, drawn from the
-    stream as n calls without size would draw them: each round draws the
-    maps still missing and keeps the good ones in order.
+    Per component and monomial of a row a modulus draw, then a phase draw.
     """
     monos = monomials(2, MAP_ORDER)
     ix, iy = monos.index((1, 0)), monos.index((0, 1))
-    want = 1 if size is None else size
-    kept, have, misses = [], 0, 0
-    while have < want:
-        # per map, component and monomial a modulus draw, then a phase draw:
-        # the order of one scalar uniform() and one uniform(0, 2 pi) each
-        u = rng.uniform(size=(want - have, 2, len(monos), 2))
-        c = MAP_RADIUS * np.sqrt(u[..., 0]) * np.exp(1j * (2 * np.pi * u[..., 1]))
-        c[:, (0, 1), (ix, iy)] += 1.0
-        ok = abs(c[:, 0, ix] * c[:, 1, iy] - c[:, 1, ix] * c[:, 0, iy]) >= MAP_MIN_JAC
-        for good in ok.tolist():
-            misses = 0 if good else misses + 1
-            if misses == 100:
-                raise RuntimeError("failed to sample a well-conditioned map")
-        kept.append(c[ok])
-        have += len(kept[-1])
-    c = kept[-1][0] if size is None else np.concatenate(kept)
-    return MapJet2(_wrap(2, MAP_ORDER, c[..., 0, :].copy()), _wrap(2, MAP_ORDER, c[..., 1, :].copy()))
+    u = rows.reshape(len(rows), 2, len(monos), 2)
+    c = MAP_RADIUS * np.sqrt(u[..., 0]) * np.exp(1j * (2 * np.pi * u[..., 1]))
+    c[:, (0, 1), (ix, iy)] += 1.0
+    ok = abs(c[:, 0, ix] * c[:, 1, iy] - c[:, 1, ix] * c[:, 0, iy]) >= MAP_MIN_JAC
+    return ok, (c[:, 0], c[:, 1])
+
+
+def coefficient_map(c1, c2) -> MapJet2:
+    """The stacked map of order-MAP_ORDER jets in two variables with coefficients c1 and c2."""
+    return MapJet2(_wrap(2, MAP_ORDER, c1), _wrap(2, MAP_ORDER, c2))
+
+
+def random_map(rng, size=None) -> MapJet2:
+    """Polynomial map near the identity with a well-conditioned Jacobian (`map_candidates`).
+
+    size=n gives a stack of n maps, drawn as n calls without size would draw them.
+    """
+    maps = coefficient_map(*kept(rng, 1 if size is None else size, MAP_WIDTH, map_candidates))
+    return maps[0] if size is None else maps
 
 
 def compose_maps(u: MapJet2, w: MapJet2) -> MapJet2:

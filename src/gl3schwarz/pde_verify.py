@@ -69,12 +69,18 @@ PICARD = ParamTriple(Fraction(2, 3), Fraction(2, 3), Fraction(-1, 3))
 PICARD_MODULAR = ParamTriple(Fraction(3, 4), Fraction(1, 2), Fraction(-1, 4))
 
 
+def _modulus(z):
+    """|z| as Python's abs takes it: a number's by abs, which refuses an overflow, and an
+    array's by the hypot of its parts, which numpy's complex abs rounds otherwise."""
+    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
+
+
 def _pole_gap(v1: complex, v2: complex) -> float:
     """Distance of the point from the poles: min |v1|, |v2|, |v1-1|, |v2-1|, |v1-v2|.
 
     Arrays of points give the distance of each.
     """
-    return reduce(np.minimum, (abs(v1), abs(v2), abs(v1 - 1), abs(v2 - 1), abs(v1 - v2)))
+    return reduce(np.minimum, map(_modulus, (v1, v2, v1 - 1, v2 - 1, v1 - v2)))
 
 
 def _check_poles(v1, v2, margin: float):

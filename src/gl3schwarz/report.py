@@ -30,8 +30,12 @@ from .appell import (
     picard_integral,
 )
 from .derivs import (
+    CHUNK,
+    EXP_MIN_DET,
+    MAP_WIDTH,
     MapJet2,
     chain_rule_rhs,
+    coefficient_map,
     compose_maps,
     deriv_quad,
     exp_solution_map,
@@ -39,10 +43,11 @@ from .derivs import (
     exponent_rows,
     extended_transport,
     jacobian_deformation,
+    kept,
     lft_map,
+    map_candidates,
     random_map,
     second_arg_transform,
-    stack_maps,
     transport_matrix,
     transported_pair,
 )
@@ -68,6 +73,7 @@ from .pde_verify import (
     PICARD,
     PICARD_MODULAR,
     ParamTriple,
+    _modulus,
     _pole_gap,
     mt1_branch_residuals,
     mt1_residuals,
@@ -124,10 +130,9 @@ def split_seed(seed: int, label: str) -> int:
 class _Draws:
     """The draws the runners make, from one stdlib Mersenne Twister.
 
-    A double is (u64 >> 11) 2^-53, u64 a getrandbits(64) for one number and
-    read little-endian from randbytes, CHUNK rows a call, for an array: the
-    same words, so a stacked draw of n numbers equals n single ones.
-    uniform is low + (high - low) times such a double.
+    A double is (u64 >> 11) 2^-53, u64 read little-endian from randbytes, CHUNK
+    rows a call: the words of getrandbits(64) calls, so n numbers drawn at once
+    equal n drawn one by one.
     """
 
     __slots__ = ("generator",)
@@ -135,22 +140,17 @@ class _Draws:
     def __init__(self, generator: random.Random):
         self.generator = generator
 
-    def random(self, size=None):
-        """A double in [0, 1), or an array of them of shape size, CHUNK rows at a time."""
-        if size is None:
-            return (self.generator.getrandbits(64) >> 11) * 2.0**-53
+    def random(self, size=()):
+        """Doubles in [0, 1) of shape size, CHUNK rows at a time."""
         out = np.empty(size)
-        for rows in (out[k : k + CHUNK] for k in range(0, len(out), CHUNK)):
-            words = np.frombuffer(self.generator.randbytes(8 * rows.size), "<u8").reshape(rows.shape)
-            rows[...] = (words >> 11) * 2.0**-53
+        rows = out.reshape(-1, *out.shape[1:])
+        for part in (rows[k : k + CHUNK] for k in range(0, len(rows), CHUNK)):
+            words = np.frombuffer(self.generator.randbytes(8 * part.size), "<u8").reshape(part.shape)
+            part[...] = (words >> 11) * 2.0**-53
         return out
 
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return low + (high - low) * self.random(size)
-
-    def integers(self, n: int) -> int:
-        """An integer in [0, n)."""
-        return self.generator.randrange(n)
+    def uniform(self, low, high, size=()):
+        return _scaled(self.random(size), low, high)
 
 
 def _rng(seed: int, label: str):
@@ -158,101 +158,87 @@ def _rng(seed: int, label: str):
     return _Draws(random.Random(sub)), sub
 
 
-def _cpx(rng, radius=1.0):
-    return complex(*rng.uniform(-radius, radius, 2))
+def _scaled(u, low, high):
+    """Unit draws u as numbers from low to high (per column, for arrays of bounds)."""
+    return low + (high - low) * u
 
 
 # ---------------------------------------------------------------------------
-# samplers (margins match the frozen test suites)
+# candidates for derivs.kept (margins match the frozen test suites)
 
 
-def _stack(draws):
-    """Draws of points (p1, p2, ...), taken in order, as one array per coordinate."""
-    return tuple(np.array(list(draws), dtype=np.complex128).T)
+def _rows(width, candidates):
+    """The draw of n samples, each the first accepted candidate of width unit draws."""
+    return lambda rng, n: kept(rng, n, width, candidates)
 
 
-def _points(sampler):
-    """The draw of n points, each sampler(rng) in turn, as one array per coordinate."""
-    return lambda rng, n: _stack(sampler(rng) for _ in range(n))
+def _cycled(choices, draw):
+    """draw, after the choice of each sample: sample k takes choices[k mod len(choices)]."""
+    return lambda rng, n: (choices[np.arange(n) % len(choices)], *draw(rng, n))
 
 
-def _safe_pair(rng):
-    # each candidate's numbers in one draw: the stream of two _cpx(rng, 2.0) calls
-    while True:
-        x, y = rng.uniform(-2.0, 2.0, 4).view(np.complex128).tolist()
-        if _pole_gap(x, y) >= 0.1:
-            return x, y
+def _safe_pairs(rows, k):
+    # the box |Re|, |Im| < 2, 0.1 off the poles
+    x, y = _scaled(rows, -2.0, 2.0).view(np.complex128).T
+    return _pole_gap(x, y) >= 0.1, (x, y)
 
 
-def _mt2_point(rng, region):
-    while True:
-        v = rng.uniform(-0.9, 0.9, 4)
-        v1 = complex(v[0], 0.4 * v[1])
-        v2 = complex(v[2], 0.4 * v[3])
+_draw_pairs = _rows(4, _safe_pairs)
+
+
+def _mt2_draw(region):
+    # numpy builds each number as Python's complex arithmetic does: a product
+    # by an imaginary constant is exact in both
+    def candidates(rows, k):
+        a1, b1, a2, b2 = _scaled(rows, -0.9, 0.9).T
         if region == "first":
-            v1, v2 = 0.85 * v1, 0.85 * v2
-            if max(abs(v1), abs(v2)) >= 0.9:
-                continue
+            v1, v2 = (0.85 * a + 0.85j * (0.4 * b) for a, b in ((a1, b1), (a2, b2)))
+            ok = np.maximum(_modulus(v1), _modulus(v2)) < 0.9
         elif region == "second":
-            v1 = 1 - 0.4 * abs(v1) - 0.2 + 0.2j * v[1]
-            v2 = 1 - 0.4 * abs(v2) - 0.2 + 0.2j * v[3]
-            if max(abs(1 - v1), abs(1 - v2)) >= 0.9:
-                continue
+            v1, v2 = (1 - 0.4 * _modulus(a + 0.4j * b) - 0.2 + 0.2j * b for a, b in ((a1, b1), (a2, b2)))
+            ok = np.maximum(_modulus(1 - v1), _modulus(1 - v2)) < 0.9
         else:  # lens: both series branches converge here
-            v1 = 0.5 + 0.2 * v[0] + 0.12j * v[1]
-            v2 = 0.5 + 0.2 * v[2] + 0.12j * v[3]
-            if max(abs(v1), abs(v2), abs(1 - v1), abs(1 - v2)) >= 0.72:
-                continue
-        if _pole_gap(v1, v2) < 0.1:
-            continue
-        return v1, v2
+            v1, v2 = (0.5 + 0.2 * a + 0.12j * b for a, b in ((a1, b1), (a2, b2)))
+            ok = np.maximum.reduce([_modulus(v) for v in (v1, v2, 1 - v1, 1 - v2)]) < 0.72
+        return ok & (_pole_gap(v1, v2) >= 0.1), (v1, v2)
+
+    return _rows(4, candidates)
 
 
-def _eta_domain_point(rng):
-    while True:
-        z1 = complex(rng.uniform(0.8, 2.2), rng.uniform(-1, 1))
-        z2 = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
-        if abs(z2) >= 0.1:
-            return z1, z2
+def _eta_domain_points(rows, k):
+    z1, z2 = _scaled(rows, np.array((0.8, -1, -0.7, -0.7)), np.array((2.2, 1, 0.7, 0.7))).view(np.complex128).T
+    return _modulus(z2) >= 0.1, (z1, z2)
 
 
-def _safe_lft_point(rng, m):
-    while True:
-        z = (complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5)), _cpx(rng, 0.5))
-        if abs(denominator(m, z)) > 0.2:
-            return z
+def _moduli_instances(rows, k):
+    """Moduli pairs (u, v) satisfying the modular equation, all roots safe.
 
-
-def _moduli_instance(rng):
-    """Moduli pair (u, v) satisfying the modular equation, all roots safe."""
-    while True:
-        u1, u2, v2 = rng.uniform(-2.0, 2.0, 6).view(np.complex128).tolist()
-        u = (u1, u2)
-        if _pole_gap(*u) < 0.1:
-            continue
+    u is 0.1 off the poles, and v1 is the first root of modular_solve, on
+    Python numbers, 1e-3 off 0, 1 and v2.
+    """
+    u1, u2, v2 = _scaled(rows, -2.0, 2.0).view(np.complex128).T
+    v1 = np.full(len(rows), np.nan, np.complex128)
+    for i in np.flatnonzero(_pole_gap(u1, u2) >= 0.1).tolist():
+        a, b, c = u1[i].item(), u2[i].item(), v2[i].item()
         try:
-            roots = modular_solve(u, v2)
+            roots = modular_solve((a, b), c)
         except ValueError:
             continue
-        for v1 in roots:
-            if min(abs(v1), abs(v1 - 1), abs(v1 - v2)) > 1e-3:
-                return u, (v1, v2)
+        v1[i] = next((r for r in roots if min(abs(r), abs(r - 1), abs(r - c)) > 1e-3), np.nan)
+    return ~np.isnan(v1), (u1, u2, v1, v2)
 
 
-def _order5_point(rng, u):
-    zeros = (0.0, 1.0, 1 / u[0], 1 / u[1])
-    while True:
-        t1 = rng.uniform(0.3, 2) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        t2 = rng.uniform(0.3, 2) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        if min(abs(t1 - z) for z in zeros) >= 0.05:
-            return t1, t2
+_draw_moduli = _rows(6, _moduli_instances)  # rows (u1, u2, v1, v2)
 
 
 # ---------------------------------------------------------------------------
 # check runners.  A drawing check's draw(rng, n) makes all its draws and
 # rejections and returns its inputs: arrays and stacked maps with one row per
 # residual first, each choice made per sample (generator, parameter row,
-# coefficient set, field family, matrix) among them.  evaluate(*inputs)
+# coefficient set, field family, matrix) among them.  Every rejection goes
+# through derivs.kept: candidate rows of unit draws in, accepted rows out in
+# the order of a loop over samples, a test's choice that cycles by sample
+# taken from the index k of the sample each row would fill.  evaluate(*inputs)
 # returns one residual per row and never touches the rng; _reduce calls it
 # on CHUNK rows at a time, and row k replays as evaluate(*(x[k:k + 1] for x
 # in inputs)).  A layer's refusal fails the check, with the layer's message.
@@ -287,14 +273,14 @@ def _scaled_gap(gap, reference):
 
 
 def _draw_invariance(rng, n):
-    maps, gen = [], []
-    while len(maps) < n:
-        u = random_map(rng)
-        k = rng.integers(len(_GEN_NAMES))
-        if abs(denominator(_GEN_MATS[..., k], (u.u1, u.u2)).value) >= 0.2:
-            maps.append(u)
-            gen.append(k)
-    return stack_maps(maps), np.array(gen)
+    # a candidate is one map, acted on by generator k mod 6 with its denominator at least 0.2
+    def candidates(rows, k):
+        good, (c1, c2) = map_candidates(rows, k)
+        gen = k % len(_GEN_NAMES)
+        return good & (_modulus(denominator(_GEN_MATS[..., gen], (c1[:, 0], c2[:, 0]))) >= 0.2), (c1, c2, gen)
+
+    c1, c2, gen = kept(rng, n, MAP_WIDTH, candidates)
+    return coefficient_map(c1, c2), gen
 
 
 def _check_invariance(u, gen):
@@ -304,17 +290,22 @@ def _check_invariance(u, gen):
 
 
 def _lft_draws(with_map):
-    """The lft checks' draw: generators cycle through _GEN_NAMES, and each
-    sample draws a point off its generator's pole, then (with_map) a map."""
+    """The lft checks' draw: sample k takes generator k mod 6, and a candidate
+    is a point off that generator's pole, then (with_map) a map."""
+
+    def candidates(rows, k):
+        gen = k % len(_GEN_NAMES)
+        low, high = np.array((0.5, -0.5, -0.5, -0.5)), np.array((1.5, 0.5, 0.5, 0.5))
+        z1, z2 = _scaled(rows[:, :4], low, high).view(np.complex128).T
+        ok = _modulus(denominator(_GEN_MATS[..., gen], (z1, z2))) > 0.2
+        if not with_map:
+            return ok, (gen, z1, z2)
+        good, (c1, c2) = map_candidates(rows[:, 4:], k)
+        return ok & good, (gen, z1, z2, c1, c2)
 
     def draw(rng, n):
-        gen = np.arange(n) % len(_GEN_NAMES)
-        points, maps = [], []
-        for k in gen:
-            points.append(_safe_lft_point(rng, _GEN_MATS[..., k]))
-            if with_map:
-                maps.append(random_map(rng))
-        return (gen, *_stack(points), *([stack_maps(maps)] if with_map else ()))
+        gen, z1, z2, *maps = kept(rng, n, 4 + with_map * MAP_WIDTH, candidates)
+        return (gen, z1, z2, *([coefficient_map(*maps)] if with_map else ()))
 
     return draw
 
@@ -345,10 +336,6 @@ def _check_cocycle(w, u):
     return np.abs(lhs - transport_matrix(compose_maps(u, w))).max((-2, -1))
 
 
-def _draw_cocycle_u(rng, n):
-    return (np.array((0.0, 1.0, 2.5))[np.arange(n) % 3], *_map_draws(2)(rng, n))
-
-
 def _check_cocycle_u(c, w, u):
     lhs = np.einsum("...ij,...jk->...ik", extended_transport(w, c), extended_transport(u, c))
     return np.abs(lhs - extended_transport(compose_maps(u, w), c)).max((-2, -1))
@@ -366,16 +353,11 @@ def _check_jacobian_deformation(zm, f1, f2):
     return abs(lhs - MapJet2(*transported_pair(f1h, f2h, zm)).jacobian_value() / zm.jacobian_value())
 
 
-def _draw_exp_oracle(rng, n):
-    pairs = []
-    while len(pairs) < n:
-        pts = rng.uniform(-1, 1, size=(3, 2)) + 1j * rng.uniform(-1, 1, size=(3, 2))
-        try:
-            exponent_rows(pts)
-        except ValueError:
-            continue
-        pairs.append(pts)
-    return (np.array(pairs),)
+def _exp_pairs(rows, k):
+    # three exponent pairs: the six real parts, then the six imaginary ones
+    u = _scaled(rows, -1, 1)
+    pairs = (u[:, :6] + 1j * u[:, 6:]).reshape(-1, 3, 2)
+    return abs(exponent_rows(pairs)[3]) >= EXP_MIN_DET, (pairs,)
 
 
 def _check_exp_oracle(pairs):
@@ -393,10 +375,6 @@ def _check_mt1_branch(m):
         phase = cmath.exp(2j * cmath.pi * branch / 3)
         parts += [abs(b - phase * a) for a, b in zip(r0, rb)] + [cube]
     return worst_of(parts)
-
-
-def _mt2_draw(region):
-    return _points(lambda rng: _mt2_point(rng, region))
 
 
 def _mt2_branch_check(which):
@@ -417,12 +395,7 @@ def _check_mt2_picard(v1, v2):
 _MT2_COEFF_SETS = np.array(((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (2.0, -0.7 + 0.3j)))
 
 
-def _draw_mt2_picard_modular(rng, n):
-    # sample k takes coefficient set k mod 4
-    return (*_mt2_draw("lens")(rng, n), _MT2_COEFF_SETS[np.arange(n) % len(_MT2_COEFF_SETS)])
-
-
-def _check_mt2_picard_modular(v1, v2, coeffs):
+def _check_mt2_picard_modular(coeffs, v1, v2):
     return worst_of(abs(r) for r in picard_modular_form_residuals((v1, v2), coeffs.T))
 
 
@@ -441,13 +414,11 @@ _F1_CHECK_PARAMS = tuple(
 
 
 def _draw_f1_points(rng, n):
-    """n points (x, y), each drawn as _cpx(rng, 0.45) twice, as two arrays."""
+    """n points (x, y), each number from two unit draws (real, imaginary) in [-0.45, 0.45), as two arrays."""
     return tuple(rng.uniform(-0.45, 0.45, (n, 4)).view(np.complex128).T)
 
 
-def _draw_f1_rows(rng, n):
-    """_draw_f1_points, sample k taking row k mod 3 of _F1_CHECK_PARAMS."""
-    return (np.arange(n) % len(_F1_CHECK_PARAMS), *_draw_f1_points(rng, n))
+_draw_f1_rows = _cycled(np.arange(len(_F1_CHECK_PARAMS)), _draw_f1_points)  # row k mod 3 of _F1_CHECK_PARAMS
 
 
 def _check_f1_euler(row, x, y):
@@ -459,19 +430,16 @@ def _check_f1_pde(row, x, y):
     return _per_choice(row, lambda r, k: worst_of(map(abs, f1_pde_residual(_F1_CHECK_PARAMS[r], x[k], y[k]))))
 
 
-def _gamma_modulus(rng):
-    # outside the unit disc so the reciprocal-argument series converges,
-    # with either a real value > 1 or a safely nonreal one (off the cut)
-    while True:
-        if rng.uniform() < 0.4:
-            return complex(rng.uniform(1.5, 7), 0.0)
-        sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        x = complex(rng.uniform(-6, 6), sign * rng.uniform(0.5, 3.5))
-        if abs(x) >= 1.5:
-            return x
-
-
-_draw_gamma_moduli = _points(lambda rng: (_gamma_modulus(rng), _gamma_modulus(rng)))
+def _gamma_moduli(rows, k):
+    # two moduli (x, y) of four draws each, off the unit disc for the reciprocal-
+    # argument series: with draw 0 below 0.4 a real value > 1 (draw 1), else a
+    # nonreal one off the cut (draw 1 its sign, draws 2 and 3 its parts)
+    u = rows.reshape(len(rows), 2, 4)
+    real = u[..., 0] < 0.4
+    sign = np.where(u[..., 1] < 0.5, 1.0, -1.0)
+    nonreal = _scaled(u[..., 2], -6, 6) + 1j * sign * _scaled(u[..., 3], 0.5, 3.5)
+    x = np.where(real, _scaled(u[..., 1], 1.5, 7), nonreal)
+    return (real | (_modulus(x) >= 1.5)).all(-1), tuple(x.T)
 
 
 def _check_f1_picard_gamma(x, y):
@@ -491,23 +459,28 @@ def _check_f1_beta(rng, n):
     yield abs(k_integral(0.0, 0.0) - 2 * math.pi / math.sqrt(3))
 
 
+def _mt3_instances(rows, k):
+    # a moduli instance (u, v) as MT3-constraint draws it, then ten points
+    # (t1, t2) of four draws each, every t1 0.05 off the instance's zeros
+    # 0, 1, 1/u1 and 1/u2
+    ok, (u1, u2, v1, v2) = _moduli_instances(rows[:, :6], k)
+    r1, a1, r2, a2 = rows[:, 6:].reshape(len(rows), 10, 4).transpose(2, 0, 1)
+    t1, t2 = (_scaled(r, 0.3, 2) * np.exp(1j * _scaled(a, 0, 2 * math.pi)) for r, a in ((r1, a1), (r2, a2)))
+    zeros = np.stack((np.zeros_like(u1), np.ones_like(u1), 1 / u1, 1 / u2), -1)
+    gap = _modulus(t1[..., None] - zeros[:, None]).min(-1)
+    return ok & (gap >= 0.05).all(-1), (u1, u2, v1, v2, t1, t2)
+
+
 def _draw_mt3(rng, n):
-    # per moduli instance (u, v), then its ten points: a row per point, with
-    # its instance's moduli
-    rows = []
-    for _ in range(n):
-        u, v = _moduli_instance(rng)
-        rows += [(*u, *v, *_order5_point(rng, u)) for _ in range(10)]
-    return _stack(rows)
+    # a row per point, with its instance's moduli
+    u1, u2, v1, v2, t1, t2 = kept(rng, n, 46, _mt3_instances)
+    return (*(np.repeat(u, 10) for u in (u1, u2, v1, v2)), t1.ravel(), t2.ravel())
 
 
 def _check_mt3(u1, u2, v1, v2, t1, t2):
     # the same points in root coordinates, by Python's complex power
-    x = _stack((a ** (1 / 3), b ** (1 / 3)) for a, b in zip(t1.tolist(), t2.tolist()))
+    x = tuple(np.array([z ** (1 / 3) for z in t.tolist()], np.complex128) for t in (t1, t2))
     return worst_of((pullback_gaps((u1, u2), (v1, v2), (t1, t2)), corollary52_gaps((u1, u2), (v1, v2), x)))
-
-
-_draw_moduli = _points(lambda rng: sum(_moduli_instance(rng), ()))  # rows (u1, u2, v1, v2)
 
 
 def _check_mt3_constraint(u1, u2, v1, v2):
@@ -526,7 +499,7 @@ def _check_j_orbit(l1, l2):
 def _draw_param_table(rng, n):
     # max(1, n // 5) points for each of the five table rows, row after row
     per_row = max(1, n // 5)
-    return (np.repeat(np.arange(1, 6), per_row), *_points(_safe_pair)(rng, 5 * per_row))
+    return (np.repeat(np.arange(1, 6), per_row), *_draw_pairs(rng, 5 * per_row))
 
 
 def _check_param_table(row, x, y):
@@ -572,7 +545,7 @@ def _check_eta36(z1, z2):
 
 def _draw_mt4(rng, n):
     # the first half of the samples are constant fields and the rest shears (three
-    # numbers of the four), each complex number from two unit draws as _cpx makes it
+    # numbers of the four), each complex number from two unit draws (real, imaginary)
     half = max(1, n // 2)
     c = np.zeros((n, 4), np.complex128)
     c[:half] = rng.uniform(-1, 1, (half, 8)).view(np.complex128)
@@ -598,8 +571,7 @@ def _draw_mt4_galilean(rng, n):
 
 def _check_mt4_galilean(u):
     f = EvoFields.from_uniform(u[:, :-4], order=3)
-    low, high = -1.5, 1.5
-    shift = low + (high - low) * u[:, -4:]
+    shift = _scaled(u[:, -4:], -1.5, 1.5)
     # the mixed-partial identity holds for any order >= 2 u: f.v1 draws nothing
     return worst_of((galilean_covariance_check(f, *shift.T), consistency_residual(f, f.v1)))
 
@@ -612,14 +584,13 @@ _MT4_MATS = np.stack(
 def _evo_pairs(u):
     """The pairs (u1, u2) of order-3 jets in (x, y, t1, t2) of unit rows u (n, 32), as one map.
 
-    Per pair the base point, as rng.uniform(-0.8, 0.8, 4) draws it, then the
-    seven coefficients of u1's polynomial and the seven of u2's, each as
-    _cpx(rng, 0.6) draws it: u_i = x_i + 0.3 (c0 + c1 x + c2 y + c3 t1 + c4 t2
-    + c5 x y + c6 y t2).
+    Per pair the base point in [-0.8, 0.8)^4, then the seven coefficients of
+    u1's polynomial and the seven of u2's, each from two unit draws (real,
+    imaginary) in [-0.6, 0.6): u_i = x_i + 0.3 (c0 + c1 x + c2 y + c3 t1 +
+    c4 t2 + c5 x y + c6 y t2).
     """
-    (low, high), (clow, chigh) = (-0.8, 0.8), (-0.6, 0.6)
-    xs = Jet.variables(4, 3, tuple((low + (high - low) * u[:, :4]).T))
-    c = (clow + (chigh - clow) * u[:, 4:]).view(np.complex128).T
+    xs = Jet.variables(4, 3, tuple(_scaled(u[:, :4], -0.8, 0.8).T))
+    c = _scaled(u[:, 4:], -0.6, 0.6).view(np.complex128).T
 
     def poly(c):
         out = Jet.constant(4, 3, c[0])
@@ -630,26 +601,16 @@ def _evo_pairs(u):
     return MapJet2(xs[0] + 0.3 * poly(c[:7]), xs[1] + 0.3 * poly(c[7:]))
 
 
-def _draw_mt4_invariance(rng, n):
-    # the pair's spatial Jacobian and the action's denominator and Jacobian
-    # factor at the base point are drawn values: rejected at draw time, in
-    # order, each sample taking matrix k mod 2 by its place k among the kept.
-    # A round of at most CHUNK candidates, and no more than are missing, ends
-    # by its last kept one; only the kept candidates' unit rows stay
-    kept, mats = [], []
-    while len(kept) < n:
-        rows = rng.random((min(n - len(kept), CHUNK), 32))
-        pairs = _evo_pairs(rows)
-        base = zip(pairs.u1.value.tolist(), pairs.u2.value.tolist())
-        for row, z, jac in zip(rows, base, pairs.jacobian_value().tolist()):
-            k = len(kept) % 2
-            if abs(denominator(_MT4_MATS[..., k], z)) < 1e-10 or abs(jac) < 1e-14:
-                continue
-            if abs(jacobian_factor(_MT4_MATS[..., k], z) * jac) < 1e-14:
-                continue
-            kept.append(row)
-            mats.append(k)
-    return np.array(kept), np.array(mats)
+def _mt4_pairs(rows, k):
+    # sample k takes matrix k mod 2, whose denominator and Jacobian factor at
+    # the base point are drawn values, as is the pair's spatial Jacobian: all
+    # rejected at draw time.  Only the unit rows stay: evaluate builds the jets again
+    pairs = _evo_pairs(rows)
+    m, z, jac = _MT4_MATS[..., k % 2], (pairs.u1.value, pairs.u2.value), pairs.jacobian_value()
+    ok = (_modulus(denominator(m, z)) >= 1e-10) & (_modulus(jac) >= 1e-14)
+    factor = np.zeros(len(rows), np.complex128)
+    factor[ok] = jacobian_factor(m[..., ok], (z[0][ok], z[1][ok]))
+    return ok & (_modulus(factor * jac) >= 1e-14), (rows, k % 2)
 
 
 def _check_mt4_invariance(rows, mat):
@@ -675,9 +636,6 @@ class CheckDef:
     tolerance: float  # 0.0 marks an exact (integer/rational arithmetic) check
     samples: int
     run: object  # (rng, samples) -> (worst residual, samples used)
-
-
-CHUNK = 1000  # rows per evaluate call: at least 100, so a default report evaluates each check once
 
 
 def _evaluate(evaluate, inputs, start):
@@ -713,26 +671,26 @@ _TABLE = (
     ("vanishing", "derivs", "quad vanishes on linear fractional pairs", 1e-10, 50, _lft_draws(False), _check_vanishing),
     ("chain-rule", "derivs", "composition chain rule for the quad", 1e-9, 20, _map_draws(2), _check_chain_rule),
     ("cocycle", "derivs", "transport matrix multiplicativity", 1e-9, 20, _map_draws(2), _check_cocycle),
-    ("cocycle-u", "derivs", "extended transport multiplicativity", 1e-9, 20, _draw_cocycle_u, _check_cocycle_u),
+    ("cocycle-u", "derivs", "extended transport multiplicativity", 1e-9, 20, _cycled(np.array((0.0, 1.0, 2.5)), _map_draws(2)), _check_cocycle_u),
     ("second-argument", "derivs", "base-change transform of the quad", 1e-9, 20, _lft_draws(True), _check_second_argument),
     ("jacobian-deformation", "derivs", "determinant transport of pair fields", 1e-9, 20, _map_draws(3), _check_jacobian_deformation),
-    ("exp-oracle", "derivs", "exponential solution family oracle", 1e-10, 10, _draw_exp_oracle, _check_exp_oracle),
+    ("exp-oracle", "derivs", "exponential solution family oracle", 1e-10, 10, _rows(12, _exp_pairs), _check_exp_oracle),
     ("MT1", "pde", "cube-root-of-Jacobian linear system", 1e-8, 20, _map_draws(1), mt1_relative_residual),
     ("MT1-branch", "pde", "branch covariance of the residuals", 1e-12, 5, _map_draws(1), _check_mt1_branch),
     ("MT2-first", "pde", "first-branch closed-form solutions", 1e-8, 10, _mt2_draw("first"), _mt2_branch_check("first")),
     ("MT2-second", "pde", "second-branch closed-form solutions", 1e-8, 10, _mt2_draw("second"), _mt2_branch_check("second")),
     ("MT2-picard", "pde", "field recovery from solution gradients", 1e-7, 5, _mt2_draw("lens"), _check_mt2_picard),
-    ("MT2-picard-modular", "pde", "power-product form rebuilt from F1", 1e-8, 5, _draw_mt2_picard_modular, _check_mt2_picard_modular),
+    ("MT2-picard-modular", "pde", "power-product form rebuilt from F1", 1e-8, 5, _cycled(_MT2_COEFF_SETS, _mt2_draw("lens")), _check_mt2_picard_modular),
     ("F1-euler", "f1", "double series vs Euler integral", 1e-8, 50, _draw_f1_rows, _check_f1_euler),
     ("F1-pde", "f1", "hypergeometric system residuals", 1e-8, 20, _draw_f1_rows, _check_f1_pde),
-    ("F1-picard-gamma", "f1", "period integral Gamma-factor identity", 1e-6, 10, _draw_gamma_moduli, _check_f1_picard_gamma),
+    ("F1-picard-gamma", "f1", "period integral Gamma-factor identity", 1e-6, 10, _rows(8, _gamma_moduli), _check_f1_picard_gamma),
     ("F1-k3", "f1", "K-integral as an F1 value", 1e-6, 10, _draw_f1_points, _check_f1_k3),
     ("F1-beta", "f1", "Beta special value 2*pi/sqrt(3)", 1e-10, 1, _check_f1_beta, None),
     ("MT3", "picard", "order-5 pullback identity, cubed form", 1e-10, 10, _draw_mt3, _check_mt3),
     ("MT3-constraint", "picard", "coefficient normalization constraint", 1e-12, 50, _draw_moduli, _check_mt3_constraint),
-    ("J-orbit", "picard", "moduli invariants constant on orbits", 1e-10, 50, _points(_safe_pair), _check_j_orbit),
+    ("J-orbit", "picard", "moduli invariants constant on orbits", 1e-10, 50, _draw_pairs, _check_j_orbit),
     ("param-table", "picard", "parameter rows under moduli swaps", 1e-10, 50, _draw_param_table, _check_param_table),
-    ("sign-tables", "picard", "sign and prefactor relations", 1e-12, 100, _points(_safe_pair), _check_sign_tables),
+    ("sign-tables", "picard", "sign and prefactor relations", 1e-12, 100, _draw_pairs, _check_sign_tables),
     ("P4.1", "eta", "variant identities: translations", 0.0, 0, _p4_runner("P4.1"), None),
     ("P4.2", "eta", "variant identities: lattice generators", 0.0, 0, _p4_runner("P4.2"), None),
     ("P4.3", "eta", "variant identities: scaled conjugates", 0.0, 0, _p4_runner("P4.3"), None),
@@ -740,10 +698,10 @@ _TABLE = (
     ("P4.5", "eta", "quotient translation laws", 0.0, 0, _p4_runner("P4.5"), None),
     ("P4.6", "eta", "quotient cube laws", 0.0, 0, _p4_runner("P4.6"), None),
     ("eta-ledger", "eta", "phase multiplier table as exact rationals", 0.0, 0, _check_eta_ledger, None),
-    ("eta36", "eta", "transformation law of the 36th power", 1e-9, 10, _points(_eta_domain_point), _check_eta36),
+    ("eta36", "eta", "transformation law of the 36th power", 1e-9, 10, _rows(4, _eta_domain_points), _check_eta36),
     ("MT4", "evolution", "field equations on solution families", 1e-12, 10, _draw_mt4, _check_mt4),
     ("MT4-galilean", "evolution", "drift covariance on arbitrary fields", 1e-10, 10, _draw_mt4_galilean, _check_mt4_galilean),
-    ("MT4-invariance", "evolution", "quotients invariant under the group", 1e-10, 10, _draw_mt4_invariance, _check_mt4_invariance),
+    ("MT4-invariance", "evolution", "quotients invariant under the group", 1e-10, 10, _rows(32, _mt4_pairs), _check_mt4_invariance),
 )
 CHECKS = tuple(CheckDef(*row[:5], _reduce(*row[5:])) for row in _TABLE)
 

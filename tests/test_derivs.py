@@ -357,3 +357,42 @@ def test_batched_random_maps_draw_as_scalar_calls_did(order, radius, min_jac, si
             assert new.u2._c[k].tobytes() == m.u2._c.tobytes()
         # and the stream is left where the sequential calls left it
         assert rng_new.random() == rng_old.random()
+
+
+def _loop_kept(rng, n, width, candidates):
+    """derivs.kept as a plain loop: for sample after sample, one candidate row
+    at a time until one is accepted; the inputs of the accepted rows."""
+    inputs = []
+    for k in range(n):
+        while True:
+            row = rng.random((1, width))
+            ok, built = candidates(row, np.array([k]))
+            if ok[0]:
+                inputs.append([x[0].tolist() for x in built])
+                break
+    return [list(x) for x in zip(*inputs)]
+
+
+def _about_half(rows, k):
+    # about half the rows pass, by a test that moves with the sample index
+    return (rows[:, 0] + 0.3 * (k % 3)) % 1 < 0.5, (rows, k, rows[:, 1] * k)
+
+
+@pytest.mark.parametrize("n", [1, 7, 2500])
+def test_kept_draws_as_a_loop_over_samples_does(n):
+    # 2,500 samples take three rounds, past one CHUNK
+    new, old = (report._rng(n, "kept")[0] for _ in range(2))
+    got = derivs.kept(new, n, 3, _about_half)
+    want = _loop_kept(old, n, 3, _about_half)
+    assert [x.tolist() for x in got] == want
+    assert want[1] == list(range(n))
+    assert new.generator.getrandbits(64) == old.generator.getrandbits(64)
+
+
+def test_kept_refuses_after_a_hundred_rejections_in_a_row():
+    rng, fresh = (report._rng(1, "kept")[0] for _ in range(2))
+    with pytest.raises(RuntimeError, match="100 candidate draws in a row were rejected"):
+        derivs.kept(rng, 5, 2, lambda rows, k: (np.zeros(len(rows), bool), (rows,)))
+    # twenty rounds of five rows
+    fresh.random((100, 2))
+    assert rng.generator.getrandbits(64) == fresh.generator.getrandbits(64)

@@ -1,8 +1,9 @@
-"""Every public name and every defaulted parameter of the package has a caller.
+"""Every top-level name and every defaulted parameter of the package has a caller.
 
-A public top-level function, class or constant of ``src/gl3schwarz``, and
-each method of a top-level class, must be read by name somewhere in
-``src/`` or ``perfbench/`` outside its own definition.  Click commands are
+A top-level function, class or constant of ``src/gl3schwarz``, public or
+private, and each method of a top-level class, must be read by name
+somewhere in ``src/`` or ``perfbench/`` outside its own definition: a
+private helper that only tests read is dead code too.  Click commands are
 reached through the command line and are skipped, and so are dunder methods
 and the ``convert`` of a click parameter type, which Python and click
 call.  The package ``__init__`` is the documented import surface, but
@@ -28,7 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gl3schwarz"
 PROGRAM = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
-# uncalled public names kept on purpose, one reason each
+# uncalled names kept on purpose, one reason each
 ALLOWED = {
     "jets.Jet.allclose": "Jet is the package's exported API; 22 test asserts compare jets with it",
 }
@@ -62,8 +63,8 @@ def _methods(node):
 
 
 def _definitions(tree):
-    """(qualified name, name, node) of each public top-level def, class or
-    constant, and of each method of a top-level class."""
+    """(qualified name, name, node) of each top-level def, class or constant,
+    and of each method of a top-level class."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             yield from _methods(node)
@@ -76,7 +77,7 @@ def _definitions(tree):
         else:
             targets = []
         for name in targets:
-            if not name.startswith("_"):
+            if not (name.startswith("__") and name.endswith("__")):
                 yield name, name, node
 
 
@@ -138,7 +139,7 @@ def uncalled_names() -> list[str]:
 
 def test_every_public_name_has_a_caller():
     missing = [name for name in uncalled_names() if name not in ALLOWED]
-    assert not missing, f"public names with no caller in src/ or perfbench/: {missing}"
+    assert not missing, f"names with no caller in src/ or perfbench/: {missing}"
 
 
 def test_allowed_names_are_still_uncalled():
