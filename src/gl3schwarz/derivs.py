@@ -356,36 +356,30 @@ def kept(rng, n, width, candidates):
     """The inputs of the first n accepted candidate rows, as a loop drawing sample after sample keeps them.
 
     Rounds draw min(missing, CHUNK) rows of width unit draws, so none draws
-    past the n-th kept row.  candidates(rows, k) returns the rows' acceptance
-    mask and a tuple of arrays built from them, row i taken as sample k[i].
-    As k follows the outcomes before it, a call guesses them (all kept, at
-    first) and settles the rows up to the first outcome off its guess; the
-    rest keep the new outcomes as their guess, and the next call looks at
-    twice as many rows as this one settled.  100 rejections in a row are a
-    RuntimeError.
+    past the n-th kept row.  candidates(rows) returns the rows' acceptance and
+    a tuple of arrays built from them.  The acceptance is a mask (rows,), or
+    (rows, C) with one column per choice that cycles by sample: the row that
+    would fill sample k is kept when its column k mod C holds.  100
+    rejections in a row are a RuntimeError.
     """
     out, have, misses = None, 0, 0
     while have < n:
         rows = rng.random((min(n - have, CHUNK), width))
-        guess, look = np.ones(len(rows), bool), len(rows)
-        while len(rows):
-            g = guess[:look]
-            ok, inputs = candidates(rows[:look], have + np.cumsum(g) - g)
-            wrong = np.flatnonzero(ok != g)
-            done = wrong[0] + 1 if len(wrong) else look
-            settled = ok[:done]
-            for good in settled.tolist():
-                misses = 0 if good else misses + 1
+        ok, inputs = candidates(rows)
+        take = []
+        for i, columns in enumerate(ok.reshape(len(rows), -1).tolist()):
+            if columns[(have + len(take)) % len(columns)]:
+                take.append(i)
+                misses = 0
+            else:
+                misses += 1
                 if misses == 100:
                     raise RuntimeError("100 candidate draws in a row were rejected")
-            if out is None:
-                out = tuple(np.empty((n, *x.shape[1:]), x.dtype) for x in inputs)
-            count = int(settled.sum())
-            for o, x in zip(out, inputs):
-                o[have : have + count] = x[:done][settled]
-            have += count
-            guess = np.concatenate((ok[done:], guess[look:]))
-            rows, look = rows[done:], min(len(rows) - done, 2 * done)
+        if out is None:
+            out = tuple(np.empty((n, *x.shape[1:]), x.dtype) for x in inputs)
+        for o, x in zip(out, inputs):
+            o[have : have + len(take)] = x[take]
+        have += len(take)
     return out
 
 
@@ -398,7 +392,7 @@ MAP_MIN_JAC = 0.1
 MAP_WIDTH = 4 * len(monomials(2, MAP_ORDER))
 
 
-def map_candidates(rows, k):
+def map_candidates(rows):
     """`kept`'s candidate maps: |Jacobian| >= MAP_MIN_JAC, and (u1's coefficients, u2's).
 
     Per component and monomial of a row a modulus draw, then a phase draw.

@@ -207,8 +207,7 @@ class VariantRow:
     num: tuple = ()
     den: tuple = ()
 
-    def holds(self, verdicts=None) -> bool:
-        # verdicts goes unused: a variant row rests on no other row
+    def holds(self) -> bool:
         factor, matrix = _word_factor(self.word, VARIANTS[self.rhs])
         target = VARIANTS[self.lhs] * word_product(self.g_word)
         return matrix == target and factor.same_as(_claim(self))
@@ -221,9 +220,7 @@ class QuotientRow:
     Once both sub-rows hold, each word factor agrees with its claim under
     same_as.  same_as is a congruence under division and no table row is the
     zero form, so comparing the quotient of the claims with the claim here
-    also settles the quotient of the word factors.  The sub-rows' verdicts
-    come from verdicts, the _Verdicts of the table build this row is part
-    of, so a sub-row that is also a table row is decided once.
+    also settles the quotient of the word factors.
     """
 
     label: str
@@ -234,28 +231,15 @@ class QuotientRow:
     num: tuple = ()
     den: tuple = ()
 
-    def holds(self, verdicts=None) -> bool:
+    def holds(self) -> bool:
         top, bottom = self.num_row, self.den_row
-        verdicts = _Verdicts() if verdicts is None else verdicts
         return (
-            verdicts[top]
-            and verdicts[bottom]
+            top.holds()
+            and bottom.holds()
             and top.g_word == bottom.g_word
             and _PHI_NAMES.get((top.rhs, bottom.rhs)) == self.target
             and (_claim(top) / _claim(bottom)).same_as(_claim(self))
         )
-
-
-class _Verdicts(dict):
-    """row -> row.holds() for one build of the table, each row decided once.
-
-    Rows are keyed by value: a row replaced by an edited copy is a new key
-    and is decided afresh.
-    """
-
-    def __missing__(self, row):
-        self[row] = ok = row.holds(self)
-        return ok
 
 
 _PHI_NAMES = {
@@ -469,13 +453,11 @@ def eta_variant_identities() -> dict[str, dict[str, bool]]:
     """Verify every variant identity exactly: {proposition: {label: verdict}}.
 
     Computed once per process: the table takes no input, and callers only
-    read it.  Within the build each row is decided once, also where a
-    quotient row reuses it.
+    read it.
     """
-    decided = _Verdicts()
 
     def verdicts(*tables) -> dict[str, bool]:
-        return {row.label: decided[row] for table in tables for row in table.values()}
+        return {row.label: row.holds() for table in tables for row in table.values()}
 
     return {
         "P4.1": {"scalar and commutator bookkeeping": _scalar_bookkeeping(), **verdicts(_R41)},

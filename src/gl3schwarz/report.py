@@ -177,7 +177,7 @@ def _cycled(choices, draw):
     return lambda rng, n: (choices[np.arange(n) % len(choices)], *draw(rng, n))
 
 
-def _safe_pairs(rows, k):
+def _safe_pairs(rows):
     # the box |Re|, |Im| < 2, 0.1 off the poles
     x, y = _scaled(rows, -2.0, 2.0).view(np.complex128).T
     return _pole_gap(x, y) >= 0.1, (x, y)
@@ -189,7 +189,7 @@ _draw_pairs = _rows(4, _safe_pairs)
 def _mt2_draw(region):
     # numpy builds each number as Python's complex arithmetic does: a product
     # by an imaginary constant is exact in both
-    def candidates(rows, k):
+    def candidates(rows):
         a1, b1, a2, b2 = _scaled(rows, -0.9, 0.9).T
         if region == "first":
             v1, v2 = (0.85 * a + 0.85j * (0.4 * b) for a, b in ((a1, b1), (a2, b2)))
@@ -205,12 +205,12 @@ def _mt2_draw(region):
     return _rows(4, candidates)
 
 
-def _eta_domain_points(rows, k):
+def _eta_domain_points(rows):
     z1, z2 = _scaled(rows, np.array((0.8, -1, -0.7, -0.7)), np.array((2.2, 1, 0.7, 0.7))).view(np.complex128).T
     return _modulus(z2) >= 0.1, (z1, z2)
 
 
-def _moduli_instances(rows, k):
+def _moduli_instances(rows):
     """Moduli pairs (u, v) satisfying the modular equation, all roots safe.
 
     u is 0.1 off the poles, and v1 is the first root of modular_solve, on
@@ -236,13 +236,15 @@ _draw_moduli = _rows(6, _moduli_instances)  # rows (u1, u2, v1, v2)
 # rejections and returns its inputs: arrays and stacked maps with one row per
 # residual first, each choice made per sample (generator, parameter row,
 # coefficient set, field family, matrix) among them.  Every rejection goes
-# through derivs.kept: candidate rows of unit draws in, accepted rows out in
-# the order of a loop over samples, a test's choice that cycles by sample
-# taken from the index k of the sample each row would fill.  evaluate(*inputs)
-# returns one residual per row and never touches the rng; _reduce calls it
-# on CHUNK rows at a time, and row k replays as evaluate(*(x[k:k + 1] for x
-# in inputs)).  A layer's refusal fails the check, with the layer's message.
-# The exact checks and F1-beta draw nothing and yield their residuals.
+# through derivs.kept: candidate rows of unit draws in, each tested once,
+# accepted rows out in the order of a loop over samples.  A test whose choice
+# cycles by sample (generator, MT4 matrix) gives one acceptance column per
+# matrix of its stack, and _cycled takes the choices from that stack's size,
+# so sample k takes choice k mod C.  evaluate(*inputs) returns one residual
+# per row and never touches the rng; _reduce calls it on CHUNK rows at a
+# time, and row k replays as evaluate(*(x[k:k + 1] for x in inputs)).  A
+# layer's refusal fails the check, with the layer's message.  The exact
+# checks and F1-beta draw nothing and yield their residuals.
 
 
 def _exact(ok: bool) -> float:
@@ -272,42 +274,41 @@ def _scaled_gap(gap, reference):
     return np.abs(gap).reshape(len(gap), -1).max(-1) / np.maximum(1.0, np.abs(reference).max(-1))
 
 
-def _draw_invariance(rng, n):
-    # a candidate is one map, acted on by generator k mod 6 with its denominator at least 0.2
-    def candidates(rows, k):
-        good, (c1, c2) = map_candidates(rows, k)
-        gen = k % len(_GEN_NAMES)
-        return good & (_modulus(denominator(_GEN_MATS[..., gen], (c1[:, 0], c2[:, 0]))) >= 0.2), (c1, c2, gen)
-
-    c1, c2, gen = kept(rng, n, MAP_WIDTH, candidates)
-    return coefficient_map(c1, c2), gen
+# the choices of the checks that cycle through the generators: their tests
+# take one acceptance column per generator, and sample k acts by generator k mod 6
+_GENS = np.arange(_GEN_MATS.shape[-1])
 
 
-def _check_invariance(u, gen):
+def _denominators(mats, z1, z2):
+    """|denominator| of each point under each matrix of the stack mats (3, 3, C), one column per matrix."""
+    return _modulus(denominator(mats, (z1[:, None], z2[:, None])))
+
+
+def _invariance_maps(rows):
+    # a map whose denominator at its base point is at least 0.2
+    good, (c1, c2) = map_candidates(rows)
+    return good[:, None] & (_denominators(_GEN_MATS, c1[:, 0], c2[:, 0]) >= 0.2), (c1, c2)
+
+
+def _check_invariance(gen, c1, c2):
+    u = coefficient_map(c1, c2)
     base = deriv_quad(u).value
     moved = deriv_quad(MapJet2(*act(_GEN_MATS[..., gen].copy(), (u.u1, u.u2)))).value
     return _scaled_gap(moved - base, base)
 
 
-def _lft_draws(with_map):
-    """The lft checks' draw: sample k takes generator k mod 6, and a candidate
-    is a point off that generator's pole, then (with_map) a map."""
+def _lft_points(rows):
+    # a point whose denominator is above 0.2
+    low, high = np.array((0.5, -0.5, -0.5, -0.5)), np.array((1.5, 0.5, 0.5, 0.5))
+    z1, z2 = _scaled(rows, low, high).view(np.complex128).T
+    return _denominators(_GEN_MATS, z1, z2) > 0.2, (z1, z2)
 
-    def candidates(rows, k):
-        gen = k % len(_GEN_NAMES)
-        low, high = np.array((0.5, -0.5, -0.5, -0.5)), np.array((1.5, 0.5, 0.5, 0.5))
-        z1, z2 = _scaled(rows[:, :4], low, high).view(np.complex128).T
-        ok = _modulus(denominator(_GEN_MATS[..., gen], (z1, z2))) > 0.2
-        if not with_map:
-            return ok, (gen, z1, z2)
-        good, (c1, c2) = map_candidates(rows[:, 4:], k)
-        return ok & good, (gen, z1, z2, c1, c2)
 
-    def draw(rng, n):
-        gen, z1, z2, *maps = kept(rng, n, 4 + with_map * MAP_WIDTH, candidates)
-        return (gen, z1, z2, *([coefficient_map(*maps)] if with_map else ()))
-
-    return draw
+def _lft_points_and_maps(rows):
+    # a point as _lft_points draws it, then a map
+    ok, z = _lft_points(rows[:, :4])
+    good, c = map_candidates(rows[:, 4:])
+    return ok & good[:, None], (*z, *c)
 
 
 def _check_vanishing(gen, z1, z2):
@@ -341,7 +342,8 @@ def _check_cocycle_u(c, w, u):
     return np.abs(lhs - extended_transport(compose_maps(u, w), c)).max((-2, -1))
 
 
-def _check_second_argument(gen, z1, z2, u):
+def _check_second_argument(gen, z1, z2, c1, c2):
+    u = coefficient_map(c1, c2)
     m = _GEN_MATS[..., gen].copy()
     lhs = deriv_quad(compose_maps(u, lft_map(m, (z1, z2)))).value
     return np.abs(lhs - second_arg_transform(deriv_quad(u).value, m, (z1, z2))).max(-1)
@@ -353,7 +355,7 @@ def _check_jacobian_deformation(zm, f1, f2):
     return abs(lhs - MapJet2(*transported_pair(f1h, f2h, zm)).jacobian_value() / zm.jacobian_value())
 
 
-def _exp_pairs(rows, k):
+def _exp_pairs(rows):
     # three exponent pairs: the six real parts, then the six imaginary ones
     u = _scaled(rows, -1, 1)
     pairs = (u[:, :6] + 1j * u[:, 6:]).reshape(-1, 3, 2)
@@ -430,7 +432,7 @@ def _check_f1_pde(row, x, y):
     return _per_choice(row, lambda r, k: worst_of(map(abs, f1_pde_residual(_F1_CHECK_PARAMS[r], x[k], y[k]))))
 
 
-def _gamma_moduli(rows, k):
+def _gamma_moduli(rows):
     # two moduli (x, y) of four draws each, off the unit disc for the reciprocal-
     # argument series: with draw 0 below 0.4 a real value > 1 (draw 1), else a
     # nonreal one off the cut (draw 1 its sign, draws 2 and 3 its parts)
@@ -459,11 +461,11 @@ def _check_f1_beta(rng, n):
     yield abs(k_integral(0.0, 0.0) - 2 * math.pi / math.sqrt(3))
 
 
-def _mt3_instances(rows, k):
+def _mt3_instances(rows):
     # a moduli instance (u, v) as MT3-constraint draws it, then ten points
     # (t1, t2) of four draws each, every t1 0.05 off the instance's zeros
     # 0, 1, 1/u1 and 1/u2
-    ok, (u1, u2, v1, v2) = _moduli_instances(rows[:, :6], k)
+    ok, (u1, u2, v1, v2) = _moduli_instances(rows[:, :6])
     r1, a1, r2, a2 = rows[:, 6:].reshape(len(rows), 10, 4).transpose(2, 0, 1)
     t1, t2 = (_scaled(r, 0.3, 2) * np.exp(1j * _scaled(a, 0, 2 * math.pi)) for r, a in ((r1, a1), (r2, a2)))
     zeros = np.stack((np.zeros_like(u1), np.ones_like(u1), 1 / u1, 1 / u2), -1)
@@ -601,19 +603,24 @@ def _evo_pairs(u):
     return MapJet2(xs[0] + 0.3 * poly(c[:7]), xs[1] + 0.3 * poly(c[7:]))
 
 
-def _mt4_pairs(rows, k):
-    # sample k takes matrix k mod 2, whose denominator and Jacobian factor at
-    # the base point are drawn values, as is the pair's spatial Jacobian: all
-    # rejected at draw time.  Only the unit rows stay: evaluate builds the jets again
+# MT4-invariance's choices: sample k takes matrix k mod 2, and its test one column per matrix
+_MT4S = np.arange(_MT4_MATS.shape[-1])
+
+
+def _mt4_pairs(rows):
+    # per matrix, its denominator and Jacobian factor at the base point are
+    # drawn values, as is the pair's spatial Jacobian: all rejected at draw
+    # time.  Only the unit rows stay: evaluate builds the jets again
     pairs = _evo_pairs(rows)
-    m, z, jac = _MT4_MATS[..., k % 2], (pairs.u1.value, pairs.u2.value), pairs.jacobian_value()
-    ok = (_modulus(denominator(m, z)) >= 1e-10) & (_modulus(jac) >= 1e-14)
-    factor = np.zeros(len(rows), np.complex128)
-    factor[ok] = jacobian_factor(m[..., ok], (z[0][ok], z[1][ok]))
-    return ok & (_modulus(factor * jac) >= 1e-14), (rows, k % 2)
+    z1, z2, jac = pairs.u1.value, pairs.u2.value, pairs.jacobian_value()[:, None]
+    ok = (_denominators(_MT4_MATS, z1, z2) >= 1e-10) & (_modulus(jac) >= 1e-14)
+    i, j = np.nonzero(ok)
+    factor = np.zeros(ok.shape, np.complex128)
+    factor[i, j] = jacobian_factor(_MT4_MATS[..., j], (z1[i], z2[i]))
+    return ok & (_modulus(factor * jac) >= 1e-14), (rows,)
 
 
-def _check_mt4_invariance(rows, mat):
+def _check_mt4_invariance(mat, rows):
     u = _evo_pairs(rows)
     ut = act(_MT4_MATS[..., mat].copy(), (u.u1, u.u2))
     parts = []
@@ -667,12 +674,12 @@ def _reduce(draw, evaluate):
 # (id, suite, anchor, tolerance, samples, draw, evaluate or None for a runner)
 _TABLE = (
     ("group-algebra", "group", "generator word and unitarity identities", 0.0, 0, _check_group_algebra, None),
-    ("invariance", "derivs", "quad invariance under linear fractional maps", 1e-10, 50, _draw_invariance, _check_invariance),
-    ("vanishing", "derivs", "quad vanishes on linear fractional pairs", 1e-10, 50, _lft_draws(False), _check_vanishing),
+    ("invariance", "derivs", "quad invariance under linear fractional maps", 1e-10, 50, _cycled(_GENS, _rows(MAP_WIDTH, _invariance_maps)), _check_invariance),
+    ("vanishing", "derivs", "quad vanishes on linear fractional pairs", 1e-10, 50, _cycled(_GENS, _rows(4, _lft_points)), _check_vanishing),
     ("chain-rule", "derivs", "composition chain rule for the quad", 1e-9, 20, _map_draws(2), _check_chain_rule),
     ("cocycle", "derivs", "transport matrix multiplicativity", 1e-9, 20, _map_draws(2), _check_cocycle),
     ("cocycle-u", "derivs", "extended transport multiplicativity", 1e-9, 20, _cycled(np.array((0.0, 1.0, 2.5)), _map_draws(2)), _check_cocycle_u),
-    ("second-argument", "derivs", "base-change transform of the quad", 1e-9, 20, _lft_draws(True), _check_second_argument),
+    ("second-argument", "derivs", "base-change transform of the quad", 1e-9, 20, _cycled(_GENS, _rows(4 + MAP_WIDTH, _lft_points_and_maps)), _check_second_argument),
     ("jacobian-deformation", "derivs", "determinant transport of pair fields", 1e-9, 20, _map_draws(3), _check_jacobian_deformation),
     ("exp-oracle", "derivs", "exponential solution family oracle", 1e-10, 10, _rows(12, _exp_pairs), _check_exp_oracle),
     ("MT1", "pde", "cube-root-of-Jacobian linear system", 1e-8, 20, _map_draws(1), mt1_relative_residual),
@@ -701,7 +708,7 @@ _TABLE = (
     ("eta36", "eta", "transformation law of the 36th power", 1e-9, 10, _rows(4, _eta_domain_points), _check_eta36),
     ("MT4", "evolution", "field equations on solution families", 1e-12, 10, _draw_mt4, _check_mt4),
     ("MT4-galilean", "evolution", "drift covariance on arbitrary fields", 1e-10, 10, _draw_mt4_galilean, _check_mt4_galilean),
-    ("MT4-invariance", "evolution", "quotients invariant under the group", 1e-10, 10, _rows(32, _mt4_pairs), _check_mt4_invariance),
+    ("MT4-invariance", "evolution", "quotients invariant under the group", 1e-10, 10, _cycled(_MT4S, _rows(32, _mt4_pairs)), _check_mt4_invariance),
 )
 CHECKS = tuple(CheckDef(*row[:5], _reduce(*row[5:])) for row in _TABLE)
 

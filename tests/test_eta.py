@@ -1,4 +1,3 @@
-from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -240,24 +239,6 @@ def test_a_mutated_identity_fails_its_check_only(monkeypatch, fresh_identities, 
     eta_variant_identities.cache_clear()
     failed = {c["id"] for c in run_suites(("eta",), seed=42)["checks"] if not c["pass"]}
     assert failed == {check}
-
-
-def test_each_row_is_decided_once_per_build(monkeypatch, fresh_identities):
-    # quotient rows take their sub-rows' verdicts from the build, and a new
-    # build decides every row again
-    calls = Counter()
-    real = eta.VariantRow.holds
-
-    def counted(row, verdicts=None):
-        calls[row] += 1
-        return real(row, verdicts)
-
-    monkeypatch.setattr(eta.VariantRow, "holds", counted)
-    for build in (1, 2):
-        eta_variant_identities.cache_clear()
-        eta_variant_identities()
-        assert set(calls.values()) == {build}
-    assert {eta._R42["g1a"], eta._R_AUX["eta1_c3"]} <= calls.keys()
 
 
 class TestEta36:

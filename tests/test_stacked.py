@@ -342,6 +342,64 @@ def test_each_draw_leaves_its_stream_at_the_pinned_place(cid):
     assert tuple(got) == NEXT_BITS[cid]
 
 
+def _samples(cid, deep):
+    return 2000 if deep else STACKED[cid].samples
+
+
+@pytest.mark.parametrize("deep", [False, True], ids=["default", "2000"])
+@pytest.mark.parametrize("seed", [1, 42])
+def test_each_drawn_row_is_tested_once(monkeypatch, seed, deep):
+    # every kept draw, its rows counted as the rng hands them out and as
+    # its candidates test them
+    real = derivs.kept
+    drawn, tested = [], []
+
+    class Counted:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, size):
+            drawn.append(size[0])
+            return self.rng.random(size)
+
+    def counted(rng, n, width, candidates):
+        return real(Counted(rng), n, width, lambda rows: tested.append(len(rows)) or candidates(rows))
+
+    monkeypatch.setattr(derivs, "kept", counted)
+    monkeypatch.setattr(report, "kept", counted)
+    for cid, (draw, _) in SAMPLED.items():
+        draw(report._rng(seed, cid)[0], _samples(cid, deep))
+    assert tested == drawn and sum(drawn) > 0
+
+
+def _gen_margins(gen, z1, z2):
+    """|denominator| of each point under its own generator, as Python numbers."""
+    m = report._GEN_MATS
+    return [abs(m[2, 0, g] * a + m[2, 1, g] * b + m[2, 2, g]) for g, a, b in zip(gen.tolist(), z1.tolist(), z2.tolist())]
+
+
+@pytest.mark.parametrize("deep", [False, True], ids=["default", "2000"])
+@pytest.mark.parametrize("seed", [1, 42])
+@pytest.mark.parametrize("cid", ["invariance", "vanishing", "second-argument", "MT4-invariance"])
+def test_each_sample_passes_the_test_of_its_own_choice(cid, seed, deep):
+    # sample k carries choice k mod C, and its margin under that choice,
+    # computed again from its inputs, holds
+    n = _samples(cid, deep)
+    choice, *inputs = SAMPLED[cid][0](report._rng(seed, cid)[0], n)
+    if cid == "invariance":
+        c1, c2 = inputs
+        assert min(_gen_margins(choice, c1[:, 0], c2[:, 0])) >= 0.2
+    elif cid == "MT4-invariance":
+        u = report._evo_pairs(inputs[0])
+        z, jac = (u.u1.value, u.u2.value), u.jacobian_value()
+        m = report._MT4_MATS[..., choice]
+        assert np.abs(m[2, 0] * z[0] + m[2, 1] * z[1] + m[2, 2]).min() >= 1e-10
+        assert np.abs(jac).min() >= 1e-14 and np.abs(jacobian_factor(m, z) * jac).min() >= 1e-14
+    else:
+        assert min(_gen_margins(choice, *inputs[:2])) > 0.2
+    assert choice.tolist() == [k % {"MT4-invariance": 2}.get(cid, 6) for k in range(n)]
+
+
 @pytest.mark.parametrize("seed", [1, 42])
 @pytest.mark.parametrize("n", [1, 2, 11])
 def test_mt4_splits_any_sample_count_as_the_loop_does(n, seed):
