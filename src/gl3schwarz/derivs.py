@@ -51,11 +51,6 @@ class MapJet2:
         self.u1 = u1
         self.u2 = u2
 
-    def __getitem__(self, k) -> "MapJet2":
-        """Sample(s) k of a stacked map."""
-        u1, u2 = self.u1, self.u2
-        return MapJet2(_wrap(u1.dim, u1.order, u1._c[k]), _wrap(u2.dim, u2.order, u2._c[k]))
-
     @property
     def dim(self) -> int:
         return self.u1.dim
@@ -336,7 +331,7 @@ def _jet_exp(a: Jet) -> Jet:
     return _wrap(a.dim, a.order, _series(a.dim, a.order, nil, inv_factorials) * _col(np.exp(a.value)))
 
 
-def exp_solution_map(pairs, base=(0.0, 0.0)) -> MapJet2:
+def exp_solution_map(pairs, base) -> MapJet2:
     """(z1/z3, z2/z3) for z_i = exp(lambda_i x + mu_i y), as order-3 jets at base.
 
     pairs has shape (3, 2), or (..., 3, 2) for a stacked map.
@@ -345,79 +340,6 @@ def exp_solution_map(pairs, base=(0.0, 0.0)) -> MapJet2:
     pairs = np.moveaxis(np.asarray(pairs, dtype=np.complex128), (-2, -1), (0, 1))
     zs = [_jet_exp(lam * x + mu * y) for lam, mu in pairs]
     return MapJet2(zs[0] / zs[2], zs[1] / zs[2])
-
-
-# rows per round of candidates, and per evaluate call of a report: at least
-# 100, so a default report draws and evaluates each check in one
-CHUNK = 1000
-
-
-def kept(rng, n, width, candidates):
-    """The inputs of the first n accepted candidate rows, as a loop drawing sample after sample keeps them.
-
-    Rounds draw min(missing, CHUNK) rows of width unit draws, so none draws
-    past the n-th kept row.  candidates(rows) returns the rows' acceptance and
-    a tuple of arrays built from them.  The acceptance is a mask (rows,), or
-    (rows, C) with one column per choice that cycles by sample: the row that
-    would fill sample k is kept when its column k mod C holds.  100
-    rejections in a row are a RuntimeError.
-    """
-    out, have, misses = None, 0, 0
-    while have < n:
-        rows = rng.random((min(n - have, CHUNK), width))
-        ok, inputs = candidates(rows)
-        take = []
-        for i, columns in enumerate(ok.reshape(len(rows), -1).tolist()):
-            if columns[(have + len(take)) % len(columns)]:
-                take.append(i)
-                misses = 0
-            else:
-                misses += 1
-                if misses == 100:
-                    raise RuntimeError("100 candidate draws in a row were rejected")
-        if out is None:
-            out = tuple(np.empty((n, *x.shape[1:]), x.dtype) for x in inputs)
-        for o, x in zip(out, inputs):
-            o[have : have + len(take)] = x[take]
-        have += len(take)
-    return out
-
-
-# random_map's draws: order-3 jets with coefficients in a disc of radius
-# MAP_RADIUS around the identity map, and |Jacobian| >= MAP_MIN_JAC at the
-# base point; a candidate map takes MAP_WIDTH unit draws
-MAP_ORDER = 3
-MAP_RADIUS = 0.3
-MAP_MIN_JAC = 0.1
-MAP_WIDTH = 4 * len(monomials(2, MAP_ORDER))
-
-
-def map_candidates(rows):
-    """`kept`'s candidate maps: |Jacobian| >= MAP_MIN_JAC, and (u1's coefficients, u2's).
-
-    Per component and monomial of a row a modulus draw, then a phase draw.
-    """
-    monos = monomials(2, MAP_ORDER)
-    ix, iy = monos.index((1, 0)), monos.index((0, 1))
-    u = rows.reshape(len(rows), 2, len(monos), 2)
-    c = MAP_RADIUS * np.sqrt(u[..., 0]) * np.exp(1j * (2 * np.pi * u[..., 1]))
-    c[:, (0, 1), (ix, iy)] += 1.0
-    ok = abs(c[:, 0, ix] * c[:, 1, iy] - c[:, 1, ix] * c[:, 0, iy]) >= MAP_MIN_JAC
-    return ok, (c[:, 0], c[:, 1])
-
-
-def coefficient_map(c1, c2) -> MapJet2:
-    """The stacked map of order-MAP_ORDER jets in two variables with coefficients c1 and c2."""
-    return MapJet2(_wrap(2, MAP_ORDER, c1), _wrap(2, MAP_ORDER, c2))
-
-
-def random_map(rng, size=None) -> MapJet2:
-    """Polynomial map near the identity with a well-conditioned Jacobian (`map_candidates`).
-
-    size=n gives a stack of n maps, drawn as n calls without size would draw them.
-    """
-    maps = coefficient_map(*kept(rng, 1 if size is None else size, MAP_WIDTH, map_candidates))
-    return maps[0] if size is None else maps
 
 
 def compose_maps(u: MapJet2, w: MapJet2) -> MapJet2:

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .derivs import MapJet2, _det2
 from .jets import Jet, JetError, _refuse, compose
 from .worst import worst_of
@@ -76,19 +74,6 @@ class EvoFields:
         t1 = Jet.variable(4, 1, IT1)
         t2 = Jet.variable(4, 1, IT2)
         return cls(Jet.constant(4, 1, c1), -lam * t1, lam * t2, Jet.constant(4, 1, c2))
-
-    @classmethod
-    def from_uniform(cls, u, order: int = 2) -> "EvoFields":
-        """Dense polynomial fields of the given order from unit draws u, shape (..., 8 m).
-
-        m is the number of monomials.  Per field and monomial, the real and
-        the imaginary part are u - 0.5, as one rng.uniform(-0.5, 0.5, 2)
-        makes them from the same draws; leading axes of u give stacked
-        fields.  Such fields are generically not a solution.
-        """
-        parts = (np.asarray(u) - 0.5).reshape(*np.shape(u)[:-1], 4, -1, 2)
-        coeffs = parts.view(np.complex128)[..., 0]
-        return cls(*(Jet(4, order, coeffs[..., k, :]) for k in range(4)))
 
 
 def mt4_residuals(f: EvoFields):

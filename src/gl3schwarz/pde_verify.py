@@ -44,7 +44,7 @@ class ParamTriple:
         object.__setattr__(self, "beta", complex(self.beta))
         object.__setattr__(self, "gamma", complex(self.gamma))
 
-    def f1_params(self, which: str = "first") -> F1Params:
+    def f1_params(self, which: str) -> F1Params:
         """Appell parameters of the solution branch.
 
         first:  (alpha+beta-1; -gamma, -gamma; alpha-gamma) in (v1, v2)

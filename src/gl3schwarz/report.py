@@ -30,12 +30,9 @@ from .appell import (
     picard_integral,
 )
 from .derivs import (
-    CHUNK,
     EXP_MIN_DET,
-    MAP_WIDTH,
     MapJet2,
     chain_rule_rhs,
-    coefficient_map,
     compose_maps,
     deriv_quad,
     exp_solution_map,
@@ -43,10 +40,7 @@ from .derivs import (
     exponent_rows,
     extended_transport,
     jacobian_deformation,
-    kept,
     lft_map,
-    map_candidates,
-    random_map,
     second_arg_transform,
     transport_matrix,
     transported_pair,
@@ -58,7 +52,7 @@ from .evolution import (
     galilean_covariance_check,
     mt4_residuals,
 )
-from .jets import Jet, monomials
+from .jets import Jet, _wrap, monomials
 from .lft import (
     DECOMPOSITION_WORDS,
     OMEGA,
@@ -163,8 +157,44 @@ def _scaled(u, low, high):
     return low + (high - low) * u
 
 
+# rows per round of candidates, and per evaluate call of a report: at least
+# 100, so a default report draws and evaluates each check in one
+CHUNK = 1000
+
+
+def kept(rng, n, width, candidates):
+    """The inputs of the first n accepted candidate rows, as a loop drawing sample after sample keeps them.
+
+    Rounds draw min(missing, CHUNK) rows of width unit draws, so none draws
+    past the n-th kept row.  candidates(rows) returns the rows' acceptance and
+    a tuple of arrays built from them.  The acceptance is a mask (rows,), or
+    (rows, C) with one column per choice that cycles by sample: the row that
+    would fill sample k is kept when its column k mod C holds.  100
+    rejections in a row are a RuntimeError.
+    """
+    out, have, misses = None, 0, 0
+    while have < n:
+        rows = rng.random((min(n - have, CHUNK), width))
+        ok, inputs = candidates(rows)
+        take = []
+        for i, columns in enumerate(ok.reshape(len(rows), -1).tolist()):
+            if columns[(have + len(take)) % len(columns)]:
+                take.append(i)
+                misses = 0
+            else:
+                misses += 1
+                if misses == 100:
+                    raise RuntimeError("100 candidate draws in a row were rejected")
+        if out is None:
+            out = tuple(np.empty((n, *x.shape[1:]), x.dtype) for x in inputs)
+        for o, x in zip(out, inputs):
+            o[have : have + len(take)] = x[take]
+        have += len(take)
+    return out
+
+
 # ---------------------------------------------------------------------------
-# candidates for derivs.kept (margins match the frozen test suites)
+# candidates for kept (margins match the frozen test suites)
 
 
 def _rows(width, candidates):
@@ -231,12 +261,41 @@ def _moduli_instances(rows):
 _draw_moduli = _rows(6, _moduli_instances)  # rows (u1, u2, v1, v2)
 
 
+# the map draw: order-3 jets in two variables with coefficients in a disc of
+# radius MAP_RADIUS around the identity map, and |Jacobian| >= MAP_MIN_JAC at
+# the base point; a candidate map takes MAP_WIDTH unit draws
+MAP_ORDER = 3
+MAP_RADIUS = 0.3
+MAP_MIN_JAC = 0.1
+MAP_WIDTH = 4 * len(monomials(2, MAP_ORDER))
+
+
+def map_candidates(rows):
+    """Candidate maps: |Jacobian| >= MAP_MIN_JAC, and (u1's coefficients, u2's).
+
+    Per component and monomial of a row a modulus draw, then a phase draw.
+    """
+    monos = monomials(2, MAP_ORDER)
+    ix, iy = monos.index((1, 0)), monos.index((0, 1))
+    u = rows.reshape(len(rows), 2, len(monos), 2)
+    c = MAP_RADIUS * np.sqrt(u[..., 0]) * np.exp(1j * (2 * np.pi * u[..., 1]))
+    c[:, (0, 1), (ix, iy)] += 1.0
+    ok = abs(c[:, 0, ix] * c[:, 1, iy] - c[:, 1, ix] * c[:, 0, iy]) >= MAP_MIN_JAC
+    return ok, (c[:, 0], c[:, 1])
+
+
+def coefficient_map(c1, c2) -> MapJet2:
+    """The map of order-MAP_ORDER jets in two variables with coefficients c1 and c2 (stacked on leading axes)."""
+    return MapJet2(_wrap(2, MAP_ORDER, c1), _wrap(2, MAP_ORDER, c2))
+
+
 # ---------------------------------------------------------------------------
 # check runners.  A drawing check's draw(rng, n) makes all its draws and
-# rejections and returns its inputs: arrays and stacked maps with one row per
-# residual first, each choice made per sample (generator, parameter row,
-# coefficient set, field family, matrix) among them.  Every rejection goes
-# through derivs.kept: candidate rows of unit draws in, each tested once,
+# rejections and returns its inputs: arrays with one row per residual first,
+# each choice made per sample (generator, parameter row, coefficient set,
+# field family, matrix) among them.  A map is drawn as two coefficient arrays,
+# u1's and u2's, which evaluate wraps with coefficient_map.  Every rejection
+# goes through kept: candidate rows of unit draws in, each tested once,
 # accepted rows out in the order of a loop over samples.  A test whose choice
 # cycles by sample (generator, MT4 matrix) gives one acceptance column per
 # matrix of its stack, and _cycled takes the choices from that stack's size,
@@ -318,26 +377,29 @@ def _check_vanishing(gen, z1, z2):
 
 
 def _map_draws(per_sample):
-    """The draw of n samples of per_sample random maps each, as per_sample stacks."""
+    """The draw of n samples of per_sample maps each: per map, u1's coefficients and u2's."""
 
     def draw(rng, n):
-        maps = random_map(rng, size=per_sample * n)
-        return tuple(maps[k::per_sample] for k in range(per_sample))
+        c1, c2 = kept(rng, per_sample * n, MAP_WIDTH, map_candidates)
+        return tuple(c[k::per_sample] for k in range(per_sample) for c in (c1, c2))
 
     return draw
 
 
-def _check_chain_rule(w, u):
+def _check_chain_rule(w1, w2, u1, u2):
+    w, u = coefficient_map(w1, w2), coefficient_map(u1, u2)
     lhs = deriv_quad(compose_maps(u, w)).value
     return np.abs(lhs - chain_rule_rhs(deriv_quad(u).value, w)).max(-1)
 
 
-def _check_cocycle(w, u):
+def _check_cocycle(w1, w2, u1, u2):
+    w, u = coefficient_map(w1, w2), coefficient_map(u1, u2)
     lhs = np.einsum("...ij,...jk->...ik", transport_matrix(w), transport_matrix(u))
     return np.abs(lhs - transport_matrix(compose_maps(u, w))).max((-2, -1))
 
 
-def _check_cocycle_u(c, w, u):
+def _check_cocycle_u(c, w1, w2, u1, u2):
+    w, u = coefficient_map(w1, w2), coefficient_map(u1, u2)
     lhs = np.einsum("...ij,...jk->...ik", extended_transport(w, c), extended_transport(u, c))
     return np.abs(lhs - extended_transport(compose_maps(u, w), c)).max((-2, -1))
 
@@ -349,8 +411,10 @@ def _check_second_argument(gen, z1, z2, c1, c2):
     return np.abs(lhs - second_arg_transform(deriv_quad(u).value, m, (z1, z2))).max(-1)
 
 
-def _check_jacobian_deformation(zm, f1, f2):
-    f1h, f2h = f1.u1, f2.u2
+def _check_jacobian_deformation(z1, z2, f1, _, __, f2):
+    # the fields are u1 of the second map and u2 of the third
+    zm = coefficient_map(z1, z2)
+    f1h, f2h = (_wrap(2, MAP_ORDER, f) for f in (f1, f2))
     lhs = jacobian_deformation(f1h, f2h, zm)
     return abs(lhs - MapJet2(*transported_pair(f1h, f2h, zm)).jacobian_value() / zm.jacobian_value())
 
@@ -369,7 +433,12 @@ def _check_exp_oracle(pairs):
     return _scaled_gap((quad - Jet.constant(quad.dim, quad.order, predicted))._c, predicted)
 
 
-def _check_mt1_branch(m):
+def _check_mt1(c1, c2):
+    return mt1_relative_residual(coefficient_map(c1, c2))
+
+
+def _check_mt1_branch(c1, c2):
+    m = coefficient_map(c1, c2)
     r0 = mt1_residuals(m)
     parts = []
     for branch in (1, 2):
@@ -572,7 +641,7 @@ def _draw_mt4_galilean(rng, n):
 
 
 def _check_mt4_galilean(u):
-    f = EvoFields.from_uniform(u[:, :-4], order=3)
+    f = _evo_fields(u[:, :-4])
     shift = _scaled(u[:, -4:], -1.5, 1.5)
     # the mixed-partial identity holds for any order >= 2 u: f.v1 draws nothing
     return worst_of((galilean_covariance_check(f, *shift.T), consistency_residual(f, f.v1)))
@@ -581,6 +650,17 @@ def _check_mt4_galilean(u):
 _MT4_MATS = np.stack(
     ([[2, 1, 0], [1, 1, 1], [1, 0, 3]], [[1, 0, 1j], [0.5, 2, 0], [0, 0.3, 2]]), -1, dtype=np.complex128
 )
+
+
+def _evo_fields(u):
+    """Dense order-3 fields in (x, y, t1, t2) of unit rows u (..., 8 m), m the number of monomials.
+
+    Per field and monomial, the real and the imaginary part are u - 0.5;
+    leading axes of u give stacked fields.  Such fields are generically not
+    a solution.
+    """
+    coeffs = (u - 0.5).reshape(*u.shape[:-1], 4, -1, 2).view(np.complex128)[..., 0]
+    return EvoFields(*(Jet(4, 3, coeffs[..., k, :]) for k in range(4)))
 
 
 def _evo_pairs(u):
@@ -664,8 +744,7 @@ def _reduce(draw, evaluate):
             residuals = np.fromiter(draw(rng, n), float)
         else:
             inputs = draw(rng, n)
-            first = inputs[0].u1._c if isinstance(inputs[0], MapJet2) else inputs[0]
-            residuals = np.concatenate([_evaluate(evaluate, inputs, k) for k in range(0, len(first), CHUNK)])
+            residuals = np.concatenate([_evaluate(evaluate, inputs, k) for k in range(0, len(inputs[0]), CHUNK)])
         return worst_of(residuals), residuals.size
 
     return run
@@ -682,7 +761,7 @@ _TABLE = (
     ("second-argument", "derivs", "base-change transform of the quad", 1e-9, 20, _cycled(_GENS, _rows(4 + MAP_WIDTH, _lft_points_and_maps)), _check_second_argument),
     ("jacobian-deformation", "derivs", "determinant transport of pair fields", 1e-9, 20, _map_draws(3), _check_jacobian_deformation),
     ("exp-oracle", "derivs", "exponential solution family oracle", 1e-10, 10, _rows(12, _exp_pairs), _check_exp_oracle),
-    ("MT1", "pde", "cube-root-of-Jacobian linear system", 1e-8, 20, _map_draws(1), mt1_relative_residual),
+    ("MT1", "pde", "cube-root-of-Jacobian linear system", 1e-8, 20, _map_draws(1), _check_mt1),
     ("MT1-branch", "pde", "branch covariance of the residuals", 1e-12, 5, _map_draws(1), _check_mt1_branch),
     ("MT2-first", "pde", "first-branch closed-form solutions", 1e-8, 10, _mt2_draw("first"), _mt2_branch_check("first")),
     ("MT2-second", "pde", "second-branch closed-form solutions", 1e-8, 10, _mt2_draw("second"), _mt2_branch_check("second")),
@@ -718,8 +797,11 @@ for _c in CHECKS:
 
 
 def _tolerance(value, source: str) -> float:
-    """A tolerance override as a float; it must be finite and >= 0."""
-    tol = float(value)
+    """A tolerance override as a float; it must be a finite number >= 0."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError):
+        tol = math.nan
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance {value!r} for {source} must be finite and >= 0")
     return tol

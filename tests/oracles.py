@@ -1,9 +1,11 @@
-"""Oracles the tests hold the package to; the program itself does not use them."""
+"""Oracles the tests hold the package to, and draws they share; the program itself does not use them."""
 
 import cmath
 
 import numpy as np
 
+from gl3schwarz import report
+from gl3schwarz.derivs import MapJet2
 from gl3schwarz.evolution import EvoFields
 from gl3schwarz.jets import Jet, JetError, _compose_each, _index, monomials
 
@@ -79,8 +81,20 @@ S3_FORMS = {
 
 
 def random_fields(rng, order: int = 2) -> EvoFields:
-    """Dense random polynomial fields of the given order; generically not a solution."""
-    return EvoFields.from_uniform(rng.random(8 * len(monomials(4, order))), order)
+    """Dense random polynomial fields of the given order; generically not a solution.
+
+    Per field and monomial, the real and the imaginary part are a unit draw
+    less 0.5, as in the report's MT4-galilean fields.
+    """
+    parts = (rng.random(8 * len(monomials(4, order))) - 0.5).reshape(4, -1, 2)
+    return EvoFields(*(Jet(4, order, c) for c in parts.view(np.complex128)[..., 0]))
+
+
+def random_map(rng, size=None) -> MapJet2:
+    """Maps as the report draws them (`report.map_candidates`): size=n gives
+    a stack of n, and no size one map, the stack of one's only sample."""
+    c1, c2 = report.kept(rng, 1 if size is None else size, report.MAP_WIDTH, report.map_candidates)
+    return report.coefficient_map(c1[0], c2[0]) if size is None else report.coefficient_map(c1, c2)
 
 
 def factor_value36(factor, z) -> complex:

@@ -121,7 +121,7 @@ class TestVerify:
         assert res.stdout == ""
         assert "exact check(s): ['group-algebra']" in res.stderr
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
     def test_tolerance_env_must_be_finite_and_non_negative(self, runner, value):
         res = invoke(runner, ["verify", "f1"], env={"GL3SCHWARZ_TOL": value})
         assert res.exit_code == 2

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gl3schwarz import derivs, report
+from gl3schwarz import report
 from gl3schwarz.derivs import (
     MapJet2,
     chain_rule_rhs,
@@ -18,14 +18,13 @@ from gl3schwarz.derivs import (
     extended_transport,
     jacobian_deformation,
     lft_map,
-    random_map,
     second_arg_transform,
     transport_matrix,
     transported_pair,
 )
 from gl3schwarz.jets import Jet, JetError, compose, monomials
 from gl3schwarz.lft import generators
-from oracles import invert_map2
+from oracles import invert_map2, random_map
 
 G = generators()
 
@@ -301,7 +300,7 @@ class TestJacobianDeformation:
 
 
 def _scalar_draw_map(rng, order=3, radius=0.3, min_jac=0.1):
-    """random_map as it drew before: one scalar uniform() per modulus and phase."""
+    """The map draw as it was made before: one scalar uniform() per modulus and phase."""
     monos = monomials(2, order)
     for _ in range(100):
         jets = []
@@ -321,16 +320,16 @@ def _scalar_draw_map(rng, order=3, radius=0.3, min_jac=0.1):
     raise RuntimeError("failed to sample a well-conditioned map")
 
 
-# the module's draw constants, and a wider disc with a stricter Jacobian bound
+# the report's map draw constants, and a wider disc with a stricter Jacobian bound
 # that rejects many draws
 MAP_DRAWS = [(3, 0.3, 0.1), (3, 0.9, 0.5)]
 
 
 @pytest.fixture
 def map_draws(monkeypatch, order, radius, min_jac):
-    assert order == derivs.MAP_ORDER
-    monkeypatch.setattr(derivs, "MAP_RADIUS", radius)
-    monkeypatch.setattr(derivs, "MAP_MIN_JAC", min_jac)
+    assert order == report.MAP_ORDER
+    monkeypatch.setattr(report, "MAP_RADIUS", radius)
+    monkeypatch.setattr(report, "MAP_MIN_JAC", min_jac)
 
 
 @pytest.mark.parametrize("order, radius, min_jac", MAP_DRAWS)
@@ -361,7 +360,7 @@ def test_batched_random_maps_draw_as_scalar_calls_did(order, radius, min_jac, si
 
 
 def _loop_kept(rng, n, width, candidates):
-    """derivs.kept as a plain loop: for sample after sample k, one candidate
+    """report.kept as a plain loop: for sample after sample k, one candidate
     row at a time until its column k mod C holds; the inputs of the kept rows."""
     inputs = []
     for k in range(n):
@@ -384,7 +383,7 @@ def _about_half(rows):
 def test_kept_draws_as_a_loop_over_samples_does(n):
     # 2,500 samples take at least three rounds, past one CHUNK
     new, old = (report._rng(n, "kept")[0] for _ in range(2))
-    got = derivs.kept(new, n, 3, _about_half)
+    got = report.kept(new, n, 3, _about_half)
     want = _loop_kept(old, n, 3, _about_half)
     assert [x.tolist() for x in got] == want
     assert new.generator.getrandbits(64) == old.generator.getrandbits(64)
@@ -393,7 +392,7 @@ def test_kept_draws_as_a_loop_over_samples_does(n):
 def test_kept_refuses_after_a_hundred_rejections_in_a_row():
     rng, fresh = (report._rng(1, "kept")[0] for _ in range(2))
     with pytest.raises(RuntimeError, match="100 candidate draws in a row were rejected"):
-        derivs.kept(rng, 5, 2, lambda rows: (np.zeros(len(rows), bool), (rows,)))
+        report.kept(rng, 5, 2, lambda rows: (np.zeros(len(rows), bool), (rows,)))
     # twenty rounds of five rows
     fresh.random((100, 2))
     assert rng.generator.getrandbits(64) == fresh.generator.getrandbits(64)

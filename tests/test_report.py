@@ -160,6 +160,11 @@ class TestOverrides:
             overrides = {"group-algebra": 1.0, "P4.1": 0.0, "eta36": 1e-6}
             run_suites(("group",), seed=3, tol_overrides=overrides)
 
+    @pytest.mark.parametrize("value", ["abc", None])
+    def test_a_tolerance_override_that_is_no_finite_number_names_its_check(self, value):
+        with pytest.raises(ValueError, match=f"tolerance {value!r} for MT1 must be finite and >= 0"):
+            run_suites(("pde",), seed=3, tol_overrides={"MT1": value})
+
     def test_env_tolerance(self, monkeypatch):
         monkeypatch.setenv("GL3SCHWARZ_TOL", "1e-20")
         rep = run_suites(("eta",), seed=3, samples=2)

@@ -35,12 +35,11 @@ from gl3schwarz.derivs import (
     exp_system_oracle,
     extended_transport,
     jacobian_deformation,
-    random_map,
     second_arg_transform,
     transport_matrix,
 )
 from gl3schwarz.eta import eta36, eta36_transform_check, s_invariant_map, translation_invariant_map
-from gl3schwarz.evolution import EvoFields, evo_quotients, galilean_covariance_check
+from gl3schwarz.evolution import evo_quotients, galilean_covariance_check
 from gl3schwarz.jets import Jet, JetError, _wrap, jet_powq
 from gl3schwarz.lft import act, generators, jacobian_factor, word_product
 from gl3schwarz.pde_verify import (
@@ -67,6 +66,7 @@ from gl3schwarz.picard import (
     transform_abg,
 )
 from gl3schwarz.report import run_suites
+from oracles import random_map
 
 # each drawing check's (draw, evaluate), and its entry
 SAMPLED = {row[0]: row[5:] for row in report._TABLE if row[6] is not None}
@@ -83,8 +83,7 @@ def _drawn(cid, seed):
 def _alone(cid, inputs):
     """The residual of each row of inputs, evaluated as a stack of one."""
     evaluate = SAMPLED[cid][1]
-    rows = len(inputs[0].u1._c if isinstance(inputs[0], MapJet2) else inputs[0])
-    return np.concatenate([evaluate(*(x[k : k + 1] for x in inputs)) for k in range(rows)])
+    return np.concatenate([evaluate(*(x[k : k + 1] for x in inputs)) for k in range(len(inputs[0]))])
 
 
 def test_every_drawing_check_has_a_fault_and_the_stacked_ones_a_misalignment():
@@ -106,6 +105,18 @@ def test_stacked_residuals_match_the_per_sample_reference(cid, seed):
     assert whole.shape == (STACKED[cid].samples * {"MT3": 10}.get(cid, 1),)
     assert np.isfinite(whole).all()
     assert _alone(cid, inputs).tolist() == whole.tolist()
+
+
+@pytest.mark.parametrize("default", [False, True], ids=["1", "default"])
+@pytest.mark.parametrize("seed", [1, 42])
+@pytest.mark.parametrize("cid", sorted(SAMPLED))
+def test_a_draw_is_arrays_of_one_row_per_residual(cid, seed, default):
+    # maps too are drawn as coefficient arrays: every input is an ndarray
+    # whose first axis is the check's residual count
+    draw, evaluate = SAMPLED[cid]
+    inputs = draw(report._rng(seed, cid)[0], STACKED[cid].samples if default else 1)
+    assert type(inputs) is tuple and all(type(x) is np.ndarray for x in inputs)
+    assert {len(x) for x in inputs} == {len(evaluate(*inputs))}
 
 
 # Under a planted fault each check's residual becomes a sizable function of
@@ -282,7 +293,6 @@ def test_chunks_of_three_rows_are_the_whole_stack(monkeypatch, cid, seed):
 
     # rounds of three candidates, too
     monkeypatch.setattr(report, "CHUNK", 3)
-    monkeypatch.setattr(derivs, "CHUNK", 3)
     rng = report._rng(seed, cid)[0]
     worst, used = report._reduce(draw, recorded)(rng, STACKED[cid].samples)
     assert all(len(c) == 3 for c in chunks[:-1]) and 1 <= len(chunks[-1]) <= 3
@@ -295,7 +305,7 @@ def test_chunks_of_three_rows_are_the_whole_stack(monkeypatch, cid, seed):
 # The next 64 bits of each check's stream after its draw at seeds 1 and 42,
 # pinned: a draw that takes one number more or fewer, or rejects its
 # candidates in another order, moves them.  Four rows were recorded again
-# when every rejection moved onto derivs.kept, whose candidates have fixed
+# when every rejection moved onto `kept`, whose candidates have fixed
 # widths: invariance (one map of 40 draws, its generator cycling by sample)
 # and F1-picard-gamma (two moduli of four draws each) moved;
 # second-argument (point and map as one candidate) and MT3 (an instance and
@@ -351,7 +361,7 @@ def _samples(cid, deep):
 def test_each_drawn_row_is_tested_once(monkeypatch, seed, deep):
     # every kept draw, its rows counted as the rng hands them out and as
     # its candidates test them
-    real = derivs.kept
+    real = report.kept
     drawn, tested = [], []
 
     class Counted:
@@ -365,7 +375,6 @@ def test_each_drawn_row_is_tested_once(monkeypatch, seed, deep):
     def counted(rng, n, width, candidates):
         return real(Counted(rng), n, width, lambda rows: tested.append(len(rows)) or candidates(rows))
 
-    monkeypatch.setattr(derivs, "kept", counted)
     monkeypatch.setattr(report, "kept", counted)
     for cid, (draw, _) in SAMPLED.items():
         draw(report._rng(seed, cid)[0], _samples(cid, deep))
@@ -413,10 +422,6 @@ def test_mt4_splits_any_sample_count_as_the_loop_does(n, seed):
     assert c.tolist() == numbers
 
 
-def _listed(x):
-    return (x.u1._c.tolist(), x.u2._c.tolist()) if isinstance(x, MapJet2) else x.tolist()
-
-
 @pytest.mark.parametrize("cid", sorted(SAMPLED))
 def test_a_stack_of_one_matches_the_reference(cid):
     # --samples 1: the draw of one sample takes the first numbers of the
@@ -428,7 +433,7 @@ def test_a_stack_of_one_matches_the_reference(cid):
     ref = [x[:rows] for x in draw(report._rng(42, cid)[0], STACKED[cid].samples)]
     if cid == "param-table":
         ref[0] = np.arange(1, 6)
-    assert [_listed(x) for x in one] == [_listed(x) for x in ref]
+    assert [x.tolist() for x in one] == [x.tolist() for x in ref]
     assert evaluate(*one).tolist() == evaluate(*ref).tolist()
 
 
@@ -511,16 +516,16 @@ def test_a_moduli_candidate_builds_one_pair(monkeypatch):
 
 
 def _poison_one_draw(monkeypatch, index):
-    """random_map as the report calls it, with one NaN in stacked map `index`."""
-    real = derivs.random_map
+    """The report's map draw, with one NaN in drawn map `index`."""
+    real = report.kept
 
-    def poisoned(rng, *args, size=None, **kwargs):
-        m = real(rng, *args, size=size, **kwargs)
-        if size is not None:
-            m.u1._c[index, 1] = float("nan")  # the coefficient of y
-        return m
+    def poisoned(rng, n, width, candidates):
+        c1, *rest = real(rng, n, width, candidates)
+        if candidates is report.map_candidates:
+            c1[index, 1] = float("nan")  # u1's coefficient of y
+        return (c1, *rest)
 
-    monkeypatch.setattr(report, "random_map", poisoned)
+    monkeypatch.setattr(report, "kept", poisoned)
 
 
 @pytest.mark.parametrize(
@@ -554,7 +559,7 @@ def test_misaligned_samples_fail_the_report(monkeypatch):
     real = report.compose_maps
 
     def shifted(u, w):
-        return real(u[np.roll(np.arange(len(u.u1._c)), -1)], w)
+        return real(MapJet2(*(_wrap(x.dim, x.order, np.roll(x._c, -1, 0)) for x in (u.u1, u.u2))), w)
 
     monkeypatch.setattr(report, "compose_maps", shifted)
     failed = {e["id"] for e in run_suites(("derivs",), seed=42)["checks"] if not e["pass"]}
@@ -890,7 +895,8 @@ def _numbers(out):
 
 _RNG = report._rng(0, "single points")[0]
 _MAPS = [random_map(_RNG) for _ in range(3)]
-_EVO = report._evo_pairs(_RNG.random((1, 32)))[0]
+_EVO_ROW = report._evo_pairs(_RNG.random((1, 32)))
+_EVO = MapJet2(*(_wrap(4, 3, u._c[0]) for u in (_EVO_ROW.u1, _EVO_ROW.u2)))
 _FIELDS = _RNG.random(8 * 35)
 _EXPONENTS = _RNG.uniform(-1, 1, (3, 2)) + 1j * _RNG.uniform(-1, 1, (3, 2))
 _MODULI = _moduli_instance(_RNG, 1)[0]
@@ -934,7 +940,7 @@ LAYERS = {
     ],
     "evo_quotients": lambda s: [evo_quotients(s((_EVO.u1, _EVO.u2)), which) for which in ("t1", "t2")],
     "galilean_covariance_check": lambda s: galilean_covariance_check(
-        EvoFields.from_uniform(s(_FIELDS), order=3), *s((0.5, -0.3, 0.2, 0.7))
+        report._evo_fields(s(_FIELDS)), *s((0.5, -0.3, 0.2, 0.7))
     ),
     "jacobian_deformation": lambda s: jacobian_deformation(s(_MAPS[1].u1), s(_MAPS[2].u2), s(_MAPS[0])),
     "exp_system_oracle": lambda s: exp_system_oracle(s(_EXPONENTS)),
@@ -969,24 +975,29 @@ def test_modular_solve_on_a_stack_matches_point_by_point():
         assert np.abs(np.array(modular_solve(u[k], v2[k])) - [r[k] for r in roots]).max() <= 1e-14
 
 
+def _drawn_maps(seed):
+    """Three maps as the report draws them: u1's coefficients and u2's."""
+    return report.kept(np.random.default_rng(seed), 3, report.MAP_WIDTH, report.map_candidates)
+
+
 # the quad of a stack of maps is one jet of sample shape (n, 4); each row
 # is its map's quad, bit for bit
 def test_the_quad_of_a_stack_is_its_maps_quads():
-    maps = random_map(np.random.default_rng(7), size=3)
-    quad = deriv_quad(maps).value
+    c1, c2 = _drawn_maps(7)
+    quad = deriv_quad(report.coefficient_map(c1, c2)).value
     assert quad.shape == (3, 4)
     for k in range(3):
-        assert np.array_equal(quad[k], deriv_quad(maps[k]).value)
+        assert np.array_equal(quad[k], deriv_quad(report.coefficient_map(c1[k], c2[k])).value)
 
 
 def test_extended_transport_on_a_stack_matches_its_maps():
     # within a few ulps: a single map's cubes are numpy scalar powers
-    maps = random_map(np.random.default_rng(8), size=3)
+    c1, c2 = _drawn_maps(8)
     c = np.array([0.0, 1.0, 2.5])
-    got = extended_transport(maps, c)
+    got = extended_transport(report.coefficient_map(c1, c2), c)
     assert got.shape == (3, 5, 5)
     for k in range(3):
-        one = extended_transport(maps[k], c[k])
+        one = extended_transport(report.coefficient_map(c1[k], c2[k]), c[k])
         assert np.all(np.abs(got[k] - one) <= 1e-15 * np.maximum(np.abs(one), 1.0))
 
 

@@ -325,3 +325,34 @@ def test_no_module_multiplies_with_matmul():
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
     ]
     assert found == []
+
+
+def _draw_names(tree):
+    """(line, name) of each definition, read or import of kept or CHUNK, and of each parameter named rng."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = (node.asname or node.name).split(".")[-1]
+        elif isinstance(node, ast.arg):
+            name = "rng(parameter)" if node.arg == "rng" else node.arg
+        else:
+            continue
+        if name in ("kept", "CHUNK", "rng(parameter)"):
+            yield node.lineno, name
+
+
+def test_only_the_report_draws():
+    # every draw space lives in report: the rejection helper, its round size
+    # and the streams they draw from; other modules take drawn arrays
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "report"
+        for line, name in _draw_names(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
