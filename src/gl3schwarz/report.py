@@ -124,9 +124,9 @@ def split_seed(seed: int, label: str) -> int:
 class _Draws:
     """The draws the runners make, from one stdlib Mersenne Twister.
 
-    A double is (u64 >> 11) 2^-53, u64 read little-endian from randbytes, CHUNK
-    rows a call: the words of getrandbits(64) calls, so n numbers drawn at once
-    equal n drawn one by one.
+    A double is (u64 >> 11) 2^-53, u64 read little-endian from randbytes: the
+    words of getrandbits(64) calls, so n numbers drawn at once equal n drawn
+    one by one, and a draw of n numbers is the first n of any longer draw.
     """
 
     __slots__ = ("generator",)
@@ -135,13 +135,9 @@ class _Draws:
         self.generator = generator
 
     def random(self, size=()):
-        """Doubles in [0, 1) of shape size, CHUNK rows at a time."""
-        out = np.empty(size)
-        rows = out.reshape(-1, *out.shape[1:])
-        for part in (rows[k : k + CHUNK] for k in range(0, len(rows), CHUNK)):
-            words = np.frombuffer(self.generator.randbytes(8 * part.size), "<u8").reshape(part.shape)
-            part[...] = (words >> 11) * 2.0**-53
-        return out
+        """Doubles in [0, 1) of shape size."""
+        words = np.frombuffer(self.generator.randbytes(8 * int(np.prod(size))), "<u8")
+        return ((words >> 11) * 2.0**-53).reshape(size)
 
     def uniform(self, low, high, size=()):
         return _scaled(self.random(size), low, high)
@@ -157,16 +153,12 @@ def _scaled(u, low, high):
     return low + (high - low) * u
 
 
-# rows per round of candidates, and per evaluate call of a report: at least
-# 100, so a default report draws and evaluates each check in one
-CHUNK = 1000
-
-
 def kept(rng, n, width, candidates):
     """The inputs of the first n accepted candidate rows, as a loop drawing sample after sample keeps them.
 
-    Rounds draw min(missing, CHUNK) rows of width unit draws, so none draws
-    past the n-th kept row.  candidates(rows) returns the rows' acceptance and
+    Each round draws one row of width unit draws per missing sample, so none
+    draws past the n-th kept row, and the first n kept rows of a longer draw
+    are these.  candidates(rows) returns the rows' acceptance and
     a tuple of arrays built from them.  The acceptance is a mask (rows,), or
     (rows, C) with one column per choice that cycles by sample: the row that
     would fill sample k is kept when its column k mod C holds.  100
@@ -174,7 +166,7 @@ def kept(rng, n, width, candidates):
     """
     out, have, misses = None, 0, 0
     while have < n:
-        rows = rng.random((min(n - have, CHUNK), width))
+        rows = rng.random((n - have, width))
         ok, inputs = candidates(rows)
         take = []
         for i, columns in enumerate(ok.reshape(len(rows), -1).tolist()):
@@ -290,20 +282,22 @@ def coefficient_map(c1, c2) -> MapJet2:
 
 
 # ---------------------------------------------------------------------------
-# check runners.  A drawing check's draw(rng, n) makes all its draws and
-# rejections and returns its inputs: arrays with one row per residual first,
-# each choice made per sample (generator, parameter row, coefficient set,
-# field family, matrix) among them.  A map is drawn as two coefficient arrays,
-# u1's and u2's, which evaluate wraps with coefficient_map.  Every rejection
-# goes through kept: candidate rows of unit draws in, each tested once,
-# accepted rows out in the order of a loop over samples.  A test whose choice
-# cycles by sample (generator, MT4 matrix) gives one acceptance column per
-# matrix of its stack, and _cycled takes the choices from that stack's size,
-# so sample k takes choice k mod C.  evaluate(*inputs) returns one residual
-# per row and never touches the rng; _reduce calls it on CHUNK rows at a
-# time, and row k replays as evaluate(*(x[k:k + 1] for x in inputs)).  A
-# layer's refusal fails the check, with the layer's message.  The exact
-# checks and F1-beta draw nothing and yield their residuals.
+# check runners.  A drawing check's draw(rng, n) makes all the draws and
+# rejections of n samples and returns their inputs: arrays with one row per
+# residual first, each choice made per sample (generator, parameter row,
+# coefficient set, field family, matrix) among them.  A draw of n samples is
+# the first n samples of any longer draw.  A map is drawn as two coefficient
+# arrays, u1's and u2's, which evaluate wraps with coefficient_map.  Every
+# rejection goes through kept: candidate rows of unit draws in, each tested
+# once, accepted rows out in the order of a loop over samples.  A choice that
+# cycles by sample is _cycled's: sample k takes choice k mod C, and a test
+# under such a choice (generator, MT4 matrix) gives one acceptance column per
+# choice, of which kept reads column k mod C.  evaluate(*inputs) returns one
+# residual per row and never touches the rng, and row k replays as
+# evaluate(*(x[k:k + 1] for x in inputs)).  _reduce draws and evaluates a
+# chunk of at most CHUNK samples at a time.  A layer's refusal fails the
+# check, with the layer's message.  The exact checks and F1-beta draw nothing
+# and yield their residuals.
 
 
 def _exact(ok: bool) -> float:
@@ -567,10 +561,7 @@ def _check_j_orbit(l1, l2):
     return worst_of(parts)
 
 
-def _draw_param_table(rng, n):
-    # max(1, n // 5) points for each of the five table rows, row after row
-    per_row = max(1, n // 5)
-    return (np.repeat(np.arange(1, 6), per_row), *_draw_pairs(rng, 5 * per_row))
+_PARAM_ROWS = np.arange(1, 6)  # sample k takes table row k mod 5 + 1
 
 
 def _check_param_table(row, x, y):
@@ -614,14 +605,12 @@ def _check_eta36(z1, z2):
     )
 
 
-def _draw_mt4(rng, n):
-    # the first half of the samples are constant fields and the rest shears (three
-    # numbers of the four), each complex number from two unit draws (real, imaginary)
-    half = max(1, n // 2)
-    c = np.zeros((n, 4), np.complex128)
-    c[:half] = rng.uniform(-1, 1, (half, 8)).view(np.complex128)
-    c[half:, :3] = rng.uniform(-1, 1, (n - half, 6)).view(np.complex128)
-    return np.arange(n) >= half, c
+def _draw_mt4_numbers(rng, n):
+    """Four numbers per sample, each from two unit draws (real, imaginary) in [-1, 1); a shear takes the first three."""
+    return (rng.uniform(-1, 1, (n, 8)).view(np.complex128),)
+
+
+_MT4_SHEAR = np.array((False, True))  # sample k is a constant field when k is even, a shear when k is odd
 
 
 def _check_mt4(shear, c):
@@ -725,27 +714,35 @@ class CheckDef:
     run: object  # (rng, samples) -> (worst residual, samples used)
 
 
-def _evaluate(evaluate, inputs, start):
-    """evaluate on the CHUNK rows of inputs from start; a refusal past the first chunk says where it starts."""
-    try:
-        return evaluate(*(x[start : start + CHUNK] for x in inputs))
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise type(exc)(f"{exc}, in the chunk from sample {start}") if start else exc
+# samples per chunk that a report draws and evaluates: at least 100, so a
+# default report takes one chunk per check, and a multiple of 60, the least
+# common multiple of the cycle lengths (2, 3, 4, 5, 6), so every chunk
+# starts at the first choice of each cycle
+CHUNK = 1020
 
 
 def _reduce(draw, evaluate):
     """The check's run: the worst of its residuals, and their number.
 
-    With evaluate None, draw is a runner that yields the residuals.
+    With evaluate None, draw is a runner that yields the residuals.  Else
+    each chunk of at most CHUNK samples is drawn and evaluated in turn; a
+    refusal past the first chunk names the residual row where its chunk starts.
     """
 
     def run(rng, n):
         if evaluate is None:
             residuals = np.fromiter(draw(rng, n), float)
-        else:
-            inputs = draw(rng, n)
-            residuals = np.concatenate([_evaluate(evaluate, inputs, k) for k in range(0, len(inputs[0]), CHUNK)])
-        return worst_of(residuals), residuals.size
+            return worst_of(residuals), residuals.size
+        worst, used = [], 0
+        for start in range(0, n, CHUNK):
+            inputs = draw(rng, min(CHUNK, n - start))
+            try:
+                residuals = evaluate(*inputs)
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise type(exc)(f"{exc}, in the chunk from sample {used}") if used else exc
+            worst.append(worst_of(residuals))
+            used += residuals.size
+        return worst_of(worst), used
 
     return run
 
@@ -775,7 +772,7 @@ _TABLE = (
     ("MT3", "picard", "order-5 pullback identity, cubed form", 1e-10, 10, _draw_mt3, _check_mt3),
     ("MT3-constraint", "picard", "coefficient normalization constraint", 1e-12, 50, _draw_moduli, _check_mt3_constraint),
     ("J-orbit", "picard", "moduli invariants constant on orbits", 1e-10, 50, _draw_pairs, _check_j_orbit),
-    ("param-table", "picard", "parameter rows under moduli swaps", 1e-10, 50, _draw_param_table, _check_param_table),
+    ("param-table", "picard", "parameter rows under moduli swaps", 1e-10, 50, _cycled(_PARAM_ROWS, _draw_pairs), _check_param_table),
     ("sign-tables", "picard", "sign and prefactor relations", 1e-12, 100, _draw_pairs, _check_sign_tables),
     ("P4.1", "eta", "variant identities: translations", 0.0, 0, _p4_runner("P4.1"), None),
     ("P4.2", "eta", "variant identities: lattice generators", 0.0, 0, _p4_runner("P4.2"), None),
@@ -785,7 +782,7 @@ _TABLE = (
     ("P4.6", "eta", "quotient cube laws", 0.0, 0, _p4_runner("P4.6"), None),
     ("eta-ledger", "eta", "phase multiplier table as exact rationals", 0.0, 0, _check_eta_ledger, None),
     ("eta36", "eta", "transformation law of the 36th power", 1e-9, 10, _rows(4, _eta_domain_points), _check_eta36),
-    ("MT4", "evolution", "field equations on solution families", 1e-12, 10, _draw_mt4, _check_mt4),
+    ("MT4", "evolution", "field equations on solution families", 1e-12, 10, _cycled(_MT4_SHEAR, _draw_mt4_numbers), _check_mt4),
     ("MT4-galilean", "evolution", "drift covariance on arbitrary fields", 1e-10, 10, _draw_mt4_galilean, _check_mt4_galilean),
     ("MT4-invariance", "evolution", "quotients invariant under the group", 1e-10, 10, _cycled(_MT4S, _rows(32, _mt4_pairs)), _check_mt4_invariance),
 )

@@ -381,7 +381,8 @@ def _about_half(rows):
 
 @pytest.mark.parametrize("n", [1, 7, 2500])
 def test_kept_draws_as_a_loop_over_samples_does(n):
-    # 2,500 samples take at least three rounds, past one CHUNK
+    # a round draws one row per missing sample and keeps about half of them:
+    # 2,500 samples take over a dozen rounds, each shorter than the last
     new, old = (report._rng(n, "kept")[0] for _ in range(2))
     got = report.kept(new, n, 3, _about_half)
     want = _loop_kept(old, n, 3, _about_half)

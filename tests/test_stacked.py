@@ -3,12 +3,17 @@
 A drawing check's draw(rng, n) makes all of its draws and rejections and
 returns its inputs, one row per residual along their first axis, each
 choice made per sample among them; evaluate(*inputs) gives one residual
-per row and never touches the rng, and the report evaluates in chunks of
-report.CHUNK rows.  The tests here hold that:
+per row and never touches the rng, and the report draws and evaluates one
+chunk of at most report.CHUNK samples at a time.  The tests here hold that:
 - each row evaluated alone, as a stack of one, is bit-equal to its row of
   the whole stack, for sound layers and under a planted fault per check,
   so a row carries every input of its sample;
-- chunks of three rows give the whole stack's residuals, bit for bit;
+- a draw of n samples is the first n samples of any longer draw, and ends
+  its stream where that draw's n-th sample does; every cycle of choices
+  divides a chunk;
+- chunks of 60 samples give the residuals and the stream end of one whole
+  draw, bit for bit, and a run never draws more than a chunk at once;
+- a refusal in a later chunk names its row there and the chunk's start;
 - each draw leaves its stream where pinned values say, so no draw's count
   or order moves;
 - the whole-candidate draws take the numbers of the per-number loops;
@@ -19,6 +24,7 @@ report.CHUNK rows.  The tests here hold that:
   agrees with the same point as a stack of one.
 """
 
+import inspect
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -282,24 +288,84 @@ def test_faulted_residuals_match_sample_by_sample(monkeypatch, cid, seed):
 
 @pytest.mark.parametrize("seed", [1, 42])
 @pytest.mark.parametrize("cid", sorted(SAMPLED))
-def test_chunks_of_three_rows_are_the_whole_stack(monkeypatch, cid, seed):
-    _, whole = _drawn(cid, seed)
+def test_a_draw_of_n_samples_begins_every_longer_draw(cid, seed):
+    # 60 samples and then 7 on one stream are the 67 of one draw on a fresh
+    # stream, and end where it does
+    draw = SAMPLED[cid][0]
+    parts, whole = (report._rng(seed, cid)[0] for _ in range(2))
+    got = [np.concatenate(x) for x in zip(draw(parts, 60), draw(parts, 7))]
+    assert [x.tolist() for x in got] == [x.tolist() for x in draw(whole, 67)]
+    assert parts.generator.getrandbits(64) == whole.generator.getrandbits(64)
+
+
+def test_every_cycle_divides_a_chunk():
+    # so sample k of every chunk takes the choice of its place in the whole draw
+    cycles = {
+        row[0]: len(inspect.getclosurevars(row[5]).nonlocals["choices"])
+        for row in report._TABLE
+        if row[5].__qualname__.startswith("_cycled.")
+    }
+    assert cycles == {
+        "invariance": 6, "vanishing": 6, "cocycle-u": 3, "second-argument": 6, "MT2-picard-modular": 4,
+        "F1-euler": 3, "F1-pde": 3, "param-table": 5, "MT4": 2, "MT4-invariance": 2,
+    }
+    assert [c for c in cycles.values() if report.CHUNK % c] == []
+
+
+@pytest.mark.parametrize("cid", sorted(SAMPLED))
+def test_a_run_draws_at_most_a_chunk_at_a_time(monkeypatch, cid):
     draw, evaluate = SAMPLED[cid]
+    sizes = []
+    monkeypatch.setattr(report, "CHUNK", 60)
+    report._reduce(lambda rng, n: sizes.append(n) or draw(rng, n), evaluate)(report._rng(42, cid)[0], 130)
+    assert sizes == [60, 60, 10]
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+@pytest.mark.parametrize("cid", sorted(SAMPLED))
+def test_chunks_of_three_rows_are_the_whole_stack(monkeypatch, cid, seed):
+    # chunks of 60 samples, the least chunk that every cycle divides: 150
+    # samples in three chunks give the residuals of one whole draw
+    draw, evaluate = SAMPLED[cid]
+    whole_rng = report._rng(seed, cid)[0]
+    whole = evaluate(*draw(whole_rng, 150))
     chunks = []
 
     def recorded(*rows):
         chunks.append(evaluate(*rows))
         return chunks[-1]
 
-    # rounds of three candidates, too
-    monkeypatch.setattr(report, "CHUNK", 3)
+    monkeypatch.setattr(report, "CHUNK", 60)
     rng = report._rng(seed, cid)[0]
-    worst, used = report._reduce(draw, recorded)(rng, STACKED[cid].samples)
-    assert all(len(c) == 3 for c in chunks[:-1]) and 1 <= len(chunks[-1]) <= 3
+    worst, used = report._reduce(draw, recorded)(rng, 150)
+    rows = len(whole) // 150  # ten an MT3 sample
+    assert [len(c) for c in chunks] == [60 * rows, 60 * rows, 30 * rows]
     assert np.concatenate(chunks).tolist() == whole.tolist()
     assert (worst, used) == (whole.max(), len(whole))
-    # the draws, three rows at a time, took the same numbers
-    assert rng.generator.getrandbits(64) == NEXT_BITS[cid][(1, 42).index(seed)]
+    # the draws, chunk by chunk, took the same numbers
+    assert rng.generator.getrandbits(64) == whole_rng.generator.getrandbits(64)
+
+
+def test_a_refusal_in_a_later_chunk_names_its_row_and_the_chunk(monkeypatch):
+    # 70 MT3 instances in chunks of 60: the second chunk starts at residual
+    # row 600, ten rows an instance, and its row 23 becomes the identity
+    # transform at t1 = 1, where both sides of the pullback identity vanish
+    draw, evaluate = SAMPLED["MT3"]
+    calls = []
+
+    def poisoned(rng, n):
+        inputs = draw(rng, n)
+        calls.append(n)
+        if len(calls) == 2:
+            for x, bad in zip(inputs, (2, 3, 2, 3, 1.0, 1.3)):
+                x[23] = bad
+        return inputs
+
+    monkeypatch.setattr(report, "CHUNK", 60)
+    monkeypatch.setattr(report, "CHECKS", (replace(STACKED["MT3"], run=report._reduce(poisoned, evaluate)),))
+    (entry,) = run_suites(("picard",), seed=42, samples=70)["checks"]
+    assert calls == [60, 10] and entry["pass"] is False and entry["residual"] is None
+    assert entry["error"] == "both sides of the cubed identity vanish (sample 23), in the chunk from sample 600"
 
 
 # The next 64 bits of each check's stream after its draw at seeds 1 and 42,
@@ -310,7 +376,9 @@ def test_chunks_of_three_rows_are_the_whole_stack(monkeypatch, cid, seed):
 # and F1-picard-gamma (two moduli of four draws each) moved;
 # second-argument (point and map as one candidate) and MT3 (an instance and
 # its ten points as one) reject nothing at these seeds, so they end where
-# they did.
+# they did.  MT4 was recorded again when its samples began to alternate
+# constant fields and shears, each of four numbers (a shear took three);
+# its residual is exactly 0.0 in both forms.
 NEXT_BITS = {
     "F1-euler": (0x2f6d809ce1160e76, 0x17ee0a7c92e7ea3a),
     "F1-k3": (0xdb13fcfba3fa7a32, 0x3fe44af46ec3c768),
@@ -325,7 +393,7 @@ NEXT_BITS = {
     "MT2-second": (0x57e1e746e94fa96e, 0x3994b24754df1f77),
     "MT3": (0xe8f3c0aa65ae98ff, 0x5559b3877f079b02),
     "MT3-constraint": (0x7b76cae2a16d79d9, 0xe153674ea7ef07de),
-    "MT4": (0x0758cdd91fdeba88, 0x9c9994d1830c4b2e),
+    "MT4": (0xeb4cc7e0ee50c733, 0xa5d7b701d8779d66),
     "MT4-galilean": (0x3b4894e4e589d320, 0xf84a5f3accb2a2fb),
     "MT4-invariance": (0xb5f365b0d4537650, 0xb443a0784536beb7),
     "chain-rule": (0x4e31552e341551a0, 0xc69eb53a3307e8d0),
@@ -412,27 +480,22 @@ def test_each_sample_passes_the_test_of_its_own_choice(cid, seed, deep):
 @pytest.mark.parametrize("seed", [1, 42])
 @pytest.mark.parametrize("n", [1, 2, 11])
 def test_mt4_splits_any_sample_count_as_the_loop_does(n, seed):
-    # max(1, n // 2) constant fields of four numbers, then shears of three
+    # four numbers a sample: a constant field of them when k is even, a
+    # shear of the first three when k is odd
     shear, c = SAMPLED["MT4"][0](report._rng(seed, "MT4")[0], n)
-    half = max(1, n // 2)
-    assert shear.tolist() == [False] * half + [True] * (n - half)
+    assert shear.tolist() == [k % 2 == 1 for k in range(n)]
     loop = report._rng(seed, "MT4")[0]
-    numbers = [[_cpx(loop) for _ in range(4)] for _ in range(half)]
-    numbers += [[_cpx(loop) for _ in range(3)] + [0j] for _ in range(n - half)]
-    assert c.tolist() == numbers
+    assert c.tolist() == [[_cpx(loop) for _ in range(4)] for _ in range(n)]
 
 
 @pytest.mark.parametrize("cid", sorted(SAMPLED))
 def test_a_stack_of_one_matches_the_reference(cid):
     # --samples 1: the draw of one sample takes the first numbers of the
-    # default draw, the reference here, and evaluates as a stack of one;
-    # param-table then takes one point for each table row
+    # default draw, the reference here, and evaluates as a stack of one
     draw, evaluate = SAMPLED[cid]
     one = draw(report._rng(42, cid)[0], 1)
-    rows = {"MT3": 10, "param-table": 5}.get(cid, 1)
+    rows = {"MT3": 10}.get(cid, 1)
     ref = [x[:rows] for x in draw(report._rng(42, cid)[0], STACKED[cid].samples)]
-    if cid == "param-table":
-        ref[0] = np.arange(1, 6)
     assert [x.tolist() for x in one] == [x.tolist() for x in ref]
     assert evaluate(*one).tolist() == evaluate(*ref).tolist()
 
@@ -440,10 +503,9 @@ def test_a_stack_of_one_matches_the_reference(cid):
 def test_samples_one_report_passes():
     rep = run_suites(("derivs", "pde", "f1", "picard", "eta", "evolution"), seed=42, samples=1)
     by_id = {e["id"]: e for e in rep["checks"]}
-    # an MT3 sample is a moduli instance with ten points, and param-table
-    # takes one point for each of its five rows
+    # an MT3 sample is a moduli instance with ten points
     for cid in SAMPLED:
-        assert by_id[cid]["samples"] == {"MT3": 10, "param-table": 5}.get(cid, 1), cid
+        assert by_id[cid]["samples"] == {"MT3": 10}.get(cid, 1), cid
         assert by_id[cid]["pass"], cid
     assert rep["summary"]["failed"] == 0
 
